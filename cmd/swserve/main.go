@@ -2,23 +2,26 @@
 //
 //	swserve -algo lm-fd -d 64 -window 10000 -addr :8080 -metrics
 //
-// The -algo/-d/... flags describe the default sketch, served on the
-// single-sketch routes; further tenants — independent named sketches
-// with their own configs — are created and queried at runtime under
-// /v1/tenants/{id}/... (see docs/API.md for the full reference).
+// The -algo/-d/... flags describe the sketch of the reserved
+// "default" tenant; they fill a registry.Config, the same declarative
+// config PUT /v2/tenants/{id} takes, so a bad flag combination fails
+// with the same message the API would give. Further tenants —
+// independent named sketches with their own configs — are created and
+// queried at runtime (see docs/API.md for the full reference).
 //
 // Endpoints (JSON):
 //
-//	POST /v1/ingest         {"updates":[{"row":[...],"t":1.5},...]}
-//	POST /v1/ingest/bulk    multi-tenant ingest in one request
-//	GET  /v1/approximation  [?t=...]      window approximation B
-//	GET  /v1/pca            [?t=...&k=3]  top-k window PCA
-//	GET  /v1/tenants/{id}/amm             windowed AᵀB estimate (paired
-//	                                      frameworks lm-amm/di-amm only)
-//	GET  /v1/stats                        sketch metadata + internals
-//	GET  /v1/health         accuracy health: ok/degraded (with -audit)
-//	GET  /v1/snapshot       binary snapshot (POST restores one)
-//	*    /v1/tenants...     tenant CRUD + per-tenant ingest/query routes
+//	POST /v2/tenants/{id}/rows           {"updates":[{"row":[...],"t":1.5},...]}
+//	POST /v2/tenants/{id}/stream         streaming ingest (NDJSON or binary frames)
+//	POST /v2/rows                        multi-tenant ingest in one request
+//	GET  /v2/tenants/{id}/approximation  [?t=...]      window approximation B
+//	GET  /v2/tenants/{id}/pca            [?t=...&k=3]  top-k window PCA
+//	GET  /v2/tenants/{id}/amm            windowed AᵀB estimate (paired
+//	                                     frameworks lm-amm/di-amm only)
+//	GET  /v2/tenants/{id}/stats          sketch metadata + internals
+//	GET  /v2/tenants/{id}/snapshot       binary snapshot (POST restores one)
+//	*    /v2/tenants...                  tenant CRUD
+//	GET  /v2/health                      accuracy health: ok/degraded (with -audit)
 //	GET  /healthz
 //	GET  /metrics           Prometheus exposition (with -metrics)
 //	GET  /debug/trace       structural event trace, JSONL (with -trace)
@@ -47,20 +50,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
 	"swsketch/internal/obs/hh"
 	"swsketch/internal/registry"
 	"swsketch/internal/serve"
-	"swsketch/internal/stream"
 	"swsketch/internal/trace"
 	"swsketch/internal/wal"
-	"swsketch/internal/window"
 )
 
 func main() {
@@ -84,10 +83,10 @@ func main() {
 		traceOn = flag.Bool("trace", false, "trace structural events; serve them on /debug/trace")
 		trCap   = flag.Int("trace-cap", 8192, "trace ring capacity (events)")
 		trEvery = flag.Int("trace-sample", 1, "record one in every k trace events (counts stay exact)")
-		auditOn = flag.Bool("audit", false, "audit accuracy with an exact shadow window; serve /v1/health verdicts")
+		auditOn = flag.Bool("audit", false, "audit accuracy with an exact shadow window; serve /v2/health verdicts")
 		aStride = flag.Int("audit-stride", 0, "audit evaluation cadence in rows (0 = default)")
 		aCap    = flag.Int("audit-cap", 0, "audit shadow row cap; auditing disarms beyond it (0 = default, <0 = uncapped)")
-		aThresh = flag.Float64("audit-threshold", 0, "cova-err level that flips /v1/health to degraded (0 = default)")
+		aThresh = flag.Float64("audit-threshold", 0, "cova-err level that flips /v2/health to degraded (0 = default)")
 		logReq  = flag.Bool("log", false, "log each request (structured, stderr) with its request ID")
 		tenMax  = flag.Int("tenants-max", 0, "cap on resident tenants; LRU-evicts on create (0 = uncapped)")
 		evictT  = flag.Duration("evict-ttl", 0, "evict tenants idle longer than this (0 = never)")
@@ -101,93 +100,21 @@ func main() {
 		hotD    = flag.Int("hotkeys-depth", 4, "hot-key count-min depth (hash rows)")
 	)
 	flag.Parse()
-	if *d < 1 {
-		fmt.Fprintln(os.Stderr, "swserve: -d (row dimension) is required")
-		os.Exit(2)
-	}
 
-	var spec window.Spec
+	cfg := registry.Config{
+		Framework: *algo, Size: *winSize, D: *d, DB: *dBSplit,
+		Ell: *ell, B: *b, Seed: *seed, L: *levels, R: *rBound,
+		FDBuffer: *fdBuf, FDAlpha: *fdAlpha,
+	}
 	if *useTime {
-		spec = window.TimeSpan(*winSize)
-	} else {
-		spec = window.Seq(int(*winSize))
+		cfg.Window = registry.WindowTime
 	}
-
-	fdo := stream.FDOpts{Buffer: *fdBuf, Alpha: *fdAlpha}
-	if *fdBuf < 0 || *fdAlpha < 0 || *fdAlpha > 1 {
-		fmt.Fprintln(os.Stderr, "swserve: -fd-buffer must be ≥ 0 and -fd-alpha in (0,1] (0 for the default)")
+	sk, err := cfg.Build()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swserve: %v\n", err)
 		os.Exit(2)
 	}
-	isAMM := false
-	switch strings.ToLower(*algo) {
-	case "lm-fd", "di-fd", "ds-fd":
-	case "lm-amm", "di-amm":
-		isAMM = true
-	default:
-		if *fdBuf != 0 || *fdAlpha != 0 {
-			fmt.Fprintf(os.Stderr, "swserve: -fd-buffer/-fd-alpha apply to the FD and AMM frameworks only, not %q\n", *algo)
-			os.Exit(2)
-		}
-	}
-	if isAMM && (*dBSplit < 1 || *dBSplit >= *d) {
-		fmt.Fprintf(os.Stderr, "swserve: %s requires -d-b in (0,d): the B-side suffix width of the stacked dimension d=%d\n", *algo, *d)
-		os.Exit(2)
-	}
-	if !isAMM && *dBSplit != 0 {
-		fmt.Fprintf(os.Stderr, "swserve: -d-b applies to the paired (amm) frameworks only, not %q\n", *algo)
-		os.Exit(2)
-	}
-
-	var sk core.WindowSketch
-	switch strings.ToLower(*algo) {
-	case "swr":
-		sk = core.NewSWR(spec, *ell, *d, *seed)
-	case "swor":
-		sk = core.NewSWOR(spec, *ell, *d, *seed)
-	case "swor-all":
-		sk = core.NewSWORAll(spec, *ell, *d, *seed)
-	case "lm-fd":
-		sk = core.NewLMFDOpts(spec, *d, *ell, *b, fdo)
-	case "lm-hash":
-		sk = core.NewLMHash(spec, *d, *ell, *b, uint64(*seed))
-	case "di-fd":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: di-fd supports sequence windows only")
-			os.Exit(2)
-		}
-		if *rBound <= 0 {
-			fmt.Fprintln(os.Stderr, "swserve: di-fd requires -R (the max squared row norm)")
-			os.Exit(2)
-		}
-		sk = core.NewDIFDOpts(core.DIConfig{
-			N: int(*winSize), R: *rBound, L: *levels, Ell: *ell, RSlack: 1.01,
-		}, *d, fdo)
-	case "ds-fd":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: ds-fd supports sequence windows only")
-			os.Exit(2)
-		}
-		sk = core.NewDSFD(core.DSFDConfig{
-			N: int(*winSize), Ell: *ell, R: *rBound, RSlack: 1.01, FD: fdo,
-		}, *d)
-	case "lm-amm":
-		sk = core.NewLMAMMOpts(spec, *d-*dBSplit, *dBSplit, *ell, *b, fdo)
-	case "di-amm":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: di-amm supports sequence windows only")
-			os.Exit(2)
-		}
-		if *rBound <= 0 {
-			fmt.Fprintln(os.Stderr, "swserve: di-amm requires -R (the max squared row norm)")
-			os.Exit(2)
-		}
-		sk = core.NewDIAMMOpts(core.DIConfig{
-			N: int(*winSize), R: *rBound, L: *levels, Ell: *ell, RSlack: 1.01,
-		}, *d-*dBSplit, *dBSplit, fdo)
-	default:
-		fmt.Fprintf(os.Stderr, "swserve: unknown algorithm %q\n", *algo)
-		os.Exit(2)
-	}
+	spec := cfg.Spec()
 
 	var opts []serve.Option
 	var reg *obs.Registry

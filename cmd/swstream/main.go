@@ -50,7 +50,7 @@ import (
 	"swsketch/internal/mat"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
-	"swsketch/internal/stream"
+	"swsketch/internal/registry"
 	"swsketch/internal/trace"
 	"swsketch/internal/window"
 )
@@ -79,11 +79,16 @@ func main() {
 	)
 	flag.Parse()
 
+	cfg := registry.Config{
+		Framework: *algo, Size: *winSize, DB: *dBSplit,
+		Ell: *ell, B: *b, Seed: *seed, L: *levels, R: *rBound,
+		FDBuffer: *fdBuf, FDAlpha: *fdAlpha,
+	}
+	if *useTime {
+		cfg.Window = registry.WindowTime
+	}
 	if err := run(os.Stdin, os.Stdout, options{
-		algo: *algo, winSize: *winSize, useTime: *useTime, every: *every,
-		batch: *batch, ell: *ell, b: *b, levels: *levels, rBound: *rBound,
-		dB: *dBSplit, fdBuffer: *fdBuf, fdAlpha: *fdAlpha,
-		seed: *seed, topK: *topK, stats: *stats,
+		cfg: cfg, every: *every, batch: *batch, topK: *topK, stats: *stats,
 		trace: *traceOn, traceOut: *trOut, audit: *auditOn, auditStride: *aStride,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "swstream: %v\n", err)
@@ -91,24 +96,18 @@ func main() {
 	}
 }
 
+// options carries the run's flags. cfg describes the sketch; its
+// dimension D is filled in from the first CSV record.
 type options struct {
-	algo           string
-	winSize        float64
-	useTime        bool
-	every          int
-	batch          int
-	ell, b, levels int
-	rBound         float64
-	dB             int
-	fdBuffer       int
-	fdAlpha        float64
-	seed           int64
-	topK           int
-	stats          bool
-	trace          bool
-	traceOut       string
-	audit          bool
-	auditStride    int
+	cfg         registry.Config
+	every       int
+	batch       int
+	topK        int
+	stats       bool
+	trace       bool
+	traceOut    string
+	audit       bool
+	auditStride int
 }
 
 func run(in io.Reader, out io.Writer, opt options) error {
@@ -128,11 +127,6 @@ func run(in io.Reader, out io.Writer, opt options) error {
 		row   []float64
 		count int
 	)
-	if opt.useTime {
-		spec = window.TimeSpan(opt.winSize)
-	} else {
-		spec = window.Seq(int(opt.winSize))
-	}
 
 	w := bufio.NewWriter(out)
 	defer w.Flush()
@@ -187,10 +181,11 @@ func run(in io.Reader, out io.Writer, opt options) error {
 		if sk == nil {
 			// First record fixes the dimension and builds the sketch.
 			d = len(rec) - 1
-			sk, err = buildSketch(opt, spec, d)
+			sk, err = buildSketch(opt.cfg, d)
 			if err != nil {
 				return err
 			}
+			spec = opt.cfg.Spec()
 			rawSk = sk
 			if t, ok := sk.(trace.Traceable); ok {
 				t.SetTracer(tr)
@@ -215,7 +210,7 @@ func run(in io.Reader, out io.Writer, opt options) error {
 			}
 			row[j] = v
 		}
-		if !opt.useTime {
+		if spec.Kind == window.Sequence {
 			t = float64(count)
 		}
 		r := make([]float64, d)
@@ -338,75 +333,14 @@ func printInstrumentation(w io.Writer, reg *obs.Registry, sk core.WindowSketch) 
 	}
 }
 
-func buildSketch(opt options, spec window.Spec, d int) (core.WindowSketch, error) {
-	fdo := stream.FDOpts{Buffer: opt.fdBuffer, Alpha: opt.fdAlpha}
-	if opt.fdBuffer < 0 {
-		return nil, fmt.Errorf("-fd-buffer must be ≥ 0, got %d", opt.fdBuffer)
+// buildSketch builds the configured sketch for a d-column stream
+// through the registry's framework switch, so flag errors read exactly
+// like the API's config errors. "best", the offline rank-ℓ oracle the
+// registry does not host, is the one special case.
+func buildSketch(cfg registry.Config, d int) (core.WindowSketch, error) {
+	cfg.D = d
+	if strings.EqualFold(cfg.Framework, "best") {
+		return core.NewBest(cfg.Spec(), cfg.Ell, d), nil
 	}
-	if opt.fdAlpha < 0 || opt.fdAlpha > 1 {
-		return nil, fmt.Errorf("-fd-alpha must be in (0,1] (0 for the default), got %v", opt.fdAlpha)
-	}
-	isFD := false
-	isAMM := false
-	switch strings.ToLower(opt.algo) {
-	case "lm-fd", "di-fd", "ds-fd":
-		isFD = true
-	case "lm-amm", "di-amm":
-		isFD, isAMM = true, true
-	}
-	if !isFD && (opt.fdBuffer != 0 || opt.fdAlpha != 0) {
-		return nil, fmt.Errorf("-fd-buffer/-fd-alpha apply to the FD and AMM frameworks only, not %q", opt.algo)
-	}
-	if isAMM && (opt.dB < 1 || opt.dB >= d) {
-		return nil, fmt.Errorf("%s requires -d-b in (0,d): the B-side suffix width of the stacked dimension d=%d, got %d", opt.algo, d, opt.dB)
-	}
-	if !isAMM && opt.dB != 0 {
-		return nil, fmt.Errorf("-d-b applies to the paired (amm) frameworks only, not %q", opt.algo)
-	}
-	switch strings.ToLower(opt.algo) {
-	case "swr":
-		return core.NewSWR(spec, opt.ell, d, opt.seed), nil
-	case "swor":
-		return core.NewSWOR(spec, opt.ell, d, opt.seed), nil
-	case "swor-all":
-		return core.NewSWORAll(spec, opt.ell, d, opt.seed), nil
-	case "lm-fd":
-		return core.NewLMFDOpts(spec, d, opt.ell, opt.b, fdo), nil
-	case "lm-hash":
-		return core.NewLMHash(spec, d, opt.ell, opt.b, uint64(opt.seed)), nil
-	case "di-fd":
-		if opt.useTime {
-			return nil, fmt.Errorf("di-fd supports sequence windows only")
-		}
-		r := opt.rBound
-		if r == 0 {
-			return nil, fmt.Errorf("di-fd requires -R (the max squared row norm)")
-		}
-		return core.NewDIFDOpts(core.DIConfig{
-			N: int(opt.winSize), R: r, L: opt.levels, Ell: opt.ell, RSlack: 1.01,
-		}, d, fdo), nil
-	case "ds-fd":
-		if opt.useTime {
-			return nil, fmt.Errorf("ds-fd supports sequence windows only")
-		}
-		return core.NewDSFD(core.DSFDConfig{
-			N: int(opt.winSize), Ell: opt.ell, R: opt.rBound, RSlack: 1.01, FD: fdo,
-		}, d), nil
-	case "lm-amm":
-		return core.NewLMAMMOpts(spec, d-opt.dB, opt.dB, opt.ell, opt.b, fdo), nil
-	case "di-amm":
-		if opt.useTime {
-			return nil, fmt.Errorf("di-amm supports sequence windows only")
-		}
-		if opt.rBound == 0 {
-			return nil, fmt.Errorf("di-amm requires -R (the max squared row norm)")
-		}
-		return core.NewDIAMMOpts(core.DIConfig{
-			N: int(opt.winSize), R: opt.rBound, L: opt.levels, Ell: opt.ell, RSlack: 1.01,
-		}, d-opt.dB, opt.dB, fdo), nil
-	case "best":
-		return core.NewBest(spec, opt.ell, d), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", opt.algo)
-	}
+	return cfg.Build()
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"swsketch/internal/registry"
 )
 
 func csvStream(n int) string {
@@ -18,7 +20,10 @@ func csvStream(n int) string {
 }
 
 func baseOpts() options {
-	return options{algo: "lm-fd", winSize: 20, every: 10, batch: 7, ell: 8, b: 4, levels: 4, topK: 3, seed: 1}
+	return options{
+		cfg:   registry.Config{Framework: "lm-fd", Size: 20, Ell: 8, B: 4, L: 4, Seed: 1},
+		every: 10, batch: 7, topK: 3,
+	}
 }
 
 func TestRunStreamsAndReports(t *testing.T) {
@@ -39,7 +44,7 @@ func TestRunStreamsAndReports(t *testing.T) {
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{"swr", "swor", "swor-all", "lm-fd", "lm-hash", "best"} {
 		opt := baseOpts()
-		opt.algo = algo
+		opt.cfg.Framework = algo
 		var out bytes.Buffer
 		if err := run(strings.NewReader(csvStream(30)), &out, opt); err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -47,8 +52,8 @@ func TestRunAllAlgorithms(t *testing.T) {
 	}
 	// DI needs R.
 	opt := baseOpts()
-	opt.algo = "di-fd"
-	opt.rBound = 10
+	opt.cfg.Framework = "di-fd"
+	opt.cfg.R = 10
 	var out bytes.Buffer
 	if err := run(strings.NewReader(csvStream(30)), &out, opt); err != nil {
 		t.Fatalf("di-fd: %v", err)
@@ -77,8 +82,8 @@ func TestRunBatchSizesAgree(t *testing.T) {
 func TestRunTimeWindow(t *testing.T) {
 	in := "0.5,1,1\n1.5,2,0\n2.5,0,1\n9.5,1,1\n"
 	opt := baseOpts()
-	opt.useTime = true
-	opt.winSize = 3
+	opt.cfg.Window = registry.WindowTime
+	opt.cfg.Size = 3
 	opt.every = 2
 	var out bytes.Buffer
 	if err := run(strings.NewReader(in), &out, opt); err != nil {
@@ -91,16 +96,22 @@ func TestRunErrors(t *testing.T) {
 		in  string
 		opt options
 	}{
-		"empty":          {"", baseOpts()},
-		"bad timestamp":  {"x,1,2\n", baseOpts()},
-		"bad value":      {"0,1,zz\n", baseOpts()},
-		"short record":   {"0\n", baseOpts()},
-		"ragged":         {"0,1,2\n0,1\n", baseOpts()},
-		"unknown algo":   {csvStream(5), func() options { o := baseOpts(); o.algo = "nope"; return o }()},
-		"di without R":   {csvStream(5), func() options { o := baseOpts(); o.algo = "di-fd"; return o }()},
-		"di time window": {csvStream(5), func() options { o := baseOpts(); o.algo = "di-fd"; o.useTime = true; o.rBound = 1; return o }()},
-		"bad every":      {csvStream(5), func() options { o := baseOpts(); o.every = 0; return o }()},
-		"bad batch":      {csvStream(5), func() options { o := baseOpts(); o.batch = 0; return o }()},
+		"empty":         {"", baseOpts()},
+		"bad timestamp": {"x,1,2\n", baseOpts()},
+		"bad value":     {"0,1,zz\n", baseOpts()},
+		"short record":  {"0\n", baseOpts()},
+		"ragged":        {"0,1,2\n0,1\n", baseOpts()},
+		"unknown algo":  {csvStream(5), func() options { o := baseOpts(); o.cfg.Framework = "nope"; return o }()},
+		"di without R":  {csvStream(5), func() options { o := baseOpts(); o.cfg.Framework = "di-fd"; return o }()},
+		"di time window": {csvStream(5), func() options {
+			o := baseOpts()
+			o.cfg.Framework = "di-fd"
+			o.cfg.Window = registry.WindowTime
+			o.cfg.R = 1
+			return o
+		}()},
+		"bad every": {csvStream(5), func() options { o := baseOpts(); o.every = 0; return o }()},
+		"bad batch": {csvStream(5), func() options { o := baseOpts(); o.batch = 0; return o }()},
 	}
 	for name, tc := range cases {
 		var out bytes.Buffer
@@ -169,8 +180,8 @@ func TestRunAudit(t *testing.T) {
 // frameworks and checks the standard summary plane works unchanged.
 func TestRunAMMAlgorithms(t *testing.T) {
 	opt := baseOpts()
-	opt.algo = "lm-amm"
-	opt.dB = 1
+	opt.cfg.Framework = "lm-amm"
+	opt.cfg.DB = 1
 	var out bytes.Buffer
 	if err := run(strings.NewReader(variedCSV(40)), &out, opt); err != nil {
 		t.Fatalf("lm-amm: %v", err)
@@ -180,10 +191,10 @@ func TestRunAMMAlgorithms(t *testing.T) {
 	}
 
 	opt = baseOpts()
-	opt.algo = "di-amm"
-	opt.dB = 1
-	opt.rBound = 70
-	opt.ell = 8
+	opt.cfg.Framework = "di-amm"
+	opt.cfg.DB = 1
+	opt.cfg.R = 70
+	opt.cfg.Ell = 8
 	out.Reset()
 	if err := run(strings.NewReader(variedCSV(40)), &out, opt); err != nil {
 		t.Fatalf("di-amm: %v", err)
@@ -195,16 +206,16 @@ func TestRunAMMAlgorithms(t *testing.T) {
 
 func TestRunAMMFlagErrors(t *testing.T) {
 	cases := map[string]options{
-		"amm without d-b":  func() options { o := baseOpts(); o.algo = "lm-amm"; return o }(),
-		"amm d-b too wide": func() options { o := baseOpts(); o.algo = "lm-amm"; o.dB = 3; return o }(),
-		"d-b on lm-fd":     func() options { o := baseOpts(); o.dB = 1; return o }(),
-		"di-amm without R": func() options { o := baseOpts(); o.algo = "di-amm"; o.dB = 1; return o }(),
+		"amm without d-b":  func() options { o := baseOpts(); o.cfg.Framework = "lm-amm"; return o }(),
+		"amm d-b too wide": func() options { o := baseOpts(); o.cfg.Framework = "lm-amm"; o.cfg.DB = 3; return o }(),
+		"d-b on lm-fd":     func() options { o := baseOpts(); o.cfg.DB = 1; return o }(),
+		"di-amm without R": func() options { o := baseOpts(); o.cfg.Framework = "di-amm"; o.cfg.DB = 1; return o }(),
 		"di-amm time": func() options {
 			o := baseOpts()
-			o.algo = "di-amm"
-			o.dB = 1
-			o.rBound = 60
-			o.useTime = true
+			o.cfg.Framework = "di-amm"
+			o.cfg.DB = 1
+			o.cfg.R = 60
+			o.cfg.Window = registry.WindowTime
 			return o
 		}(),
 	}

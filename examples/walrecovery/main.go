@@ -5,9 +5,9 @@
 // tenant bit-identically: the deterministic LM-FD marshals to the
 // same bytes the live server held.
 //
-// The demo drives real HTTP traffic (a v1 batch, a v2 created tenant,
-// a /v2 streaming block), "crashes" by dropping the server without
-// any graceful shutdown, then recovers twice from the same directory.
+// The demo drives real HTTP traffic (a batch, a created tenant, a
+// streaming block), "crashes" by dropping the server without any
+// graceful shutdown, then recovers twice from the same directory.
 package main
 
 import (
@@ -85,9 +85,9 @@ func main() {
 
 	ts, _, _ := boot(dir)
 
-	// Mixed traffic, every generation of the wire: a v1 batch, a
-	// created tenant, and a v2 streamed block.
-	post(ts.URL+"/v1/ingest", "application/json",
+	// Mixed traffic, every ingest path: a batch, a created tenant, and
+	// a streamed block.
+	post(ts.URL+"/v2/tenants/default/rows", "application/json",
 		`{"updates":[{"row":[1,0,0],"t":1},{"row":[0,2,0],"t":2},{"idx":[2],"val":[3],"t":3}]}`)
 	req, _ := http.NewRequest("PUT", ts.URL+"/v2/tenants/turbine",
 		strings.NewReader(`{"framework":"lm-fd","window":"sequence","size":32,"d":3,"ell":6,"b":3}`))

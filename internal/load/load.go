@@ -8,8 +8,9 @@
 //
 // Three wire modes cover the ingest plane's generations:
 //
-//	v1      one JSON POST per block (/v1/tenants/{id}/ingest) — the
-//	        request-per-batch baseline
+//	v1      one JSON POST per block (/v2/tenants/{id}/rows) — the
+//	        request-per-batch baseline, named for the API generation
+//	        whose clients sent it
 //	ndjson  the /v2 stream in NDJSON framing, blocks separated by
 //	        blank lines, one connection per worker-tenant lease
 //	frames  the /v2 stream in binenc binary framing
@@ -370,7 +371,7 @@ func (d *driver) v1Block(tn int) {
 	b.WriteString(`]}`)
 	start := time.Now()
 	resp, err := d.client.Post(
-		d.cfg.BaseURL+"/v1/tenants/"+d.ids[tn]+"/ingest", "application/json", &b)
+		d.cfg.BaseURL+"/v2/tenants/"+d.ids[tn]+"/rows", "application/json", &b)
 	failed := err != nil
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)

@@ -16,7 +16,7 @@
 // the window grows past MaxShadowRows the auditor disarms itself
 // (drops the shadow, reports capped) rather than take down the
 // serving process. Results publish as gauges and histograms in an
-// obs.Registry and drive the serve layer's GET /v1/health verdict.
+// obs.Registry and drive the serve layer's GET /v2/health verdict.
 package audit
 
 import (
@@ -91,7 +91,7 @@ type Result struct {
 	ShadowRows int     `json:"shadow_rows"` // rows in the shadow window
 }
 
-// Status is the health view served by GET /v1/health.
+// Status is the health view served by GET /v2/health.
 type Status struct {
 	// Active is true while the auditor is armed (not capped).
 	Active bool `json:"active"`

@@ -9,8 +9,9 @@ import (
 	"swsketch/internal/window"
 )
 
-// Framework names accepted by Config.Framework; they match the -algo
-// vocabulary of cmd/swserve and cmd/swstream.
+// Framework names accepted by Config.Framework; they are the -algo
+// vocabulary of cmd/swserve and cmd/swstream, which build their
+// sketches through Config.
 const (
 	// FrameworkSWR is the sampling-with-replacement sketch.
 	FrameworkSWR = "swr"
@@ -65,8 +66,9 @@ const (
 
 // Config declaratively describes one tenant's sliding-window sketch:
 // the framework, the window, and the sketch-size knobs. It is the
-// JSON body of PUT /v1/tenants/{id} and the header of a spill file,
-// so a tenant can be rebuilt from its config plus a binary snapshot.
+// JSON body of PUT /v2/tenants/{id}, the sketch the swserve and
+// swstream flags describe, and the header of a spill file, so a tenant
+// can be rebuilt from its config plus a binary snapshot.
 //
 // Sizing is either explicit (Ell, and B for the LM frameworks) or
 // automatic: leave Ell zero and set Eps to a target covariance error,

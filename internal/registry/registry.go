@@ -2,7 +2,7 @@
 // stack: a sharded, concurrency-safe registry of named sliding-window
 // sketches, each created from a declarative Config (framework, window,
 // sizing). It is what lets one process host many independent windows —
-// the serve layer mounts it under /v1/tenants/{id}/...
+// the serve layer mounts it under /v2/tenants/{id}/...
 //
 // Design:
 //

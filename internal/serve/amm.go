@@ -32,12 +32,6 @@ type ammResponse struct {
 	T       float64     `json:"t"`
 }
 
-func (s *Server) handleTenantAMM(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.amm(w, r, t)
-	}
-}
-
 // ammQueryTime resolves the query timestamp like queryTime, but for
 // POST requests a JSON body {"t": ...} takes the place of the ?t=
 // parameter (the body wins when both are present).
@@ -72,8 +66,9 @@ func ammQueryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (f
 	return queryTime(w, r, t)
 }
 
-func (s *Server) amm(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
-	if !s.acquire(w, t) {
+func (s *Server) handleAMM(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.tenantOf(w, r)
+	if !ok || !acquire(w, t) {
 		return
 	}
 	// The capability lives on the raw sketch: serving decorations

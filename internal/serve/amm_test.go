@@ -28,7 +28,7 @@ func ammIngestBody(n int) string {
 
 func TestTenantAMMQuery(t *testing.T) {
 	ts, _ := newTenantServer(t)
-	resp := doReq(t, "PUT", ts.URL+"/v1/tenants/pair", ammTenantCfg)
+	resp := doReq(t, "PUT", ts.URL+"/v2/tenants/pair", ammTenantCfg)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -106,30 +106,5 @@ func TestTenantAMMUnsupported(t *testing.T) {
 	resp = doReq(t, "DELETE", ts.URL+"/v2/tenants/default/amm", "")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE status %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestTenantAMMV1Alias(t *testing.T) {
-	ts, _ := newTenantServer(t)
-	resp := doReq(t, "PUT", ts.URL+"/v1/tenants/pair", ammTenantCfg)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	resp = doReq(t, "POST", ts.URL+"/v1/tenants/pair/ingest", ammIngestBody(20))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/pair/amm", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 amm status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" ||
-		!strings.Contains(resp.Header.Get("Link"), "/v2/tenants/{id}/amm") {
-		t.Fatalf("v1 alias lacks deprecation headers: %v", resp.Header)
-	}
-	var got ammResponse
-	decode(t, resp, &got)
-	if got.DA != 3 || got.DB != 2 || len(got.Product) != 3 {
-		t.Fatalf("v1 amm response %+v", got)
 	}
 }

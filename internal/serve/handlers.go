@@ -1,9 +1,8 @@
 package serve
 
-// Ingest and query handlers. Every handler is tenant-generic: the
-// legacy /v1/... routes bind to the adopted "default" tenant and the
-// /v1/tenants/{id}/... routes resolve {id} through the registry, but
-// both run the same code path below.
+// Ingest and query handlers: batch and bulk ingest, and the
+// approximation, PCA, and stats reads. Each resolves {id} through the
+// registry; the default tenant is addressed by name like any other.
 
 import (
 	"encoding/json"
@@ -19,8 +18,8 @@ import (
 )
 
 // apiError is a deferred error envelope: handlers that serve multiple
-// tenants per request (bulk ingest) need error values they can embed
-// per item instead of writing the response immediately.
+// items per request (bulk ingest, stream blocks) need error values
+// they can embed per item instead of writing the response immediately.
 type apiError struct {
 	status int
 	code   string
@@ -33,6 +32,29 @@ func errf(status int, code, format string, args ...interface{}) *apiError {
 
 func (e *apiError) write(w http.ResponseWriter) {
 	httpError(w, e.status, e.code, "%s", e.msg)
+}
+
+// decodeJSON strictly decodes a request body into v: unknown fields
+// are an error, and a body over the WithMaxBody cap answers 413. On
+// false the error envelope has been written.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	body := r.Body
+	if s.maxBody > 0 {
+		body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"body exceeds %d bytes", tooLarge.Limit)
+		} else {
+			httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+		}
+		return false
+	}
+	return true
 }
 
 type ingestRequest struct {
@@ -52,33 +74,15 @@ type ingestResponse struct {
 	LastT    float64 `json:"last_t"`
 }
 
+// handleIngest is POST /v2/tenants/{id}/rows: one all-or-nothing
+// batch into one tenant.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.ingestInto(w, r, s.def)
-}
-
-func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.ingestInto(w, r, t)
-	}
-}
-
-// ingestInto decodes an ingest body and applies it to one tenant.
-func (s *Server) ingestInto(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	t, ok := s.tenantOf(w, r)
+	if !ok {
+		return
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	resp, apiErr := s.ingestTenant(t, req.Updates)
@@ -87,6 +91,65 @@ func (s *Server) ingestInto(w http.ResponseWriter, r *http.Request, t *registry.
 		return
 	}
 	writeJSON(w, resp)
+}
+
+type bulkRequest struct {
+	Tenants []struct {
+		ID      string         `json:"id"`
+		Updates []ingestUpdate `json:"updates"`
+	} `json:"tenants"`
+}
+
+// itemResult is the per-item outcome envelope shared by the bulk
+// ingest results and the stream ack lines: Index orders the item
+// within its request or stream, ID names the tenant where the route
+// does not imply one, and Error reuses the top-level envelope's
+// {"code","message"} body.
+type itemResult struct {
+	Index    int        `json:"index"`
+	ID       string     `json:"id,omitempty"`
+	Accepted int        `json:"accepted"`
+	LastT    float64    `json:"last_t,omitempty"`
+	Error    *errorBody `json:"error,omitempty"`
+}
+
+type bulkResponse struct {
+	Results []itemResult `json:"results"`
+}
+
+// handleBulk is POST /v2/rows: per-tenant update batches in one
+// request. Each tenant's batch is all-or-nothing, but tenants are
+// independent: one tenant's failure (reported in its result's error
+// body, with the same codes as single-tenant ingest) does not abort
+// the others, and the response is always 200 with one result per
+// requested tenant, in request order.
+func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
+	var req bulkRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	if len(req.Tenants) == 0 {
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "no tenants")
+		return
+	}
+	results := make([]itemResult, 0, len(req.Tenants))
+	for i, item := range req.Tenants {
+		res := itemResult{Index: i, ID: item.ID}
+		t, ok := s.treg.Get(item.ID)
+		if !ok {
+			// Attribute the miss to the requested key: a bulk client
+			// hammering a deleted tenant shows up on the events plane.
+			s.hot.ObserveEvent(item.ID)
+			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.ID)}
+		} else if resp, apiErr := s.ingestTenant(t, item.Updates); apiErr != nil {
+			res.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
+		} else {
+			res.Accepted = resp.Accepted
+			res.LastT = resp.LastT
+		}
+		results = append(results, res)
+	}
+	writeJSON(w, bulkResponse{Results: results})
 }
 
 // ingestTenant validates and applies a batch of updates to a tenant,
@@ -309,17 +372,8 @@ type approximationResponse struct {
 }
 
 func (s *Server) handleApproximation(w http.ResponseWriter, r *http.Request) {
-	s.approximation(w, r, s.def)
-}
-
-func (s *Server) handleTenantApproximation(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.approximation(w, r, t)
-	}
-}
-
-func (s *Server) approximation(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
-	if !s.acquire(w, t) {
+	t, ok := s.tenantOf(w, r)
+	if !ok || !acquire(w, t) {
 		return
 	}
 	qt, ok := queryTime(w, r, t)
@@ -343,16 +397,10 @@ type pcaResponse struct {
 }
 
 func (s *Server) handlePCA(w http.ResponseWriter, r *http.Request) {
-	s.pca(w, r, s.def)
-}
-
-func (s *Server) handleTenantPCA(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.pca(w, r, t)
+	t, ok := s.tenantOf(w, r)
+	if !ok {
+		return
 	}
-}
-
-func (s *Server) pca(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
 	k := 3
 	if kq := r.URL.Query().Get("k"); kq != "" {
 		var err error
@@ -362,7 +410,7 @@ func (s *Server) pca(w http.ResponseWriter, r *http.Request, t *registry.Tenant)
 			return
 		}
 	}
-	if !s.acquire(w, t) {
+	if !acquire(w, t) {
 		return
 	}
 	qt, ok := queryTime(w, r, t)
@@ -384,62 +432,40 @@ func (s *Server) pca(w http.ResponseWriter, r *http.Request, t *registry.Tenant)
 	writeJSON(w, pcaResponse{Components: comps, Explained: res.Explained, T: qt})
 }
 
+// statsResponse is the GET /v2/tenants/{id}/stats payload: sketch
+// metadata, the Introspector internals, and the tenant's identity and
+// residency.
 type statsResponse struct {
+	Tenant     string             `json:"tenant"`
 	Algorithm  string             `json:"algorithm"`
 	Dimension  int                `json:"dimension"`
 	RowsStored int                `json:"rows_stored"`
 	Updates    uint64             `json:"updates"`
 	LastT      float64            `json:"last_t"`
 	Internals  map[string]float64 `json:"internals,omitempty"`
+	Resident   bool               `json:"resident"`
+	Pinned     bool               `json:"pinned,omitempty"`
 }
 
-// tenantStatsResponse extends the stats payload with tenant identity
-// and residency for the /v1/tenants/{id}/stats route.
-type tenantStatsResponse struct {
-	Tenant string `json:"tenant"`
-	statsResponse
-	Resident bool `json:"resident"`
-	Pinned   bool `json:"pinned,omitempty"`
-}
-
-func (s *Server) statsOf(w http.ResponseWriter, t *registry.Tenant) (statsResponse, bool) {
-	if !s.acquire(w, t) {
-		return statsResponse{}, false
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.tenantOf(w, r)
+	if !ok || !acquire(w, t) {
+		return
 	}
-	defer t.Release()
 	lastT, _ := t.Clock()
 	resp := statsResponse{
+		Tenant:     t.ID(),
 		Algorithm:  t.Sketch().Name(),
 		Dimension:  t.D(),
 		RowsStored: t.Sketch().RowsStored(),
 		Updates:    t.Updates(),
 		LastT:      lastT,
+		Pinned:     t.Pinned(),
 	}
 	if in, ok := t.Raw().(core.Introspector); ok {
 		resp.Internals = in.Stats()
 	}
-	return resp, true
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	if resp, ok := s.statsOf(w, s.def); ok {
-		writeJSON(w, resp)
-	}
-}
-
-func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	resp, ok := s.statsOf(w, t)
-	if !ok {
-		return
-	}
-	writeJSON(w, tenantStatsResponse{
-		Tenant:        t.ID(),
-		statsResponse: resp,
-		Resident:      t.Resident(),
-		Pinned:        t.Pinned(),
-	})
+	t.Release()
+	resp.Resident = t.Resident()
+	writeJSON(w, resp)
 }

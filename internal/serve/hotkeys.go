@@ -3,11 +3,11 @@ package serve
 // Hot-key observability: WithHotKeys attaches an internal/obs/hh
 // sidecar and the server feeds it from every ingest entry point —
 // registry acquisitions (via the touch hook), committed ingest
-// batches (v1 ingest, v2 rows, bulk items, stream blocks all funnel
-// through ingestLocked), shed and failed requests, and WAL appends.
+// batches (rows, bulk items, and stream blocks all funnel through
+// ingestLocked), shed and failed requests, and WAL appends.
 // GET /debug/hotkeys serves the sidecar's merged snapshot; the
-// /v1 and /v2 health bodies gain a "hotkeys" object when the sidecar
-// is enabled; topk_enter/topk_exit churn lands in the trace ring.
+// /v2/health body gains a "hotkeys" object when the sidecar is
+// enabled; topk_enter/topk_exit churn lands in the trace ring.
 
 import (
 	"net/http"
@@ -30,7 +30,7 @@ func WithHotKeys(h *hh.Sidecar) Option {
 	}
 }
 
-// hotkeysHealth is the health endpoints' view of the hot-key
+// hotkeysHealth is the health endpoint's view of the hot-key
 // sidecar; present only when one is attached.
 type hotkeysHealth struct {
 	// Enabled is always true when the object is present.

@@ -44,10 +44,10 @@ func fetchSnapshot(t *testing.T, url string) *hh.Snapshot {
 	return snap
 }
 
-// TestHotkeysIngestFunnel drives every ingest entry point — v1
-// ingest, v2 rows, the bulk envelope, and a binary stream — and
-// checks the sidecar saw all of it, with the hot tenant's estimate at
-// least the exact count and inside its ε·N bound.
+// TestHotkeysIngestFunnel drives every ingest entry point — two
+// batch ingests, the bulk envelope, and a binary stream — and checks
+// the sidecar saw all of it, with the hot tenant's estimate at least
+// the exact count and inside its ε·N bound.
 func TestHotkeysIngestFunnel(t *testing.T) {
 	hot := hh.New(hh.Config{Window: time.Minute, K: 8})
 	tr := trace.New(256)
@@ -56,11 +56,10 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// v1 single-tenant ingest: 2 rows.
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]}`).Body.Close()
-	// v2 rows: 1 row.
+	// Batch ingest: 2 rows, then 1.
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]}`).Body.Close()
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[0,0,1],"t":3}]}`).Body.Close()
-	// v2 bulk envelope: 1 row.
+	// Bulk envelope: 1 row.
 	postJSON(t, ts.URL+"/v2/rows",
 		`{"tenants":[{"id":"default","updates":[{"row":[1,1,0],"t":4}]}]}`).Body.Close()
 	// Binary stream: one 2-row frame.
@@ -81,6 +80,9 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the ack: the handler observes the block before writing it,
+	// so reading it orders the observation before the snapshot below.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	snap := fetchSnapshot(t, ts.URL)
@@ -127,7 +129,7 @@ func TestHotkeysEvents(t *testing.T) {
 
 	// Give the default tenant row volume first: the top-K tracker is
 	// keyed on rows, and only tracked tenants report per-plane detail.
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
 
 	// Saturate the default tenant's budget, then shed a stream open.
 	def, _ := s.Registry().Get(DefaultTenant)
@@ -152,6 +154,9 @@ func TestHotkeysEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain the error ack, which the handler writes after recording
+	// the event, so the snapshot below cannot race it.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	// A bulk item for a tenant that does not exist.
@@ -173,9 +178,8 @@ func TestHotkeysEvents(t *testing.T) {
 	}
 }
 
-// TestHotkeysHealthSurface: both health generations carry the sidecar
-// config when it is attached, and stay byte-identical to the pre-
-// sidecar shape when it is not.
+// TestHotkeysHealthSurface: /v2/health carries the sidecar config when
+// it is attached, and has no hotkeys key when it is not.
 func TestHotkeysHealthSurface(t *testing.T) {
 	hot := hh.New(hh.Config{Window: 90 * time.Second, K: 5})
 	with := httptest.NewServer(NewServer(newSketch(3), 3, WithHotKeys(hot)).Handler())
@@ -183,36 +187,34 @@ func TestHotkeysHealthSurface(t *testing.T) {
 	without := httptest.NewServer(NewServer(newSketch(3), 3).Handler())
 	defer without.Close()
 
-	for _, path := range []string{"/v1/health", "/v2/health"} {
-		resp, err := http.Get(with.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hr struct {
-			HotKeys *struct {
-				Enabled       bool    `json:"enabled"`
-				WindowSeconds float64 `json:"window_seconds"`
-				TopK          int     `json:"top_k"`
-			} `json:"hotkeys"`
-		}
-		decode(t, resp, &hr)
-		if hr.HotKeys == nil || !hr.HotKeys.Enabled || hr.HotKeys.WindowSeconds != 90 || hr.HotKeys.TopK != 5 {
-			t.Fatalf("%s hotkeys block %+v", path, hr.HotKeys)
-		}
+	resp, err := http.Get(with.URL + "/v2/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr struct {
+		HotKeys *struct {
+			Enabled       bool    `json:"enabled"`
+			WindowSeconds float64 `json:"window_seconds"`
+			TopK          int     `json:"top_k"`
+		} `json:"hotkeys"`
+	}
+	decode(t, resp, &hr)
+	if hr.HotKeys == nil || !hr.HotKeys.Enabled || hr.HotKeys.WindowSeconds != 90 || hr.HotKeys.TopK != 5 {
+		t.Fatalf("hotkeys block %+v", hr.HotKeys)
+	}
 
-		resp, err = http.Get(without.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var raw map[string]json.RawMessage
-		decode(t, resp, &raw)
-		if _, leaked := raw["hotkeys"]; leaked {
-			t.Fatalf("%s advertises hotkeys with no sidecar attached", path)
-		}
+	resp, err = http.Get(without.URL + "/v2/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	decode(t, resp, &raw)
+	if _, leaked := raw["hotkeys"]; leaked {
+		t.Fatal("/v2/health advertises hotkeys with no sidecar attached")
 	}
 
 	// Without the sidecar, the debug route does not exist.
-	resp, err := http.Get(without.URL + "/debug/hotkeys")
+	resp, err = http.Get(without.URL + "/debug/hotkeys")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestHotkeysMetricsGauges(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

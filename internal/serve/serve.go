@@ -1,37 +1,37 @@
 // Package serve exposes sliding-window matrix sketches over HTTP. A
 // Server fronts a multi-tenant registry of named sketches
 // (internal/registry): every tenant gets ingest and query endpoints
-// under /v1/tenants/{id}/..., and the legacy single-sketch routes
-// under /v1/ remain as thin aliases for the reserved "default" tenant
-// — the sketch passed to NewServer. Per-tenant access serialises on
-// the tenant's own mutex, so ingest into different tenants runs in
+// under /v2/tenants/{id}/..., and the sketch passed to NewServer is
+// the reserved "default" tenant. Per-tenant access serialises on the
+// tenant's own mutex, so ingest into different tenants runs in
 // parallel.
 //
 // Routes are registered with Go 1.22 method patterns:
 //
-//	POST /v1/ingest         body: {"updates":[{"row":[...],"t":1.5},...]}
-//	POST /v1/ingest/bulk    body: {"tenants":[{"id":"a","updates":[...]},...]}
-//	GET  /v1/approximation  [?t=...]      window approximation B
-//	GET  /v1/pca            [?t=...&k=3]  top-k window PCA
-//	GET  /v1/stats          sketch metadata + "internals" (Introspector)
-//	GET  /v1/health         accuracy health: ok/degraded vs the audit threshold
-//	                        (?fresh=1 forces an evaluation) (WithAudit)
-//	GET  /v1/snapshot       binary sketch snapshot
-//	POST /v1/snapshot       restore a snapshot
-//
-//	GET    /v1/tenants                       list tenants
-//	PUT    /v1/tenants/{id}                  create a tenant (body: registry.Config)
-//	GET    /v1/tenants/{id}                  one tenant's summary + config
-//	DELETE /v1/tenants/{id}                  remove a tenant (and its spill file)
-//	POST   /v1/tenants/{id}/ingest           as /v1/ingest
-//	GET    /v1/tenants/{id}/approximation    as /v1/approximation
-//	GET    /v1/tenants/{id}/amm              windowed AᵀB estimate (paired
-//	POST   /v1/tenants/{id}/amm              frameworks only; 501 otherwise)
-//	GET    /v1/tenants/{id}/pca              as /v1/pca
-//	GET    /v1/tenants/{id}/stats            as /v1/stats, plus tenant fields
-//	GET    /v1/tenants/{id}/health           liveness + residency (no audit)
-//	GET    /v1/tenants/{id}/snapshot         as /v1/snapshot
-//	POST   /v1/tenants/{id}/snapshot         restore
+//	GET    /v2/tenants                     list tenants
+//	PUT    /v2/tenants/{id}                create a tenant (body: registry.Config)
+//	GET    /v2/tenants/{id}                one tenant's summary + config
+//	DELETE /v2/tenants/{id}                remove a tenant (and its spill file)
+//	POST   /v2/tenants/{id}/rows           batch ingest, body:
+//	                                       {"updates":[{"row":[...],"t":1.5},...]}
+//	POST   /v2/tenants/{id}/stream         streaming ingest (NDJSON or binary
+//	                                       frames; see stream.go)
+//	GET    /v2/tenants/{id}/approximation  [?t=...]      window approximation B
+//	GET    /v2/tenants/{id}/amm            windowed AᵀB estimate (paired
+//	POST   /v2/tenants/{id}/amm            frameworks only; 501 otherwise)
+//	GET    /v2/tenants/{id}/pca            [?t=...&k=3]  top-k window PCA
+//	GET    /v2/tenants/{id}/stats          sketch metadata + "internals"
+//	                                       (Introspector) + tenant fields
+//	GET    /v2/tenants/{id}/health         liveness + residency (no audit)
+//	GET    /v2/tenants/{id}/snapshot       binary sketch snapshot
+//	POST   /v2/tenants/{id}/snapshot       restore a snapshot
+//	POST   /v2/rows                        multi-tenant bulk ingest, body:
+//	                                       {"tenants":[{"id":"a","updates":[...]},...]}
+//	GET    /v2/health                      server health: the default tenant's
+//	                                       audit verdict (WithAudit; ?fresh=1
+//	                                       forces an evaluation), WAL and
+//	                                       hot-key state
+//	*      /v1/...                         410 gone: the retired first grammar
 //
 //	GET  /healthz           200 ok
 //	GET  /metrics           Prometheus text exposition (WithMetrics)
@@ -41,7 +41,7 @@
 //	                        (WithHotKeys)
 //	     /debug/pprof/...   runtime profiles (WithPprof)
 //
-// Every error response under /v1 uses the machine-readable envelope
+// Every error response under /v2 uses the machine-readable envelope
 //
 //	{"error":{"code":"<code>","message":"<human-readable detail>"}}
 //
@@ -51,18 +51,24 @@
 //	invalid_argument    400  a field or query parameter is out of range
 //	method_not_allowed  405  wrong HTTP method (Allow header lists valid ones)
 //	not_found           404  unknown route or unknown tenant
+//	gone                410  a route of the retired /v1 grammar; the
+//	                         migration table in docs/API.md names its
+//	                         /v2 successor
 //	conflict            409  the sketch's invariants rejected the operation
 //	                         (e.g. a timestamp behind a restored clock), or a
 //	                         tenant with that ID already exists
 //	unsupported         501  the sketch lacks the capability (snapshots)
 //	body_too_large      413  body exceeded the WithMaxBody limit
+//	overloaded          429  the tenant's stream budget is exhausted
+//	                         (WithStreamQueue)
 //	internal            500  server-side failure (e.g. a spilled tenant whose
 //	                         state could not be restored from disk)
 //
 // Snapshot endpoints require the underlying sketch to support binary
 // snapshots (SWR, SWOR, SWOR-ALL, LM-FD do); others get 501. Tenant
 // IDs are restricted to [A-Za-z0-9._-], at most 128 bytes; "default"
-// names the adopted legacy sketch and cannot be created or deleted.
+// names the sketch passed to NewServer and cannot be created or
+// deleted.
 package serve
 
 import (
@@ -95,14 +101,14 @@ const (
 	CodeInvalidArgument  = "invalid_argument"
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeNotFound         = "not_found"
+	CodeGone             = "gone"
 	CodeConflict         = "conflict"
 	CodeUnsupported      = "unsupported"
 	CodeBodyTooLarge     = "body_too_large"
 	CodeInternal         = "internal"
 )
 
-// DefaultTenant is the reserved tenant ID aliased by the legacy
-// single-sketch routes (/v1/ingest and friends): the sketch passed to
+// DefaultTenant is the reserved tenant ID of the sketch passed to
 // NewServer. It cannot be created, deleted, or evicted over the API.
 const DefaultTenant = "default"
 
@@ -113,7 +119,6 @@ const DefaultTenant = "default"
 type Server struct {
 	treg *registry.Registry
 	def  *registry.Tenant
-	d    int // default tenant's dimension
 
 	reg     *obs.Registry
 	pprof   bool
@@ -179,7 +184,7 @@ func WithTrace(tr *trace.Tracer) Option {
 
 // WithAudit attaches an online accuracy auditor to the default
 // tenant: every ingested row is shadowed, cova-err is evaluated on
-// the auditor's stride, and GET /v1/health reports ok/degraded
+// the auditor's stride, and GET /v2/health reports ok/degraded
 // against its threshold. The auditor's gauges live in whatever
 // registry it was built with — pass the same registry to WithMetrics
 // to serve them on /metrics.
@@ -213,7 +218,7 @@ func NewServer(sk core.WindowSketch, d int, opts ...Option) *Server {
 	if d < 1 {
 		panic(fmt.Sprintf("serve: dimension %d", d))
 	}
-	s := &Server{d: d, streamQueue: DefaultStreamQueue}
+	s := &Server{streamQueue: DefaultStreamQueue}
 	for _, o := range opts {
 		o(s)
 	}
@@ -319,39 +324,28 @@ func (s *Server) Handler() http.Handler {
 		// Method-pattern route plus a same-path fallback answering any
 		// other method with a 405 envelope (the stock ServeMux 405 is
 		// plain text).
-		mux.HandleFunc(pattern, s.wrap(strings.TrimSpace(pattern[strings.Index(pattern, " "):]), h))
+		path := strings.TrimSpace(pattern[strings.Index(pattern, " "):])
+		mux.HandleFunc(pattern, s.wrap(path, h))
 		if len(allow) > 0 {
-			mux.HandleFunc(strings.TrimSpace(pattern[strings.Index(pattern, " "):]), methodNotAllowed(allow...))
+			mux.HandleFunc(path, methodNotAllowed(allow...))
 		}
 	}
-	// /v1 routes stay byte-compatible but every response carries
-	// Deprecation and successor-version Link headers pointing at the
-	// /v2 grammar (see registerV2).
-	v1 := func(pattern, successor string, h http.HandlerFunc, allow ...string) {
-		handle(pattern, s.deprecated(successor, h), allow...)
-	}
-	v1("POST /v1/ingest", "/v2/tenants/default/rows", s.handleIngest, "POST")
-	v1("POST /v1/ingest/bulk", "/v2/rows", s.handleBulkIngest, "POST")
-	v1("GET /v1/approximation", "/v2/tenants/default/approximation", s.handleApproximation, "GET")
-	v1("GET /v1/pca", "/v2/tenants/default/pca", s.handlePCA, "GET")
-	v1("GET /v1/stats", "/v2/tenants/default/stats", s.handleStats, "GET")
-	v1("GET /v1/health", "/v2/health", s.handleHealth, "GET")
-	v1("GET /v1/snapshot", "/v2/tenants/default/snapshot", s.handleSnapshotGet) // fallback shared below
-	v1("POST /v1/snapshot", "/v2/tenants/default/snapshot", s.handleSnapshotPost, "GET", "POST")
-	v1("GET /v1/tenants", "/v2/tenants", s.handleTenantList, "GET")
-	v1("PUT /v1/tenants/{id}", "/v2/tenants/{id}", s.handleTenantPut)  // fallback shared below
-	v1("GET /v1/tenants/{id}", "/v2/tenants/{id}", s.handleTenantInfo) // fallback shared below
-	v1("DELETE /v1/tenants/{id}", "/v2/tenants/{id}", s.handleTenantDelete, "GET", "PUT", "DELETE")
-	v1("POST /v1/tenants/{id}/ingest", "/v2/tenants/{id}/rows", s.handleTenantIngest, "POST")
-	v1("GET /v1/tenants/{id}/approximation", "/v2/tenants/{id}/approximation", s.handleTenantApproximation, "GET")
-	v1("GET /v1/tenants/{id}/amm", "/v2/tenants/{id}/amm", s.handleTenantAMM) // fallback shared below
-	v1("POST /v1/tenants/{id}/amm", "/v2/tenants/{id}/amm", s.handleTenantAMM, "GET", "POST")
-	v1("GET /v1/tenants/{id}/pca", "/v2/tenants/{id}/pca", s.handleTenantPCA, "GET")
-	v1("GET /v1/tenants/{id}/stats", "/v2/tenants/{id}/stats", s.handleTenantStats, "GET")
-	v1("GET /v1/tenants/{id}/health", "/v2/tenants/{id}/health", s.handleTenantHealth, "GET")
-	v1("GET /v1/tenants/{id}/snapshot", "/v2/tenants/{id}/snapshot", s.handleTenantSnapshotGet) // fallback shared below
-	v1("POST /v1/tenants/{id}/snapshot", "/v2/tenants/{id}/snapshot", s.handleTenantSnapshotPost, "GET", "POST")
-	s.registerV2(handle)
+	handle("GET /v2/tenants", s.handleTenantList, "GET")
+	handle("PUT /v2/tenants/{id}", s.handleTenantPut)  // fallback shared below
+	handle("GET /v2/tenants/{id}", s.handleTenantInfo) // fallback shared below
+	handle("DELETE /v2/tenants/{id}", s.handleTenantDelete, "GET", "PUT", "DELETE")
+	handle("POST /v2/tenants/{id}/rows", s.handleIngest, "POST")
+	handle("POST /v2/tenants/{id}/stream", s.handleStream, "POST")
+	handle("GET /v2/tenants/{id}/approximation", s.handleApproximation, "GET")
+	handle("GET /v2/tenants/{id}/amm", s.handleAMM) // fallback shared below
+	handle("POST /v2/tenants/{id}/amm", s.handleAMM, "GET", "POST")
+	handle("GET /v2/tenants/{id}/pca", s.handlePCA, "GET")
+	handle("GET /v2/tenants/{id}/stats", s.handleStats, "GET")
+	handle("GET /v2/tenants/{id}/health", s.handleTenantHealth, "GET")
+	handle("GET /v2/tenants/{id}/snapshot", s.handleSnapshotGet) // fallback shared below
+	handle("POST /v2/tenants/{id}/snapshot", s.handleSnapshotPost, "GET", "POST")
+	handle("POST /v2/rows", s.handleBulk, "POST")
+	handle("GET /v2/health", s.handleHealth, "GET")
 	handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -373,6 +367,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	mux.HandleFunc("/v1/", gone)
 	// Catch-all so unknown routes answer with the envelope too.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
@@ -380,12 +375,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// gone answers every method on every path of the retired /v1 grammar.
+// The migration table in docs/API.md is the one place that maps each
+// old route to its /v2 successor.
+func gone(w http.ResponseWriter, r *http.Request) {
+	httpError(w, http.StatusGone, CodeGone,
+		"%s %s: the /v1 API is retired; docs/API.md#migrating-from-v1 names its /v2 successor",
+		r.Method, r.URL.Path)
+}
+
 // wrap decorates a handler with the per-request observability plane:
 // an X-Request-ID response header, per-route latency/count metrics
 // (WithMetrics), an http_request trace event carrying the request ID
 // (WithTrace), and one slog record per completed request (WithLogger).
 // With none of the three active it is the identity. Route labels use
-// the registered pattern ("/v1/tenants/{id}/ingest"), not the raw
+// the registered pattern ("/v2/tenants/{id}/rows"), not the raw
 // path, so metric cardinality stays bounded by the route table.
 func (s *Server) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 	if s.reg == nil && s.tr == nil && s.log == nil {
@@ -457,17 +461,12 @@ func methodNotAllowed(allow ...string) http.HandlerFunc {
 // acquire locks a tenant for the duration of a request, translating
 // acquisition failures (concurrent deletion, unreadable spill file)
 // into envelope errors. On true the caller must Release.
-func (s *Server) acquire(w http.ResponseWriter, t *registry.Tenant) bool {
-	err := t.Acquire()
-	if err == nil {
-		return true
+func acquire(w http.ResponseWriter, t *registry.Tenant) bool {
+	if err := t.Acquire(); err != nil {
+		acquireError(t, err).write(w)
+		return false
 	}
-	if errors.Is(err, registry.ErrDeleted) {
-		httpError(w, http.StatusNotFound, CodeNotFound, "tenant %q deleted", t.ID())
-	} else {
-		httpError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-	}
-	return false
+	return true
 }
 
 // tenantOf resolves the {id} path segment against the registry.
@@ -557,10 +556,11 @@ func applyAll(rows []func()) (err error) {
 	return nil
 }
 
-// snapshotGet downloads a tenant's sketch state when the sketch
+// handleSnapshotGet downloads a tenant's sketch state when the sketch
 // supports binary snapshots.
-func (s *Server) snapshotGet(w http.ResponseWriter, t *registry.Tenant) {
-	if !s.acquire(w, t) {
+func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.tenantOf(w, r)
+	if !ok || !acquire(w, t) {
 		return
 	}
 	defer t.Release()
@@ -579,12 +579,16 @@ func (s *Server) snapshotGet(w http.ResponseWriter, t *registry.Tenant) {
 	_, _ = w.Write(data)
 }
 
-// snapshotPost replaces a tenant's sketch state from an uploaded
+// handleSnapshotPost replaces a tenant's sketch state from an uploaded
 // snapshot. On success the tenant's ingest clock (updates, lastT,
 // seen) resets to zero: the restored sketch carries its own clock, and
 // keeping the pre-restore lastT would make default-t queries answer at
 // a timestamp unrelated to the restored state.
-func (s *Server) snapshotPost(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
+func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.tenantOf(w, r)
+	if !ok {
+		return
+	}
 	limit := int64(1 << 30)
 	if s.maxBody > 0 {
 		limit = s.maxBody
@@ -599,7 +603,7 @@ func (s *Server) snapshotPost(w http.ResponseWriter, r *http.Request, t *registr
 			"body exceeds %d bytes", limit)
 		return
 	}
-	if !s.acquire(w, t) {
+	if !acquire(w, t) {
 		return
 	}
 	defer t.Release()
@@ -632,27 +636,7 @@ func (s *Server) snapshotPost(w http.ResponseWriter, r *http.Request, t *registr
 	fmt.Fprintln(w, "restored")
 }
 
-func (s *Server) handleSnapshotGet(w http.ResponseWriter, _ *http.Request) {
-	s.snapshotGet(w, s.def)
-}
-
-func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
-	s.snapshotPost(w, r, s.def)
-}
-
-func (s *Server) handleTenantSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.snapshotGet(w, t)
-	}
-}
-
-func (s *Server) handleTenantSnapshotPost(w http.ResponseWriter, r *http.Request) {
-	if t, ok := s.tenantOf(w, r); ok {
-		s.snapshotPost(w, r, t)
-	}
-}
-
-// healthResponse is the GET /v1/health payload. Status is "ok" or
+// healthResponse is the GET /v2/health payload. Status is "ok" or
 // "degraded"; Detail carries the auditor's full view when one is
 // attached.
 type healthResponse struct {
@@ -660,7 +644,7 @@ type healthResponse struct {
 	Audit  bool          `json:"audit"`
 	Detail *audit.Status `json:"detail,omitempty"`
 	// WAL reports the write-ahead log's replay outcome; present only
-	// when a WAL is attached (v1 responses without one are unchanged).
+	// when a WAL is attached.
 	WAL *walHealth `json:"wal,omitempty"`
 	// HotKeys reports the hot-key sidecar's configuration; present
 	// only when one is attached (WithHotKeys).
@@ -696,7 +680,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.audit != nil {
 		if r.URL.Query().Get("fresh") != "" {
-			if !s.acquire(w, s.def) {
+			if !acquire(w, s.def) {
 				return
 			}
 			s.audit.Evaluate(func(t float64) *mat.Dense { return s.def.Raw().Query(t) })

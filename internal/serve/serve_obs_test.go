@@ -28,7 +28,7 @@ func decodeError(t *testing.T, resp *http.Response) errorBody {
 func TestErrorEnvelopeOnWrongMethod(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Get(ts.URL + "/v1/ingest")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestErrorEnvelopeOnWrongMethod(t *testing.T) {
 		t.Fatalf("code = %q", e.Code)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/snapshot", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/tenants/default/snapshot", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"both forms", `{"updates":[{"row":[1,2,3],"idx":[0],"val":[1],"t":0}]}`, CodeInvalidArgument},
 	}
 	for _, c := range cases {
-		resp := postJSON(t, ts.URL+"/v1/ingest", c.body)
+		resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d", c.name, resp.StatusCode)
 		}
@@ -82,7 +82,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 func TestNotFoundEnvelope(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Get(ts.URL + "/v1/nonsense")
+	resp, err := http.Get(ts.URL + "/v2/nonsense")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestNotFoundEnvelope(t *testing.T) {
 func TestConflictEnvelopeAfterRestore(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":100}]}`).Body.Close()
-	snap, err := http.Get(ts.URL + "/v1/snapshot")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":100}]}`).Body.Close()
+	snap, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,13 @@ func TestConflictEnvelopeAfterRestore(t *testing.T) {
 
 	ts2, done2 := newTestServer(t)
 	defer done2()
-	r, err := http.Post(ts2.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	r, err := http.Post(ts2.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 
-	resp := postJSON(t, ts2.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":5}]}`)
+	resp := postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":5}]}`)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -130,9 +130,9 @@ func TestConflictEnvelopeAfterRestore(t *testing.T) {
 func TestSnapshotRestoreResetsClock(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest",
+	postJSON(t, ts.URL+"/v2/tenants/default/rows",
 		`{"updates":[{"row":[1,2,3],"t":50},{"row":[4,5,6],"t":100}]}`).Body.Close()
-	snap, err := http.Get(ts.URL + "/v1/snapshot")
+	snap, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestSnapshotRestoreResetsClock(t *testing.T) {
 	snap.Body.Close()
 
 	// Advance the server's clock well past the snapshot...
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[7,8,9],"t":500}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[7,8,9],"t":500}]}`).Body.Close()
 	// ...then restore the old snapshot on the same server.
-	r, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	r, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSnapshotRestoreResetsClock(t *testing.T) {
 	}
 
 	var sr statsResponse
-	stats, err := http.Get(ts.URL + "/v1/stats")
+	stats, err := http.Get(ts.URL + "/v2/tenants/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSnapshotRestoreResetsClock(t *testing.T) {
 	// A default-t query must not be answered at the stale t=500 clock;
 	// with the reset it queries t=0 (sketch-internal clock governs), and
 	// before the fix it answered t=500 against a sketch restored at 100.
-	ra, err := http.Get(ts.URL + "/v1/approximation")
+	ra, err := http.Get(ts.URL + "/v2/tenants/default/approximation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestStatsInternals(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[%d,1,0],"t":%d}`, i%3, i)
 	}
 	b.WriteString("]}")
-	postJSON(t, ts.URL+"/v1/ingest", b.String()).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String()).Body.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestWithMaxBody(t *testing.T) {
 	defer ts.Close()
 
 	small := `{"updates":[{"row":[1,2,3],"t":0}]}`
-	resp := postJSON(t, ts.URL+"/v1/ingest", small)
+	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", small)
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("small body status %d", resp.StatusCode)
@@ -230,7 +230,7 @@ func TestWithMaxBody(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[1,2,3],"t":%d}`, i+1)
 	}
 	b.WriteString("]}")
-	resp = postJSON(t, ts.URL+"/v1/ingest", b.String())
+	resp = postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String())
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("big body status %d, want 413", resp.StatusCode)
 	}
@@ -239,7 +239,7 @@ func TestWithMaxBody(t *testing.T) {
 	}
 
 	// The cap also bounds snapshot restores.
-	r2, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream",
+	r2, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream",
 		bytes.NewReader(make([]byte, 128)))
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[%d,1,0],"t":%d}`, i%3, i)
 	}
 	b.WriteString("]}")
-	postJSON(t, ts.URL+"/v1/ingest", b.String()).Body.Close()
-	http.Get(ts.URL + "/v1/approximation?t=29")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String()).Body.Close()
+	http.Get(ts.URL + "/v2/tenants/default/approximation?t=29")
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -286,8 +286,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`swsketch_rows_stored{algo="SWR"}`,
 		`swsketch_internal{algo="SWR",stat="candidates"}`,
 		`swsketch_internal{algo="SWR",stat="queues"} 4`,
-		`swsketch_http_requests_total{code="200",route="/v1/ingest"} 1`,
-		`swsketch_http_request_seconds_count{route="/v1/ingest"} 1`,
+		`swsketch_http_requests_total{code="200",route="/v2/tenants/{id}/rows"} 1`,
+		`swsketch_http_request_seconds_count{route="/v2/tenants/{id}/rows"} 1`,
 		"# TYPE swsketch_update_seconds histogram",
 		`swsketch_update_seconds_bucket{algo="SWR",le="+Inf"} 1`,
 	} {
@@ -327,11 +327,11 @@ func TestMetricsInstrumentationIsTransparent(t *testing.T) {
 	}
 	b.WriteString("]}")
 	for _, ts := range []*httptest.Server{bare, inst} {
-		postJSON(t, ts.URL+"/v1/ingest", b.String()).Body.Close()
+		postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String()).Body.Close()
 	}
 
 	get := func(ts *httptest.Server) approximationResponse {
-		resp, err := http.Get(ts.URL + "/v1/approximation?t=79")
+		resp, err := http.Get(ts.URL + "/v2/tenants/default/approximation?t=79")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,8 +359,8 @@ func TestInstrumentedSnapshotStillWorks(t *testing.T) {
 	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
 	ts := httptest.NewServer(NewServer(sk, 3, WithMetrics(reg)).Handler())
 	defer ts.Close()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":0}]}`).Body.Close()
-	resp, err := http.Get(ts.URL + "/v1/snapshot")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":0}]}`).Body.Close()
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

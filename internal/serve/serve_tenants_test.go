@@ -53,7 +53,7 @@ func TestTenantCRUD(t *testing.T) {
 	ts, _ := newTenantServer(t)
 
 	// Create.
-	resp := doReq(t, "PUT", ts.URL+"/v1/tenants/alpha", lmTenantCfg)
+	resp := doReq(t, "PUT", ts.URL+"/v2/tenants/alpha", lmTenantCfg)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -67,7 +67,7 @@ func TestTenantCRUD(t *testing.T) {
 	}
 
 	// Duplicate → 409 conflict.
-	resp = doReq(t, "PUT", ts.URL+"/v1/tenants/alpha", lmTenantCfg)
+	resp = doReq(t, "PUT", ts.URL+"/v2/tenants/alpha", lmTenantCfg)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create status %d", resp.StatusCode)
 	}
@@ -78,28 +78,28 @@ func TestTenantCRUD(t *testing.T) {
 	}
 
 	// Bad config → 400 invalid_argument.
-	resp = doReq(t, "PUT", ts.URL+"/v1/tenants/bad", `{"framework":"nope","size":10,"d":3}`)
+	resp = doReq(t, "PUT", ts.URL+"/v2/tenants/bad", `{"framework":"nope","size":10,"d":3}`)
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || er.Error.Code != CodeInvalidArgument {
 		t.Fatalf("bad config: status %d code %q", resp.StatusCode, er.Error.Code)
 	}
 
 	// Bad ID charset → 400.
-	resp = doReq(t, "PUT", ts.URL+"/v1/tenants/sp%20ace", lmTenantCfg)
+	resp = doReq(t, "PUT", ts.URL+"/v2/tenants/sp%20ace", lmTenantCfg)
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || er.Error.Code != CodeInvalidArgument {
 		t.Fatalf("bad id: status %d code %q", resp.StatusCode, er.Error.Code)
 	}
 
 	// Reserved ID → 400.
-	resp = doReq(t, "PUT", ts.URL+"/v1/tenants/default", lmTenantCfg)
+	resp = doReq(t, "PUT", ts.URL+"/v2/tenants/default", lmTenantCfg)
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || !strings.Contains(er.Error.Message, "reserved") {
 		t.Fatalf("reserved id: status %d message %q", resp.StatusCode, er.Error.Message)
 	}
 
 	// List: default + alpha, sorted.
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants", "")
 	var list tenantListResponse
 	decode(t, resp, &list)
 	if len(list.Tenants) != 2 || list.Tenants[0].ID != "alpha" || list.Tenants[1].ID != "default" {
@@ -110,33 +110,33 @@ func TestTenantCRUD(t *testing.T) {
 	}
 
 	// Info.
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/alpha", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/alpha", "")
 	decode(t, resp, &info)
 	if info.ID != "alpha" || info.Updates != 0 {
 		t.Fatalf("info %+v", info)
 	}
 
 	// Unknown tenant → 404.
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/ghost", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/ghost", "")
 	decode(t, resp, &er)
 	if resp.StatusCode != 404 || er.Error.Code != CodeNotFound {
 		t.Fatalf("unknown info: status %d code %q", resp.StatusCode, er.Error.Code)
 	}
 
 	// Delete.
-	resp = doReq(t, "DELETE", ts.URL+"/v1/tenants/alpha", "")
+	resp = doReq(t, "DELETE", ts.URL+"/v2/tenants/alpha", "")
 	if resp.StatusCode != 200 {
 		t.Fatalf("delete status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = doReq(t, "DELETE", ts.URL+"/v1/tenants/alpha", "")
+	resp = doReq(t, "DELETE", ts.URL+"/v2/tenants/alpha", "")
 	decode(t, resp, &er)
 	if resp.StatusCode != 404 {
 		t.Fatalf("re-delete status %d", resp.StatusCode)
 	}
 
 	// The default tenant cannot be deleted.
-	resp = doReq(t, "DELETE", ts.URL+"/v1/tenants/default", "")
+	resp = doReq(t, "DELETE", ts.URL+"/v2/tenants/default", "")
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || er.Error.Code != CodeInvalidArgument {
 		t.Fatalf("delete default: status %d code %q", resp.StatusCode, er.Error.Code)
@@ -145,19 +145,19 @@ func TestTenantCRUD(t *testing.T) {
 
 func TestTenantIngestAndQuery(t *testing.T) {
 	ts, _ := newTenantServer(t)
-	doReq(t, "PUT", ts.URL+"/v1/tenants/a", lmTenantCfg).Body.Close()
-	doReq(t, "PUT", ts.URL+"/v1/tenants/b", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/a", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/b", lmTenantCfg).Body.Close()
 
 	// Ingest different streams into a and b.
 	for i := 0; i < 30; i++ {
 		body := fmt.Sprintf(`{"updates":[{"row":[%d,1,0],"t":%d}]}`, i%3, i)
-		resp := postJSON(t, ts.URL+"/v1/tenants/a/ingest", body)
+		resp := postJSON(t, ts.URL+"/v2/tenants/a/rows", body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("ingest a status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts.URL+"/v1/tenants/b/ingest", `{"updates":[{"row":[5,5,5],"t":0}]}`)
+	resp := postJSON(t, ts.URL+"/v2/tenants/b/rows", `{"updates":[{"row":[5,5,5],"t":0}]}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("ingest b status %d", resp.StatusCode)
 	}
@@ -165,27 +165,27 @@ func TestTenantIngestAndQuery(t *testing.T) {
 
 	// Tenant clocks are independent: a's clock is at 29, b's at 0.
 	var ar approximationResponse
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/a/approximation", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/a/approximation", "")
 	decode(t, resp, &ar)
 	if ar.T != 29 || len(ar.Rows) == 0 {
 		t.Fatalf("a approximation t=%v rows=%d", ar.T, len(ar.Rows))
 	}
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/b/approximation", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/b/approximation", "")
 	decode(t, resp, &ar)
 	if ar.T != 0 {
 		t.Fatalf("b approximation t=%v", ar.T)
 	}
 
 	// Per-tenant stats carry the tenant fields.
-	var st tenantStatsResponse
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/a/stats", "")
+	var st statsResponse
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/a/stats", "")
 	decode(t, resp, &st)
 	if st.Tenant != "a" || st.Updates != 30 || st.Algorithm != "LM-FD" || !st.Resident {
 		t.Fatalf("a stats %+v", st)
 	}
 
 	// PCA works per tenant.
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/a/pca?k=2", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/a/pca?k=2", "")
 	var pr pcaResponse
 	decode(t, resp, &pr)
 	if len(pr.Components) == 0 {
@@ -194,14 +194,14 @@ func TestTenantIngestAndQuery(t *testing.T) {
 
 	// Tenant health does not require residency.
 	var th tenantHealthResponse
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/a/health", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/a/health", "")
 	decode(t, resp, &th)
 	if th.Status != "ok" || th.Tenant != "a" || th.Updates != 30 {
 		t.Fatalf("a health %+v", th)
 	}
 
 	// Ingest into an unknown tenant → 404.
-	resp = postJSON(t, ts.URL+"/v1/tenants/ghost/ingest", `{"updates":[{"row":[1,2,3],"t":0}]}`)
+	resp = postJSON(t, ts.URL+"/v2/tenants/ghost/rows", `{"updates":[{"row":[1,2,3],"t":0}]}`)
 	var er errorResponse
 	decode(t, resp, &er)
 	if resp.StatusCode != 404 || er.Error.Code != CodeNotFound {
@@ -209,74 +209,113 @@ func TestTenantIngestAndQuery(t *testing.T) {
 	}
 
 	// Regressing timestamps rejected with the tenant's own clock.
-	resp = postJSON(t, ts.URL+"/v1/tenants/a/ingest", `{"updates":[{"row":[1,2,3],"t":5}]}`)
+	resp = postJSON(t, ts.URL+"/v2/tenants/a/rows", `{"updates":[{"row":[1,2,3],"t":5}]}`)
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || !strings.Contains(er.Error.Message, "precedes") {
 		t.Fatalf("regressing ingest: status %d message %q", resp.StatusCode, er.Error.Message)
 	}
 }
 
-// TestDefaultTenantAlias verifies the legacy routes and the
-// /v1/tenants/default routes address the same sketch.
+// TestDefaultTenantAlias verifies the "default" tenant ID addresses
+// the sketch passed to NewServer: rows posted to it through the
+// per-tenant and bulk routes land in that very sketch, and its query
+// and stats routes read it.
 func TestDefaultTenantAlias(t *testing.T) {
-	ts, _ := newTenantServer(t)
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":4}]}`).Body.Close()
+	sk := newSketch(3)
+	s := NewServer(sk, 3)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":4}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/rows",
+		`{"tenants":[{"id":"default","updates":[{"row":[0,1,0],"t":9}]}]}`).Body.Close()
 
-	var legacy, alias approximationResponse
-	resp := doReq(t, "GET", ts.URL+"/v1/approximation", "")
-	decode(t, resp, &legacy)
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/default/approximation", "")
-	decode(t, resp, &alias)
-	if legacy.T != alias.T || len(legacy.Rows) != len(alias.Rows) {
-		t.Fatalf("alias mismatch: legacy %+v alias %+v", legacy, alias)
-	}
-
-	// Ingest through the alias advances the legacy clock too.
-	postJSON(t, ts.URL+"/v1/tenants/default/ingest", `{"updates":[{"row":[0,1,0],"t":9}]}`).Body.Close()
+	var ar approximationResponse
+	decode(t, doReq(t, "GET", ts.URL+"/v2/tenants/default/approximation", ""), &ar)
 	var st statsResponse
-	resp = doReq(t, "GET", ts.URL+"/v1/stats", "")
-	decode(t, resp, &st)
-	if st.Updates != 2 || st.LastT != 9 {
-		t.Fatalf("stats after alias ingest %+v", st)
+	decode(t, doReq(t, "GET", ts.URL+"/v2/tenants/default/stats", ""), &st)
+
+	// Read the sketch under the tenant's lock, as the handlers do.
+	def, _ := s.Registry().Get(DefaultTenant)
+	if err := def.Acquire(); err != nil {
+		t.Fatal(err)
+	}
+	want, rows := sk.Query(9), sk.RowsStored()
+	def.Release()
+	if ar.T != 9 || len(ar.Rows) != want.Rows() {
+		t.Fatalf("approximation t=%v rows=%d, want t=9 rows=%d", ar.T, len(ar.Rows), want.Rows())
+	}
+	for i, row := range ar.Rows {
+		for j, v := range row {
+			if v != want.At(i, j) {
+				t.Fatalf("approximation (%d,%d) = %v, sketch has %v", i, j, v, want.At(i, j))
+			}
+		}
+	}
+	if st.Tenant != DefaultTenant || !st.Pinned || st.Algorithm != sk.Name() ||
+		st.Updates != 2 || st.LastT != 9 || st.RowsStored != rows {
+		t.Fatalf("default stats %+v", st)
 	}
 }
 
+// TestBulkIngest: POST /v2/rows applies each item's batch
+// all-or-nothing and independently of the other items, answering 200
+// with one itemResult per item, in request order; per-item errors
+// reuse the top-level error body.
 func TestBulkIngest(t *testing.T) {
 	ts, _ := newTenantServer(t)
-	doReq(t, "PUT", ts.URL+"/v1/tenants/a", lmTenantCfg).Body.Close()
-	doReq(t, "PUT", ts.URL+"/v1/tenants/b", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/a", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/b", lmTenantCfg).Body.Close()
 
 	body := `{"tenants":[
 		{"id":"a","updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]},
 		{"id":"b","updates":[{"row":[2,2,2],"t":7}]},
 		{"id":"ghost","updates":[{"row":[1,1,1],"t":1}]},
-		{"id":"a","updates":[{"row":[9,9,9],"t":0}]}
+		{"id":"a","updates":[{"row":[9,9,9],"t":3},{"row":[9,9,9],"t":0}]},
+		{"id":"b","updates":[{"row":[1,0],"t":8}]}
 	]}`
-	resp := postJSON(t, ts.URL+"/v1/ingest/bulk", body)
+	resp := postJSON(t, ts.URL+"/v2/rows", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("bulk status %d", resp.StatusCode)
 	}
-	var br bulkIngestResponse
+	var br bulkResponse
 	decode(t, resp, &br)
-	if len(br.Results) != 4 {
+	want := []struct {
+		id       string
+		accepted int
+		lastT    float64
+		code     string
+	}{
+		{"a", 2, 2, ""},
+		{"b", 1, 7, ""},
+		{"ghost", 0, 0, CodeNotFound},
+		{"a", 0, 0, CodeInvalidArgument}, // regresses inside the batch
+		{"b", 0, 0, CodeInvalidArgument}, // wrong row length
+	}
+	if len(br.Results) != len(want) {
 		t.Fatalf("bulk results %+v", br)
 	}
-	if br.Results[0].Accepted != 2 || br.Results[0].LastT != 2 || br.Results[0].Error != nil {
-		t.Fatalf("bulk a %+v", br.Results[0])
+	for i, w := range want {
+		r := br.Results[i]
+		if r.Index != i || r.ID != w.id || r.Accepted != w.accepted || r.LastT != w.lastT {
+			t.Fatalf("result %d: %+v, want %+v", i, r, w)
+		}
+		if w.code == "" && r.Error != nil ||
+			w.code != "" && (r.Error == nil || r.Error.Code != w.code || r.Error.Message == "") {
+			t.Fatalf("result %d error %+v, want code %q", i, r.Error, w.code)
+		}
 	}
-	if br.Results[1].Accepted != 1 || br.Results[1].LastT != 7 {
-		t.Fatalf("bulk b %+v", br.Results[1])
-	}
-	if br.Results[2].Error == nil || br.Results[2].Error.Code != CodeNotFound {
-		t.Fatalf("bulk ghost %+v", br.Results[2])
-	}
-	// The regressing batch fails without undoing the first one.
-	if br.Results[3].Error == nil || br.Results[3].Error.Code != CodeInvalidArgument {
-		t.Fatalf("bulk regress %+v", br.Results[3])
+	// The failed items left their tenants as the successful ones did:
+	// not even the valid first row of a's regressing batch landed.
+	for id, n := range map[string]uint64{"a": 2, "b": 1} {
+		var st statsResponse
+		decode(t, doReq(t, "GET", ts.URL+"/v2/tenants/"+id+"/stats", ""), &st)
+		if st.Updates != n {
+			t.Fatalf("%s committed %d updates, want %d", id, st.Updates, n)
+		}
 	}
 
 	// Empty bulk → 400.
-	resp = postJSON(t, ts.URL+"/v1/ingest/bulk", `{"tenants":[]}`)
+	resp = postJSON(t, ts.URL+"/v2/rows", `{"tenants":[]}`)
 	var er errorResponse
 	decode(t, resp, &er)
 	if resp.StatusCode != 400 || er.Error.Code != CodeInvalidArgument {
@@ -296,7 +335,7 @@ func TestTenantEvictRestoreOverHTTP(t *testing.T) {
 		registry.WithEvictTTL(time.Minute),
 		registry.WithClock(func() time.Time { return now }),
 	)
-	doReq(t, "PUT", ts.URL+"/v1/tenants/cold", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/cold", lmTenantCfg).Body.Close()
 	var b strings.Builder
 	b.WriteString(`{"updates":[`)
 	for i := 0; i < 40; i++ {
@@ -306,9 +345,9 @@ func TestTenantEvictRestoreOverHTTP(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[%d,1,0],"t":%d}`, i%3, i)
 	}
 	b.WriteString("]}")
-	postJSON(t, ts.URL+"/v1/tenants/cold/ingest", b.String()).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/cold/rows", b.String()).Body.Close()
 
-	before, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v1/tenants/cold/approximation?t=39", "").Body)
+	before, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/cold/approximation?t=39", "").Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,21 +358,21 @@ func TestTenantEvictRestoreOverHTTP(t *testing.T) {
 		t.Fatalf("Sweep evicted %d, want 1", n)
 	}
 	var th tenantHealthResponse
-	resp := doReq(t, "GET", ts.URL+"/v1/tenants/cold/health", "")
+	resp := doReq(t, "GET", ts.URL+"/v2/tenants/cold/health", "")
 	decode(t, resp, &th)
 	if th.Resident {
 		t.Fatal("health reports resident after eviction")
 	}
 
 	// The next query transparently restores and answers identically.
-	after, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v1/tenants/cold/approximation?t=39", "").Body)
+	after, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/cold/approximation?t=39", "").Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatal("restored tenant's approximation differs from pre-eviction answer")
 	}
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants/cold/health", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/cold/health", "")
 	decode(t, resp, &th)
 	if !th.Resident || th.Updates != 40 {
 		t.Fatalf("health after restore %+v", th)
@@ -341,7 +380,7 @@ func TestTenantEvictRestoreOverHTTP(t *testing.T) {
 
 	// The pinned default tenant never went anywhere.
 	var list tenantListResponse
-	resp = doReq(t, "GET", ts.URL+"/v1/tenants", "")
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants", "")
 	decode(t, resp, &list)
 	for _, info := range list.Tenants {
 		if info.ID == DefaultTenant && !info.Resident {
@@ -354,16 +393,16 @@ func TestTenantEvictRestoreOverHTTP(t *testing.T) {
 // restore: state moves from one tenant to a fresh one via the API.
 func TestTenantSnapshotRoutes(t *testing.T) {
 	ts, _ := newTenantServer(t)
-	doReq(t, "PUT", ts.URL+"/v1/tenants/src", lmTenantCfg).Body.Close()
-	doReq(t, "PUT", ts.URL+"/v1/tenants/dst", lmTenantCfg).Body.Close()
-	postJSON(t, ts.URL+"/v1/tenants/src/ingest",
+	doReq(t, "PUT", ts.URL+"/v2/tenants/src", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/dst", lmTenantCfg).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/src/rows",
 		`{"updates":[{"row":[1,2,3],"t":1},{"row":[4,5,6],"t":2}]}`).Body.Close()
 
-	snap, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v1/tenants/src/snapshot", "").Body)
+	snap, err := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/src/snapshot", "").Body)
 	if err != nil || len(snap) == 0 {
 		t.Fatalf("snapshot download: %v (%d bytes)", err, len(snap))
 	}
-	resp, err := http.Post(ts.URL+"/v1/tenants/dst/snapshot", "application/octet-stream",
+	resp, err := http.Post(ts.URL+"/v2/tenants/dst/snapshot", "application/octet-stream",
 		bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +412,8 @@ func TestTenantSnapshotRoutes(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	srcB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v1/tenants/src/approximation?t=2", "").Body)
-	dstB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v1/tenants/dst/approximation?t=2", "").Body)
+	srcB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/src/approximation?t=2", "").Body)
+	dstB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/dst/approximation?t=2", "").Body)
 	if !bytes.Equal(srcB, dstB) {
 		t.Fatal("restored tenant answers differently from the source")
 	}
@@ -382,7 +421,7 @@ func TestTenantSnapshotRoutes(t *testing.T) {
 
 func TestTenantRouteMethodNotAllowed(t *testing.T) {
 	ts, _ := newTenantServer(t)
-	resp := doReq(t, "PATCH", ts.URL+"/v1/tenants/x", "")
+	resp := doReq(t, "PATCH", ts.URL+"/v2/tenants/x", "")
 	var er errorResponse
 	decode(t, resp, &er)
 	if resp.StatusCode != http.StatusMethodNotAllowed || er.Error.Code != CodeMethodNotAllowed {

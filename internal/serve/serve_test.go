@@ -50,7 +50,7 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[%d,1,0],"t":%d}`, i%3, i)
 	}
 	b.WriteString("]}")
-	resp := postJSON(t, ts.URL+"/v1/ingest", b.String())
+	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String())
 	if resp.StatusCode != 200 {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
@@ -60,7 +60,7 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 		t.Fatalf("ingest response %+v", ir)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/approximation?t=49")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/approximation?t=49")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestIngestAndQueryRoundTrip(t *testing.T) {
 func TestQueryDefaultsToLastTimestamp(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":7}]}`).Body.Close()
-	resp, err := http.Get(ts.URL + "/v1/approximation")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":7}]}`).Body.Close()
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/approximation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,9 @@ func TestPCAEndpoint(t *testing.T) {
 		fmt.Fprintf(&b, `{"row":[0,5,0],"t":%d}`, i)
 	}
 	b.WriteString("]}")
-	postJSON(t, ts.URL+"/v1/ingest", b.String()).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String()).Body.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/pca?k=1")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/pca?k=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPCAEndpoint(t *testing.T) {
 func TestPCAEmptySketch(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Get(ts.URL + "/v1/pca")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/pca")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestPCAEmptySketch(t *testing.T) {
 func TestStats(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestIngestValidation(t *testing.T) {
 		"nan-like":      `{"updates":[{"row":[1,2,1e309],"t":0}]}`,
 		"out of order":  `{"updates":[{"row":[1,2,3],"t":5},{"row":[1,2,3],"t":4}]}`,
 	} {
-		resp := postJSON(t, ts.URL+"/v1/ingest", body)
+		resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
@@ -184,10 +184,10 @@ func TestBadBatchIsAtomic(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
 	// Second update is invalid: nothing from the batch may land.
-	resp := postJSON(t, ts.URL+"/v1/ingest",
+	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows",
 		`{"updates":[{"row":[1,2,3],"t":0},{"row":[1],"t":1}]}`)
 	resp.Body.Close()
-	r2, err := http.Get(ts.URL + "/v1/stats")
+	r2, err := http.Get(ts.URL + "/v2/tenants/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestBadBatchIsAtomic(t *testing.T) {
 func TestMethodEnforcement(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Get(ts.URL + "/v1/ingest")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/rows")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMethodEnforcement(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET ingest status %d", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/stats", "{}")
+	resp = postJSON(t, ts.URL+"/v2/tenants/default/stats", "{}")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST stats status %d", resp.StatusCode)
@@ -219,8 +219,8 @@ func TestMethodEnforcement(t *testing.T) {
 func TestQueryBeforeLastIngestRejected(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":10}]}`).Body.Close()
-	resp, err := http.Get(ts.URL + "/v1/approximation?t=5")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":10}]}`).Body.Close()
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/approximation?t=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestQueryBeforeLastIngestRejected(t *testing.T) {
 func TestBadTimeAndK(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	for _, path := range []string{"/v1/approximation?t=abc", "/v1/pca?k=abc", "/v1/pca?k=0"} {
+	for _, path := range []string{"/v2/tenants/default/approximation?t=abc", "/v2/tenants/default/pca?k=abc", "/v2/tenants/default/pca?k=0"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -248,9 +248,9 @@ func TestBadTimeAndK(t *testing.T) {
 func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":0},{"row":[4,5,6],"t":1}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":0},{"row":[4,5,6],"t":1}]}`).Body.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/snapshot")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	// Restore into a fresh server and compare answers.
 	ts2, done2 := newTestServer(t)
 	defer done2()
-	r2, err := http.Post(ts2.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(snap.Bytes()))
+	r2, err := http.Post(ts2.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	if r2.StatusCode != 200 {
 		t.Fatalf("restore status %d", r2.StatusCode)
 	}
-	ra, err := http.Get(ts2.URL + "/v1/approximation?t=1")
+	ra, err := http.Get(ts2.URL + "/v2/tenants/default/approximation?t=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 func TestSnapshotRestoreRejectsGarbage(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream", bytes.NewBufferString("junk"))
+	resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewBufferString("junk"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSnapshotUnsupportedSketch(t *testing.T) {
 	sk := core.NewBest(window.Seq(10), 2, 3) // no snapshot support
 	ts := httptest.NewServer(NewServer(sk, 3).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/snapshot")
+	resp, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +315,13 @@ func TestSnapshotUnsupportedSketch(t *testing.T) {
 func TestIngestSparseForm(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp := postJSON(t, ts.URL+"/v1/ingest",
+	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows",
 		`{"updates":[{"idx":[0,2],"val":[3,4],"t":0},{"row":[1,1,1],"t":1}]}`)
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("sparse ingest status %d", resp.StatusCode)
 	}
-	ra, err := http.Get(ts.URL + "/v1/approximation?t=1")
+	ra, err := http.Get(ts.URL + "/v2/tenants/default/approximation?t=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestIngestSparseValidation(t *testing.T) {
 		"unsorted":      `{"updates":[{"idx":[2,1],"val":[1,1],"t":0}]}`,
 		"nan-ish value": `{"updates":[{"idx":[0],"val":[1e309],"t":0}]}`,
 	} {
-		resp := postJSON(t, ts.URL+"/v1/ingest", body)
+		resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
@@ -365,8 +365,8 @@ func TestIngestAfterRestoreWithStaleTimestamp(t *testing.T) {
 	// ingest must come back as 409, not a dropped connection.
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":100}]}`).Body.Close()
-	snap, err := http.Get(ts.URL + "/v1/snapshot")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":100}]}`).Body.Close()
+	snap, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,19 +376,19 @@ func TestIngestAfterRestoreWithStaleTimestamp(t *testing.T) {
 
 	ts2, done2 := newTestServer(t)
 	defer done2()
-	r, err := http.Post(ts2.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	r, err := http.Post(ts2.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 
-	resp := postJSON(t, ts2.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":5}]}`)
+	resp := postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":5}]}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale post-restore ingest status %d, want 409", resp.StatusCode)
 	}
 	// A forward timestamp is accepted.
-	resp = postJSON(t, ts2.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":200}]}`)
+	resp = postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":200}]}`)
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("forward post-restore ingest status %d", resp.StatusCode)

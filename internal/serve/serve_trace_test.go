@@ -41,7 +41,7 @@ func ingestVaried(t *testing.T, url string, from, to int) {
 		fmt.Fprintf(&b, `{"row":[%v,%v,%v],"t":%d}`, r[0], r[1], r[2], i)
 	}
 	b.WriteString("]}")
-	resp := postJSON(t, url+"/v1/ingest", b.String())
+	resp := postJSON(t, url+"/v2/tenants/default/rows", b.String())
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("ingest [%d,%d) status %d", from, to, resp.StatusCode)
@@ -51,7 +51,7 @@ func ingestVaried(t *testing.T, url string, from, to int) {
 func TestHealthWithoutAuditor(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Get(ts.URL + "/v1/health")
+	resp, err := http.Get(ts.URL + "/v2/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestHealthWithoutAuditor(t *testing.T) {
 }
 
 // TestHealthAuditMatchesOfflineEval is the acceptance check: the
-// cova-err that /v1/health reports must equal an offline evaluation of
+// cova-err that /v2/health reports must equal an offline evaluation of
 // the same sketch against an exact window, to FP tolerance.
 func TestHealthAuditMatchesOfflineEval(t *testing.T) {
 	spec := window.Seq(100)
@@ -78,7 +78,7 @@ func TestHealthAuditMatchesOfflineEval(t *testing.T) {
 	ingestVaried(t, ts.URL, 0, n/2)
 	ingestVaried(t, ts.URL, n/2, n)
 
-	resp, err := http.Get(ts.URL + "/v1/health")
+	resp, err := http.Get(ts.URL + "/v2/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestHealthFreshForcesEvaluation(t *testing.T) {
 	ingestVaried(t, ts.URL, 0, 70)
 	before := a.Status().Evaluations
 
-	resp, err := http.Get(ts.URL + "/v1/health?fresh=1")
+	resp, err := http.Get(ts.URL + "/v2/health?fresh=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestHealthDegraded(t *testing.T) {
 
 	ingestVaried(t, ts.URL, 0, 2*audit.DefaultStride)
 
-	resp, err := http.Get(ts.URL + "/v1/health")
+	resp, err := http.Get(ts.URL + "/v2/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAuditResetOnSnapshotRestore(t *testing.T) {
 	ts, _ := mk()
 	defer ts.Close()
 	ingestVaried(t, ts.URL, 0, 64)
-	snap, err := http.Get(ts.URL + "/v1/snapshot")
+	snap, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAuditResetOnSnapshotRestore(t *testing.T) {
 	if a2.Status().Warming {
 		t.Fatal("auditor warming before restore")
 	}
-	r, err := http.Post(ts2.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
+	r, err := http.Post(ts2.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +292,13 @@ func TestRequestLoggingAndIDs(t *testing.T) {
 	ts := httptest.NewServer(NewServer(sk, 3, WithLogger(logger), WithTrace(tr)).Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":1}]}`)
+	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`)
 	resp.Body.Close()
 	id := resp.Header.Get("X-Request-ID")
 	if id == "" {
 		t.Fatal("no X-Request-ID header")
 	}
-	r2, err := http.Get(ts.URL + "/v1/stats")
+	r2, err := http.Get(ts.URL + "/v2/tenants/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +310,8 @@ func TestRequestLoggingAndIDs(t *testing.T) {
 
 	out := buf.String()
 	for _, want := range []string{
-		"id=" + id, "route=/v1/ingest", "method=POST", "status=200",
-		"id=" + id2, "route=/v1/stats",
+		"id=" + id, "route=/v2/tenants/{id}/rows", "method=POST", "status=200",
+		"id=" + id2, "route=/v2/tenants/{id}/stats",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log output missing %q:\n%s", want, out)
@@ -344,7 +344,7 @@ func TestSilentByDefault(t *testing.T) {
 
 	ts, done := newTestServer(t)
 	defer done()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
 	if out := buf.String(); out != "" {
 		t.Fatalf("unexpected log output: %s", out)
 	}

@@ -1,7 +1,8 @@
 package serve
 
-// Tests for the /v2 route group: deprecation headers on /v1, the
-// unified bulk envelope, and cross-endpoint error-schema conformance.
+// Tests for the route grammar — the retired /v1 prefix and the
+// migration table that maps it onto /v2 — and for the streaming ingest
+// plane, including its error-schema conformance with bulk ingest.
 
 import (
 	"bufio"
@@ -9,9 +10,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -24,130 +25,64 @@ func newSketch(d int) core.WindowSketch {
 	return core.NewLMFD(window.Seq(100), d, 8, 4)
 }
 
-// TestV1DeprecationHeaders: every /v1 response must carry the RFC-style
-// deprecation headers naming its /v2 successor, with the body untouched.
-func TestV1DeprecationHeaders(t *testing.T) {
+// TestV1Gone: the retired /v1 grammar answers 410 with the gone
+// envelope on data and tenant routes alike, and nothing reaches a
+// sketch.
+func TestV1Gone(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	cases := []struct {
-		method, path, body, successor string
-	}{
-		{"POST", "/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1}]}`, "/v2/tenants/default/rows"},
-		{"GET", "/v1/approximation", "", "/v2/tenants/default/approximation"},
-		{"GET", "/v1/stats", "", "/v2/tenants/default/stats"},
-		{"GET", "/v1/health", "", "/v2/health"},
-		{"GET", "/v1/tenants", "", "/v2/tenants"},
-	}
-	for _, c := range cases {
-		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Fatalf("%s %s: Deprecation header %q", c.method, c.path, got)
-		}
-		want := fmt.Sprintf("<%s>; rel=\"successor-version\"", c.successor)
-		if got := resp.Header.Get("Link"); got != want {
-			t.Fatalf("%s %s: Link header %q, want %q", c.method, c.path, got, want)
-		}
+	wantGone(t, do(t, "POST", ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1}]}`))
+	wantGone(t, do(t, "GET", ts.URL+"/v1/tenants/x/pca", ""))
+
+	var st statsResponse
+	decode(t, do(t, "GET", ts.URL+"/v2/tenants/default/stats", ""), &st)
+	if st.Updates != 0 {
+		t.Fatalf("a /v1 ingest reached the default tenant: %+v", st)
 	}
 }
 
-// TestV2RoutesMirrorV1 drives the core lifecycle entirely through /v2
-// and checks /v2 responses do NOT carry deprecation headers.
+// TestV2RoutesMirrorV1 checks the migration table in docs/API.md — the
+// one map from each retired /v1 route to its successor, which the 410
+// message points at — against the mux: every successor it names is
+// served under every method it lists.
 func TestV2RoutesMirrorV1(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-
-	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows",
-		`{"updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]}`)
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v2 response carries a Deprecation header")
-	}
-	var ir ingestResponse
-	decode(t, resp, &ir)
-	if ir.Accepted != 2 || ir.LastT != 2 {
-		t.Fatalf("v2 ingest %+v", ir)
-	}
-
-	for _, path := range []string{
-		"/v2/tenants/default/approximation",
-		"/v2/tenants/default/pca",
-		"/v2/tenants/default/stats",
-		"/v2/tenants/default/health",
-		"/v2/tenants/default/snapshot",
-		"/v2/health",
-		"/v2/tenants",
-	} {
-		r, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, r.Body)
-		r.Body.Close()
-		if r.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, r.StatusCode)
-		}
-	}
-
-	// Tenant lifecycle under /v2.
-	req, _ := http.NewRequest("PUT", ts.URL+"/v2/tenants/alpha",
-		strings.NewReader(`{"framework":"lm-fd","window":"sequence","size":64,"d":2,"ell":6,"b":3}`))
-	resp, err := http.DefaultClient.Do(req)
+	doc, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 && resp.StatusCode != 201 {
-		t.Fatalf("v2 tenant create status %d", resp.StatusCode)
+	sec := string(doc)
+	i := strings.Index(sec, "\n## Migrating from /v1\n")
+	if i < 0 {
+		t.Fatal(`docs/API.md has no "Migrating from /v1" section`)
 	}
-	resp = postJSON(t, ts.URL+"/v2/tenants/alpha/rows", `{"updates":[{"row":[1,2],"t":1}]}`)
-	decode(t, resp, &ir)
-	if ir.Accepted != 1 {
-		t.Fatalf("v2 tenant ingest %+v", ir)
+	sec = sec[i+1:]
+	if j := strings.Index(sec, "\n## "); j >= 0 {
+		sec = sec[:j]
 	}
-	req, _ = http.NewRequest("DELETE", ts.URL+"/v2/tenants/alpha", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("v2 tenant delete status %d", resp.StatusCode)
-	}
-}
 
-// TestV2BulkEnvelope: POST /v2/rows returns the unified itemResult
-// envelope, with per-item errors using the top-level error body shape.
-func TestV2BulkEnvelope(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp := postJSON(t, ts.URL+"/v2/rows", `{"tenants":[
-		{"id":"default","updates":[{"row":[1,0,0],"t":1}]},
-		{"id":"ghost","updates":[{"row":[1],"t":1}]},
-		{"id":"default","updates":[{"row":[1,0],"t":2}]}
-	]}`)
-	if resp.StatusCode != 200 {
-		t.Fatalf("v2 bulk status %d", resp.StatusCode)
+	mapped := 0
+	for _, line := range strings.Split(sec, "\n") {
+		// | Methods | `/v1` path | `/v2` path | Change |
+		cols := strings.Split(line, "|")
+		if len(cols) < 5 || !strings.HasPrefix(strings.TrimSpace(cols[2]), "`/v1/") {
+			continue
+		}
+		path := strings.ReplaceAll(strings.Trim(strings.TrimSpace(cols[3]), "`"), "{id}", DefaultTenant)
+		for _, m := range strings.Split(cols[1], ",") {
+			m = strings.TrimSpace(m)
+			resp := do(t, m, ts.URL+path, "")
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
+				t.Errorf("%s %s, the successor of %s, answers %d", m, path, strings.TrimSpace(cols[2]), resp.StatusCode)
+			}
+			mapped++
+		}
 	}
-	var br v2BulkResponse
-	decode(t, resp, &br)
-	if len(br.Results) != 3 {
-		t.Fatalf("v2 bulk results %+v", br)
-	}
-	if r := br.Results[0]; r.Index != 0 || r.ID != "default" || r.Accepted != 1 || r.Error != nil {
-		t.Fatalf("result 0: %+v", r)
-	}
-	if r := br.Results[1]; r.Index != 1 || r.Error == nil || r.Error.Code != CodeNotFound {
-		t.Fatalf("result 1: %+v", r)
-	}
-	if r := br.Results[2]; r.Index != 2 || r.Error == nil || r.Error.Code != CodeInvalidArgument {
-		t.Fatalf("result 2: %+v", r)
+	// The /v1 grammar registered 21 method+path routes.
+	if mapped != 21 {
+		t.Fatalf("migration table maps %d /v1 routes, want 21", mapped)
 	}
 }
 
@@ -173,6 +108,36 @@ func streamPost(t *testing.T, url, contentType string, body []byte) (*http.Respo
 		acks = append(acks, res)
 	}
 	return resp, acks
+}
+
+// TestV2BulkEnvelope: POST /v2/rows answers one result per item, each
+// carrying its index and tenant id, with failures in the shared
+// {"code","message"} error body.
+func TestV2BulkEnvelope(t *testing.T) {
+	ts, done := newTestServer(t)
+	defer done()
+	resp := postJSON(t, ts.URL+"/v2/rows", `{"tenants":[
+		{"id":"default","updates":[{"row":[1,0,0],"t":1}]},
+		{"id":"ghost","updates":[{"row":[1],"t":1}]},
+		{"id":"default","updates":[{"row":[1,0],"t":2}]}
+	]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("v2 bulk status %d", resp.StatusCode)
+	}
+	var br bulkResponse
+	decode(t, resp, &br)
+	if len(br.Results) != 3 {
+		t.Fatalf("v2 bulk results %+v", br)
+	}
+	if r := br.Results[0]; r.Index != 0 || r.ID != "default" || r.Accepted != 1 || r.Error != nil {
+		t.Fatalf("result 0: %+v", r)
+	}
+	if r := br.Results[1]; r.Index != 1 || r.Error == nil || r.Error.Code != CodeNotFound {
+		t.Fatalf("result 1: %+v", r)
+	}
+	if r := br.Results[2]; r.Index != 2 || r.Error == nil || r.Error.Code != CodeInvalidArgument {
+		t.Fatalf("result 2: %+v", r)
+	}
 }
 
 // TestStreamNDJSON: updates stream in as NDJSON lines; blank lines
@@ -290,7 +255,7 @@ func TestStreamErrorAckMatchesBulkEnvelope(t *testing.T) {
 	// Wrong row dimension via bulk.
 	resp := postJSON(t, ts.URL+"/v2/rows",
 		`{"tenants":[{"id":"default","updates":[{"row":[1],"t":1}]}]}`)
-	var br v2BulkResponse
+	var br bulkResponse
 	decode(t, resp, &br)
 
 	// The same bad update via the stream.

@@ -61,11 +61,13 @@ func TestWALRecoveryBitExact(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := walServer(t, dir)
 
-	// Batch rows into the default tenant via v1 and v2.
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1},{"row":[0,2,0],"t":2}]}`).Body.Close()
+	// Batch rows into the default tenant via the bulk and per-tenant
+	// routes.
+	postJSON(t, ts.URL+"/v2/rows",
+		`{"tenants":[{"id":"default","updates":[{"row":[1,0,0],"t":1},{"row":[0,2,0],"t":2}]}]}`).Body.Close()
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[0,0,3],"t":3}]}`).Body.Close()
 	// A sparse update (the WAL densifies it).
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"idx":[1],"val":[5],"t":4}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"idx":[1],"val":[5],"t":4}]}`).Body.Close()
 
 	// A second tenant created and fed over the API.
 	req, _ := http.NewRequest("PUT", ts.URL+"/v2/tenants/alpha", strings.NewReader(lmTenantCfg))
@@ -98,6 +100,13 @@ func TestWALRecoveryBitExact(t *testing.T) {
 	if st.Damaged || st.Torn {
 		t.Fatalf("recovery stats %+v", st)
 	}
+	var hr healthResponse
+	if err := json.Unmarshal(getBytes(t, ts2.URL+"/v2/health"), &hr); err != nil {
+		t.Fatal(err)
+	}
+	if hr.Status != "ok" || hr.WAL == nil || !hr.WAL.Replayed || hr.WAL.Damaged {
+		t.Fatalf("recovered health %+v wal %+v", hr, hr.WAL)
+	}
 	if got := getBytes(t, ts2.URL+"/v2/tenants/default/snapshot"); !bytes.Equal(got, wantDefault) {
 		t.Fatalf("default tenant diverged after recovery: %d vs %d bytes", len(got), len(wantDefault))
 	}
@@ -121,18 +130,18 @@ func TestWALRecoveryAfterRestoreAndDelete(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := walServer(t, dir)
 
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]}`).Body.Close()
-	snap := getBytes(t, ts.URL+"/v1/snapshot")
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[9,9,9],"t":3}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":1},{"row":[0,1,0],"t":2}]}`).Body.Close()
+	snap := getBytes(t, ts.URL+"/v2/tenants/default/snapshot")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[9,9,9],"t":3}]}`).Body.Close()
 	// Restore the earlier snapshot: the 9,9,9 row must not survive
 	// recovery either.
-	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/octet-stream", bytes.NewReader(snap))
+	resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[4,0,0],"t":10}]}`).Body.Close()
-	want := getBytes(t, ts.URL+"/v1/snapshot")
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[4,0,0],"t":10}]}`).Body.Close()
+	want := getBytes(t, ts.URL+"/v2/tenants/default/snapshot")
 
 	// A tenant created then deleted must stay gone.
 	req, _ := http.NewRequest("PUT", ts.URL+"/v2/tenants/doomed", strings.NewReader(lmTenantCfg))
@@ -146,7 +155,7 @@ func TestWALRecoveryAfterRestoreAndDelete(t *testing.T) {
 	if st.Damaged {
 		t.Fatalf("recovery stats %+v", st)
 	}
-	if got := getBytes(t, ts2.URL+"/v1/snapshot"); !bytes.Equal(got, want) {
+	if got := getBytes(t, ts2.URL+"/v2/tenants/default/snapshot"); !bytes.Equal(got, want) {
 		t.Fatal("restore-then-ingest state diverged after recovery")
 	}
 	r, err := http.Get(ts2.URL + "/v2/tenants/doomed/stats")
@@ -164,8 +173,8 @@ func TestWALRecoveryAfterRestoreAndDelete(t *testing.T) {
 func TestWALDamagedHealthDegraded(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := walServer(t, dir)
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
-	postJSON(t, ts.URL+"/v1/ingest", `{"updates":[{"row":[0,1,0],"t":2}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,0,0],"t":1}]}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[0,1,0],"t":2}]}`).Body.Close()
 
 	// Flip a byte early in the shard's segment so replay hits a CRC
 	// mismatch before the tail (mid-segment damage, not a torn tail).
@@ -212,12 +221,12 @@ func TestWALDamagedHealthDegraded(t *testing.T) {
 	}
 }
 
-// TestWALHealthFieldAbsentWithoutWAL pins v1 byte-compatibility: no
-// WAL attached, no "wal" key in the health payload.
+// TestWALHealthFieldAbsentWithoutWAL: no WAL attached, no "wal" key
+// in the health payload.
 func TestWALHealthFieldAbsentWithoutWAL(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	data := getBytes(t, ts.URL+"/v1/health")
+	data := getBytes(t, ts.URL+"/v2/health")
 	if bytes.Contains(data, []byte(`"wal"`)) {
 		t.Fatalf("health without a WAL leaks the wal field: %s", data)
 	}

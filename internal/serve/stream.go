@@ -48,6 +48,23 @@ import (
 // tenant's in-flight budget is exhausted; retry after a pause.
 const CodeOverloaded = "overloaded"
 
+// DefaultStreamQueue is the per-tenant bound on in-flight stream
+// blocks before the backpressure gate sheds load; see WithStreamQueue.
+const DefaultStreamQueue = 64
+
+// WithStreamQueue bounds each tenant's in-flight streaming-ingest
+// blocks: a stream open or block beyond the bound is shed with 429 +
+// Retry-After (or an "overloaded" ack mid-stream) instead of queueing
+// unboundedly. The default is DefaultStreamQueue.
+func WithStreamQueue(n int) Option {
+	return func(s *Server) {
+		if n < 1 {
+			panic(fmt.Sprintf("serve: stream queue %d", n))
+		}
+		s.streamQueue = n
+	}
+}
+
 // Stream wire-format constants.
 const (
 	// ContentTypeNDJSON selects (and marks) newline-delimited JSON.

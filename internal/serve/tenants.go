@@ -1,16 +1,14 @@
 package serve
 
-// Tenant lifecycle routes (/v1/tenants...) and the bulk multi-tenant
-// ingest route. Tenant IDs accepted over HTTP are restricted to
-// [A-Za-z0-9._-] and at most registry.MaxIDLen bytes; the registry
-// itself allows any non-empty string (programmatic callers may use
-// richer IDs), the serve layer is stricter so IDs embed cleanly in
-// URLs, metric labels, and log lines.
+// Tenant lifecycle routes (/v2/tenants...). Tenant IDs accepted over
+// HTTP are restricted to [A-Za-z0-9._-] and at most registry.MaxIDLen
+// bytes; the registry itself allows any non-empty string (programmatic
+// callers may use richer IDs), the serve layer is stricter so IDs
+// embed cleanly in URLs, metric labels, and log lines.
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"swsketch/internal/registry"
@@ -45,7 +43,7 @@ func (s *Server) handleTenantList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, tenantListResponse{Tenants: infos})
 }
 
-// tenantInfoResponse is the GET /v1/tenants/{id} payload (also
+// tenantInfoResponse is the GET /v2/tenants/{id} payload (also
 // returned by PUT on creation).
 type tenantInfoResponse struct {
 	ID        string           `json:"id"`
@@ -90,21 +88,8 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 			"tenant ID %q is reserved", DefaultTenant)
 		return
 	}
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
 	var cfg registry.Config
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	if !s.decodeJSON(w, r, &cfg) {
 		return
 	}
 	t, err := s.treg.Create(id, cfg)
@@ -169,7 +154,7 @@ func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, tenantDeleteResponse{Deleted: id})
 }
 
-// tenantHealthResponse is the GET /v1/tenants/{id}/health payload: a
+// tenantHealthResponse is the GET /v2/tenants/{id}/health payload: a
 // cheap liveness/residency probe that never forces a spilled tenant
 // back into memory (unlike the query routes, it does not Acquire).
 type tenantHealthResponse struct {
@@ -190,82 +175,4 @@ func (s *Server) handleTenantHealth(w http.ResponseWriter, r *http.Request) {
 		Resident: t.Resident(),
 		Updates:  t.Updates(),
 	})
-}
-
-type bulkIngestRequest struct {
-	Tenants []bulkTenantUpdates `json:"tenants"`
-}
-
-type bulkTenantUpdates struct {
-	ID      string         `json:"id"`
-	Updates []ingestUpdate `json:"updates"`
-}
-
-// bulkResult is one tenant's outcome inside a bulk ingest response:
-// either Accepted/LastT on success or Error on failure.
-type bulkResult struct {
-	ID       string     `json:"id"`
-	Accepted int        `json:"accepted"`
-	LastT    float64    `json:"last_t,omitempty"`
-	Error    *errorBody `json:"error,omitempty"`
-}
-
-type bulkIngestResponse struct {
-	Results []bulkResult `json:"results"`
-}
-
-// decodeBulk parses a bulk-ingest body, shared by /v1/ingest/bulk and
-// /v2/rows.
-func (s *Server) decodeBulk(w http.ResponseWriter, r *http.Request) (bulkIngestRequest, *apiError) {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	var req bulkIngestRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return req, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-		}
-		return req, errf(http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
-	}
-	if len(req.Tenants) == 0 {
-		return req, errf(http.StatusBadRequest, CodeInvalidArgument, "no tenants")
-	}
-	return req, nil
-}
-
-// handleBulkIngest applies per-tenant update batches in one request.
-// Each tenant's batch is all-or-nothing, but tenants are independent:
-// one tenant's failure (reported in its result's error field, with the
-// same codes as single-tenant ingest) does not abort the others, and
-// the response is always 200 with one result per requested tenant, in
-// request order.
-func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
-	req, apiErr := s.decodeBulk(w, r)
-	if apiErr != nil {
-		apiErr.write(w)
-		return
-	}
-	results := make([]bulkResult, 0, len(req.Tenants))
-	for _, item := range req.Tenants {
-		res := bulkResult{ID: item.ID}
-		t, ok := s.treg.Get(item.ID)
-		if !ok {
-			// Attribute the miss to the requested key: a bulk client
-			// hammering a deleted tenant shows up on the events plane.
-			s.hot.ObserveEvent(item.ID)
-			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.ID)}
-		} else if resp, apiErr := s.ingestTenant(t, item.Updates); apiErr != nil {
-			res.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
-		} else {
-			res.Accepted = resp.Accepted
-			res.LastT = resp.LastT
-		}
-		results = append(results, res)
-	}
-	writeJSON(w, bulkIngestResponse{Results: results})
 }

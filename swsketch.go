@@ -429,7 +429,7 @@ func WithMaxBody(n int64) ServerOption { return serve.WithMaxBody(n) }
 func WithTrace(tr *Tracer) ServerOption { return serve.WithTrace(tr) }
 
 // WithAudit attaches an online accuracy auditor: ingested rows are
-// shadowed by an exact window and GET /v1/health reports ok/degraded
+// shadowed by an exact window and GET /v2/health reports ok/degraded
 // against the audited cova-err.
 func WithAudit(a *Auditor) ServerOption { return serve.WithAudit(a) }
 
@@ -471,7 +471,7 @@ type AuditConfig = audit.Config
 // norm ratio, drift).
 type AuditResult = audit.Result
 
-// AuditStatus is the auditor's health view (served by GET /v1/health).
+// AuditStatus is the auditor's health view (served by GET /v2/health).
 type AuditStatus = audit.Status
 
 // NewAuditor returns an armed auditor publishing its gauges into reg
@@ -560,7 +560,7 @@ func AutoDSFD(n, d int, eps float64) *DSFD { return core.AutoDSFD(n, d, eps) }
 // TenantRegistry is a sharded, concurrency-safe collection of named
 // sliding-window sketches ("tenants"), each created from a declarative
 // TenantConfig — the multi-tenant serving substrate mounted by the
-// HTTP server under /v1/tenants/. Supports idle eviction with
+// HTTP server under /v2/tenants/. Supports idle eviction with
 // snapshot-to-disk spill and transparent restore; see internal/registry
 // for the design notes.
 type TenantRegistry = registry.Registry
