@@ -67,6 +67,8 @@ fuzz:
 	$(GO) test -fuzz FuzzLMFD -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSWOR -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDSFDUnmarshal -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzLMUnmarshal -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzSWRUnmarshal -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/obs/hh
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/serve
 

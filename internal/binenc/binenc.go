@@ -151,19 +151,29 @@ func (r *Reader) Bool() bool {
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// F64s reads a length-prefixed float64 slice. The length is capped by
-// Rest before any allocation, so a hostile prefix (claiming billions
-// of elements in a short buffer) fails instead of allocating — the
-// same allocation-bomb hardening as the FD snapshot decoder. The
-// division form keeps the comparison overflow-proof for any length
-// the Int guard lets through.
-func (r *Reader) F64s() []float64 {
-	n := r.Int()
+// Count is the decoders' one shape guard for claimed element counts:
+// it fails the reader unless n elements of at least minSize encoded
+// bytes each (minSize ≥ 1) fit in the unread input, so a short hostile
+// input cannot make a decoder allocate for billions of elements. Route
+// a count through Count before allocating anything sized by it. It
+// returns n, or 0 once the reader has failed. The division form keeps
+// the comparison overflow-proof.
+func (r *Reader) Count(n, minSize int) int {
 	if r.err != nil {
-		return nil
+		return 0
 	}
-	if n > r.Rest()/8 {
-		r.fail("slice length %d exceeds remaining %d bytes", n, r.Rest())
+	if n < 0 || n > r.Rest()/minSize {
+		r.fail("count %d of %d-byte elements exceeds remaining %d bytes", n, minSize, r.Rest())
+		return 0
+	}
+	return n
+}
+
+// F64s reads a length-prefixed float64 slice, its length guarded by
+// Count before the allocation.
+func (r *Reader) F64s() []float64 {
+	n := r.Count(r.Int(), 8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
@@ -173,15 +183,11 @@ func (r *Reader) F64s() []float64 {
 	return out
 }
 
-// Blob reads a length-prefixed byte slice (copied). Like F64s, the
-// claimed length is validated against Rest before the allocation.
+// Blob reads a length-prefixed byte slice (copied), its length guarded
+// by Count before the allocation.
 func (r *Reader) Blob() []byte {
-	n := r.Int()
+	n := r.Count(r.Int(), 1)
 	if r.err != nil {
-		return nil
-	}
-	if n > r.Rest() {
-		r.fail("blob length %d exceeds remaining %d bytes", n, r.Rest())
 		return nil
 	}
 	out := make([]byte, n)

@@ -142,3 +142,23 @@ func TestBadBool(t *testing.T) {
 		t.Fatal("expected bad-bool error")
 	}
 }
+
+// TestCountGuardsClaimedElements pins the shape guard: a count fits
+// only when count × minimum element size fits in the unread bytes,
+// and a failed guard sticks.
+func TestCountGuardsClaimedElements(t *testing.T) {
+	r := NewReader(make([]byte, 48))
+	if n := r.Count(3, 16); n != 3 || r.Err() != nil {
+		t.Fatalf("3 × 16 bytes in 48: got %d, %v", n, r.Err())
+	}
+	if n := r.Count(4, 16); n != 0 || r.Err() == nil {
+		t.Fatalf("4 × 16 bytes in 48: got %d, %v", n, r.Err())
+	}
+	if n := r.Count(1, 1); n != 0 {
+		t.Fatalf("guard on a failed reader returned %d", n)
+	}
+	r = NewReader(nil)
+	if n := r.Count(math.MaxInt32, 1<<30); n != 0 || r.Err() == nil {
+		t.Fatal("a huge claimed count must fail without overflow")
+	}
+}

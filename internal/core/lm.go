@@ -108,6 +108,11 @@ type LM struct {
 	merges    uint64
 	snapshots uint64
 
+	// free holds block FDs no block references any more, reset for
+	// reuse; mkSketch draws from it before calling the factory. See
+	// recycle for which sketches qualify.
+	free []*stream.FD
+
 	tr *trace.Tracer
 }
 
@@ -118,15 +123,41 @@ type LM struct {
 // earlier keep emitting nowhere.
 func (l *LM) SetTracer(tr *trace.Tracer) { l.tr = tr }
 
-// mkSketch builds a block sketch via the factory and attaches the
-// tracer when the sketch supports it. All block-sketch creation goes
-// through here (or through mergeFrom, which receives it bound).
+// mkSketch builds a block sketch, reusing a recycled one when the free
+// list has one, and attaches the tracer when the sketch supports it.
+// All block-sketch creation goes through here (or through mergeFrom,
+// which receives it bound).
 func (l *LM) mkSketch(d int) stream.Mergeable {
-	sk := l.factory(d)
+	var sk stream.Mergeable
+	if n := len(l.free); n > 0 {
+		sk = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		sk = l.factory(d)
+	}
 	if t, ok := sk.(trace.Traceable); ok {
 		t.SetTracer(l.tr)
 	}
 	return sk
+}
+
+// recycle puts a block sketch that nothing references any more on the
+// free list, so steady-state ingest stops allocating a fresh sketch
+// per merge. Only FDs of exactly the factory's shape (ℓ, d, b, α)
+// qualify: a reset FD is then indistinguishable from a new one. An FD
+// restored from a snapshot may have another shape; an RP block's
+// random stream is seeded at construction, so reusing one would change
+// answers; HASH and COD blocks have no reset. The list holds at most
+// 2b+4 sketches, more than one rebalance frees.
+func (l *LM) recycle(sk stream.Mergeable) {
+	fd, ok := sk.(*stream.FD)
+	if !ok || len(l.free) >= 2*l.b+4 || fd.Ell() != int(l.ell) || fd.Dim() != l.d ||
+		fd.BufferFactor() != l.fdOpts.Buffer || fd.Alpha() != l.fdOpts.Alpha {
+		return
+	}
+	fd.Reset()
+	l.free = append(l.free, fd)
 }
 
 // NewLM builds a Logarithmic Method sketch from any mergeable
@@ -230,7 +261,7 @@ func (l *LM) ingest(r mat.SparseRow, t float64) {
 		// Oversized row: close the active block first (to preserve
 		// arrival order across blocks), then push a singleton block.
 		l.closeActive(t)
-		l.pushLevel1(lmBlock{raw: []mat.SparseRow{r}, rawTimes: []float64{t}, start: t, end: t, size: w, singletonCap: w})
+		l.pushLevel1(singletonBlock(r, t, w))
 		l.rebalance()
 		return
 	}
@@ -246,6 +277,18 @@ func (l *LM) ingest(r mat.SparseRow, t float64) {
 		l.closeActive(t)
 		l.rebalance()
 	}
+}
+
+// singletonBlock wraps an oversized row of mass w as its own block.
+// Almost every row of a high-mass stream takes this path, so the row
+// and its time share one allocation: the block's two slices view the
+// arrays of one small struct.
+func singletonBlock(r mat.SparseRow, t, w float64) lmBlock {
+	one := &struct {
+		row [1]mat.SparseRow
+		t   [1]float64
+	}{row: [1]mat.SparseRow{r}, t: [1]float64{t}}
+	return lmBlock{raw: one.row[:], rawTimes: one.t[:], start: t, end: t, size: w, singletonCap: w}
 }
 
 // closeActive moves a non-empty active block to level 1.
@@ -281,15 +324,16 @@ func (l *LM) rebalance() {
 				// One of the two oldest cannot merge at this level:
 				// promote the oldest alone, preserving arrival order.
 				promoted := lv[0]
-				l.levels[i] = lv[1:]
+				l.popFront(i, 1)
 				l.tr.Emit(l.name, trace.KindLMPromote, promoted.end, float64(i+1), promoted.size)
 				l.appendLevel(i+1, promoted)
 				continue
 			}
 			lv[0].mergeFrom(&lv[1], l.mkSketch, l.d)
+			l.recycle(lv[1].sk)
 			l.merges++
 			merged := lv[0]
-			l.levels[i] = lv[2:]
+			l.popFront(i, 2)
 			l.tr.Emit(l.name, trace.KindLMMerge, merged.end, float64(i+1), merged.size)
 			l.appendLevel(i+1, merged)
 		}
@@ -301,6 +345,17 @@ func (l *LM) appendLevel(i int, blk lmBlock) {
 		l.levels = append(l.levels, nil)
 	}
 	l.levels[i] = append(l.levels[i], blk)
+}
+
+// popFront drops the k oldest blocks of level i by copying the rest
+// down, so the level keeps its storage for the next append (slicing
+// the front off would strand that capacity). The vacated slots are
+// cleared so they pin no sketch or raw rows.
+func (l *LM) popFront(i, k int) {
+	lv := l.levels[i]
+	n := copy(lv, lv[k:])
+	clear(lv[n:])
+	l.levels[i] = lv[:n]
 }
 
 // expire removes blocks that lie entirely outside the window and
@@ -318,7 +373,10 @@ func (l *LM) expire(cutoff float64) {
 			drop++
 		}
 		if drop > 0 {
-			l.levels[i] = lv[drop:]
+			for j := range lv[:drop] {
+				l.recycle(lv[j].sk)
+			}
+			l.popFront(i, drop)
 			dropped += drop
 		}
 	}
@@ -369,7 +427,9 @@ func (l *LM) Query(t float64) *mat.Dense {
 		}
 	}
 	feedRows(acc, l.active.raw, l.d)
-	return acc.Matrix()
+	b := acc.Matrix()
+	l.recycle(acc)
+	return b
 }
 
 // RowsStored reports the total rows across all block sketches, raw

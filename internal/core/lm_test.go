@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swsketch/internal/mat"
+	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
 
@@ -344,5 +345,56 @@ func TestLMFDAdversarialAccumulatingDirection(t *testing.T) {
 	want := ex.Gram().At(4, 4)
 	if got < want/2 {
 		t.Fatalf("accumulated direction lost: sketch %v vs window %v", got, want)
+	}
+}
+
+// TestLMRecyclesOnlyFactoryFDs checks the block free list: LM-FD
+// refills it from merges, expiry and query accumulators (never past
+// 2b+4), while LM-RP and LM-HASH never recycle a block — an RP block's
+// random stream is seeded at construction — and an FD of another shape
+// is dropped, not reused.
+func TestLMRecyclesOnlyFactoryFDs(t *testing.T) {
+	feed := func(l *LM, rng *rand.Rand, from, to int) (maxFree int) {
+		for i := from; i < to; i++ {
+			row := randRow(rng, 4)
+			for j := range row {
+				row[j] *= 3 // mostly singleton blocks, so merges dominate
+			}
+			l.Update(row, float64(i))
+			if i%50 == 0 {
+				l.Query(float64(i))
+			}
+			maxFree = max(maxFree, len(l.free))
+		}
+		return maxFree
+	}
+	rng := rand.New(rand.NewSource(9))
+	fd := NewLMFD(window.Seq(200), 4, 8, 3)
+	if n := feed(fd, rng, 0, 1500); n == 0 || n > 2*3+4 {
+		t.Errorf("LM-FD free list peaked at %d, want 1..%d", n, 2*3+4)
+	}
+	for _, l := range []*LM{NewLMRP(window.Seq(200), 4, 8, 3, 1), NewLMHash(window.Seq(200), 4, 8, 3, 1)} {
+		if n := feed(l, rng, 0, 1500); n != 0 {
+			t.Errorf("%s recycled %d block sketches", l.Name(), n)
+		}
+	}
+
+	// Only the factory's exact shape qualifies: a block restored from a
+	// snapshot may carry another ℓ, d or buffer discipline.
+	l := NewLMFD(window.Seq(200), 4, 8, 3)
+	for _, foreign := range []*stream.FD{
+		stream.NewFD(6, 4),
+		stream.NewFD(8, 5),
+		stream.NewFDOpts(8, 4, stream.FDOpts{Buffer: 2}),
+		stream.NewFDOpts(8, 4, stream.FDOpts{Alpha: 0.5}),
+	} {
+		l.recycle(foreign)
+	}
+	if len(l.free) != 0 {
+		t.Fatalf("recycled %d FDs of a foreign shape", len(l.free))
+	}
+	l.recycle(stream.NewFD(8, 4))
+	if len(l.free) != 1 {
+		t.Fatal("did not recycle an FD of the factory's shape")
 	}
 }

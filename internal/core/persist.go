@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"swsketch/internal/binenc"
@@ -57,6 +58,10 @@ func writeCandidate(w *binenc.Writer, c candidate) {
 	w.F64(c.w)
 	w.F64(c.key)
 }
+
+// candidateMinBytes is the encoded size of a candidate with a d-long
+// row: the row's length prefix and values, then t, w and key.
+func candidateMinBytes(d int) int { return 8 + 8*d + 3*8 }
 
 func readCandidate(r *binenc.Reader, d int) (candidate, error) {
 	c := candidate{row: r.F64s(), t: r.F64(), w: r.F64(), key: r.F64()}
@@ -120,7 +125,7 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: SWR snapshot: %w", err)
 	}
 	d := r.Int()
-	ell := r.Int()
+	ell := r.Count(r.Int(), 8) // every queue encodes at least its length
 	lastT := r.F64()
 	seen := r.Bool()
 	if err := r.Err(); err != nil {
@@ -132,7 +137,7 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	restored := NewSWR(spec, ell, d, time.Now().UnixNano())
 	restored.lastT, restored.seen = lastT, seen
 	for q := 0; q < ell; q++ {
-		n := r.Int()
+		n := r.Count(r.Int(), candidateMinBytes(d))
 		if r.Err() != nil {
 			return fmt.Errorf("core: SWR snapshot: %w", r.Err())
 		}
@@ -210,7 +215,7 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 	all := r.Bool()
 	lastT := r.F64()
 	seen := r.Bool()
-	n := r.Int()
+	n := r.Count(r.Int(), candidateMinBytes(d)+8) // each candidate carries its rank
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: SWOR snapshot: %w", err)
 	}
@@ -321,6 +326,16 @@ func writeLMBlock(w *binenc.Writer, blk *lmBlock) error {
 	return nil
 }
 
+// Minimum encoded sizes of LM snapshot elements, for the count guards:
+// a block is four F64 fields, the sketched flag, and a row count or
+// blob length; a raw row is its index count, value-slice length and
+// time; each of its non-zeros is an index and a value.
+const (
+	lmBlockMinBytes  = 4*8 + 1 + 8
+	lmRawRowMinBytes = 3 * 8
+	lmNonzeroBytes   = 2 * 8
+)
+
 func readLMBlock(r *binenc.Reader, d int) (lmBlock, error) {
 	blk := lmBlock{
 		start:        r.F64(),
@@ -333,9 +348,9 @@ func readLMBlock(r *binenc.Reader, d int) (lmBlock, error) {
 		return blk, r.Err()
 	}
 	if !sketched {
-		n := r.Int()
+		n := r.Count(r.Int(), lmRawRowMinBytes)
 		for i := 0; i < n; i++ {
-			nnz := r.Int()
+			nnz := r.Count(r.Int(), lmNonzeroBytes)
 			if r.Err() != nil {
 				return blk, r.Err()
 			}
@@ -361,9 +376,12 @@ func readLMBlock(r *binenc.Reader, d int) (lmBlock, error) {
 		}
 		return blk, r.Err()
 	}
-	fd := stream.NewFD(2, d) // shape overwritten by the snapshot
+	fd := new(stream.FD)
 	if err := fd.UnmarshalBinary(r.Blob()); err != nil {
 		return blk, err
+	}
+	if fd.Dim() != d {
+		return blk, fmt.Errorf("core: LM snapshot block has dimension %d, want %d", fd.Dim(), d)
 	}
 	blk.sk = fd
 	return blk, nil
@@ -393,21 +411,22 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	}
 	lastT := r.F64()
 	seen := r.Bool()
-	nLevels := r.Int()
+	nLevels := r.Count(r.Int(), 8) // every level encodes at least its block count
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
-	if d < 1 || ell < 1 || b < 2 || nLevels < 0 {
-		return fmt.Errorf("core: LM snapshot shape d=%d ell=%v b=%d levels=%d", d, ell, b, nLevels)
+	// FD blocks need an integral ℓ ≥ 2.
+	if d < 1 || !(ell >= 2 && ell <= math.MaxInt32) || ell != math.Trunc(ell) || b < 2 {
+		return fmt.Errorf("core: LM snapshot shape d=%d ell=%v b=%d", d, ell, b)
 	}
 	restored := NewLMFDOpts(spec, d, int(ell), b, fdo)
 	restored.lastT, restored.seen = lastT, seen
 	for i := 0; i < nLevels; i++ {
-		n := r.Int()
+		n := r.Count(r.Int(), lmBlockMinBytes)
 		if r.Err() != nil {
 			return fmt.Errorf("core: LM snapshot: %w", r.Err())
 		}
-		var lv []lmBlock
+		lv := make([]lmBlock, 0, n)
 		for j := 0; j < n; j++ {
 			blk, err := readLMBlock(r, d)
 			if err != nil {
@@ -420,6 +439,9 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	active, err := readLMBlock(r, d)
 	if err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
+	}
+	if active.sk != nil {
+		return fmt.Errorf("core: LM snapshot has a sketched active block")
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)

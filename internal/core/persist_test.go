@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -89,9 +90,11 @@ func TestLMFDSnapshotRoundTrip(t *testing.T) {
 	if err := restored.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	// LM-FD is deterministic: answers must match exactly, now and after
-	// identical further updates.
-	if !l.Query(1499).Equal(restored.Query(1499), 1e-12) {
+	// LM-FD is deterministic: answers must match bit for bit, now and
+	// after identical further updates (which run the original's block
+	// free list against the restored copy's empty one), and so must the
+	// next snapshots.
+	if !sameMatrixBits(l.Query(1499), restored.Query(1499)) {
 		t.Fatal("restored LM-FD answers differently at the snapshot time")
 	}
 	for i := 1500; i < 2200; i++ {
@@ -99,11 +102,16 @@ func TestLMFDSnapshotRoundTrip(t *testing.T) {
 		l.Update(row, float64(i))
 		restored.Update(row, float64(i))
 	}
-	if !l.Query(2199).Equal(restored.Query(2199), 1e-9) {
+	if !sameMatrixBits(l.Query(2199), restored.Query(2199)) {
 		t.Fatal("restored LM-FD diverged after further identical updates")
 	}
 	if restored.RowsStored() != l.RowsStored() {
 		t.Fatalf("rows stored diverged: %d vs %d", restored.RowsStored(), l.RowsStored())
+	}
+	a, _ := l.MarshalBinary()
+	b, _ := restored.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Fatal("restored LM-FD re-marshals differently after further identical updates")
 	}
 }
 

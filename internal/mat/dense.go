@@ -33,11 +33,18 @@ func NewDense(r, c int) *Dense {
 
 // NewDenseData wraps data (row-major, length r*c) without copying.
 // It panics on length mismatch.
-func NewDenseData(r, c int, data []float64) *Dense {
+func NewDenseData(r, c int, data []float64) *Dense { return new(Dense).Wrap(r, c, data) }
+
+// Wrap re-points m at data (row-major, length r*c) without copying and
+// returns m: NewDenseData for a header kept across calls, so hot loops
+// can reshape scratch views without allocating. It panics on length
+// mismatch.
+func (m *Dense) Wrap(r, c int, data []float64) *Dense {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: data length %d does not match %d×%d", len(data), r, c))
 	}
-	return &Dense{rows: r, cols: c, data: data}
+	m.rows, m.cols, m.data = r, c, data
+	return m
 }
 
 // FromRows builds a matrix from row slices, copying each row. All rows

@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // EigenSym computes the eigendecomposition of a symmetric matrix a:
@@ -74,7 +73,7 @@ func EigenSymJacobi(a *Dense) (vals []float64, v *Dense) {
 	for i := 0; i < n; i++ {
 		vals[i] = w.data[i*n+i]
 	}
-	sortEigenDesc(vals, v)
+	sortEigenDesc(vals, v, make([]int, n), make([]float64, n))
 	return vals, v
 }
 
@@ -132,23 +131,28 @@ func applyJacobiRotation(w, v *Dense, p, q int, c, s float64) {
 }
 
 // sortEigenDesc sorts eigenvalues in descending order, permuting the
-// columns of v to match.
-func sortEigenDesc(vals []float64, v *Dense) {
+// columns of v to match; idx and row are length-n scratch. The sort is
+// stable — equal eigenvalues keep their solver order, as the golden
+// tests pin — and values and vectors only move, never recompute.
+func sortEigenDesc(vals []float64, v *Dense, idx []int, row []float64) {
 	n := len(vals)
-	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
-
-	sorted := make([]float64, n)
-	perm := NewDense(n, n)
-	for newCol, oldCol := range idx {
-		sorted[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			perm.data[r*n+newCol] = v.data[r*n+oldCol]
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && vals[idx[j]] > vals[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	copy(vals, sorted)
-	copy(v.data, perm.data)
+	for r := 0; r < n; r++ {
+		vr := v.data[r*n : (r+1)*n]
+		for k, old := range idx {
+			row[k] = vr[old]
+		}
+		copy(vr, row)
+	}
+	for k, old := range idx {
+		row[k] = vals[old]
+	}
+	copy(vals, row)
 }

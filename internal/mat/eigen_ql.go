@@ -11,22 +11,53 @@ import (
 // eigenvalues in descending order with matching eigenvector columns,
 // exactly like EigenSym, but runs in ~2n³ flops instead of Jacobi's
 // ~10n³–30n³ — this is the production path; the Jacobi solver remains
-// as the slow, unconditionally robust reference.
+// as the slow, unconditionally robust reference. It is the one-shot
+// form of SymEig.Decompose.
 func EigenSymQL(a *Dense) (vals []float64, v *Dense) {
+	var s SymEig
+	return s.Decompose(a)
+}
+
+// SymEig is the workspace of the full symmetric eigendecomposition
+// (EigenSymQL). The zero value is ready to use. A SymEig keeps its
+// buffers across calls, so repeated decompositions of same-sized
+// matrices allocate nothing; it is not safe for concurrent use.
+type SymEig struct {
+	v    Dense
+	vals []float64
+	e    []float64 // tridiagonal sub-diagonal, then the sort's row scratch
+	idx  []int
+}
+
+// Decompose is EigenSymQL computed in s's workspace: the returned
+// eigenvalues and eigenvectors are owned by s and valid until the next
+// call. The input is not modified. It panics if a is not square.
+func (s *SymEig) Decompose(a *Dense) (vals []float64, v *Dense) {
 	n := a.rows
 	if a.cols != n {
 		panic(fmt.Sprintf("mat: EigenSymQL of non-square %d×%d", a.rows, a.cols))
 	}
-	v = a.Clone()
-	d := make([]float64, n)
-	e := make([]float64, n)
+	s.v.Wrap(n, n, fit(s.v.data, n*n))
+	copy(s.v.data, a.data)
+	s.vals, s.e, s.idx = fit(s.vals, n), fit(s.e, n), fit(s.idx, n)
+	clear(s.vals)
+	clear(s.e)
 	if n == 0 {
-		return d, v
+		return s.vals, &s.v
 	}
-	tred2(v.data, n, d, e)
-	tql2(d, e, v.data, n)
-	sortEigenDesc(d, v)
-	return d, v
+	tred2(s.v.data, n, s.vals, s.e)
+	tql2(s.vals, s.e, s.v.data, n)
+	sortEigenDesc(s.vals, &s.v, s.idx, s.e)
+	return s.vals, &s.v
+}
+
+// fit returns b resized to length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func fit[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // tred2 reduces the symmetric matrix stored in v (n×n row-major) to

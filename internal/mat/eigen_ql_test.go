@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -150,4 +151,68 @@ func TestEigenSymQLAgreementProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSymEigReuse checks that a reused workspace answers bit for bit
+// like a fresh one as sizes shrink and grow, through ties and a zero
+// matrix, and that a same-sized decomposition allocates nothing.
+func TestSymEigReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	mats := []*Dense{randSym(rng, 7), Identity(4).Scale(3), randSym(rng, 12), NewDense(3, 3), randSym(rng, 25), randSym(rng, 2)}
+	var s SymEig
+	for i, a := range mats {
+		wantVals, wantV := EigenSymQL(a)
+		vals, v := s.Decompose(a)
+		if v.Rows() != a.Rows() || !sameBits(vals, wantVals) || !sameBits(v.Data(), wantV.Data()) {
+			t.Fatalf("matrix %d: reused workspace differs from a fresh one", i)
+		}
+	}
+	a := randSym(rng, 25)
+	if n := testing.AllocsPerRun(10, func() { s.Decompose(a) }); n != 0 {
+		t.Errorf("Decompose of a same-sized matrix allocates %v times", n)
+	}
+}
+
+// TestSortEigenDescMatchesSliceStable pins the eigenpair sort to the
+// permutation sort.SliceStable picks, with many ties and past its
+// 20-element insertion runs.
+func TestSortEigenDescMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, n := range []int{1, 5, 20, 21, 47} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(6))
+		}
+		v := randDense(rng, n, n)
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
+
+		gotVals, got := append([]float64(nil), vals...), v.Clone()
+		sortEigenDesc(gotVals, got, make([]int, n), make([]float64, n))
+		for newCol, oldCol := range idx {
+			if gotVals[newCol] != vals[oldCol] {
+				t.Fatalf("n=%d: value %d is %v, want %v", n, newCol, gotVals[newCol], vals[oldCol])
+			}
+			for r := 0; r < n; r++ {
+				if got.At(r, newCol) != v.At(r, oldCol) {
+					t.Fatalf("n=%d: column %d is not old column %d", n, newCol, oldCol)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

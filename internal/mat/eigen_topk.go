@@ -52,30 +52,18 @@ var machEps = math.Nextafter(1, 2) - 1
 
 func (s *SymEigTopK) resize(n int) {
 	s.n = n
-	if cap(s.w) < n*n {
-		s.w = make([]float64, n*n)
-	}
-	s.w = s.w[:n*n]
-	need := func(b []float64) []float64 {
-		if cap(b) < n {
-			return make([]float64, n)
-		}
-		return b[:n]
-	}
-	s.hs = need(s.hs)
-	s.diag = need(s.diag)
-	s.sub = need(s.sub)
-	s.vals = need(s.vals)
-	s.p = need(s.p)
-	s.bu = need(s.bu)
-	s.bv = need(s.bv)
-	s.bw = need(s.bw)
-	s.bm = need(s.bm)
-	s.rv = need(s.rv)
-	if cap(s.flip) < n {
-		s.flip = make([]bool, n)
-	}
-	s.flip = s.flip[:n]
+	s.w = fit(s.w, n*n)
+	s.hs = fit(s.hs, n)
+	s.diag = fit(s.diag, n)
+	s.sub = fit(s.sub, n)
+	s.vals = fit(s.vals, n)
+	s.p = fit(s.p, n)
+	s.bu = fit(s.bu, n)
+	s.bv = fit(s.bv, n)
+	s.bw = fit(s.bw, n)
+	s.bm = fit(s.bm, n)
+	s.rv = fit(s.rv, n)
+	s.flip = fit(s.flip, n)
 }
 
 // Values computes the eigenvalues of the symmetric matrix a in

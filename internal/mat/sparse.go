@@ -36,10 +36,21 @@ func NewSparseRow(idx []int, val []float64, d int) SparseRow {
 	return SparseRow{Idx: idx, Val: val}
 }
 
-// SparseFromDense extracts the non-zero entries of a dense row.
+// SparseFromDense extracts the non-zero entries of a dense row. It
+// counts them first, so each of the two slices is allocated once at
+// its final size; an all-zero row yields nil slices.
 func SparseFromDense(row []float64) SparseRow {
-	var idx []int
-	var val []float64
+	nnz := 0
+	for _, v := range row {
+		if v != 0 {
+			nnz++
+		}
+	}
+	if nnz == 0 {
+		return SparseRow{}
+	}
+	idx := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
 	for j, v := range row {
 		if v != 0 {
 			idx = append(idx, j)

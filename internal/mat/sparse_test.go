@@ -50,6 +50,10 @@ func TestSparseFromDenseRoundTrip(t *testing.T) {
 			t.Fatalf("round trip differs at %d", i)
 		}
 	}
+	// Counting first sizes each slice once.
+	if n := testing.AllocsPerRun(10, func() { SparseFromDense(dense) }); n != 2 {
+		t.Errorf("SparseFromDense allocates %v times, want 2", n)
+	}
 }
 
 func TestSparseRowEmptyEdges(t *testing.T) {

@@ -160,15 +160,21 @@ func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (inges
 	if len(updates) == 0 {
 		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
 	}
+	return s.acquireIngest(t, func() (ingestResponse, *apiError) { return s.ingestLocked(t, updates) })
+}
+
+// acquireIngest runs one ingest with the tenant acquired for its
+// duration. An unavailable tenant, and a rejected batch (clock
+// regressions, bad rows, sketch conflicts), land on the hot-key
+// sidecar's events plane.
+func (s *Server) acquireIngest(t *registry.Tenant, ingest func() (ingestResponse, *apiError)) (ingestResponse, *apiError) {
 	if err := t.Acquire(); err != nil {
 		s.hot.ObserveEvent(t.ID())
 		return ingestResponse{}, acquireError(t, err)
 	}
 	defer t.Release()
-	resp, apiErr := s.ingestLocked(t, updates)
+	resp, apiErr := ingest()
 	if apiErr != nil {
-		// Rejected batches (clock regressions, bad rows, sketch
-		// conflicts) land on the sidecar's events plane.
 		s.hot.ObserveEvent(t.ID())
 	}
 	return resp, apiErr
@@ -176,10 +182,6 @@ func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (inges
 
 // ingestLocked is the ingest core; the caller holds the tenant.
 func (s *Server) ingestLocked(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
-	d := t.D()
-	sk := t.Sketch()
-	prev, seen := t.Clock()
-	auditing := t == s.def && s.audit != nil
 	allDense := true
 	for _, u := range updates {
 		if len(u.Idx) > 0 || len(u.Val) > 0 {
@@ -188,41 +190,16 @@ func (s *Server) ingestLocked(t *registry.Tenant, updates []ingestUpdate) (inges
 		}
 	}
 	if allDense {
-		// Fast path: an all-dense batch goes through the sketch's bulk
-		// ingest in one call, amortising per-row bookkeeping.
-		rows := make([][]float64, 0, len(updates))
-		times := make([]float64, 0, len(updates))
+		rows := make([][]float64, len(updates))
+		times := make([]float64, len(updates))
 		for i, u := range updates {
-			if seen && u.T < prev {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: timestamp %v precedes %v", i, u.T, prev)
-			}
-			if len(u.Row) != d {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: row length %d, want %d", i, len(u.Row), d)
-			}
-			if err := checkFiniteVals(u.Row); err != nil {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: %v", i, err)
-			}
-			rows = append(rows, u.Row)
-			times = append(times, u.T)
-			prev, seen = u.T, true
+			rows[i], times[i] = u.Row, u.T
 		}
-		if apiErr := s.walAppendRows(t, rows, times); apiErr != nil {
-			return ingestResponse{}, apiErr
-		}
-		if err := applyBatch(sk, rows, times); err != nil {
-			return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
-				"ingest rejected by sketch: %v", err)
-		}
-		t.Commit(len(updates), prev)
-		s.hot.ObserveIngest(t.ID(), len(updates), 8*d*len(updates))
-		if auditing {
-			s.observeAudit(rows, times)
-		}
-		return ingestResponse{Accepted: len(updates), LastT: prev}, nil
+		return s.ingestDenseLocked(t, rows, times)
 	}
+	d := t.D()
+	prev, seen := t.Clock()
+	auditing := t == s.def && s.audit != nil
 	rows := make([]func(), 0, len(updates))
 	// The WAL logs dense row blocks (replay has no sparse path), so a
 	// sparse batch densifies when either the auditor or the WAL needs
@@ -270,6 +247,43 @@ func (s *Server) ingestLocked(t *registry.Tenant, updates []ingestUpdate) (inges
 		s.observeAudit(denseRows, denseTimes)
 	}
 	return ingestResponse{Accepted: len(updates), LastT: prev}, nil
+}
+
+// ingestDenseLocked applies an all-dense batch, rows[i] arriving at
+// times[i], through the sketch's bulk ingest in one call, amortising
+// per-row bookkeeping. Binary stream frames arrive here directly. The
+// caller holds the tenant; nothing retains rows or times.
+func (s *Server) ingestDenseLocked(t *registry.Tenant, rows [][]float64, times []float64) (ingestResponse, *apiError) {
+	d := t.D()
+	prev, seen := t.Clock()
+	for i, row := range rows {
+		if seen && times[i] < prev {
+			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
+				"update %d: timestamp %v precedes %v", i, times[i], prev)
+		}
+		if len(row) != d {
+			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
+				"update %d: row length %d, want %d", i, len(row), d)
+		}
+		if err := checkFiniteVals(row); err != nil {
+			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
+				"update %d: %v", i, err)
+		}
+		prev, seen = times[i], true
+	}
+	if apiErr := s.walAppendRows(t, rows, times); apiErr != nil {
+		return ingestResponse{}, apiErr
+	}
+	if err := applyBatch(t.Sketch(), rows, times); err != nil {
+		return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
+			"ingest rejected by sketch: %v", err)
+	}
+	t.Commit(len(rows), prev)
+	s.hot.ObserveIngest(t.ID(), len(rows), 8*d*len(rows))
+	if t == s.def && s.audit != nil {
+		s.observeAudit(rows, times)
+	}
+	return ingestResponse{Accepted: len(rows), LastT: prev}, nil
 }
 
 // observeAudit feeds freshly ingested default-tenant rows to the

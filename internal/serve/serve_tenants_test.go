@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"swsketch/internal/binenc"
 	"swsketch/internal/core"
 	"swsketch/internal/registry"
 	"swsketch/internal/window"
@@ -416,6 +418,82 @@ func TestTenantSnapshotRoutes(t *testing.T) {
 	dstB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/dst/approximation?t=2", "").Body)
 	if !bytes.Equal(srcB, dstB) {
 		t.Fatal("restored tenant answers differently from the source")
+	}
+}
+
+// TestSnapshotRestoreRejectsAllocationBombs posts three ~100-byte
+// snapshots that each made the decoder die with "runtime: out of
+// memory": an LM-FD raw row claiming 2³¹−1 non-zeros, an LM-FD header
+// claiming d = 2³¹−1 ahead of a sketched block, and an SWR header
+// claiming 2³¹−1 queues. Each must get 400 invalid_argument, and the
+// server must keep serving.
+func TestSnapshotRestoreRejectsAllocationBombs(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	doReq(t, "PUT", ts.URL+"/v2/tenants/lm", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/swr",
+		`{"framework":"swr","window":"sequence","size":64,"d":3,"ell":8}`).Body.Close()
+
+	// Snapshot headers as internal/core writes them: magic, window
+	// kind and size, then the sketch's own fields.
+	header := func(magic uint64, d int) *binenc.Writer {
+		w := binenc.NewWriter()
+		w.U64(magic)
+		w.Int(int(window.Sequence))
+		w.F64(64)
+		w.Int(d)
+		return w
+	}
+	const lmMagic, swrMagic = 0x4C4D4644_00000001, 0x53575253_00000001
+	lmRest := func(w *binenc.Writer, levels int) { // ℓ, b, lastT, seen, levels
+		w.F64(8)
+		w.Int(4)
+		w.F64(0)
+		w.Bool(false)
+		w.Int(levels)
+	}
+	block := func(w *binenc.Writer, sketched bool) {
+		for i := 0; i < 4; i++ {
+			w.F64(0)
+		}
+		w.Bool(sketched)
+	}
+
+	rawRow := header(lmMagic, 3)
+	lmRest(rawRow, 0)
+	block(rawRow, false)
+	rawRow.Int(1)
+	rawRow.Int(math.MaxInt32)
+
+	dim := header(lmMagic, math.MaxInt32)
+	lmRest(dim, 1)
+	dim.Int(1)
+	block(dim, true)
+	dim.Blob(nil)
+
+	queues := header(swrMagic, 3)
+	queues.Int(math.MaxInt32)
+	queues.F64(0)
+	queues.Bool(false)
+
+	for _, c := range []struct {
+		name, tenant string
+		blob         []byte
+	}{
+		{"lm-fd raw row nnz", "lm", rawRow.Bytes()},
+		{"lm-fd header d", "lm", dim.Bytes()},
+		{"swr header ell", "swr", queues.Bytes()},
+	} {
+		resp, err := http.Post(ts.URL+"/v2/tenants/"+c.tenant+"/snapshot", "application/octet-stream",
+			bytes.NewReader(c.blob))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		wantEnvelope(t, resp, http.StatusBadRequest, CodeInvalidArgument)
+	}
+	resp := postJSON(t, ts.URL+"/v2/tenants/lm/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest after the rejected restores: status %d", resp.StatusCode)
 	}
 }
 

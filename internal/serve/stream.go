@@ -164,7 +164,7 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 		if len(batch) == 0 {
 			return true
 		}
-		ok := c.block(batch)
+		ok := c.block(func() (ingestResponse, *apiError) { return c.s.ingestLocked(c.t, batch) })
 		batch = batch[:0]
 		return ok
 	}
@@ -196,10 +196,14 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 	flush()
 }
 
-// runFrames consumes length-prefixed binenc row blocks.
+// runFrames consumes length-prefixed binenc row blocks. One frame's
+// storage is reused for every frame of the connection: the sketches
+// copy what they keep, so nothing references it once a block is
+// acked.
 func (c *streamConn) runFrames(body io.Reader) {
 	br := bufio.NewReader(body)
 	var lenBuf [4]byte
+	var f frame
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -214,66 +218,85 @@ func (c *streamConn) runFrames(body io.Reader) {
 				msg: fmt.Sprintf("frame length %d out of range", n)})
 			return
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if cap(f.payload) < int(n) {
+			f.payload = make([]byte, n)
+		}
+		f.payload = f.payload[:n]
+		if _, err := io.ReadFull(br, f.payload); err != nil {
 			c.fail(&apiError{code: CodeInvalidArgument,
 				msg: fmt.Sprintf("torn frame: %v", err)})
 			return
 		}
-		updates, err := decodeFrame(payload, c.t.D())
-		if err != nil {
+		if err := decodeFrame(f.payload, c.t.D(), &f); err != nil {
 			// A bad frame is unrecoverable: the next length prefix cannot
 			// be trusted, so ack the failure and close.
 			c.fail(&apiError{code: CodeInvalidArgument, msg: err.Error()})
 			return
 		}
-		if !c.block(updates) {
+		if !c.block(func() (ingestResponse, *apiError) { return c.s.ingestDenseLocked(c.t, f.rows, f.times) }) {
 			return
 		}
 	}
 }
 
-// decodeFrame parses one binary frame payload into dense updates.
-func decodeFrame(payload []byte, wantD int) ([]ingestUpdate, error) {
+// frame is a binary frame's decode target, reused across a
+// connection's frames: the payload bytes, then the decoded n×d row
+// block (rows views its contiguous storage) and the rows' times.
+type frame struct {
+	payload []byte
+	block   []float64
+	rows    [][]float64
+	times   []float64
+}
+
+// decodeFrame parses one binary frame payload into f's rows and times,
+// reusing f's storage. On error f's contents are unspecified.
+func decodeFrame(payload []byte, wantD int, f *frame) error {
 	r := binenc.NewReader(payload)
 	n, d := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("frame header: %w", err)
+		return fmt.Errorf("frame header: %w", err)
 	}
 	if n < 1 || d != wantD {
-		return nil, fmt.Errorf("frame claims %d rows of dimension %d, want dimension %d", n, d, wantD)
+		return fmt.Errorf("frame claims %d rows of dimension %d, want dimension %d", n, d, wantD)
 	}
 	// Bound the claimed block by the bytes actually present before
 	// allocating (d is server-known and small, so n*(d+1) cannot
 	// overflow once n passes the first gate).
 	if n > r.Rest()/8 || n*(d+1) > r.Rest()/8 {
-		return nil, fmt.Errorf("frame claims %d×%d block, only %d bytes follow", n, d, r.Rest())
+		return fmt.Errorf("frame claims %d×%d block, only %d bytes follow", n, d, r.Rest())
 	}
-	times := make([]float64, n)
-	for i := range times {
-		times[i] = r.F64()
+	if cap(f.times) < n {
+		f.times = make([]float64, n)
+		f.rows = make([][]float64, n)
 	}
-	updates := make([]ingestUpdate, n)
-	for i := range updates {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = r.F64()
-		}
-		updates[i] = ingestUpdate{Row: row, T: times[i]}
+	if cap(f.block) < n*d {
+		f.block = make([]float64, n*d)
+	}
+	f.times, f.rows, f.block = f.times[:n], f.rows[:n], f.block[:n*d]
+	for i := range f.times {
+		f.times[i] = r.F64()
+	}
+	for i := range f.block {
+		f.block[i] = r.F64()
+	}
+	for i := range f.rows {
+		f.rows[i] = f.block[i*d : (i+1)*d : (i+1)*d]
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("frame body: %w", err)
+		return fmt.Errorf("frame body: %w", err)
 	}
 	if r.Rest() != 0 {
-		return nil, fmt.Errorf("frame has %d trailing bytes", r.Rest())
+		return fmt.Errorf("frame has %d trailing bytes", r.Rest())
 	}
-	return updates, nil
+	return nil
 }
 
-// block admits one batch through the backpressure gate, applies it,
-// and acks the outcome. It reports whether the stream should continue
-// (only an unwritable ack stops it).
-func (c *streamConn) block(updates []ingestUpdate) bool {
+// block admits one batch through the backpressure gate, applies it
+// with ingest under the tenant, and acks the outcome. It reports
+// whether the stream should continue (only an unwritable ack stops
+// it).
+func (c *streamConn) block(ingest func() (ingestResponse, *apiError)) bool {
 	if !c.t.TryEnqueue(c.s.streamQueue) {
 		if c.s.streamShed != nil {
 			c.s.streamShed.Inc()
@@ -281,7 +304,7 @@ func (c *streamConn) block(updates []ingestUpdate) bool {
 		return c.fail(&apiError{code: CodeOverloaded,
 			msg: fmt.Sprintf("tenant %q has %d stream blocks in flight", c.t.ID(), c.t.Pending())})
 	}
-	resp, apiErr := c.s.ingestTenant(c.t, updates)
+	resp, apiErr := c.s.acquireIngest(c.t, ingest)
 	c.t.Dequeue()
 	if apiErr != nil {
 		return c.ack(apiErr, 0, 0)

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"swsketch/internal/mat"
 	"swsketch/internal/trace"
@@ -39,7 +40,8 @@ import (
 // implementation detail, exposed via Stats as buffer_cap.
 //
 // The buffer is grown lazily from ℓ toward b·ℓ, so sketches that
-// never fill (e.g. small LM blocks) keep the classic memory footprint.
+// never fill (e.g. small LM blocks) keep the classic memory footprint;
+// a restored sketch's buffer starts at its restored rows.
 type FD struct {
 	ell   int // sketch size: the rows-stored measure and shrink target scale
 	d     int
@@ -120,6 +122,16 @@ func (o FDOpts) Normalize() FDOpts {
 // SetTracer attaches a tracer; each shrink emits an fd_shrink span.
 func (f *FD) SetTracer(tr *trace.Tracer) { f.tr = tr }
 
+// Reset empties the sketch for reuse with its configuration (ℓ, d, b,
+// α): it clears the occupied rows, the shrink count, Δ, the last
+// amortization factor and the tracer, and keeps the working buffer and
+// shrink scratch. A reset sketch behaves exactly like a new one; the
+// buffer rows beyond Used are never read.
+func (f *FD) Reset() {
+	f.used, f.shrinks, f.delta, f.lastAmort = 0, 0, 0, 0
+	f.tr = nil
+}
+
 // NewFD returns a FrequentDirections sketch with at most ell rows over
 // dimension d, using the classic shrink cadence. It panics unless
 // ell ≥ 2 and d ≥ 1.
@@ -162,10 +174,11 @@ func (f *FD) ensureRoom() {
 	f.shrink()
 }
 
-// grow doubles the buffer capacity (capped at b·ℓ), preserving the
-// occupied rows.
+// grow doubles the buffer capacity, to at least ℓ and at most b·ℓ
+// rows, preserving the occupied rows. (A restored sketch starts with
+// only its restored rows.)
 func (f *FD) grow() {
-	rows := f.buf.Rows() * 2
+	rows := max(f.buf.Rows()*2, f.ell)
 	if rows > f.m {
 		rows = f.m
 	}
@@ -221,8 +234,14 @@ func (f *FD) UpdateDense(block *mat.Dense) {
 	if block.Cols() != f.d {
 		panic(fmt.Sprintf("stream: FD dense block has %d columns, want %d", block.Cols(), f.d))
 	}
-	total := block.Rows()
-	src := block.Data()
+	f.appendRows(block.Data())
+}
+
+// appendRows inserts the row-major rows of src (a multiple of d long)
+// with one contiguous copy per run of free buffer slots between
+// shrinks.
+func (f *FD) appendRows(src []float64) {
+	total := len(src) / f.d
 	i := 0
 	for i < total {
 		f.ensureRoom()
@@ -274,13 +293,12 @@ func (f *FD) shrink() {
 	if f.spare == nil || f.spare.Rows() != f.buf.Rows() {
 		f.spare = mat.NewDense(f.buf.Rows(), f.d)
 	}
-	sub := mat.NewDenseData(n, f.d, f.buf.Data()[:n*f.d])
 
 	var kept int
 	if f.bfac == 1 && f.alpha == 1 {
-		kept = f.shrinkClassic(sub, n)
+		kept = f.shrinkClassic(n)
 	} else {
-		kept = f.shrinkFast(sub, n)
+		kept = f.shrinkFast(mat.NewDenseData(n, f.d, f.buf.Data()[:n*f.d]), n)
 	}
 	f.buf, f.spare = f.spare, f.buf
 	f.used = kept
@@ -291,12 +309,34 @@ func (f *FD) shrink() {
 	}
 }
 
+// classicScratch is the classic shrink's working set: the Gram and Uᵀ
+// storage, the full eigensolver, and the matrix headers viewing them
+// and the sketch's buffers. An LM-FD window holds dozens of small
+// block sketches and builds a query accumulator per query, so the
+// working set is pooled across sketches instead of owned by each.
+type classicScratch struct {
+	sub, gram, ut, dst mat.Dense
+	eig                mat.SymEig
+	mem                []float64 // n×n: the Gram matrix, then Uᵀ
+}
+
+var classicPool = sync.Pool{New: func() any { return new(classicScratch) }}
+
 // shrinkClassic is the historical single-buffer shrink: eigendecompose
 // BBᵀ (ℓ×ℓ) with the full QL solver and rebuild survivors as UᵀB. It
-// is kept verbatim (modulo the hoisted transpose copy) so classic
-// sketches stay bit-identical across versions.
-func (f *FD) shrinkClassic(sub *mat.Dense, n int) int {
-	vals, u := mat.EigenSym(sub.GramT()) // n×n, descending σ²
+// keeps the historical arithmetic, so classic sketches stay
+// bit-identical across versions; only its scratch comes from
+// classicPool.
+func (f *FD) shrinkClassic(n int) int {
+	sc := classicPool.Get().(*classicScratch)
+	defer classicPool.Put(sc)
+	if cap(sc.mem) < n*n {
+		sc.mem = make([]float64, n*n)
+	}
+	sub := sc.sub.Wrap(n, f.d, f.buf.Data()[:n*f.d])
+	gram := sc.gram.Wrap(n, n, sc.mem[:n*n])
+	mat.GramTInto(gram, sub)
+	vals, u := sc.eig.Decompose(gram) // n×n, descending σ²
 
 	lambda := shrinkLambda(vals, f.shrinkIdx())
 	f.delta += lambda
@@ -312,10 +352,11 @@ func (f *FD) shrinkClassic(sub *mat.Dense, n int) int {
 	if kept > 0 {
 		// Surviving rows in one shot: rows = Uᵀ·sub, computed by the
 		// blocked kernel into a kept×d view of the spare buffer, then
-		// rescaled per row by sqrt((σ²_k − λ)/σ²_k).
-		ut := mat.NewDense(kept, n)
+		// rescaled per row by sqrt((σ²_k − λ)/σ²_k). Decompose copied
+		// the Gram matrix, so Uᵀ reuses its storage.
+		ut := sc.ut.Wrap(kept, n, sc.mem[:kept*n])
 		mat.TransposeInto(ut, u, kept)
-		dst := mat.NewDenseData(kept, f.d, out.Data()[:kept*f.d])
+		dst := sc.dst.Wrap(kept, f.d, out.Data()[:kept*f.d])
 		mat.MulTo(dst, ut, sub)
 		for k := 0; k < kept; k++ {
 			s2 := vals[k]
@@ -428,6 +469,9 @@ func (f *FD) Used() int { return f.used }
 // Ell returns the configured sketch size.
 func (f *FD) Ell() int { return f.ell }
 
+// Dim returns the row dimension d.
+func (f *FD) Dim() int { return f.d }
+
 // BufferFactor returns the working-buffer factor b.
 func (f *FD) BufferFactor() int { return f.bfac }
 
@@ -481,10 +525,7 @@ func (f *FD) Merge(other Mergeable) {
 	if o.d != f.d {
 		panic(fmt.Sprintf("stream: FD.Merge dimension %d vs %d", o.d, f.d))
 	}
-	if o.used == 0 {
-		return
-	}
-	f.UpdateDense(mat.NewDenseData(o.used, o.d, o.buf.Data()[:o.used*o.d]))
+	f.appendRows(o.buf.Data()[:o.used*o.d])
 }
 
 // CloneEmpty returns a fresh FD with the same ℓ, d, and buffer

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swsketch/internal/binenc"
+	"swsketch/internal/mat"
 )
 
 // FD snapshot format versions. Classic sketches (b=1, α=1) write v1 —
@@ -16,11 +17,11 @@ const (
 	fdMagicV2 = uint64(0x46445348_00000002) // "FDSH" v2: v1 + (b, α) geometry
 )
 
-// Decode limits: far above any sane configuration, low enough that a
-// short corrupt or adversarial snapshot cannot demand a giant
-// allocation before row data is validated. fdMaxBuffer bounds the
-// buffer factor, fdMaxDim each of ℓ and d, and fdMaxElems their
-// product — the ℓ×d working buffer the decoder allocates eagerly.
+// Decode limits: far above any sane configuration, so a corrupt or
+// adversarial snapshot cannot restore a sketch whose first update
+// demands a giant buffer. fdMaxBuffer bounds the buffer factor,
+// fdMaxDim each of ℓ and d, and fdMaxElems their product — the ℓ×d
+// buffer the sketch grows to.
 const (
 	fdMaxBuffer = 1 << 16
 	fdMaxDim    = 1 << 24
@@ -92,10 +93,9 @@ func (f *FD) UnmarshalBinary(data []byte) error {
 	if used > r.Rest()/rowBytes || r.Rest() != used*rowBytes {
 		return fmt.Errorf("stream: FD snapshot payload is %d bytes, want %d for %d rows", r.Rest(), used*rowBytes, used)
 	}
-	restored := NewFDOpts(ell, d, FDOpts{Buffer: bfac, Alpha: alpha})
-	for restored.buf.Rows() < used {
-		restored.grow()
-	}
+	// The buffer holds just the restored rows, so the decode allocates
+	// in proportion to its input; the first update grows it.
+	restored := &FD{ell: ell, d: d, bfac: bfac, alpha: alpha, m: bfac * ell, buf: mat.NewDense(used, d)}
 	for i := 0; i < used; i++ {
 		row := r.F64s()
 		if r.Err() != nil {

@@ -404,7 +404,7 @@ func (x *ExactNorms) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	kind := Kind(r.Int())
 	size := r.F64()
-	n := r.Int()
+	n := r.Count(r.Int(), 16) // each item is a (t, w) pair
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("window: norms snapshot: %w", err)
 	}
@@ -415,6 +415,7 @@ func (x *ExactNorms) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("window: norms snapshot has bad size %v", size)
 	}
 	restored := ExactNorms{spec: Spec{Kind: kind, Size: size}}
+	restored.items = make([]struct{ t, w float64 }, 0, n)
 	for i := 0; i < n; i++ {
 		t := r.F64()
 		w := r.F64()

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -290,6 +291,18 @@ func TestExactNormsSnapshotRejectsBadData(t *testing.T) {
 	b2, _ := good.MarshalBinary()
 	if err := x.UnmarshalBinary(append(b2, 1)); err == nil {
 		t.Fatal("expected trailing-bytes error")
+	}
+	// A 24-byte blob claiming 1.7e9 items: the decoder must reject the
+	// count before growing the item list (it used to run out of memory).
+	empty, _ := NewExactNorms(Seq(5)).MarshalBinary()
+	binary.LittleEndian.PutUint64(empty[16:], 0x64000000)
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := x.UnmarshalBinary(empty); err == nil {
+			t.Fatal("expected hostile-count error")
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("hostile count allocated %v objects", allocs)
 	}
 }
 
