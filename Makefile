@@ -63,14 +63,17 @@ conformance:
 # Short fuzzing pass over the stateful structures and the decoders of
 # untrusted bytes.
 fuzz:
-	$(GO) test -fuzz FuzzEstimate -fuzztime 30s ./internal/eh
-	$(GO) test -fuzz FuzzLMFD -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzSWOR -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzDSFDUnmarshal -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzLMUnmarshal -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzSWRUnmarshal -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/obs/hh
-	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/serve
+	$(GO) test -fuzz '^FuzzEstimate$$' -fuzztime 30s ./internal/eh
+	$(GO) test -fuzz '^FuzzLMFD$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzSWOR$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzDSFDUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzLMUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime 30s ./internal/wal
+	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/obs/hh
+	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/serve
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

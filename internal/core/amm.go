@@ -112,18 +112,26 @@ func NewDIAMM(cfg DIConfig, dA, dB int) *AMM {
 
 // NewDIAMMOpts is NewDIAMM with COD buffer tuning (see NewLMAMMOpts).
 func NewDIAMMOpts(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
+	a := newDIAMM(cfg, dA, dB, o)
+	a.inner.(*DI).openActives()
+	return a
+}
+
+// newDIAMM builds a DI-AMM whose per-level actives are still nil, for
+// NewDIAMMOpts to open or a restore to fill from its snapshot.
+func newDIAMM(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
 	checkAmmDims(dA, dB)
 	c := cfg.validate()
 	o = o.Normalize()
-	di := NewDI(cfg, dA+dB, "DI-AMM", func(level, _ int) stream.Sketch {
-		ell := c.levelEll(level)
-		if ell < 2 {
-			ell = 2
-		}
-		return stream.NewCODOpts(ell, dA, dB, o)
+	di := newDI(cfg, dA+dB, "DI-AMM", func(level, _ int) stream.Sketch {
+		return stream.NewCODOpts(diAMMLevelEll(c, level), dA, dB, o)
 	})
 	return &AMM{inner: di, dA: dA, dB: dB, kind: ammKindDI, opts: o, dicfg: c}
 }
+
+// diAMMLevelEll is the ℓ of DI-AMM's co-sketches at a level: DI's
+// level size, at least the 2 rows COD needs.
+func diAMMLevelEll(c DIConfig, level int) int { return max(c.levelEll(level), 2) }
 
 // AutoAMM returns an LM-lifted co-sketch sized for target relative AMM
 // error eps. Calibration mirrors AutoLMFD: COD's product error scales

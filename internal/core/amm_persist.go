@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"swsketch/internal/binenc"
-	"swsketch/internal/mat"
 	"swsketch/internal/stream"
 	"swsketch/internal/trace"
 )
@@ -12,16 +12,12 @@ import (
 // AMM snapshot format: one outer header (kind, side dimensions, COD
 // buffer tuning) followed by a kind-specific body that serialises the
 // inner framework's full deterministic state with COD blobs per block.
-// The LM body mirrors the LM-FD codec; the DI body is the first
-// persisted DI state — deliberately scoped to AMM (a MarshalBinary on
-// *DI itself would silently flip di-fd tenants from "snapshot
-// unsupported" to supported, changing the serving API's behaviour).
+// The LM body is LM-FD's (LM.writeBody/readBody) with COD blobs in
+// place of FD blobs; the DI body is the first persisted DI state —
+// deliberately scoped to AMM (a MarshalBinary on *DI itself would
+// silently flip di-fd tenants from "snapshot unsupported" to
+// supported, changing the serving API's behaviour).
 const ammMagic = uint64(0x414D4D53_00000001) // "AMMS" v1
-
-// ammMaxCount bounds every count field the decoder allocates for; far
-// above sane configurations, low enough that short corrupt input
-// cannot demand a giant allocation before its payload is validated.
-const ammMaxCount = 1 << 24
 
 // MarshalBinary snapshots the co-sketch: outer geometry plus the full
 // inner-framework state. AMM is deterministic end to end (COD shrinks
@@ -62,18 +58,7 @@ func (a *AMM) marshalLM(w *binenc.Writer) error {
 	writeSpec(w, a.spec)
 	w.Int(a.ell)
 	w.Int(a.b)
-	w.F64(l.lastT)
-	w.Bool(l.seen)
-	w.Int(len(l.levels))
-	for _, lv := range l.levels {
-		w.Int(len(lv))
-		for i := range lv {
-			if err := writeAMMBlock(w, &lv[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return writeAMMBlock(w, &l.active)
+	return l.writeBody(w, writeCODBlob)
 }
 
 func (a *AMM) marshalDI(w *binenc.Writer) error {
@@ -137,107 +122,19 @@ func writeCODBlob(w *binenc.Writer, sk stream.Sketch) error {
 	return nil
 }
 
-func readCODBlob(r *binenc.Reader, dA, dB int) (*stream.COD, error) {
-	cod := stream.NewCOD(2, 1, 1) // shape overwritten by the snapshot
+// readCODBlob decodes a co-sketch, which must have the shape the
+// framework's factory builds, ℓ×(dA, dB) with tuning o, for the reasons
+// readFDBlob gives.
+func readCODBlob(r *binenc.Reader, ell, dA, dB int, o stream.FDOpts) (*stream.COD, error) {
+	cod := new(stream.COD)
 	if err := cod.UnmarshalBinary(r.Blob()); err != nil {
 		return nil, err
 	}
-	if cod.DimA() != dA || cod.DimB() != dB {
-		return nil, fmt.Errorf("core: AMM snapshot COD dims (%d,%d), want (%d,%d)", cod.DimA(), cod.DimB(), dA, dB)
+	if cod.Ell() != ell || cod.DimA() != dA || cod.DimB() != dB || cod.BufferFactor() != o.Buffer || cod.Alpha() != o.Alpha {
+		return nil, fmt.Errorf("COD has ℓ=%d dims (%d,%d) buffer=%d alpha=%v, want ℓ=%d dims (%d,%d) buffer=%d alpha=%v",
+			cod.Ell(), cod.DimA(), cod.DimB(), cod.BufferFactor(), cod.Alpha(), ell, dA, dB, o.Buffer, o.Alpha)
 	}
 	return cod, nil
-}
-
-func writeSparseRow(w *binenc.Writer, row mat.SparseRow, t float64) {
-	w.Int(len(row.Idx))
-	for _, ix := range row.Idx {
-		w.Int(ix)
-	}
-	w.F64s(row.Val)
-	w.F64(t)
-}
-
-func readSparseRow(r *binenc.Reader, d int) (mat.SparseRow, float64, error) {
-	nnz := r.Int()
-	if r.Err() != nil {
-		return mat.SparseRow{}, 0, r.Err()
-	}
-	if nnz < 0 || nnz > d {
-		return mat.SparseRow{}, 0, fmt.Errorf("core: AMM snapshot sparse row has %d indices for d=%d", nnz, d)
-	}
-	idx := make([]int, nnz)
-	prev := -1
-	for k := range idx {
-		idx[k] = r.Int()
-		if r.Err() == nil && (idx[k] <= prev || idx[k] >= d) {
-			return mat.SparseRow{}, 0, fmt.Errorf("core: AMM snapshot sparse index %d invalid for d=%d", idx[k], d)
-		}
-		prev = idx[k]
-	}
-	val := r.F64s()
-	t := r.F64()
-	if r.Err() != nil {
-		return mat.SparseRow{}, 0, r.Err()
-	}
-	if len(val) != nnz {
-		return mat.SparseRow{}, 0, fmt.Errorf("core: AMM snapshot row has %d indices, %d values", nnz, len(val))
-	}
-	return mat.SparseRow{Idx: idx, Val: val}, t, nil
-}
-
-// writeAMMBlock mirrors writeLMBlock with COD block sketches.
-func writeAMMBlock(w *binenc.Writer, blk *lmBlock) error {
-	w.F64(blk.start)
-	w.F64(blk.end)
-	w.F64(blk.size)
-	w.F64(blk.singletonCap)
-	if blk.sk == nil {
-		w.Bool(false)
-		w.Int(len(blk.raw))
-		for i, row := range blk.raw {
-			writeSparseRow(w, row, blk.rawTimes[i])
-		}
-		return nil
-	}
-	w.Bool(true)
-	return writeCODBlob(w, blk.sk)
-}
-
-func readAMMBlock(r *binenc.Reader, dA, dB int) (lmBlock, error) {
-	blk := lmBlock{
-		start:        r.F64(),
-		end:          r.F64(),
-		size:         r.F64(),
-		singletonCap: r.F64(),
-	}
-	sketched := r.Bool()
-	if r.Err() != nil {
-		return blk, r.Err()
-	}
-	if !sketched {
-		n := r.Int()
-		if r.Err() != nil {
-			return blk, r.Err()
-		}
-		if n < 0 || n > ammMaxCount || n > r.Rest()/8 {
-			return blk, fmt.Errorf("core: AMM snapshot block declares %d raw rows", n)
-		}
-		for i := 0; i < n; i++ {
-			row, t, err := readSparseRow(r, dA+dB)
-			if err != nil {
-				return blk, err
-			}
-			blk.raw = append(blk.raw, row)
-			blk.rawTimes = append(blk.rawTimes, t)
-		}
-		return blk, r.Err()
-	}
-	cod, err := readCODBlob(r, dA, dB)
-	if err != nil {
-		return blk, err
-	}
-	blk.sk = cod
-	return blk, nil
 }
 
 // UnmarshalBinary restores an AMM snapshot into the receiver,
@@ -255,7 +152,8 @@ func (a *AMM) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: AMM snapshot: %w", err)
 	}
-	if dA < 1 || dB < 1 || dA > ammMaxCount || dB > ammMaxCount {
+	// The stacked dimension dA+dB must not overflow.
+	if dA < 1 || dB < 1 || dA > math.MaxInt-dB {
 		return fmt.Errorf("core: AMM snapshot has invalid dims dA=%d dB=%d", dA, dB)
 	}
 	if opts.Buffer < 1 || !(opts.Alpha > 0 && opts.Alpha <= 1) {
@@ -294,44 +192,26 @@ func unmarshalLMAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 	}
 	ell := r.Int()
 	b := r.Int()
-	lastT := r.F64()
-	seen := r.Bool()
-	nLevels := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if ell < 2 || b < 2 || nLevels < 0 || nLevels > ammMaxCount {
-		return nil, fmt.Errorf("shape ell=%d b=%d levels=%d", ell, b, nLevels)
+	if ell < 2 || b < 2 {
+		return nil, fmt.Errorf("shape ell=%d b=%d", ell, b)
 	}
 	restored := NewLMAMMOpts(spec, dA, dB, ell, b, opts)
-	l := restored.inner.(*LM)
-	l.lastT, l.seen = lastT, seen
-	for i := 0; i < nLevels; i++ {
-		n := r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if n < 0 || n > ammMaxCount || n > r.Rest()/8 {
-			return nil, fmt.Errorf("level %d declares %d blocks", i, n)
-		}
-		var lv []lmBlock
-		for j := 0; j < n; j++ {
-			blk, err := readAMMBlock(r, dA, dB)
-			if err != nil {
-				return nil, err
-			}
-			lv = append(lv, blk)
-		}
-		l.levels = append(l.levels, lv)
-	}
-	active, err := readAMMBlock(r, dA, dB)
-	if err != nil {
-		return nil, err
-	}
-	l.active = active
-	return restored, nil
+	err = restored.inner.(*LM).readBody(r, func(r *binenc.Reader) (stream.Mergeable, error) {
+		return readCODBlob(r, ell, dA, dB, opts)
+	})
+	return restored, err
 }
 
+// diBlockMinBytes is the encoded size of a DI block without its blob's
+// bytes: two indices, two times and the blob length.
+const diBlockMinBytes = 5 * 8
+
+// unmarshalDIAMM rebuilds a DI-AMM from its snapshot body. The
+// per-level active co-sketches come from their decoded blobs, so
+// nothing is allocated for them ahead of the bytes that carry them.
 func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, error) {
 	cfg := DIConfig{N: r.Int(), R: r.F64(), L: r.Int(), Ell: r.Int(), MinEll: r.Int(), RSlack: r.F64()}
 	if err := r.Err(); err != nil {
@@ -340,7 +220,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 	if cfg.N < 1 || cfg.R < 1 || cfg.L < 1 || cfg.L > 26 || cfg.Ell < 2 || cfg.MinEll < 1 || cfg.RSlack < 1 {
 		return nil, fmt.Errorf("invalid DI config %+v", cfg)
 	}
-	restored := NewDIAMMOpts(cfg, dA, dB, opts)
+	restored := newDIAMM(cfg, dA, dB, opts)
 	s := restored.inner.(*DI)
 	s.m = r.Int()
 	s.curSize = r.F64()
@@ -357,13 +237,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 		return nil, fmt.Errorf("negative block counter %d", s.m)
 	}
 	for i := 0; i < cfg.L; i++ {
-		n := r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if n < 0 || n > ammMaxCount || n > r.Rest()/8 {
-			return nil, fmt.Errorf("level %d declares %d blocks", i+1, n)
-		}
+		n := r.Count(r.Int(), diBlockMinBytes)
 		for j := 0; j < n; j++ {
 			blk := diBlock{startIdx: r.Int(), endIdx: r.Int(), startT: r.F64(), endT: r.F64()}
 			if r.Err() != nil {
@@ -372,7 +246,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 			if blk.startIdx < 1 || blk.endIdx < blk.startIdx {
 				return nil, fmt.Errorf("level %d block spans [%d,%d]", i+1, blk.startIdx, blk.endIdx)
 			}
-			cod, err := readCODBlob(r, dA, dB)
+			cod, err := readCODBlob(r, diAMMLevelEll(cfg, i+1), dA, dB, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -381,7 +255,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 		}
 	}
 	for i := 0; i < cfg.L; i++ {
-		cod, err := readCODBlob(r, dA, dB)
+		cod, err := readCODBlob(r, diAMMLevelEll(cfg, i+1), dA, dB, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -392,13 +266,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 			return nil, fmt.Errorf("active %d has %d rows", i+1, s.activeRows[i])
 		}
 	}
-	n := r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n < 0 || n > ammMaxCount || n > r.Rest()/8 {
-		return nil, fmt.Errorf("open block declares %d raw rows", n)
-	}
+	n := r.Count(r.Int(), lmRawRowMinBytes)
 	for i := 0; i < n; i++ {
 		row, t, err := readSparseRow(r, dA+dB)
 		if err != nil {
@@ -407,5 +275,5 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 		s.raw = append(s.raw, row)
 		s.rawTimes = append(s.rawTimes, t)
 	}
-	return restored, nil
+	return restored, r.Err()
 }

@@ -150,6 +150,21 @@ func (s *DI) mkSketch(level int) stream.Sketch {
 // NewDI builds a Dyadic Interval sketch from a per-level streaming
 // sketch factory.
 func NewDI(cfg DIConfig, d int, name string, factory func(level, d int) stream.Sketch) *DI {
+	di := newDI(cfg, d, name, factory)
+	di.openActives()
+	return di
+}
+
+// openActives gives every level a fresh active sketch.
+func (s *DI) openActives() {
+	for i := range s.actives {
+		s.actives[i] = s.factory(i+1, s.d)
+	}
+}
+
+// newDI builds a DI whose per-level active sketches are still nil, for
+// NewDI to open or a restore to fill from its snapshot.
+func newDI(cfg DIConfig, d int, name string, factory func(level, d int) stream.Sketch) *DI {
 	cfg = cfg.validate()
 	if d < 1 {
 		panic(fmt.Sprintf("core: DI needs d ≥ 1, got %d", d))
@@ -165,9 +180,6 @@ func NewDI(cfg DIConfig, d int, name string, factory func(level, d int) stream.S
 	di.actives = make([]stream.Sketch, cfg.L)
 	di.activeStartT = make([]float64, cfg.L)
 	di.activeRows = make([]int, cfg.L)
-	for i := 0; i < cfg.L; i++ {
-		di.actives[i] = factory(i+1, d)
-	}
 	// Keep open-block rows raw while they fit within one full answer's
 	// budget; beyond that the level-1 active sketch stands in.
 	di.rawCap = cfg.Ell

@@ -113,6 +113,13 @@ type LM struct {
 	// recycle for which sketches qualify.
 	free []*stream.FD
 
+	// memo is the last Query answer. An answer depends only on the
+	// block structure, so it stays valid until an ingested row or an
+	// expiry changes that structure; until then Query returns a copy of
+	// it instead of merging again. It is derived data: never persisted,
+	// so a restored LM starts without one.
+	memo *mat.Dense
+
 	tr *trace.Tracer
 }
 
@@ -145,8 +152,8 @@ func (l *LM) mkSketch(d int) stream.Mergeable {
 // recycle puts a block sketch that nothing references any more on the
 // free list, so steady-state ingest stops allocating a fresh sketch
 // per merge. Only FDs of exactly the factory's shape (ℓ, d, b, α)
-// qualify: a reset FD is then indistinguishable from a new one. An FD
-// restored from a snapshot may have another shape; an RP block's
+// qualify: a reset FD is then indistinguishable from a new one. A
+// factory passed to NewLM may build FDs of another shape; an RP block's
 // random stream is seeded at construction, so reusing one would change
 // answers; HASH and COD blocks have no reset. The list holds at most
 // 2b+4 sketches, more than one rebalance frees.
@@ -250,6 +257,7 @@ func (l *LM) ingest(r mat.SparseRow, t float64) {
 		panic(fmt.Sprintf("core: LM timestamp %v precedes %v", t, l.lastT))
 	}
 	l.lastT, l.seen = t, true
+	l.memo = nil
 	l.expire(l.spec.Cutoff(t))
 
 	w := r.SqNorm()
@@ -403,15 +411,28 @@ func (l *LM) expire(cutoff float64) {
 		}
 	}
 	if dropped > 0 || drop > 0 {
+		l.memo = nil
 		l.tr.Emit(l.name, trace.KindLMExpire, cutoff, float64(dropped), float64(drop))
 	}
 }
 
 // Query implements Algorithm 6.2: merge every live block sketch (plus
-// the active block's raw rows) into a fresh sketch of size ℓ.
+// the active block's raw rows) into a fresh sketch of size ℓ. While
+// the block structure is unchanged since the last Query, it returns a
+// copy of that answer instead.
 func (l *LM) Query(t float64) *mat.Dense {
 	l.expire(l.spec.Cutoff(t))
+	if l.memo != nil {
+		return l.memo.Clone()
+	}
 	acc := l.mkSketch(l.d)
+	if h, ok := acc.(*stream.Hash); ok {
+		// A hashing accumulator draws identifiers for the raw rows it
+		// hashes from the counter its blocks share; rewinding the
+		// counter when the query ends keeps the query from shifting
+		// the identifiers of later rows.
+		defer h.RewindIDs(h.NextID())
+	}
 	// Merge oldest (highest level) first so FD's shrinking treats the
 	// window as a stream in arrival order.
 	for i := len(l.levels) - 1; i >= 0; i-- {
@@ -427,9 +448,9 @@ func (l *LM) Query(t float64) *mat.Dense {
 		}
 	}
 	feedRows(acc, l.active.raw, l.d)
-	b := acc.Matrix()
+	l.memo = acc.Matrix()
 	l.recycle(acc)
-	return b
+	return l.memo.Clone()
 }
 
 // RowsStored reports the total rows across all block sketches, raw

@@ -94,10 +94,19 @@ func (f *fleetLM) next() {
 	f.t += fleetFrame
 }
 
+// step ingests the stream's next single row.
+func (f *fleetLM) step() {
+	f.lm.Update(f.rows[f.t%len(f.rows)], float64(f.t))
+	f.t++
+}
+
 var fleetSink *mat.Dense
 
 // BenchmarkLMFDFleet measures one fleet tenant in steady state: a
-// 256-row UpdateBatch frame, and a Query over the full window.
+// 256-row UpdateBatch frame, and a Query over the full window. A
+// query-miss follows a one-row ingest (made outside the timer), so it
+// merges every block; a query-hit re-reads an unchanged tenant and
+// copies the memoized answer.
 func BenchmarkLMFDFleet(b *testing.B) {
 	b.Run("ingest", func(b *testing.B) {
 		f := newFleetLM()
@@ -107,8 +116,20 @@ func BenchmarkLMFDFleet(b *testing.B) {
 			f.next()
 		}
 	})
-	b.Run("query", func(b *testing.B) {
+	b.Run("query-miss", func(b *testing.B) {
 		f := newFleetLM()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f.step()
+			b.StartTimer()
+			fleetSink = f.lm.Query(float64(f.t - 1))
+		}
+	})
+	b.Run("query-hit", func(b *testing.B) {
+		f := newFleetLM()
+		fleetSink = f.lm.Query(float64(f.t - 1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -120,7 +141,8 @@ func BenchmarkLMFDFleet(b *testing.B) {
 // TestLMFDFleetAllocs guards the steady-state allocation budget of a
 // fleet tenant. Block FDs freed by merges and expiry are recycled,
 // level storage is kept, and shrink scratch is pooled, so a 256-row
-// frame allocates little beyond the raw rows it stores.
+// frame allocates little beyond the raw rows it stores. A query after
+// an ingest merges every block; a repeat query copies the memo.
 func TestLMFDFleetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -128,7 +150,8 @@ func TestLMFDFleetAllocs(t *testing.T) {
 	const (
 		maxFrameAllocs = 1024
 		maxFrameBytes  = 128 << 10
-		maxQueryAllocs = 160
+		maxMissAllocs  = 160
+		maxHitAllocs   = 2
 		frames         = 32
 	)
 	f := newFleetLM()
@@ -141,13 +164,19 @@ func TestLMFDFleetAllocs(t *testing.T) {
 		t.Errorf("UpdateBatch of %d rows: %d allocs, %.1f KiB per frame; want ≤ %d allocs, ≤ %d KiB",
 			fleetFrame, allocs/frames, float64(bytes)/frames/1024, maxFrameAllocs, maxFrameBytes>>10)
 	}
-	qAllocs, _ := heapDelta(func() {
-		for i := 0; i < frames; i++ {
-			fleetSink = f.lm.Query(float64(f.t - 1))
-		}
-	})
-	if qAllocs > maxQueryAllocs*frames {
-		t.Errorf("Query: %d allocs, want ≤ %d", qAllocs/frames, maxQueryAllocs)
+	var miss, hit uint64
+	for i := 0; i < frames; i++ {
+		f.step()
+		n, _ := heapDelta(func() { fleetSink = f.lm.Query(float64(f.t - 1)) })
+		miss += n
+		n, _ = heapDelta(func() { fleetSink = f.lm.Query(float64(f.t - 1)) })
+		hit += n
+	}
+	if miss > maxMissAllocs*frames {
+		t.Errorf("Query after an ingest: %d allocs, want ≤ %d", miss/frames, maxMissAllocs)
+	}
+	if hit > maxHitAllocs*frames {
+		t.Errorf("repeat Query: %d allocs, want ≤ %d", hit/frames, maxHitAllocs)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,18 +249,136 @@ func TestLMHashErrorReasonable(t *testing.T) {
 	}
 }
 
+// TestLMQueryDoesNotMutate checks that a query leaves no trace: a
+// repeated query at the same time answers bit-identically, and a
+// sketch that served queries answers exactly like a twin that never
+// did once both take the same further updates. LM-HASH's query
+// accumulator draws row identifiers from the counter its blocks share,
+// so the twin check also pins that the counter is rewound.
 func TestLMQueryDoesNotMutate(t *testing.T) {
-	// Querying twice at the same time must give the same answer and
-	// leave update behaviour intact.
-	rng := rand.New(rand.NewSource(9))
-	l := NewLMFD(window.Seq(200), 4, 16, 4)
-	for i := 0; i < 800; i++ {
-		l.Update(randRow(rng, 4), float64(i))
+	for _, c := range []struct {
+		name string
+		mk   func() *LM
+	}{
+		{"LM-FD", func() *LM { return NewLMFD(window.Seq(200), 4, 16, 4) }},
+		{"LM-HASH", func() *LM { return NewLMHash(window.Seq(200), 4, 16, 4, 5) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			l, twin := c.mk(), c.mk()
+			feed := func(from, to int) {
+				for i := from; i < to; i++ {
+					row := randRow(rng, 4)
+					l.Update(row, float64(i))
+					twin.Update(row, float64(i))
+				}
+			}
+			feed(0, 800)
+			if !sameMatrixBits(l.Query(799), l.Query(799)) {
+				t.Fatal("repeated queries disagree")
+			}
+			for i := 800; i < 1000; i += 50 {
+				feed(i, i+50)
+				l.Query(float64(i + 49))
+			}
+			if !sameMatrixBits(l.Query(999), twin.Query(999)) {
+				t.Fatal("a sketch that served queries answers differently from its twin")
+			}
+		})
 	}
-	b1 := l.Query(799)
-	b2 := l.Query(799)
-	if !b1.Equal(b2, 1e-12) {
-		t.Fatal("repeated queries disagree")
+}
+
+// TestLMQueryMemoInvalidation pins where the query memo is cleared. It
+// interleaves every ingest path (Update, UpdateBatch, UpdateSparse,
+// zero rows) with queries at the last ingested time, again at that
+// time, and at later times with no ingest between, which expire blocks
+// and active rows on their own. Every answer must equal, bit for bit,
+// that of a copy restored from a snapshot taken just before the query:
+// a restored LM has no memo, so it always merges.
+func TestLMQueryMemoInvalidation(t *testing.T) {
+	type snapshotter interface {
+		WindowSketch
+		SparseUpdater
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	}
+	for _, fr := range []struct {
+		name string
+		mk   func(window.Spec, stream.FDOpts) snapshotter
+	}{
+		{"lm-fd", func(s window.Spec, o stream.FDOpts) snapshotter { return NewLMFDOpts(s, 4, 6, 2, o) }},
+		{"lm-amm", func(s window.Spec, o stream.FDOpts) snapshotter { return NewLMAMMOpts(s, 2, 2, 6, 2, o) }},
+	} {
+		for _, spec := range []window.Spec{window.Seq(40), window.TimeSpan(12)} {
+			for _, tuning := range []struct {
+				name string
+				fdo  stream.FDOpts
+			}{{"classic", stream.FDOpts{}}, {"fast", stream.FDOpts{Buffer: 2, Alpha: 0.5}}} {
+				t.Run(fmt.Sprintf("%s/%v/%s", fr.name, spec, tuning.name), func(t *testing.T) {
+					sk := fr.mk(spec, tuning.fdo)
+					rng := rand.New(rand.NewSource(17))
+					now := 0.0
+					query := func(at float64) {
+						snap, err := sk.MarshalBinary()
+						if err != nil {
+							t.Fatal(err)
+						}
+						fresh := fr.mk(spec, tuning.fdo)
+						if err := fresh.UnmarshalBinary(snap); err != nil {
+							t.Fatal(err)
+						}
+						if !sameMatrixBits(sk.Query(at), fresh.Query(at)) {
+							t.Fatalf("query at t=%v differs from a restored copy's", at)
+						}
+					}
+					// queries asks at the last ingested time twice, then
+					// later with no ingest between; ingest resumes there.
+					queries := func(later float64) {
+						query(now)
+						query(now)
+						now += later
+						query(now)
+						query(now)
+					}
+					scaled := func(scale float64) []float64 {
+						r := randRow(rng, 4)
+						for j := range r {
+							r[j] *= scale
+						}
+						return r
+					}
+					// Mass ≈ 4 rows close through the active block,
+					// mass ≈ 36 rows (≥ ℓ) become singleton blocks.
+					for round := 0; round < 40; round++ {
+						scale := []float64{1, 3}[round%2]
+						now++
+						switch round % 4 {
+						case 0:
+							sk.Update(scaled(scale), now)
+						case 1: // a burst: three rows at one time
+							sk.UpdateBatch([][]float64{scaled(scale), scaled(1), scaled(3)}, []float64{now, now, now})
+						case 2:
+							sk.UpdateSparse(mat.SparseFromDense(scaled(scale)), now)
+						case 3:
+							sk.Update(make([]float64, 4), now)
+						}
+						queries(float64(round%3) * spec.Size / 8)
+					}
+					// Expire the whole window without an ingest, then let
+					// dust rows (which never close the active block) age
+					// out of an active block with no level beneath it.
+					now += spec.Size
+					query(now)
+					for i := 0; i < 6; i++ {
+						now++
+						sk.Update(scaled(0.05), now)
+						queries(0)
+					}
+					queries(spec.Size - 3)
+					queries(2)
+				})
+			}
+		}
 	}
 }
 

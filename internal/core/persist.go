@@ -276,18 +276,7 @@ func (l *LM) MarshalBinary() ([]byte, error) {
 		w.Int(l.fdOpts.Buffer)
 		w.F64(l.fdOpts.Alpha)
 	}
-	w.F64(l.lastT)
-	w.Bool(l.seen)
-	w.Int(len(l.levels))
-	for _, lv := range l.levels {
-		w.Int(len(lv))
-		for i := range lv {
-			if err := writeLMBlock(w, &lv[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := writeLMBlock(w, &l.active); err != nil {
+	if err := l.writeBody(w, writeFDBlob); err != nil {
 		return nil, err
 	}
 	out := w.Bytes()
@@ -295,7 +284,58 @@ func (l *LM) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-func writeLMBlock(w *binenc.Writer, blk *lmBlock) error {
+// writeBody writes what every LM snapshot (LM-FD and LM-AMM) carries
+// after its header: the clock, the levels and the active block, each
+// block sketch written by writeSketch.
+func (l *LM) writeBody(w *binenc.Writer, writeSketch func(*binenc.Writer, stream.Sketch) error) error {
+	w.F64(l.lastT)
+	w.Bool(l.seen)
+	w.Int(len(l.levels))
+	for _, lv := range l.levels {
+		w.Int(len(lv))
+		for i := range lv {
+			if err := writeLMBlock(w, &lv[i], writeSketch); err != nil {
+				return err
+			}
+		}
+	}
+	return writeLMBlock(w, &l.active, writeSketch)
+}
+
+// readBody restores what writeBody wrote into l, a freshly built LM,
+// decoding block sketches with readSketch. Every count is guarded by
+// binenc.Reader.Count before anything is allocated for it.
+func (l *LM) readBody(r *binenc.Reader, readSketch func(*binenc.Reader) (stream.Mergeable, error)) error {
+	l.lastT = r.F64()
+	l.seen = r.Bool()
+	nLevels := r.Count(r.Int(), 8) // every level encodes at least its block count
+	for i := 0; i < nLevels; i++ {
+		n := r.Count(r.Int(), lmBlockMinBytes)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		lv := make([]lmBlock, 0, n)
+		for j := 0; j < n; j++ {
+			blk, err := readLMBlock(r, l.d, readSketch)
+			if err != nil {
+				return err
+			}
+			lv = append(lv, blk)
+		}
+		l.levels = append(l.levels, lv)
+	}
+	active, err := readLMBlock(r, l.d, readSketch)
+	if err != nil {
+		return err
+	}
+	if active.sk != nil {
+		return fmt.Errorf("sketched active block")
+	}
+	l.active = active
+	return r.Err()
+}
+
+func writeLMBlock(w *binenc.Writer, blk *lmBlock, writeSketch func(*binenc.Writer, stream.Sketch) error) error {
 	w.F64(blk.start)
 	w.F64(blk.end)
 	w.F64(blk.size)
@@ -304,26 +344,12 @@ func writeLMBlock(w *binenc.Writer, blk *lmBlock) error {
 		w.Bool(false)
 		w.Int(len(blk.raw))
 		for i, row := range blk.raw {
-			w.Int(len(row.Idx))
-			for _, ix := range row.Idx {
-				w.Int(ix)
-			}
-			w.F64s(row.Val)
-			w.F64(blk.rawTimes[i])
+			writeSparseRow(w, row, blk.rawTimes[i])
 		}
 		return nil
 	}
 	w.Bool(true)
-	fd, ok := blk.sk.(*stream.FD)
-	if !ok {
-		return fmt.Errorf("core: LM snapshot found non-FD block sketch %T", blk.sk)
-	}
-	b, err := fd.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	w.Blob(b)
-	return nil
+	return writeSketch(w, blk.sk)
 }
 
 // Minimum encoded sizes of LM snapshot elements, for the count guards:
@@ -336,7 +362,7 @@ const (
 	lmNonzeroBytes   = 2 * 8
 )
 
-func readLMBlock(r *binenc.Reader, d int) (lmBlock, error) {
+func readLMBlock(r *binenc.Reader, d int, readSketch func(*binenc.Reader) (stream.Mergeable, error)) (lmBlock, error) {
 	blk := lmBlock{
 		start:        r.F64(),
 		end:          r.F64(),
@@ -347,44 +373,89 @@ func readLMBlock(r *binenc.Reader, d int) (lmBlock, error) {
 	if r.Err() != nil {
 		return blk, r.Err()
 	}
-	if !sketched {
-		n := r.Count(r.Int(), lmRawRowMinBytes)
-		for i := 0; i < n; i++ {
-			nnz := r.Count(r.Int(), lmNonzeroBytes)
-			if r.Err() != nil {
-				return blk, r.Err()
-			}
-			idx := make([]int, nnz)
-			prev := -1
-			for k := range idx {
-				idx[k] = r.Int()
-				if r.Err() == nil && (idx[k] <= prev || idx[k] >= d) {
-					return blk, fmt.Errorf("core: LM snapshot sparse index %d invalid for d=%d", idx[k], d)
-				}
-				prev = idx[k]
-			}
-			val := r.F64s()
-			t := r.F64()
-			if r.Err() != nil {
-				return blk, r.Err()
-			}
-			if len(val) != nnz {
-				return blk, fmt.Errorf("core: LM snapshot row has %d indices, %d values", nnz, len(val))
-			}
-			blk.raw = append(blk.raw, mat.SparseRow{Idx: idx, Val: val})
-			blk.rawTimes = append(blk.rawTimes, t)
-		}
-		return blk, r.Err()
-	}
-	fd := new(stream.FD)
-	if err := fd.UnmarshalBinary(r.Blob()); err != nil {
+	if sketched {
+		sk, err := readSketch(r)
+		blk.sk = sk
 		return blk, err
 	}
-	if fd.Dim() != d {
-		return blk, fmt.Errorf("core: LM snapshot block has dimension %d, want %d", fd.Dim(), d)
+	n := r.Count(r.Int(), lmRawRowMinBytes)
+	for i := 0; i < n; i++ {
+		row, t, err := readSparseRow(r, d)
+		if err != nil {
+			return blk, err
+		}
+		blk.raw = append(blk.raw, row)
+		blk.rawTimes = append(blk.rawTimes, t)
 	}
-	blk.sk = fd
-	return blk, nil
+	return blk, r.Err()
+}
+
+// writeSparseRow writes a raw row (its non-zero count, indices and
+// values) and its arrival time.
+func writeSparseRow(w *binenc.Writer, row mat.SparseRow, t float64) {
+	w.Int(len(row.Idx))
+	for _, ix := range row.Idx {
+		w.Int(ix)
+	}
+	w.F64s(row.Val)
+	w.F64(t)
+}
+
+// readSparseRow reads what writeSparseRow wrote; the indices must
+// increase and stay below d.
+func readSparseRow(r *binenc.Reader, d int) (mat.SparseRow, float64, error) {
+	nnz := r.Count(r.Int(), lmNonzeroBytes)
+	if r.Err() != nil {
+		return mat.SparseRow{}, 0, r.Err()
+	}
+	idx := make([]int, nnz)
+	prev := -1
+	for k := range idx {
+		idx[k] = r.Int()
+		if r.Err() == nil && (idx[k] <= prev || idx[k] >= d) {
+			return mat.SparseRow{}, 0, fmt.Errorf("sparse index %d invalid for d=%d", idx[k], d)
+		}
+		prev = idx[k]
+	}
+	val := r.F64s()
+	t := r.F64()
+	if r.Err() != nil {
+		return mat.SparseRow{}, 0, r.Err()
+	}
+	if len(val) != nnz {
+		return mat.SparseRow{}, 0, fmt.Errorf("raw row has %d indices, %d values", nnz, len(val))
+	}
+	return mat.SparseRow{Idx: idx, Val: val}, t, nil
+}
+
+func writeFDBlob(w *binenc.Writer, sk stream.Sketch) error {
+	fd, ok := sk.(*stream.FD)
+	if !ok {
+		return fmt.Errorf("core: LM snapshot found non-FD block sketch %T", sk)
+	}
+	b, err := fd.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	w.Blob(b)
+	return nil
+}
+
+// readFDBlob decodes a block FD, which must have the shape the LM's
+// factory builds, (ℓ, d) with tuning o: a valid snapshot holds no other.
+// A block of another d would make every later merge panic, and one of
+// another ℓ — up to 2²⁶/d — would allocate its ℓ×d buffer on its first
+// merge.
+func readFDBlob(r *binenc.Reader, ell, d int, o stream.FDOpts) (stream.Mergeable, error) {
+	fd := new(stream.FD)
+	if err := fd.UnmarshalBinary(r.Blob()); err != nil {
+		return nil, err
+	}
+	if fd.Ell() != ell || fd.Dim() != d || fd.BufferFactor() != o.Buffer || fd.Alpha() != o.Alpha {
+		return nil, fmt.Errorf("block FD has ℓ=%d d=%d buffer=%d alpha=%v, want ℓ=%d d=%d buffer=%d alpha=%v",
+			fd.Ell(), fd.Dim(), fd.BufferFactor(), fd.Alpha(), ell, d, o.Buffer, o.Alpha)
+	}
+	return fd, nil
 }
 
 // UnmarshalBinary restores an LM-FD snapshot into the receiver.
@@ -409,9 +480,6 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("core: LM snapshot has invalid FD tuning buffer=%d alpha=%v", fdo.Buffer, fdo.Alpha)
 		}
 	}
-	lastT := r.F64()
-	seen := r.Bool()
-	nLevels := r.Count(r.Int(), 8) // every level encodes at least its block count
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
@@ -420,36 +488,14 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: LM snapshot shape d=%d ell=%v b=%d", d, ell, b)
 	}
 	restored := NewLMFDOpts(spec, d, int(ell), b, fdo)
-	restored.lastT, restored.seen = lastT, seen
-	for i := 0; i < nLevels; i++ {
-		n := r.Count(r.Int(), lmBlockMinBytes)
-		if r.Err() != nil {
-			return fmt.Errorf("core: LM snapshot: %w", r.Err())
-		}
-		lv := make([]lmBlock, 0, n)
-		for j := 0; j < n; j++ {
-			blk, err := readLMBlock(r, d)
-			if err != nil {
-				return fmt.Errorf("core: LM snapshot: %w", err)
-			}
-			lv = append(lv, blk)
-		}
-		restored.levels = append(restored.levels, lv)
-	}
-	active, err := readLMBlock(r, d)
-	if err != nil {
-		return fmt.Errorf("core: LM snapshot: %w", err)
-	}
-	if active.sk != nil {
-		return fmt.Errorf("core: LM snapshot has a sketched active block")
-	}
-	if err := r.Err(); err != nil {
+	if err := restored.readBody(r, func(r *binenc.Reader) (stream.Mergeable, error) {
+		return readFDBlob(r, int(ell), d, restored.fdOpts)
+	}); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
 	if r.Rest() != 0 {
 		return fmt.Errorf("core: LM snapshot has %d trailing bytes", r.Rest())
 	}
-	restored.active = active
 	restored.tr = l.tr // the tracer survives restore
 	for i := range restored.levels {
 		for j := range restored.levels[i] {

@@ -102,24 +102,34 @@ func TestSnapshotAllocationBombs(t *testing.T) {
 }
 
 // TestLMSnapshotRejectsForeignBlockDim checks that a sketched block
-// must share the header's dimension: a block of another d would make
-// every later merge panic.
+// must have the shape the header's factory builds: a block of another d
+// would make every later merge panic, and one of another ℓ (a fuzzer
+// found ℓ = 16,768,516 at d = 3, committed as oom-block-fd-ell) would
+// allocate its ℓ×d buffer on its first merge. No valid snapshot holds a
+// block of another ℓ, d, buffer factor or α.
 func TestLMSnapshotRejectsForeignBlockDim(t *testing.T) {
-	fd := stream.NewFD(8, 3)
-	fd.Update([]float64{1, 2, 3})
-	blob, err := fd.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := lmHeader(4, 1)
-	w.Int(1)
-	writeBlockHeader(w, true)
-	w.Blob(blob)
-	writeBlockHeader(w, false) // empty active block
-	w.Int(0)
-	var l LM
-	if err := l.UnmarshalBinary(w.Bytes()); err == nil {
-		t.Fatal("accepted a d=3 block in a d=4 snapshot")
+	for _, fd := range []*stream.FD{
+		stream.NewFD(8, 3),
+		stream.NewFD(64, 4),
+		stream.NewFDOpts(8, 4, stream.FDOpts{Buffer: 2}),
+		stream.NewFDOpts(8, 4, stream.FDOpts{Alpha: 0.5}),
+	} {
+		fd.Update(make([]float64, fd.Dim()))
+		blob, err := fd.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := lmHeader(4, 1)
+		w.Int(1)
+		writeBlockHeader(w, true)
+		w.Blob(blob)
+		writeBlockHeader(w, false) // empty active block
+		w.Int(0)
+		var l LM
+		if err := l.UnmarshalBinary(w.Bytes()); err == nil {
+			t.Errorf("accepted an ℓ=%d d=%d b=%d α=%v block in an ℓ=8 d=4 classic snapshot",
+				fd.Ell(), fd.Dim(), fd.BufferFactor(), fd.Alpha())
+		}
 	}
 }
 
@@ -163,8 +173,9 @@ func lmFuzzSeeds(tb testing.TB) [][]byte {
 // answer and re-marshal byte-identically — which also runs the
 // recycled block sketches and kept level storage after a restore.
 // The committed corpus (testdata/fuzz/FuzzLMUnmarshal) holds this
-// version's lmFuzzSeeds snapshots and the two LM-FD crash inputs of
-// TestSnapshotAllocationBombs.
+// version's lmFuzzSeeds snapshots, the two LM-FD crash inputs of
+// TestSnapshotAllocationBombs, and oom-block-fd-ell (see
+// TestLMSnapshotRejectsForeignBlockDim).
 func FuzzLMUnmarshal(f *testing.F) {
 	for _, seed := range lmFuzzSeeds(f) {
 		f.Add(seed)

@@ -14,6 +14,7 @@ import (
 	"swsketch/internal/binenc"
 	"swsketch/internal/core"
 	"swsketch/internal/registry"
+	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
 
@@ -494,6 +495,112 @@ func TestSnapshotRestoreRejectsAllocationBombs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest after the rejected restores: status %d", resp.StatusCode)
+	}
+}
+
+// TestAMMSnapshotRestoreRejectsAllocationBombs posts three short AMM
+// snapshots that each made the decoder die with "fatal error: out of
+// memory": a 96-byte DI-AMM header claiming dA = dB = 2²⁴ over 26
+// levels, a 396-byte LM-AMM snapshot whose three zero-row COD blobs
+// claim ℓ = dA = dB = 2¹³, and a 146-byte LM-AMM raw row claiming 2²⁵
+// non-zeros. Each must get 400 invalid_argument, and both tenants must
+// still ingest afterwards.
+func TestAMMSnapshotRestoreRejectsAllocationBombs(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	doReq(t, "PUT", ts.URL+"/v2/tenants/lm", ammTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/di",
+		`{"framework":"di-amm","window":"sequence","size":64,"d":5,"d_b":2,"ell":8,"levels":3,"r":64}`).Body.Close()
+
+	// Snapshot layouts as internal/core and internal/stream write them.
+	const ammMagic, lmKind, diKind = 0x414D4D53_00000001, 1, 2
+	header := func(kind, dA, dB int) *binenc.Writer {
+		w := binenc.NewWriter()
+		w.U64(ammMagic)
+		w.Int(kind)
+		w.Int(dA)
+		w.Int(dB)
+		w.Int(1) // COD buffer factor
+		w.F64(1) // α
+		return w
+	}
+	lmBody := func(w *binenc.Writer, levels int) { // window, ℓ, b, clock, level count
+		w.Int(int(window.Sequence))
+		w.F64(64)
+		w.Int(8)
+		w.Int(4)
+		w.F64(0)
+		w.Bool(false)
+		w.Int(levels)
+	}
+	block := func(w *binenc.Writer, sketched bool) {
+		for i := 0; i < 4; i++ {
+			w.F64(0)
+		}
+		w.Bool(sketched)
+	}
+	codBlob := func(ell, dA, dB int) []byte { // a zero-row co-sketch of the claimed shape
+		valid, err := stream.NewCOD(2, 1, 1).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := binenc.NewWriter()
+		w.Int(ell)
+		w.Int(dA)
+		w.Int(dB)
+		w.Int(1)
+		w.F64(1)
+		w.Int(0)
+		return append(valid[:8:8], w.Bytes()...)
+	}
+
+	diHeader := header(diKind, 1<<24, 1<<24)
+	diHeader.Int(64) // N
+	diHeader.F64(1)  // R
+	diHeader.Int(26) // L
+	diHeader.Int(8)  // Ell
+	diHeader.Int(4)  // MinEll
+	diHeader.F64(1)  // RSlack
+
+	const n = 1 << 13
+	codShape := header(lmKind, n, n)
+	lmBody(codShape, 1)
+	codShape.Int(2)
+	for i := 0; i < 3; i++ { // two level-1 blocks, then the active block
+		block(codShape, true)
+		codShape.Blob(codBlob(n, n, n))
+	}
+
+	rawRow := header(lmKind, 1<<24, 1<<24)
+	lmBody(rawRow, 0)
+	block(rawRow, false)
+	rawRow.Int(1)
+	rawRow.Int(1 << 25)
+
+	for _, c := range []struct {
+		name, tenant string
+		blob         []byte
+		size         int
+	}{
+		{"di-amm header", "di", diHeader.Bytes(), 96},
+		{"lm-amm cod shape", "lm", codShape.Bytes(), 396},
+		{"lm-amm raw row nnz", "lm", rawRow.Bytes(), 146},
+	} {
+		if len(c.blob) != c.size {
+			t.Fatalf("%s: built %d bytes, want %d", c.name, len(c.blob), c.size)
+		}
+		resp, err := http.Post(ts.URL+"/v2/tenants/"+c.tenant+"/snapshot", "application/octet-stream",
+			bytes.NewReader(c.blob))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		wantEnvelope(t, resp, http.StatusBadRequest, CodeInvalidArgument)
+	}
+	for _, tenant := range []string{"lm", "di"} {
+		resp := postJSON(t, ts.URL+"/v2/tenants/"+tenant+"/rows", `{"updates":[{"row":[1,2,0,0,1],"t":1}]}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s ingest after the rejected restores: status %d", tenant, resp.StatusCode)
+		}
 	}
 }
 

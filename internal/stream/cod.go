@@ -161,10 +161,11 @@ func (c *COD) ensureRoom() {
 	c.shrink()
 }
 
-// grow doubles both buffer capacities (capped at b·ℓ), preserving the
-// occupied row pairs.
+// grow doubles both buffer capacities, to at least ℓ and at most b·ℓ
+// row pairs, preserving the occupied row pairs. (A restored co-sketch
+// starts with only its restored row pairs.)
 func (c *COD) grow() {
-	rows := c.bufX.Rows() * 2
+	rows := max(c.bufX.Rows()*2, c.ell)
 	if rows > c.m {
 		rows = c.m
 	}

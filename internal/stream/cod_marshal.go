@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swsketch/internal/binenc"
+	"swsketch/internal/mat"
 )
 
 // COD snapshot format. A single version carries the full geometry
@@ -71,10 +72,10 @@ func (c *COD) UnmarshalBinary(data []byte) error {
 	if used > r.Rest()/pairBytes || r.Rest() != used*pairBytes {
 		return fmt.Errorf("stream: COD snapshot payload is %d bytes, want %d for %d row pairs", r.Rest(), used*pairBytes, used)
 	}
-	restored := NewCODOpts(ell, dA, dB, FDOpts{Buffer: bfac, Alpha: alpha})
-	for restored.bufX.Rows() < used {
-		restored.grow()
-	}
+	// The buffers hold just the restored row pairs, so the decode
+	// allocates in proportion to its input; the first update grows them.
+	restored := &COD{ell: ell, dA: dA, dB: dB, bfac: bfac, alpha: alpha, m: bfac * ell,
+		bufX: mat.NewDense(used, dA), bufY: mat.NewDense(used, dB)}
 	for i := 0; i < used; i++ {
 		row := r.F64s()
 		if r.Err() != nil {

@@ -116,6 +116,15 @@ func (s *Hash) Merge(other Mergeable) {
 	s.b.Add(o.b)
 }
 
+// NextID reports the row identifier the sketch's family issues next.
+func (s *Hash) NextID() uint64 { return s.fam.next }
+
+// RewindIDs resets the family's identifier counter to id, a value
+// NextID reported earlier. The identifiers drawn since then get issued
+// again, so only a sketch that is then discarded — a query's
+// accumulator — may have drawn them.
+func (s *Hash) RewindIDs(id uint64) { s.fam.next = id }
+
 // CloneEmpty returns a fresh sketch from the same family.
 func (s *Hash) CloneEmpty() Mergeable { return s.fam.NewSketch(s.ell, s.d) }
 
