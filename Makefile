@@ -69,11 +69,14 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDSFDUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzLMUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzSWORUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/obs/hh
 	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/serve
+	$(GO) test -fuzz '^FuzzSpillDecode$$' -fuzztime 30s ./internal/registry
+	$(GO) test -fuzz '^FuzzConfigBuild$$' -fuzztime 30s ./internal/registry
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

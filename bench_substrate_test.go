@@ -1,11 +1,11 @@
 // Substrate and ablation benchmarks beyond the paper's figures: the
-// eigensolver pair that powers FrequentDirections, the streaming
-// sketches' update paths (dense vs sparse), the samplers' per-row
-// costs, and the exponential histogram.
+// streaming sketches' update paths (dense vs sparse), the samplers'
+// per-row costs, and the exponential histogram. The eigensolver pair
+// that powers FrequentDirections is benchmarked in internal/mat
+// (BenchmarkAblationEigensolver).
 package swsketch_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,18 +16,6 @@ import (
 	"swsketch/internal/window"
 )
 
-func randSym(rng *rand.Rand, n int) *mat.Dense {
-	m := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
-
 func denseRows(rng *rand.Rand, n, d int) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
@@ -37,25 +25,6 @@ func denseRows(rng *rand.Rand, n, d int) [][]float64 {
 		}
 	}
 	return rows
-}
-
-// BenchmarkAblationEigensolver compares the production QL path with
-// the Jacobi reference across the Gram sizes the sketches produce.
-func BenchmarkAblationEigensolver(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{16, 48, 128} {
-		a := randSym(rng, n)
-		b.Run(fmt.Sprintf("QL/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.EigenSymQL(a)
-			}
-		})
-		b.Run(fmt.Sprintf("Jacobi/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mat.EigenSymJacobi(a)
-			}
-		})
-	}
 }
 
 // BenchmarkAblationStreamingSketch measures the raw streaming update

@@ -229,11 +229,7 @@ func copyTenantState(src, dst *registry.Tenant) error {
 		return err
 	}
 	defer dst.Release()
-	u, ok := dst.Raw().(interface{ UnmarshalBinary([]byte) error })
-	if !ok {
-		return fmt.Errorf("sketch lacks snapshot support")
-	}
-	if err := u.UnmarshalBinary(blob); err != nil {
+	if err := dst.Restore(blob); err != nil {
 		return err
 	}
 	dst.Commit(int(n), lastT)

@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -64,7 +65,7 @@ import (
 
 func main() {
 	var (
-		algo    = flag.String("algo", "lm-fd", "sketch: swr | swor | swor-all | lm-fd | lm-hash | di-fd | ds-fd | lm-amm | di-amm")
+		algo    = flag.String("algo", "lm-fd", "sketch: "+strings.Join(registry.Frameworks(), " | "))
 		d       = flag.Int("d", 0, "row dimension (required)")
 		winSize = flag.Float64("window", 10000, "window size (rows, or span with -time)")
 		useTime = flag.Bool("time", false, "time-based window")

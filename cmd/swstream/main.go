@@ -57,7 +57,7 @@ import (
 
 func main() {
 	var (
-		algo    = flag.String("algo", "lm-fd", "sketch: swr | swor | swor-all | lm-fd | lm-hash | di-fd | ds-fd | lm-amm | di-amm | best")
+		algo    = flag.String("algo", "lm-fd", "sketch: "+strings.Join(append(registry.Frameworks(), "best"), " | "))
 		winSize = flag.Float64("window", 1000, "window size (rows, or time span with -time)")
 		useTime = flag.Bool("time", false, "time-based window (use CSV timestamps)")
 		every   = flag.Int("every", 500, "print a summary every k rows")
@@ -334,7 +334,7 @@ func printInstrumentation(w io.Writer, reg *obs.Registry, sk core.WindowSketch) 
 }
 
 // buildSketch builds the configured sketch for a d-column stream
-// through the registry's framework switch, so flag errors read exactly
+// through the registry's framework table, so flag errors read exactly
 // like the API's config errors. "best", the offline rank-ℓ oracle the
 // registry does not host, is the one special case.
 func buildSketch(cfg registry.Config, d int) (core.WindowSketch, error) {

@@ -72,10 +72,22 @@ type AMM struct {
 	tr *trace.Tracer
 }
 
-func checkAmmDims(dA, dB int) {
-	if dA < 1 || dB < 1 {
-		panic(fmt.Sprintf("core: AMM needs dA ≥ 1 and dB ≥ 1, got %d and %d", dA, dB))
+// checkLMAMM states LM-AMM's limits: its COD blocks' and LM's over the
+// stacked dimension.
+func checkLMAMM(spec window.Spec, dA, dB, ell, b int, o stream.FDOpts) error {
+	if err := stream.CheckCOD(ell, dA, dB, o); err != nil {
+		return err
 	}
+	return checkLM(spec, dA+dB, float64(ell), b)
+}
+
+// checkDIAMM states DI-AMM's limits: DI's and its largest (top-level)
+// co-sketch's.
+func checkDIAMM(c DIConfig, dA, dB int, o stream.FDOpts) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	return stream.CheckCOD(c.fdLevelEll(c.L), dA, dB, o)
 }
 
 // NewLMAMM builds the LM-lifted co-sketch: COD blocks of ℓ row pairs
@@ -91,11 +103,8 @@ func NewLMAMM(spec window.Spec, dA, dB, ell, b int) *AMM {
 // FD's buffer/α semantics). The zero FDOpts reproduces NewLMAMM
 // exactly, snapshot bytes included.
 func NewLMAMMOpts(spec window.Spec, dA, dB, ell, b int, o stream.FDOpts) *AMM {
-	checkAmmDims(dA, dB)
-	if ell < 2 {
-		panic(fmt.Sprintf("core: LM-AMM needs ell ≥ 2, got %d", ell))
-	}
 	o = o.Normalize()
+	must(checkLMAMM(spec, dA, dB, ell, b, o))
 	lm := NewLM(spec, dA+dB, float64(ell), b, "LM-AMM", func(int) stream.Mergeable {
 		return stream.NewCODOpts(ell, dA, dB, o)
 	})
@@ -120,18 +129,14 @@ func NewDIAMMOpts(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
 // newDIAMM builds a DI-AMM whose per-level actives are still nil, for
 // NewDIAMMOpts to open or a restore to fill from its snapshot.
 func newDIAMM(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
-	checkAmmDims(dA, dB)
-	c := cfg.validate()
+	c := cfg.withDefaults()
 	o = o.Normalize()
+	must(checkDIAMM(c, dA, dB, o))
 	di := newDI(cfg, dA+dB, "DI-AMM", func(level, _ int) stream.Sketch {
-		return stream.NewCODOpts(diAMMLevelEll(c, level), dA, dB, o)
+		return stream.NewCODOpts(c.fdLevelEll(level), dA, dB, o)
 	})
 	return &AMM{inner: di, dA: dA, dB: dB, kind: ammKindDI, opts: o, dicfg: c}
 }
-
-// diAMMLevelEll is the ℓ of DI-AMM's co-sketches at a level: DI's
-// level size, at least the 2 rows COD needs.
-func diAMMLevelEll(c DIConfig, level int) int { return max(c.levelEll(level), 2) }
 
 // AutoAMM returns an LM-lifted co-sketch sized for target relative AMM
 // error eps. Calibration mirrors AutoLMFD: COD's product error scales
@@ -139,9 +144,7 @@ func diAMMLevelEll(c DIConfig, level int) int { return max(c.levelEll(level), 2)
 // against the ‖A‖F‖B‖F normalisation), so ℓ ≈ 1/ε with b ≈ 1/(3ε)
 // blocks per level for the expiring-block term.
 func AutoAMM(spec window.Spec, dA, dB int, eps float64) *AMM {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: AutoAMM target eps %v outside (0,1)", eps))
-	}
+	mustTargetEps("AutoAMM", eps)
 	ell := clampInt(int(math.Ceil(1/eps)), 8, 512)
 	b := clampInt(int(math.Ceil(1/(3*eps))), 4, 64)
 	return NewLMAMM(spec, dA, dB, ell, b)
@@ -211,6 +214,9 @@ func (a *AMM) RowsStored() int { return a.inner.RowsStored() }
 
 // Name implements WindowSketch ("LM-AMM" or "DI-AMM").
 func (a *AMM) Name() string { return a.inner.Name() }
+
+// Dim returns the stacked row dimension dA+dB.
+func (a *AMM) Dim() int { return a.dA + a.dB }
 
 // Stats implements Introspector: the inner framework's stats plus the
 // side dimensions.

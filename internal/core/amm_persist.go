@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"swsketch/internal/binenc"
 	"swsketch/internal/stream"
@@ -152,13 +151,6 @@ func (a *AMM) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: AMM snapshot: %w", err)
 	}
-	// The stacked dimension dA+dB must not overflow.
-	if dA < 1 || dB < 1 || dA > math.MaxInt-dB {
-		return fmt.Errorf("core: AMM snapshot has invalid dims dA=%d dB=%d", dA, dB)
-	}
-	if opts.Buffer < 1 || !(opts.Alpha > 0 && opts.Alpha <= 1) {
-		return fmt.Errorf("core: AMM snapshot has invalid COD tuning buffer=%d alpha=%v", opts.Buffer, opts.Alpha)
-	}
 	var restored *AMM
 	var err error
 	switch kind {
@@ -186,20 +178,17 @@ func (a *AMM) UnmarshalBinary(data []byte) error {
 }
 
 func unmarshalLMAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, error) {
-	spec, err := readSpec(r)
-	if err != nil {
-		return nil, err
-	}
+	spec := readSpec(r)
 	ell := r.Int()
 	b := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if ell < 2 || b < 2 {
-		return nil, fmt.Errorf("shape ell=%d b=%d", ell, b)
+	if err := checkLMAMM(spec, dA, dB, ell, b, opts); err != nil {
+		return nil, err
 	}
 	restored := NewLMAMMOpts(spec, dA, dB, ell, b, opts)
-	err = restored.inner.(*LM).readBody(r, func(r *binenc.Reader) (stream.Mergeable, error) {
+	err := restored.inner.(*LM).readBody(r, func(r *binenc.Reader) (stream.Mergeable, error) {
 		return readCODBlob(r, ell, dA, dB, opts)
 	})
 	return restored, err
@@ -217,8 +206,8 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.N < 1 || cfg.R < 1 || cfg.L < 1 || cfg.L > 26 || cfg.Ell < 2 || cfg.MinEll < 1 || cfg.RSlack < 1 {
-		return nil, fmt.Errorf("invalid DI config %+v", cfg)
+	if err := checkDIAMM(cfg, dA, dB, opts); err != nil {
+		return nil, err
 	}
 	restored := newDIAMM(cfg, dA, dB, opts)
 	s := restored.inner.(*DI)
@@ -233,9 +222,6 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if s.m < 0 {
-		return nil, fmt.Errorf("negative block counter %d", s.m)
-	}
 	for i := 0; i < cfg.L; i++ {
 		n := r.Count(r.Int(), diBlockMinBytes)
 		for j := 0; j < n; j++ {
@@ -246,7 +232,7 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 			if blk.startIdx < 1 || blk.endIdx < blk.startIdx {
 				return nil, fmt.Errorf("level %d block spans [%d,%d]", i+1, blk.startIdx, blk.endIdx)
 			}
-			cod, err := readCODBlob(r, diAMMLevelEll(cfg, i+1), dA, dB, opts)
+			cod, err := readCODBlob(r, cfg.fdLevelEll(i+1), dA, dB, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -255,16 +241,13 @@ func unmarshalDIAMM(r *binenc.Reader, dA, dB int, opts stream.FDOpts) (*AMM, err
 		}
 	}
 	for i := 0; i < cfg.L; i++ {
-		cod, err := readCODBlob(r, diAMMLevelEll(cfg, i+1), dA, dB, opts)
+		cod, err := readCODBlob(r, cfg.fdLevelEll(i+1), dA, dB, opts)
 		if err != nil {
 			return nil, err
 		}
 		s.actives[i] = cod
 		s.activeStartT[i] = r.F64()
 		s.activeRows[i] = r.Int()
-		if r.Err() == nil && s.activeRows[i] < 0 {
-			return nil, fmt.Errorf("active %d has %d rows", i+1, s.activeRows[i])
-		}
 	}
 	n := r.Count(r.Int(), lmRawRowMinBytes)
 	for i := 0; i < n; i++ {

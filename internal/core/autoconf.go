@@ -30,9 +30,7 @@ func AutoLMFD(spec window.Spec, d int, eps float64) *LM {
 // auto-sized block sketches; sizing is unchanged (the error bound is
 // (b, α)-independent), so the zero FDOpts reproduces AutoLMFD exactly.
 func AutoLMFDOpts(spec window.Spec, d int, eps float64, o stream.FDOpts) *LM {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: AutoLMFD target eps %v outside (0,1)", eps))
-	}
+	mustTargetEps("AutoLMFD", eps)
 	ell := clampInt(int(math.Ceil(1/eps)), 8, 512)
 	b := clampInt(int(math.Ceil(1/(3*eps))), 4, 64)
 	return NewLMFDOpts(spec, d, ell, b, o)
@@ -44,9 +42,7 @@ func AutoLMFDOpts(spec window.Spec, d int, eps float64, o stream.FDOpts) *LM {
 // L = ⌈log₂(ratio/ε)⌉ with the practical blocks-per-window clamp
 // (see cmd/swbench); the answer budget is ℓ ≈ 4/ε rows.
 func AutoDIFD(n int, d int, eps, maxSqNorm, ratio float64) *DI {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: AutoDIFD target eps %v outside (0,1)", eps))
-	}
+	mustTargetEps("AutoDIFD", eps)
 	if ratio < 1 {
 		ratio = 1
 	}
@@ -70,9 +66,7 @@ func AutoDSFD(n, d int, eps float64) *DSFD {
 // frame sketches; sizing is unchanged (the error threshold is
 // (b, α)-independent), so the zero FDOpts reproduces AutoDSFD exactly.
 func AutoDSFDOpts(n, d int, eps float64, o stream.FDOpts) *DSFD {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: AutoDSFD target eps %v outside (0,1)", eps))
-	}
+	mustTargetEps("AutoDSFD", eps)
 	ell := clampInt(int(math.Ceil(2/eps)), 8, 1024)
 	return NewDSFD(DSFDConfig{N: n, Ell: ell, FD: o}, d)
 }
@@ -81,11 +75,17 @@ func AutoDSFDOpts(n, d int, eps float64, o stream.FDOpts) *DSFD {
 // Calibration: sampling error scales as c/√ℓ with c ≈ 0.4 on the
 // harness datasets, so ℓ ≈ (0.4/ε)² — well below the d/ε² theory.
 func AutoSWR(spec window.Spec, d int, eps float64, seed int64) *SWR {
-	if eps <= 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: AutoSWR target eps %v outside (0,1)", eps))
-	}
+	mustTargetEps("AutoSWR", eps)
 	ell := clampInt(int(math.Ceil(0.16/(eps*eps))), 8, 4096)
 	return NewSWR(spec, ell, d, seed)
+}
+
+// mustTargetEps panics unless an Auto constructor's target eps is in
+// (0,1).
+func mustTargetEps(algo string, eps float64) {
+	if !(eps > 0 && eps < 1) {
+		panic(fmt.Sprintf("core: %s target eps must be in (0,1), got %v", algo, eps))
+	}
 }
 
 func clampInt(v, lo, hi int) int {

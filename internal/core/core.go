@@ -51,6 +51,13 @@ type WindowSketch interface {
 	Name() string
 }
 
+// must panics with a constructor's non-nil check error.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // checkRowFinite panics when a row contains NaN or ±Inf. Every sketch
 // calls it on ingest: a single non-finite value would otherwise poison
 // Gram accumulations, FD shrinks, and priority draws silently, and the

@@ -41,19 +41,8 @@ type DIConfig struct {
 	RSlack float64
 }
 
-func (c DIConfig) validate() DIConfig {
-	if c.N < 1 {
-		panic(fmt.Sprintf("core: DI needs N ≥ 1, got %d", c.N))
-	}
-	if c.R < 1 {
-		panic(fmt.Sprintf("core: DI needs R ≥ 1, got %v", c.R))
-	}
-	if c.L < 1 || c.L > 26 {
-		panic(fmt.Sprintf("core: DI needs 1 ≤ L ≤ 26, got %d", c.L))
-	}
-	if c.Ell < 2 {
-		panic(fmt.Sprintf("core: DI needs Ell ≥ 2, got %d", c.Ell))
-	}
+// withDefaults resolves the zero-value defaults of MinEll and RSlack.
+func (c DIConfig) withDefaults() DIConfig {
 	if c.MinEll == 0 {
 		c.MinEll = 4
 	}
@@ -61,6 +50,33 @@ func (c DIConfig) validate() DIConfig {
 		c.RSlack = 1 + 1e-9
 	}
 	return c
+}
+
+// validate resolves the defaults and panics with check's error.
+func (c DIConfig) validate() DIConfig {
+	c = c.withDefaults()
+	must(c.check())
+	return c
+}
+
+// check states DI's limits on a config with its defaults resolved; the
+// constructors panic with its error and the DI-AMM decoder returns it.
+func (c DIConfig) check() error {
+	switch {
+	case c.N < 1:
+		return fmt.Errorf("core: DI needs window size N ≥ 1, got %d", c.N)
+	case !(c.R >= 1) || math.IsInf(c.R, 0):
+		return fmt.Errorf("core: DI needs a finite max squared row norm R ≥ 1, got %v", c.R)
+	case c.L < 1 || c.L > 26:
+		return fmt.Errorf("core: DI needs levels L in [1, 26], got %d", c.L)
+	case c.Ell < 2:
+		return fmt.Errorf("core: DI needs ell ≥ 2, got %d", c.Ell)
+	case c.MinEll < 1:
+		return fmt.Errorf("core: DI needs MinEll ≥ 1, got %d", c.MinEll)
+	case !(c.RSlack >= 1) || math.IsInf(c.RSlack, 0):
+		return fmt.Errorf("core: DI needs a finite RSlack ≥ 1, got %v", c.RSlack)
+	}
+	return nil
 }
 
 // levelEll returns the sketch size for (1-based) level i.
@@ -71,6 +87,9 @@ func (c DIConfig) levelEll(i int) int {
 	}
 	return ell
 }
+
+// fdLevelEll is levelEll, at least the 2 rows FD and COD need.
+func (c DIConfig) fdLevelEll(i int) int { return max(c.levelEll(i), 2) }
 
 // DI is the Dyadic Interval framework of Section 7: it converts an
 // arbitrary streaming sketch into a sequence-window sketch. The stream
@@ -199,11 +218,7 @@ func NewDIFDOpts(cfg DIConfig, d int, o stream.FDOpts) *DI {
 	c := cfg.validate()
 	o = o.Normalize()
 	return NewDI(cfg, d, "DI-FD", func(level, dim int) stream.Sketch {
-		ell := c.levelEll(level)
-		if ell < 2 {
-			ell = 2
-		}
-		return stream.NewFDOpts(ell, dim, o)
+		return stream.NewFDOpts(c.fdLevelEll(level), dim, o)
 	})
 }
 
@@ -563,11 +578,7 @@ var (
 func NewDIISVD(cfg DIConfig, d int) *DI {
 	c := cfg.validate()
 	return NewDI(cfg, d, "DI-ISVD", func(level, dim int) stream.Sketch {
-		ell := c.levelEll(level) / 2
-		if ell < 2 {
-			ell = 2
-		}
-		return stream.NewISVD(ell, dim)
+		return stream.NewISVD(max(c.levelEll(level)/2, 2), dim)
 	})
 }
 

@@ -83,21 +83,28 @@ type DSFDConfig struct {
 	FD stream.FDOpts
 }
 
-func (c DSFDConfig) validate() DSFDConfig {
-	if c.N < 1 {
-		panic(fmt.Sprintf("core: DSFD needs N ≥ 1, got %d", c.N))
-	}
-	if c.Ell < 2 {
-		panic(fmt.Sprintf("core: DSFD needs Ell ≥ 2, got %d", c.Ell))
-	}
-	if c.R < 0 {
-		panic(fmt.Sprintf("core: DSFD needs R ≥ 0, got %v", c.R))
-	}
+// withDefaults resolves the zero-value defaults of RSlack and FD.
+func (c DSFDConfig) withDefaults() DSFDConfig {
 	if c.RSlack == 0 {
 		c.RSlack = 1 + 1e-9
 	}
 	c.FD = c.FD.Normalize()
 	return c
+}
+
+// check states DS-FD's limits, its frame sketches' FD limits included,
+// for rows of dimension d and a config with its defaults resolved;
+// NewDSFD panics with its error and the decoder returns it.
+func (c DSFDConfig) check(d int) error {
+	switch {
+	case c.N < 1:
+		return fmt.Errorf("core: DSFD needs window size N ≥ 1, got %d", c.N)
+	case !(c.R >= 0) || math.IsInf(c.R, 0):
+		return fmt.Errorf("core: DSFD needs a finite norm bound R ≥ 0 (0 = adaptive), got %v", c.R)
+	case !(c.RSlack >= 1) || math.IsInf(c.RSlack, 0):
+		return fmt.Errorf("core: DSFD needs a finite RSlack ≥ 1, got %v", c.RSlack)
+	}
+	return stream.CheckFD(c.Ell, d, c.FD)
 }
 
 // dsSnap is one truncated prefix snapshot: rows holds the directions
@@ -156,12 +163,10 @@ type DSFD struct {
 }
 
 // NewDSFD builds a dump-snapshot FD sketch over a sequence window of
-// cfg.N rows in dimension d.
+// cfg.N rows in dimension d. It panics with the config's check error.
 func NewDSFD(cfg DSFDConfig, d int) *DSFD {
-	cfg = cfg.validate()
-	if d < 1 {
-		panic(fmt.Sprintf("core: DSFD needs d ≥ 1, got %d", d))
-	}
+	cfg = cfg.withDefaults()
+	must(cfg.check(d))
 	s := &DSFD{cfg: cfg, d: d}
 	s.fd = s.mkFD()
 	return s
@@ -549,6 +554,9 @@ func (s *DSFD) Frames() int {
 
 // Name implements WindowSketch.
 func (s *DSFD) Name() string { return "DS-FD" }
+
+// Dim returns the row dimension d.
+func (s *DSFD) Dim() int { return s.d }
 
 // Stats implements Introspector: the frame/snapshot hierarchy shape,
 // the live error budget (θ and the active frame's spent Σλ), dump and

@@ -13,15 +13,11 @@ import (
 // dsfdMagic versions the DS-FD snapshot format.
 const dsfdMagic = uint64(0x44534644_00000001) // "DSFD" v1
 
-// Decode limits for the DS-FD snapshot, mirroring the FD decoder's
-// hostile-shape hardening: every count is bounded before the data it
-// describes is read, and every matrix payload is validated row-by-row
-// with allocation capped by the reader's remaining bytes.
+// Minimum encoded sizes for the count guards: a prefix snapshot's time
+// and row count; a frozen frame's four F64s and two counts.
 const (
-	dsfdMaxFrames = 1 << 16
-	dsfdMaxSnaps  = 1 << 20
-	dsfdMaxDim    = 1 << 24
-	dsfdMaxElems  = 1 << 26
+	dsSnapMinBytes  = 2 * 8
+	dsFrameMinBytes = 4*8 + 8 + 8
 )
 
 func writeDSDense(w *binenc.Writer, m *mat.Dense) {
@@ -35,16 +31,14 @@ func writeDSDense(w *binenc.Writer, m *mat.Dense) {
 	}
 }
 
+// readDSDense reads what writeDSDense wrote, for rows of dimension d.
 func readDSDense(r *binenc.Reader, d int) (*mat.Dense, error) {
-	rows := r.Int()
+	rows := r.Count(r.Int(), 8*d)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
 	if rows == 0 {
 		return nil, nil
-	}
-	if rows < 0 || rows > dsfdMaxDim || rows > dsfdMaxElems/d {
-		return nil, fmt.Errorf("matrix with %d rows exceeds decode limits", rows)
 	}
 	data := r.F64s()
 	if r.Err() != nil {
@@ -75,12 +69,9 @@ func readDSFrame(r *binenc.Reader, d int) (dsFrame, error) {
 		mass:  r.F64(),
 		delta: r.F64(),
 	}
-	nSnaps := r.Int()
+	nSnaps := r.Count(r.Int(), dsSnapMinBytes)
 	if r.Err() != nil {
 		return fr, r.Err()
-	}
-	if nSnaps < 0 || nSnaps > dsfdMaxSnaps {
-		return fr, fmt.Errorf("frame with %d snapshots exceeds decode limits", nSnaps)
 	}
 	if !(fr.mass >= 0) || !(fr.delta >= 0) || math.IsInf(fr.mass, 0) || math.IsInf(fr.delta, 0) {
 		return fr, fmt.Errorf("frame has invalid mass %v or delta %v", fr.mass, fr.delta)
@@ -153,34 +144,25 @@ func (s *DSFD) UnmarshalBinary(data []byte) error {
 	dumps := r.U64()
 	snapsTaken := r.U64()
 	shrinksFrozen := r.U64()
-	nFrames := r.Int()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: DSFD snapshot: %w", err)
 	}
-	if d < 1 || d > dsfdMaxDim || n < 1 || ell < 2 || ell > dsfdMaxDim {
-		return fmt.Errorf("core: DSFD snapshot shape d=%d N=%d ell=%d", d, n, ell)
-	}
-	if !(rBound >= 0) || !(rSeen >= 0) || !(sinceSnap >= 0) || !(rSlack >= 1) ||
-		math.IsInf(rBound, 0) || math.IsInf(rSeen, 0) || math.IsInf(sinceSnap, 0) ||
-		math.IsNaN(lastT) || math.IsInf(lastT, 0) {
-		return fmt.Errorf("core: DSFD snapshot has invalid bounds r=%v r_seen=%v since_snap=%v slack=%v last_t=%v", rBound, rSeen, sinceSnap, rSlack, lastT)
-	}
-	if fdBuffer < 1 || fdBuffer > dsfdMaxDim || !(fdAlpha > 0 && fdAlpha <= 1) {
-		return fmt.Errorf("core: DSFD snapshot has invalid FD tuning buffer=%d alpha=%v", fdBuffer, fdAlpha)
-	}
-	// Guard the active sketch's ℓ·buffer·d allocation before NewDSFD
-	// materialises it: individually-sane counts can still multiply into
-	// an allocation bomb.
-	if ell*fdBuffer > dsfdMaxElems/d {
-		return fmt.Errorf("core: DSFD snapshot shape ell=%d buffer=%d d=%d exceeds decode limits", ell, fdBuffer, d)
-	}
-	if nFrames < 0 || nFrames > dsfdMaxFrames {
-		return fmt.Errorf("core: DSFD snapshot has %d frozen frames", nFrames)
-	}
-	restored := NewDSFD(DSFDConfig{
+	cfg := DSFDConfig{
 		N: n, Ell: ell, R: rBound, RSlack: rSlack,
 		FD: stream.FDOpts{Buffer: fdBuffer, Alpha: fdAlpha},
-	}, d)
+	}
+	if err := cfg.check(d); err != nil {
+		return fmt.Errorf("core: DSFD snapshot: %w", err)
+	}
+	if !(rSeen >= 0) || !(sinceSnap >= 0) || math.IsInf(rSeen, 0) || math.IsInf(sinceSnap, 0) ||
+		math.IsNaN(lastT) || math.IsInf(lastT, 0) {
+		return fmt.Errorf("core: DSFD snapshot has invalid state r_seen=%v since_snap=%v last_t=%v", rSeen, sinceSnap, lastT)
+	}
+	nFrames := r.Count(r.Int(), dsFrameMinBytes)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("core: DSFD snapshot: %w", err)
+	}
+	restored := NewDSFD(cfg, d)
 	restored.rSeen = rSeen
 	restored.lastT, restored.seen = lastT, seen
 	restored.sinceSnap = sinceSnap

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"swsketch/internal/mat"
 	"swsketch/internal/stream"
@@ -170,18 +171,37 @@ func (l *LM) recycle(sk stream.Mergeable) {
 // NewLM builds a Logarithmic Method sketch from any mergeable
 // streaming-sketch factory. ell is both the active block's mass
 // threshold and the nominal per-block sketch size; b is the number of
-// blocks per level (≈ 8/ε in the analysis).
+// blocks per level (≈ 8/ε in the analysis). It panics with checkLM's
+// error.
 func NewLM(spec window.Spec, d int, ell float64, b int, name string, factory stream.MergeableFactory) *LM {
-	if d < 1 {
-		panic(fmt.Sprintf("core: LM needs d ≥ 1, got %d", d))
-	}
-	if ell < 1 {
-		panic(fmt.Sprintf("core: LM needs ell ≥ 1, got %v", ell))
-	}
-	if b < 2 {
-		panic(fmt.Sprintf("core: LM needs b ≥ 2 blocks per level, got %d", b))
-	}
+	must(checkLM(spec, d, ell, b))
 	return &LM{spec: spec, d: d, ell: ell, b: b, factory: factory, name: name}
+}
+
+// checkLM states LM's limits; b ≥ 2 because a full level merges its two
+// oldest blocks (Section 6).
+func checkLM(spec window.Spec, d int, ell float64, b int) error {
+	switch {
+	case d < 1:
+		return fmt.Errorf("core: LM needs dimension d ≥ 1, got %d", d)
+	case !(ell >= 1) || math.IsInf(ell, 0):
+		return fmt.Errorf("core: LM needs a finite ell ≥ 1, got %v", ell)
+	case b < 2:
+		return fmt.Errorf("core: LM needs b ≥ 2 blocks per level, got %d", b)
+	}
+	return spec.Check()
+}
+
+// checkLMFD states LM-FD's limits: LM's, an integral ℓ, and its block
+// FDs', checked when the LM is built rather than on its first merge.
+func checkLMFD(spec window.Spec, d int, ell float64, b int, o stream.FDOpts) error {
+	if err := checkLM(spec, d, ell, b); err != nil {
+		return err
+	}
+	if ell != math.Trunc(ell) || ell > math.MaxInt32 {
+		return fmt.Errorf("core: LM-FD needs an integral ell, got %v", ell)
+	}
+	return stream.CheckFD(int(ell), d, o)
 }
 
 // NewLMFD builds LM over FrequentDirections blocks of ℓ rows: the
@@ -195,9 +215,11 @@ func NewLMFD(spec window.Spec, d, ell, b int) *LM {
 // block sketch: o.Buffer widens each block's working buffer for
 // amortized shrinks and o.Alpha tunes the shrink cadence. The zero
 // FDOpts reproduces NewLMFD exactly (including snapshot bytes); the
-// covariance guarantee holds for any valid (b, α).
+// covariance guarantee holds for any valid (b, α). It panics with
+// checkLMFD's error.
 func NewLMFDOpts(spec window.Spec, d, ell, b int, o stream.FDOpts) *LM {
 	o = o.Normalize()
+	must(checkLMFD(spec, d, float64(ell), b, o))
 	l := NewLM(spec, d, float64(ell), b, "LM-FD", func(dim int) stream.Mergeable {
 		return stream.NewFDOpts(ell, dim, o)
 	})
@@ -479,6 +501,9 @@ func (l *LM) blocksAt(i int) int {
 
 // Name implements WindowSketch.
 func (l *LM) Name() string { return l.name }
+
+// Dim returns the row dimension d.
+func (l *LM) Dim() int { return l.d }
 
 // Stats implements Introspector: level occupancy (total plus one
 // level<i>_blocks entry per live level), raw-vs-sketched block split,

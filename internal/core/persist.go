@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"swsketch/internal/binenc"
@@ -37,19 +36,9 @@ func writeSpec(w *binenc.Writer, spec window.Spec) {
 	w.F64(spec.Size)
 }
 
-func readSpec(r *binenc.Reader) (window.Spec, error) {
-	kind := window.Kind(r.Int())
-	size := r.F64()
-	if r.Err() != nil {
-		return window.Spec{}, r.Err()
-	}
-	if kind != window.Sequence && kind != window.Time {
-		return window.Spec{}, fmt.Errorf("core: snapshot has bad window kind %d", int(kind))
-	}
-	if size <= 0 {
-		return window.Spec{}, fmt.Errorf("core: snapshot has bad window size %v", size)
-	}
-	return window.Spec{Kind: kind, Size: size}, nil
+// readSpec reads what writeSpec wrote; the sketch's check judges it.
+func readSpec(r *binenc.Reader) window.Spec {
+	return window.Spec{Kind: window.Kind(r.Int()), Size: r.F64()}
 }
 
 func writeCandidate(w *binenc.Writer, c candidate) {
@@ -120,10 +109,7 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	if magic := r.U64(); magic != swrMagic && r.Err() == nil {
 		return fmt.Errorf("core: SWR snapshot magic %#x unrecognised", magic)
 	}
-	spec, err := readSpec(r)
-	if err != nil {
-		return fmt.Errorf("core: SWR snapshot: %w", err)
-	}
+	spec := readSpec(r)
 	d := r.Int()
 	ell := r.Count(r.Int(), 8) // every queue encodes at least its length
 	lastT := r.F64()
@@ -131,8 +117,8 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: SWR snapshot: %w", err)
 	}
-	if d < 1 || ell < 1 {
-		return fmt.Errorf("core: SWR snapshot shape ell=%d d=%d", ell, d)
+	if err := checkSampler("SWR", spec, ell, d); err != nil {
+		return fmt.Errorf("core: SWR snapshot: %w", err)
 	}
 	restored := NewSWR(spec, ell, d, time.Now().UnixNano())
 	restored.lastT, restored.seen = lastT, seen
@@ -205,10 +191,7 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 	if magic := r.U64(); magic != sworMagic && r.Err() == nil {
 		return fmt.Errorf("core: SWOR snapshot magic %#x unrecognised", magic)
 	}
-	spec, err := readSpec(r)
-	if err != nil {
-		return fmt.Errorf("core: SWOR snapshot: %w", err)
-	}
+	spec := readSpec(r)
 	d := r.Int()
 	ell := r.Int()
 	uniform := r.Bool()
@@ -219,8 +202,8 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: SWOR snapshot: %w", err)
 	}
-	if d < 1 || ell < 1 {
-		return fmt.Errorf("core: SWOR snapshot shape ell=%d d=%d", ell, d)
+	if err := checkSampler("SWOR", spec, ell, d); err != nil {
+		return fmt.Errorf("core: SWOR snapshot: %w", err)
 	}
 	restored := NewSWOR(spec, ell, d, time.Now().UnixNano())
 	restored.UniformScale, restored.All = uniform, all
@@ -465,27 +448,19 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	if magic != lmfdMagic && magic != lmfdMagicV2 && r.Err() == nil {
 		return fmt.Errorf("core: LM snapshot magic %#x unrecognised", magic)
 	}
-	spec, err := readSpec(r)
-	if err != nil {
-		return fmt.Errorf("core: LM snapshot: %w", err)
-	}
+	spec := readSpec(r)
 	d := r.Int()
 	ell := r.F64()
 	b := r.Int()
-	fdo := stream.FDOpts{}
+	fdo := stream.FDOpts{Buffer: 1, Alpha: 1}
 	if magic == lmfdMagicV2 {
-		fdo.Buffer = r.Int()
-		fdo.Alpha = r.F64()
-		if r.Err() == nil && (fdo.Buffer < 1 || !(fdo.Alpha > 0 && fdo.Alpha <= 1)) {
-			return fmt.Errorf("core: LM snapshot has invalid FD tuning buffer=%d alpha=%v", fdo.Buffer, fdo.Alpha)
-		}
+		fdo = stream.FDOpts{Buffer: r.Int(), Alpha: r.F64()}
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
-	// FD blocks need an integral ℓ ≥ 2.
-	if d < 1 || !(ell >= 2 && ell <= math.MaxInt32) || ell != math.Trunc(ell) || b < 2 {
-		return fmt.Errorf("core: LM snapshot shape d=%d ell=%v b=%d", d, ell, b)
+	if err := checkLMFD(spec, d, ell, b, fdo); err != nil {
+		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
 	restored := NewLMFDOpts(spec, d, int(ell), b, fdo)
 	if err := restored.readBody(r, func(r *binenc.Reader) (stream.Mergeable, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,6 +290,93 @@ func FuzzSWRUnmarshal(f *testing.F) {
 		s2.Update(row, t0)
 		s2.Query(t0)
 	})
+}
+
+// FuzzSWORUnmarshal hardens the SWOR (and SWOR-ALL) snapshot decoder
+// like FuzzSWRUnmarshal: never panic, allocate only in proportion to
+// the input, re-marshal as a fixed point, and keep working. (A restore
+// reseeds the sampler, so continuations are not compared.) The
+// committed corpus (testdata/fuzz/FuzzSWORUnmarshal) holds the
+// untruncated seeds below as of this version and a header claiming
+// 2³¹−1 candidates.
+func FuzzSWORUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	for _, rows := range []int{0, 120} {
+		for _, s := range []*SWOR{NewSWOR(window.Seq(40), 4, 3, 7), NewSWORAll(window.TimeSpan(12), 4, 3, 7)} {
+			for i := 0; i < rows; i++ {
+				s.Update(randRow(rng, 3), float64(i/3))
+			}
+			seed, err := s.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+			f.Add(seed[:len(seed)/2])
+		}
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s SWOR
+		var err error
+		if _, n := heapDelta(func() { err = s.UnmarshalBinary(data) }); n > decodeBudget(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		re, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-marshal of an accepted snapshot failed: %v", err)
+		}
+		var s2 SWOR
+		if err := s2.UnmarshalBinary(re); err != nil {
+			t.Fatalf("decode of the re-marshal failed: %v", err)
+		}
+		if re2, _ := s2.MarshalBinary(); !bytes.Equal(re, re2) {
+			t.Fatal("marshal is not a fixed point of a decode cycle")
+		}
+		if s2.d > 16 {
+			return
+		}
+		t0 := 0.0
+		if s2.seen {
+			t0 = s2.lastT
+		}
+		row := make([]float64, s2.d)
+		for i := range row {
+			row[i] = 1
+		}
+		s2.Update(row, t0)
+		s2.Query(t0)
+	})
+}
+
+// TestLMSnapshotRejectsBadWindow pins that an LM-FD snapshot must hold
+// a window Spec.Check accepts: a size patched to NaN or +Inf decoded
+// into a sketch that never expired a row, and a sequence size of 10.5
+// decoded although no config can build one.
+func TestLMSnapshotRejectsBadWindow(t *testing.T) {
+	l := NewLMFD(window.Seq(100), 3, 4, 2)
+	for i := 0; i < 50; i++ {
+		l.Update([]float64{1, float64(i % 3), 0.5}, float64(i))
+	}
+	good, err := l.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sizeOff = 8 + 8 // the magic, then the window kind
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(good[sizeOff:])); got != 100 {
+		t.Fatalf("window size field reads %v, want 100", got)
+	}
+	for _, size := range []float64{math.NaN(), math.Inf(1), 10.5} {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(bad[sizeOff:], math.Float64bits(size))
+		var r LM
+		if err := r.UnmarshalBinary(bad); err == nil {
+			t.Errorf("decoded an LM-FD snapshot with window size %v", size)
+		}
+	}
 }
 
 // sameMatrixBits reports whether two matrices have the same shape and

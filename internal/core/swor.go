@@ -64,11 +64,9 @@ func (s *SWOR) SetTracer(tr *trace.Tracer) {
 }
 
 // NewSWOR returns a without-replacement sampler of ℓ rows over
-// dimension d.
+// dimension d. It panics with checkSampler's error.
 func NewSWOR(spec window.Spec, ell, d int, seed int64) *SWOR {
-	if ell < 1 || d < 1 {
-		panic(fmt.Sprintf("core: SWOR needs ell ≥ 1 and d ≥ 1, got %d, %d", ell, d))
-	}
+	must(checkSampler("SWOR", spec, ell, d))
 	return &SWOR{
 		spec:  spec,
 		d:     d,
@@ -254,6 +252,9 @@ func (s *SWOR) Name() string {
 	}
 	return "SWOR"
 }
+
+// Dim returns the row dimension d.
+func (s *SWOR) Dim() int { return s.d }
 
 var _ WindowSketch = (*SWOR)(nil)
 

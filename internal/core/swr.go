@@ -93,11 +93,10 @@ func (s *SWR) SetTracer(tr *trace.Tracer) {
 
 // NewSWR returns an SWR sampler of ℓ rows over dimension d. The
 // Frobenius mass used for rescaling is tracked exactly (one scalar per
-// live row); use SetNormTracker to switch to the EH approximation.
+// live row); use SetNormTracker to switch to the EH approximation. It
+// panics with checkSampler's error.
 func NewSWR(spec window.Spec, ell, d int, seed int64) *SWR {
-	if ell < 1 || d < 1 {
-		panic(fmt.Sprintf("core: SWR needs ell ≥ 1 and d ≥ 1, got %d, %d", ell, d))
-	}
+	must(checkSampler("SWR", spec, ell, d))
 	return &SWR{
 		spec:   spec,
 		d:      d,
@@ -227,6 +226,17 @@ func (s *SWR) RowsStored() int {
 
 // Name implements WindowSketch.
 func (s *SWR) Name() string { return "SWR" }
+
+// Dim returns the row dimension d.
+func (s *SWR) Dim() int { return s.d }
+
+// checkSampler states the SWR and SWOR limits.
+func checkSampler(algo string, spec window.Spec, ell, d int) error {
+	if ell < 1 || d < 1 {
+		return fmt.Errorf("core: %s needs ell ≥ 1 and d ≥ 1, got %d, %d", algo, ell, d)
+	}
+	return spec.Check()
+}
 
 // Stats implements Introspector: per-queue candidate occupancy (total,
 // min, max across the ℓ independent deques) plus the norm tracker's

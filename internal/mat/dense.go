@@ -1,8 +1,8 @@
 // Package mat provides the dense linear algebra substrate used by the
 // sliding-window matrix sketches: a row-major dense matrix type, Gram
-// products, a cyclic Jacobi symmetric eigensolver, singular value
-// decomposition via the Gram trick, spectral norms by power iteration,
-// and rank-k truncation.
+// products, a Householder-tridiagonal QL symmetric eigensolver,
+// singular value decomposition via the Gram trick, spectral norms by
+// power iteration, and rank-k truncation.
 //
 // The package is self-contained (standard library only). It is tuned
 // for the shapes that matrix sketching produces: short-and-wide

@@ -9,10 +9,10 @@ import (
 // Householder reduction to tridiagonal form followed by the implicit-
 // shift QL iteration (the classic EISPACK tred2/tql2 pair). It returns
 // eigenvalues in descending order with matching eigenvector columns,
-// exactly like EigenSym, but runs in ~2n³ flops instead of Jacobi's
-// ~10n³–30n³ — this is the production path; the Jacobi solver remains
-// as the slow, unconditionally robust reference. It is the one-shot
-// form of SymEig.Decompose.
+// exactly like EigenSym, but runs in ~2n³ flops instead of cyclic
+// Jacobi's ~10n³–30n³ — this is the production path; the tests keep a
+// Jacobi solver as the slow, unconditionally robust reference. It is
+// the one-shot form of SymEig.Decompose.
 func EigenSymQL(a *Dense) (vals []float64, v *Dense) {
 	var s SymEig
 	return s.Decompose(a)

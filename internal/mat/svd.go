@@ -16,7 +16,7 @@ type SVDResult struct {
 
 // SVD computes a thin singular value decomposition of a via the Gram
 // trick: it eigendecomposes the smaller of AᵀA (cols×cols) and AAᵀ
-// (rows×rows) with the Jacobi solver and recovers the other factor by
+// (rows×rows) with EigenSym and recovers the other factor by
 // projection. This is the right trade for sketching shapes where one
 // dimension is much smaller than the other.
 //
@@ -87,7 +87,8 @@ func svdViaATA(a *Dense) SVDResult {
 }
 
 // singularValues converts eigenvalues of a Gram matrix to singular
-// values, clamping small negative values (Jacobi round-off) to zero.
+// values, clamping small negative values (eigensolver round-off) to
+// zero.
 func singularValues(vals []float64) []float64 {
 	s := make([]float64, len(vals))
 	for i, v := range vals {

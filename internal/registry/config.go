@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"swsketch/internal/core"
@@ -11,50 +12,19 @@ import (
 
 // Framework names accepted by Config.Framework; they are the -algo
 // vocabulary of cmd/swserve and cmd/swstream, which build their
-// sketches through Config.
+// sketches through Config. The framework table (frameworks) records
+// what each accepts.
 const (
-	// FrameworkSWR is the sampling-with-replacement sketch.
-	FrameworkSWR = "swr"
-	// FrameworkSWOR is the sampling-without-replacement sketch.
-	FrameworkSWOR = "swor"
-	// FrameworkSWORAll is the SWOR variant answering with every
-	// candidate row.
-	FrameworkSWORAll = "swor-all"
-	// FrameworkLMFD is the Logarithmic Method over FrequentDirections
-	// — the paper's recommended general-purpose sketch and the only
-	// framework whose spill/restore is bit-exact deterministic.
-	FrameworkLMFD = "lm-fd"
-	// FrameworkLMHash is the Logarithmic Method over feature hashing.
-	FrameworkLMHash = "lm-hash"
-	// FrameworkDIFD is the Dyadic Interval framework over
-	// FrequentDirections (sequence windows only).
-	FrameworkDIFD = "di-fd"
-	// FrameworkDSFD is the dump-snapshot FrequentDirections sketch
-	// (sequence windows only): deterministic, spill/restore bit-exact,
-	// with absolute covariance error within N·R/ℓ. R is optional — when
-	// omitted the norm bound is tracked adaptively.
-	FrameworkDSFD = "ds-fd"
-	// FrameworkLMAMM is the Logarithmic Method over the COD co-sketch:
-	// a paired-stream sketch answering windowed AᵀB (approximate matrix
-	// multiplication) queries over stacked rows [a|b]. Requires DB (the
-	// B-side suffix width); deterministic and spill/restore bit-exact.
-	FrameworkLMAMM = "lm-amm"
-	// FrameworkDIAMM is the Dyadic Interval framework over the COD
-	// co-sketch (sequence windows only); same paired-stream contract as
-	// lm-amm.
-	FrameworkDIAMM = "di-amm"
+	FrameworkSWR     = "swr"      // sampling with replacement
+	FrameworkSWOR    = "swor"     // sampling without replacement
+	FrameworkSWORAll = "swor-all" // SWOR answering with every candidate row
+	FrameworkLMFD    = "lm-fd"    // Logarithmic Method over FrequentDirections
+	FrameworkLMHash  = "lm-hash"  // Logarithmic Method over feature hashing
+	FrameworkDIFD    = "di-fd"    // Dyadic Interval over FrequentDirections
+	FrameworkDSFD    = "ds-fd"    // dump-snapshot FrequentDirections (R optional)
+	FrameworkLMAMM   = "lm-amm"   // Logarithmic Method over the COD co-sketch: windowed AᵀB
+	FrameworkDIAMM   = "di-amm"   // Dyadic Interval over the COD co-sketch: windowed AᵀB
 )
-
-// Frameworks returns every framework name the registry accepts, in
-// documentation order. The conformance suite's coverage test asserts
-// each is exercised by the shared contract battery.
-func Frameworks() []string {
-	return []string{
-		FrameworkSWR, FrameworkSWOR, FrameworkSWORAll,
-		FrameworkLMFD, FrameworkLMHash, FrameworkDIFD, FrameworkDSFD,
-		FrameworkLMAMM, FrameworkDIAMM,
-	}
-}
 
 // Window kind names accepted by Config.Window.
 const (
@@ -140,127 +110,100 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// Validate checks the config without building a sketch; it reports
-// the first problem found, phrased for an API error message.
-func (c Config) Validate() error {
-	c = c.normalize()
-	switch c.Framework {
-	case FrameworkSWR, FrameworkSWOR, FrameworkSWORAll, FrameworkLMFD, FrameworkLMHash,
-		FrameworkDIFD, FrameworkDSFD, FrameworkLMAMM, FrameworkDIAMM:
-	case "":
-		return fmt.Errorf("framework is required")
-	default:
-		return fmt.Errorf("unknown framework %q", c.Framework)
-	}
-	switch c.Window {
-	case WindowSequence, WindowTime:
-	default:
-		return fmt.Errorf("unknown window kind %q (want %q or %q)", c.Window, WindowSequence, WindowTime)
-	}
-	if c.Size <= 0 {
-		return fmt.Errorf("window size must be positive, got %v", c.Size)
-	}
-	if c.Window == WindowSequence && c.Size != float64(int(c.Size)) {
-		return fmt.Errorf("sequence window size must be an integer row count, got %v", c.Size)
-	}
-	if c.D < 1 {
-		return fmt.Errorf("dimension d must be ≥ 1, got %d", c.D)
-	}
-	if c.Ell < 0 {
-		return fmt.Errorf("ell must be ≥ 0, got %d", c.Ell)
-	}
-	switch c.Framework {
-	case FrameworkLMAMM, FrameworkDIAMM:
-		if c.DB < 1 || c.DB >= c.D {
-			return fmt.Errorf("%s requires d_b in (0,d): the B-side suffix width of the stacked dimension d=%d, got %d", c.Framework, c.D, c.DB)
-		}
-	default:
-		if c.DB != 0 {
-			return fmt.Errorf("d_b applies to the paired (amm) frameworks only, not %q", c.Framework)
-		}
-	}
-	if c.Ell == 0 {
-		switch c.Framework {
-		case FrameworkSWR, FrameworkLMFD, FrameworkDSFD, FrameworkLMAMM:
-			if c.Eps <= 0 || c.Eps >= 1 {
-				return fmt.Errorf("ell is zero, so eps must be in (0,1) to auto-size, got %v", c.Eps)
-			}
-		default:
-			return fmt.Errorf("framework %q requires an explicit ell", c.Framework)
-		}
-	}
-	if c.B < 0 {
-		return fmt.Errorf("b must be ≥ 0, got %d", c.B)
-	}
-	if c.Framework == FrameworkDIFD || c.Framework == FrameworkDIAMM {
-		if c.Window != WindowSequence {
-			return fmt.Errorf("%s supports sequence windows only", c.Framework)
-		}
-		if c.L < 1 {
-			return fmt.Errorf("%s requires levels ≥ 1, got %d", c.Framework, c.L)
-		}
-		if c.R <= 0 {
-			return fmt.Errorf("%s requires a positive max squared row norm r, got %v", c.Framework, c.R)
-		}
-	}
-	if c.Framework == FrameworkLMAMM && c.Ell != 0 && c.Ell < 2 {
-		return fmt.Errorf("lm-amm requires ell ≥ 2, got %d", c.Ell)
-	}
-	if c.Framework == FrameworkDSFD {
-		if c.Window != WindowSequence {
-			return fmt.Errorf("ds-fd supports sequence windows only")
-		}
-		if c.Ell != 0 && c.Ell < 2 {
-			return fmt.Errorf("ds-fd requires ell ≥ 2, got %d", c.Ell)
-		}
-		if c.R < 0 {
-			return fmt.Errorf("ds-fd norm bound r must be ≥ 0 (0 = adaptive), got %v", c.R)
-		}
-	}
-	if c.FDBuffer < 0 {
-		return fmt.Errorf("fd_buffer must be ≥ 0, got %d", c.FDBuffer)
-	}
-	if c.FDAlpha < 0 || c.FDAlpha > 1 {
-		return fmt.Errorf("fd_alpha must be in (0,1] (0 for the default), got %v", c.FDAlpha)
-	}
-	if c.FDBuffer != 0 || c.FDAlpha != 0 {
-		switch c.Framework {
-		case FrameworkLMFD, FrameworkDIFD, FrameworkDSFD, FrameworkLMAMM, FrameworkDIAMM:
-		default:
-			return fmt.Errorf("fd_buffer/fd_alpha apply to the FD and AMM frameworks only, not %q", c.Framework)
-		}
-	}
-	return nil
-}
-
 // fdOpts translates the FastFD knobs into the stream-layer options;
 // zero fields fall through to the classic defaults.
 func (c Config) fdOpts() stream.FDOpts {
 	return stream.FDOpts{Buffer: c.FDBuffer, Alpha: c.FDAlpha}
 }
 
+// diConfig is the DI framework config of di-fd and di-amm.
+func (c Config) diConfig() core.DIConfig {
+	return core.DIConfig{N: int(c.Size), R: c.R, L: c.L, Ell: c.Ell, RSlack: 1.01}
+}
+
+// framework is one row of the framework table: what the registry knows
+// about a framework. The sketch's own limits are its constructor's.
+type framework struct {
+	key     string // the Config.Framework name
+	name    string // the built sketch's Name()
+	seqOnly bool   // accepts sequence windows only
+	paired  bool   // takes stacked rows [a|b] split by d_b
+	auto    bool   // ell = 0 sizes the sketch from eps
+	fd      bool   // fd_buffer/fd_alpha apply
+	build   func(c Config, spec window.Spec) core.WindowSketch
+}
+
+// frameworks is the framework table, in documentation order.
+var frameworks = []framework{
+	{key: FrameworkSWR, name: "SWR", auto: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+		if c.Ell == 0 {
+			return core.AutoSWR(spec, c.D, c.Eps, c.Seed)
+		}
+		return core.NewSWR(spec, c.Ell, c.D, c.Seed)
+	}},
+	{key: FrameworkSWOR, name: "SWOR", build: func(c Config, spec window.Spec) core.WindowSketch {
+		return core.NewSWOR(spec, c.Ell, c.D, c.Seed)
+	}},
+	{key: FrameworkSWORAll, name: "SWOR-ALL", build: func(c Config, spec window.Spec) core.WindowSketch {
+		return core.NewSWORAll(spec, c.Ell, c.D, c.Seed)
+	}},
+	{key: FrameworkLMFD, name: "LM-FD", auto: true, fd: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+		if c.Ell == 0 {
+			return core.AutoLMFDOpts(spec, c.D, c.Eps, c.fdOpts())
+		}
+		return core.NewLMFDOpts(spec, c.D, c.Ell, c.B, c.fdOpts())
+	}},
+	{key: FrameworkLMHash, name: "LM-HASH", build: func(c Config, spec window.Spec) core.WindowSketch {
+		return core.NewLMHash(spec, c.D, c.Ell, c.B, uint64(c.Seed))
+	}},
+	{key: FrameworkDIFD, name: "DI-FD", seqOnly: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+		return core.NewDIFDOpts(c.diConfig(), c.D, c.fdOpts())
+	}},
+	{key: FrameworkDSFD, name: "DS-FD", seqOnly: true, auto: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+		if c.Ell == 0 {
+			return core.AutoDSFDOpts(int(c.Size), c.D, c.Eps, c.fdOpts())
+		}
+		return core.NewDSFD(core.DSFDConfig{
+			N: int(c.Size), Ell: c.Ell, R: c.R, RSlack: 1.01, FD: c.fdOpts(),
+		}, c.D)
+	}},
+	{key: FrameworkLMAMM, name: "LM-AMM", paired: true, auto: true, fd: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+		if c.Ell == 0 {
+			return core.AutoAMM(spec, c.D-c.DB, c.DB, c.Eps)
+		}
+		return core.NewLMAMMOpts(spec, c.D-c.DB, c.DB, c.Ell, c.B, c.fdOpts())
+	}},
+	{key: FrameworkDIAMM, name: "DI-AMM", seqOnly: true, paired: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+		return core.NewDIAMMOpts(c.diConfig(), c.D-c.DB, c.DB, c.fdOpts())
+	}},
+}
+
+// Frameworks returns every framework name the registry accepts, in
+// documentation order. The conformance suite's coverage test asserts
+// each is exercised by the shared contract battery.
+func Frameworks() []string {
+	out := make([]string, len(frameworks))
+	for i, f := range frameworks {
+		out[i] = f.key
+	}
+	return out
+}
+
+// lookup returns the table row of a framework name, or nil.
+func lookup(key string) *framework {
+	for i := range frameworks {
+		if frameworks[i].key == key {
+			return &frameworks[i]
+		}
+	}
+	return nil
+}
+
 // algoName maps the framework to the sketch's Name() without building
 // one (used when registering spilled stubs at startup).
 func (c Config) algoName() string {
-	switch c.normalize().Framework {
-	case FrameworkSWR:
-		return "SWR"
-	case FrameworkSWOR:
-		return "SWOR"
-	case FrameworkSWORAll:
-		return "SWOR-ALL"
-	case FrameworkLMFD:
-		return "LM-FD"
-	case FrameworkLMHash:
-		return "LM-HASH"
-	case FrameworkDIFD:
-		return "DI-FD"
-	case FrameworkDSFD:
-		return "DS-FD"
-	case FrameworkLMAMM:
-		return "LM-AMM"
-	case FrameworkDIAMM:
-		return "DI-AMM"
+	if f := lookup(c.normalize().Framework); f != nil {
+		return f.name
 	}
 	return c.Framework
 }
@@ -274,50 +217,46 @@ func (c Config) Spec() window.Spec {
 	return window.Seq(int(c.Size))
 }
 
-// Build validates the config and constructs the sketch it describes.
-func (c Config) Build() (core.WindowSketch, error) {
+// Build constructs the sketch the config describes, or reports the
+// first problem found, phrased for an API error message: a rule of the
+// framework table, or the constructor's panic on its own limits.
+func (c Config) Build() (sk core.WindowSketch, err error) {
 	c = c.normalize()
-	if err := c.Validate(); err != nil {
+	f, err := c.check()
+	if err != nil {
 		return nil, err
 	}
-	spec := c.Spec()
-	switch c.Framework {
-	case FrameworkSWR:
-		if c.Ell == 0 {
-			return core.AutoSWR(spec, c.D, c.Eps, c.Seed), nil
+	defer func() {
+		if r := recover(); r != nil {
+			sk, err = nil, fmt.Errorf("%v", r)
 		}
-		return core.NewSWR(spec, c.Ell, c.D, c.Seed), nil
-	case FrameworkSWOR:
-		return core.NewSWOR(spec, c.Ell, c.D, c.Seed), nil
-	case FrameworkSWORAll:
-		return core.NewSWORAll(spec, c.Ell, c.D, c.Seed), nil
-	case FrameworkLMFD:
-		if c.Ell == 0 {
-			return core.AutoLMFDOpts(spec, c.D, c.Eps, c.fdOpts()), nil
-		}
-		return core.NewLMFDOpts(spec, c.D, c.Ell, c.B, c.fdOpts()), nil
-	case FrameworkLMHash:
-		return core.NewLMHash(spec, c.D, c.Ell, c.B, uint64(c.Seed)), nil
-	case FrameworkDIFD:
-		return core.NewDIFDOpts(core.DIConfig{
-			N: int(c.Size), R: c.R, L: c.L, Ell: c.Ell, RSlack: 1.01,
-		}, c.D, c.fdOpts()), nil
-	case FrameworkDSFD:
-		if c.Ell == 0 {
-			return core.AutoDSFDOpts(int(c.Size), c.D, c.Eps, c.fdOpts()), nil
-		}
-		return core.NewDSFD(core.DSFDConfig{
-			N: int(c.Size), Ell: c.Ell, R: c.R, RSlack: 1.01, FD: c.fdOpts(),
-		}, c.D), nil
-	case FrameworkLMAMM:
-		if c.Ell == 0 {
-			return core.AutoAMM(spec, c.D-c.DB, c.DB, c.Eps), nil
-		}
-		return core.NewLMAMMOpts(spec, c.D-c.DB, c.DB, c.Ell, c.B, c.fdOpts()), nil
-	case FrameworkDIAMM:
-		return core.NewDIAMMOpts(core.DIConfig{
-			N: int(c.Size), R: c.R, L: c.L, Ell: c.Ell, RSlack: 1.01,
-		}, c.D-c.DB, c.DB, c.fdOpts()), nil
+	}()
+	return f.build(c, c.Spec()), nil
+}
+
+// check applies the rules no constructor can see and returns the
+// framework's table row. c is normalized.
+func (c Config) check() (*framework, error) {
+	f := lookup(c.Framework)
+	switch {
+	case c.Framework == "":
+		return nil, fmt.Errorf("framework is required")
+	case f == nil:
+		return nil, fmt.Errorf("unknown framework %q", c.Framework)
+	case c.Window != WindowSequence && c.Window != WindowTime:
+		return nil, fmt.Errorf("unknown window kind %q (want %q or %q)", c.Window, WindowSequence, WindowTime)
+	case f.seqOnly && c.Window != WindowSequence:
+		return nil, fmt.Errorf("%s supports sequence windows only", c.Framework)
+	case c.Window == WindowSequence && c.Size != math.Trunc(c.Size):
+		return nil, fmt.Errorf("sequence window size must be an integer row count, got %v", c.Size)
+	case f.paired && c.DB == 0:
+		return nil, fmt.Errorf("%s requires d_b in (0,d): the B-side suffix width of the stacked dimension d=%d", c.Framework, c.D)
+	case !f.paired && c.DB != 0:
+		return nil, fmt.Errorf("d_b applies to the paired (amm) frameworks only, not %q", c.Framework)
+	case !f.fd && (c.FDBuffer != 0 || c.FDAlpha != 0):
+		return nil, fmt.Errorf("fd_buffer/fd_alpha apply to the FD and AMM frameworks only, not %q", c.Framework)
+	case c.Ell == 0 && !f.auto:
+		return nil, fmt.Errorf("framework %q requires an explicit ell", c.Framework)
 	}
-	return nil, fmt.Errorf("unknown framework %q", c.Framework)
+	return f, nil
 }

@@ -20,7 +20,8 @@
 //     WithSpillDir directory — when the sketch supports binary
 //     snapshots, and drops the tenant otherwise. A spilled tenant is
 //     restored transparently on its next Acquire; restore is
-//     bit-exact for deterministic sketches (LM-FD).
+//     bit-exact for the deterministic sketches (LM-FD, DS-FD, LM-AMM,
+//     DI-AMM).
 //   - Observability. WithObs publishes aggregate counters/gauges and a
 //     per-tenant row-count gauge set; WithTrace emits tenant_create /
 //     tenant_evict / tenant_restore / tenant_delete events.
@@ -481,10 +482,10 @@ func (r *Registry) Sweep() int {
 }
 
 // evict spills (preferred) or drops one idle tenant. It re-checks
-// idleness and residency under the tenant lock and skips busy tenants
-// via TryLock so a sweep never stalls ingest. The shard lock is taken
-// first (the registry's lock order is shard before tenant) because a
-// drop removes the tenant from the shard map.
+// idleness under the tenant lock and skips busy tenants via TryLock so
+// a sweep never stalls ingest. The shard lock is taken first (the
+// registry's lock order is shard before tenant) because a drop removes
+// the tenant from the shard map.
 func (r *Registry) evict(sh *shard, t *Tenant, cutoff int64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -492,7 +493,47 @@ func (r *Registry) evict(sh *shard, t *Tenant, cutoff int64) bool {
 		return false
 	}
 	defer t.mu.Unlock()
-	if t.deleted || t.sk == nil || t.lastTouch.Load() > cutoff {
+	return t.lastTouch.Load() <= cutoff && r.evictLocked(sh, t)
+}
+
+// enforceCap evicts the least-recently-used unpinned resident tenants
+// of a full shard. Caller holds sh.mu. Best effort: a busy tenant, or
+// one whose spill fails, is skipped for the next-oldest, so a shard
+// under heavy load may briefly exceed its stripe of the cap.
+func (r *Registry) enforceCap(sh *shard) {
+	resident := 0
+	var victims []*Tenant
+	for _, t := range sh.tenants {
+		if !t.Resident() {
+			continue
+		}
+		resident++
+		if !t.pinned {
+			victims = append(victims, t)
+		}
+	}
+	sort.Slice(victims, func(i, j int) bool {
+		return victims[i].lastTouch.Load() < victims[j].lastTouch.Load()
+	})
+	for _, t := range victims {
+		if resident < r.maxPerShard {
+			return
+		}
+		if !t.mu.TryLock() {
+			continue
+		}
+		if r.evictLocked(sh, t) {
+			resident--
+		}
+		t.mu.Unlock()
+	}
+}
+
+// evictLocked, Sweep's and the cap's one spill-or-drop step, reports
+// whether the tenant left memory; a failed spill keeps it resident.
+// Caller holds sh.mu and t.mu.
+func (r *Registry) evictLocked(sh *shard, t *Tenant) bool {
+	if t.deleted || t.sk == nil {
 		return false
 	}
 	if t.canSpill() {
@@ -500,50 +541,6 @@ func (r *Registry) evict(sh *shard, t *Tenant, cutoff int64) bool {
 	}
 	r.drop(sh, t)
 	return true
-}
-
-// enforceCap evicts the least-recently-used unpinned resident tenants
-// of a full shard. Caller holds sh.mu. Best effort: busy tenants are
-// skipped rather than blocked on, so a shard under heavy load may
-// briefly exceed its stripe of the cap.
-func (r *Registry) enforceCap(sh *shard) {
-	resident := 0
-	for _, t := range sh.tenants {
-		if t.Resident() {
-			resident++
-		}
-	}
-	for resident >= r.maxPerShard {
-		var victim *Tenant
-		for _, t := range sh.tenants {
-			if t.pinned || !t.Resident() {
-				continue
-			}
-			if victim == nil || t.lastTouch.Load() < victim.lastTouch.Load() {
-				victim = t
-			}
-		}
-		if victim == nil || !victim.mu.TryLock() {
-			return
-		}
-		if victim.deleted || victim.sk == nil {
-			victim.mu.Unlock()
-			return
-		}
-		ok := false
-		if victim.canSpill() {
-			ok = r.spill(victim)
-			victim.mu.Unlock()
-		} else {
-			r.drop(sh, victim)
-			victim.mu.Unlock()
-			ok = true
-		}
-		if !ok {
-			return
-		}
-		resident--
-	}
 }
 
 // canSpill reports whether eviction can preserve the tenant's state on

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"encoding"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"swsketch/internal/mat"
 	"swsketch/internal/obs"
 	"swsketch/internal/trace"
+	"swsketch/internal/window"
 )
 
 // lmCfg is the deterministic workhorse config used across the tests.
@@ -136,8 +139,8 @@ func TestConfigValidate(t *testing.T) {
 		{"fastfd lm-fd", Config{Framework: "lm-fd", Size: 10, D: 4, Ell: 4, FDBuffer: 2, FDAlpha: 0.5}, ""},
 		{"fastfd di-fd", Config{Framework: "di-fd", Size: 64, D: 4, Ell: 8, L: 3, R: 1, FDBuffer: 2}, ""},
 		{"fastfd auto lm-fd", Config{Framework: "lm-fd", Size: 100, D: 4, Eps: 0.2, FDBuffer: 4}, ""},
-		{"bad fd buffer", Config{Framework: "lm-fd", Size: 10, D: 4, Ell: 4, FDBuffer: -1}, "fd_buffer"},
-		{"bad fd alpha", Config{Framework: "lm-fd", Size: 10, D: 4, Ell: 4, FDAlpha: 1.5}, "fd_alpha"},
+		{"bad fd buffer", Config{Framework: "lm-fd", Size: 10, D: 4, Ell: 4, FDBuffer: -1}, "buffer factor"},
+		{"bad fd alpha", Config{Framework: "lm-fd", Size: 10, D: 4, Ell: 4, FDAlpha: 1.5}, "alpha in (0,1]"},
 		{"fastfd ds-fd", Config{Framework: "ds-fd", Size: 64, D: 4, Ell: 8, FDBuffer: 2, FDAlpha: 0.5}, ""},
 		{"fd knobs on swr", Config{Framework: "swr", Size: 10, D: 4, Ell: 4, FDBuffer: 2}, "FD and AMM frameworks only"},
 		{"fd alpha on hash", Config{Framework: "lm-hash", Size: 10, D: 4, Ell: 4, FDAlpha: 0.5}, "FD and AMM frameworks only"},
@@ -147,15 +150,15 @@ func TestConfigValidate(t *testing.T) {
 		{"fastfd lm-amm", Config{Framework: "lm-amm", Size: 48, D: 6, DB: 2, Ell: 8, FDBuffer: 2, FDAlpha: 0.5}, ""},
 		{"di-amm ok", Config{Framework: "di-amm", Size: 64, D: 6, DB: 3, Ell: 8, L: 3, R: 4}, ""},
 		{"amm no db", Config{Framework: "lm-amm", Size: 48, D: 6, Ell: 8}, "d_b in (0,d)"},
-		{"amm db too wide", Config{Framework: "lm-amm", Size: 48, D: 6, DB: 6, Ell: 8}, "d_b in (0,d)"},
-		{"amm negative db", Config{Framework: "di-amm", Size: 64, D: 6, DB: -1, Ell: 8, L: 3, R: 4}, "d_b in (0,d)"},
+		{"amm db too wide", Config{Framework: "lm-amm", Size: 48, D: 6, DB: 6, Ell: 8}, "dA ≥ 1"},
+		{"amm negative db", Config{Framework: "di-amm", Size: 64, D: 6, DB: -1, Ell: 8, L: 3, R: 4}, "dB ≥ 1"},
 		{"db on lm-fd", Config{Framework: "lm-fd", Size: 48, D: 6, DB: 2, Ell: 8}, "paired (amm) frameworks only"},
 		{"db on swr", Config{Framework: "swr", Size: 48, D: 6, DB: 2, Ell: 8}, "paired (amm) frameworks only"},
 		{"di-amm time", Config{Framework: "di-amm", Window: "time", Size: 10, D: 6, DB: 2, Ell: 8, L: 3, R: 4}, "sequence windows only"},
 		{"di-amm no r", Config{Framework: "di-amm", Size: 64, D: 6, DB: 3, Ell: 8, L: 3}, "squared row norm"},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := tc.cfg.Build()
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -469,5 +472,84 @@ func TestMaxTenantsSpillsWithDir(t *testing.T) {
 	}
 	if post := queryBits(t, a, 29); !bitsEqual(pre, post) {
 		t.Fatal("cap-evicted tenant restored to different state")
+	}
+}
+
+// TestMaxTenantsSkipsUnspillableVictim pins that the cap moves past a
+// victim it cannot spill: an lm-hash tenant refuses to snapshot, so
+// its spill fails and it stays resident, and each later Create evicts
+// the next-oldest tenant instead. Stopping at the failed spill let all
+// 20 tenants stay resident.
+func TestMaxTenantsSkipsUnspillableVictim(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r := mustNew(t, WithShards(1), WithMaxTenants(4), WithClock(clk.Now), WithSpillDir(t.TempDir()))
+	hash := Config{Framework: "lm-hash", Size: 64, D: 4, Ell: 8, B: 4}
+	if _, err := r.Create("hash", hash); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 19; i++ {
+		clk.Advance(time.Second)
+		if _, err := r.Create(fmt.Sprintf("fd-%02d", i), lmCfg(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := 0
+	for _, info := range r.List() {
+		if info.Resident {
+			resident++
+		}
+	}
+	if resident > 4 {
+		t.Fatalf("%d tenants resident under a cap of 4", resident)
+	}
+	if h, _ := r.Get("hash"); !h.Resident() {
+		t.Fatal("the unspillable tenant left memory")
+	}
+	if r.Len() != 20 {
+		t.Fatalf("registry holds %d tenants, want all 20", r.Len())
+	}
+}
+
+// TestRestoreRejectsForeignSnapshot checks that Restore keeps a
+// tenant's algorithm and row width: a snapshot of another d, or of
+// another algorithm the sketch type can decode, is rejected and the
+// tenant's state is unchanged. The adopted (config-less) tenant is
+// covered as well.
+func TestRestoreRejectsForeignSnapshot(t *testing.T) {
+	r := mustNew(t)
+	snap := func(sk core.WindowSketch) []byte {
+		b, err := sk.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	wide := core.NewLMFD(window.Seq(64), 9, 8, 4)
+	fd4, _ := r.Create("fd4", lmCfg(4))
+	hash, _ := r.Create("hash", Config{Framework: "lm-hash", Size: 64, D: 4, Ell: 8, B: 4})
+	pinned, _ := r.Adopt("pinned", core.NewLMFD(window.Seq(64), 4, 8, 4), 4)
+	for _, c := range []struct {
+		tn   *Tenant
+		blob []byte
+	}{
+		{fd4, snap(wide)},
+		{hash, snap(core.NewLMFD(window.Seq(64), 4, 8, 4))},
+		{pinned, snap(wide)},
+		{pinned, snap(core.NewSWR(window.Seq(64), 4, 4, 1))},
+	} {
+		t0 := float64(c.tn.Updates())
+		ingestRows(t, c.tn, 4, 20, t0)
+		want := queryBits(t, c.tn, t0+19)
+		if err := c.tn.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+		err := c.tn.Restore(c.blob)
+		c.tn.Release()
+		if err == nil {
+			t.Fatalf("%s: restored a foreign snapshot", c.tn.ID())
+		}
+		if got := queryBits(t, c.tn, t0+19); !bitsEqual(want, got) {
+			t.Fatalf("%s: a rejected restore changed the sketch", c.tn.ID())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,13 +16,13 @@ import (
 // Spill files carry everything needed to resurrect a tenant in a
 // fresh process: the tenant ID, its declarative config, its ingest
 // clock, and the sketch's own binary snapshot. The format is
-// versioned with a magic number like the core snapshot formats; v2
-// appends the paired-framework split width DB after R and is written
-// only when DB is set, so every pre-existing tenant keeps its v1
-// bytes.
+// versioned with a magic number like the core snapshot formats. v1 and
+// v2 wrote the config field by field, without the FastFD knobs; v3,
+// the only one written, carries it as the WAL's create-record JSON.
 const (
 	spillMagic   = uint64(0x544E4E54_00000001) // "TNNT" v1
 	spillMagicV2 = uint64(0x544E4E54_00000002) // "TNNT" v2: v1 + DB
+	spillMagicV3 = uint64(0x544E4E54_00000003) // "TNNT" v3: JSON config
 )
 
 // spillExt is the spill-file suffix scanned at startup.
@@ -40,41 +41,20 @@ func (r *Registry) spillPath(id string) string {
 	return filepath.Join(r.spillDir, name+spillExt)
 }
 
-// encodeSpill serialises the tenant header plus the sketch snapshot.
-// Caller holds t.mu.
-func encodeSpill(t *Tenant) ([]byte, error) {
-	m, ok := t.sk.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("registry: %s does not support snapshots", t.algo)
-	}
-	blob, err := m.MarshalBinary()
+// encodeSpill serialises a tenant header plus its sketch snapshot in
+// the v3 layout.
+func encodeSpill(h spillHeader, blob []byte) ([]byte, error) {
+	cfg, err := json.Marshal(h.cfg)
 	if err != nil {
 		return nil, err
 	}
 	w := binenc.NewWriter()
-	c := t.cfg
-	if c.DB != 0 {
-		w.U64(spillMagicV2)
-	} else {
-		w.U64(spillMagic)
-	}
-	w.Blob([]byte(t.id))
-	w.Blob([]byte(c.Framework))
-	w.Blob([]byte(c.Window))
-	w.F64(c.Size)
-	w.Int(c.D)
-	w.Int(c.Ell)
-	w.Int(c.B)
-	w.F64(c.Eps)
-	w.Int(int(c.Seed))
-	w.Int(c.L)
-	w.F64(c.R)
-	if c.DB != 0 {
-		w.Int(c.DB)
-	}
-	w.U64(t.updates.Load())
-	w.F64(t.lastT)
-	w.Bool(t.seen)
+	w.U64(spillMagicV3)
+	w.Blob([]byte(h.id))
+	w.Blob(cfg)
+	w.U64(h.updates)
+	w.F64(h.lastT)
+	w.Bool(h.seen)
 	w.Blob(blob)
 	return w.Bytes(), nil
 }
@@ -94,24 +74,32 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	var h spillHeader
 	r := binenc.NewReader(data)
 	magic := r.U64()
-	if r.Err() == nil && magic != spillMagic && magic != spillMagicV2 {
+	if r.Err() == nil && magic != spillMagic && magic != spillMagicV2 && magic != spillMagicV3 {
 		return h, nil, fmt.Errorf("registry: not a tenant spill file (magic %#x)", magic)
 	}
 	h.id = string(r.Blob())
-	h.cfg = Config{
-		Framework: string(r.Blob()),
-		Window:    string(r.Blob()),
-		Size:      r.F64(),
-		D:         r.Int(),
-		Ell:       r.Int(),
-		B:         r.Int(),
-		Eps:       r.F64(),
-		Seed:      int64(r.Int()),
-		L:         r.Int(),
-		R:         r.F64(),
-	}
-	if magic == spillMagicV2 {
-		h.cfg.DB = r.Int()
+	if magic == spillMagicV3 {
+		if cfg := r.Blob(); r.Err() == nil {
+			if err := json.Unmarshal(cfg, &h.cfg); err != nil {
+				return h, nil, fmt.Errorf("registry: corrupt spill file: config: %w", err)
+			}
+		}
+	} else {
+		h.cfg = Config{
+			Framework: string(r.Blob()),
+			Window:    string(r.Blob()),
+			Size:      r.F64(),
+			D:         r.Int(),
+			Ell:       r.Int(),
+			B:         r.Int(),
+			Eps:       r.F64(),
+			Seed:      int64(r.Int()),
+			L:         r.Int(),
+			R:         r.F64(),
+		}
+		if magic == spillMagicV2 {
+			h.cfg.DB = r.Int()
+		}
 	}
 	h.updates = r.U64()
 	h.lastT = r.F64()
@@ -127,7 +115,11 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 // sketch. Caller holds t.mu and has verified canSpill. On a write
 // failure the tenant stays resident and the failure is counted.
 func (r *Registry) spill(t *Tenant) bool {
-	data, err := encodeSpill(t)
+	blob, err := t.sk.(encoding.BinaryMarshaler).MarshalBinary()
+	var data []byte
+	if err == nil {
+		data, err = encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: t.updates.Load(), lastT: t.lastT, seen: t.seen}, blob)
+	}
 	if err == nil {
 		err = writeFileAtomic(r.spillPath(t.id), data)
 	}
@@ -153,11 +145,9 @@ func (r *Registry) spill(t *Tenant) bool {
 	return true
 }
 
-// restore rebuilds a spilled tenant from its spill file: the sketch
-// is reconstructed from the stored config and fed its binary
-// snapshot, and the clock is reinstated. Caller holds t.mu. The spill
-// file is removed on success (the in-memory state immediately
-// diverges from it).
+// restore rebuilds a spilled tenant from its spill file and reinstates
+// its clock. Caller holds t.mu. The spill file is removed on success
+// (the in-memory state immediately diverges from it).
 func (r *Registry) restore(t *Tenant) error {
 	path := r.spillPath(t.id)
 	data, err := os.ReadFile(path)
@@ -171,22 +161,12 @@ func (r *Registry) restore(t *Tenant) error {
 	if h.id != t.id {
 		return fmt.Errorf("registry: restore %q: spill file belongs to %q", t.id, h.id)
 	}
-	sk, err := h.cfg.Build()
-	if err != nil {
+	if err := t.Restore(blob); err != nil {
 		return fmt.Errorf("registry: restore %q: %w", t.id, err)
 	}
-	u, ok := sk.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("registry: restore %q: %s lost snapshot support", t.id, sk.Name())
-	}
-	if err := u.UnmarshalBinary(blob); err != nil {
-		return fmt.Errorf("registry: restore %q: %w", t.id, err)
-	}
-	t.sk = sk
-	t.cfg = h.cfg
 	t.updates.Store(h.updates)
 	t.lastT, t.seen = h.lastT, h.seen
-	t.lastRows.Store(int64(sk.RowsStored()))
+	t.lastRows.Store(int64(t.sk.RowsStored()))
 	t.spilled.Store(false)
 	_ = os.Remove(path)
 	if r.restored != nil {

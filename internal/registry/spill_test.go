@@ -1,12 +1,15 @@
 package registry
 
 import (
+	"encoding"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"swsketch/internal/binenc"
 )
 
 // TestSpillRestoreBitIdentical is the property behind the eviction
@@ -152,6 +155,128 @@ func TestSpillPathSanitises(t *testing.T) {
 		}
 		if !strings.HasSuffix(p, spillExt) {
 			t.Fatalf("spillPath(%q) = %q lacks the %s suffix", id, p, spillExt)
+		}
+	}
+}
+
+// TestSpillKeepsWholeConfig checks that a spill file carries the whole
+// config: the FastFD knobs survive a spill and restore, and a restart
+// that registers the tenant from its file. The v1 and v2 headers
+// dropped fd_buffer and fd_alpha.
+func TestSpillKeepsWholeConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{Framework: "lm-fd", Size: 48, D: 5, Ell: 8, B: 4, FDBuffer: 2, FDAlpha: 0.5},
+		{Framework: "ds-fd", Size: 48, D: 5, Ell: 8, FDBuffer: 2, FDAlpha: 0.5},
+		{Framework: "lm-amm", Size: 48, D: 6, DB: 2, Ell: 8, B: 4, FDBuffer: 2, FDAlpha: 0.5},
+	} {
+		dir := t.TempDir()
+		clk := &fakeClock{t: time.Unix(1000, 0)}
+		r := mustNew(t, WithSpillDir(dir), WithEvictTTL(time.Minute), WithClock(clk.Now))
+		tn, err := r.Create("p", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tn.Config()
+		ingestRows(t, tn, cfg.D, 30, 0)
+		clk.Advance(time.Hour)
+		if n := r.Sweep(); n != 1 {
+			t.Fatalf("%s: Sweep = %d", cfg.Framework, n)
+		}
+		data, err := os.ReadFile(r.spillPath("p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(copyDir, filepath.Base(r.spillPath("p"))), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restarted := mustNew(t, WithSpillDir(copyDir))
+		stub, ok := restarted.Get("p")
+		if !ok {
+			t.Fatalf("%s: restart lost the tenant", cfg.Framework)
+		}
+		for _, got := range []*Tenant{tn, stub} {
+			if err := got.Acquire(); err != nil {
+				t.Fatal(err)
+			}
+			got.Release()
+			if got.Config() != want {
+				t.Fatalf("%s: config %+v after a spill, want %+v", cfg.Framework, got.Config(), want)
+			}
+		}
+	}
+}
+
+// legacySpill encodes a tenant in the v1 (or, with DB set, v2) spill
+// layout: the config field by field, without the FastFD knobs.
+func legacySpill(id string, c Config, updates uint64, lastT float64, blob []byte) []byte {
+	w := binenc.NewWriter()
+	if c.DB != 0 {
+		w.U64(spillMagicV2)
+	} else {
+		w.U64(spillMagic)
+	}
+	w.Blob([]byte(id))
+	w.Blob([]byte(c.Framework))
+	w.Blob([]byte(c.Window))
+	w.F64(c.Size)
+	w.Int(c.D)
+	w.Int(c.Ell)
+	w.Int(c.B)
+	w.F64(c.Eps)
+	w.Int(int(c.Seed))
+	w.Int(c.L)
+	w.F64(c.R)
+	if c.DB != 0 {
+		w.Int(c.DB)
+	}
+	w.U64(updates)
+	w.F64(lastT)
+	w.Bool(true)
+	w.Blob(blob)
+	return w.Bytes()
+}
+
+// TestLegacySpillFilesRestore checks that v1 and v2 spill files, as
+// earlier versions wrote them, still register and restore.
+func TestLegacySpillFilesRestore(t *testing.T) {
+	dir := t.TempDir()
+	src := mustNew(t, WithSpillDir(dir))
+	want := map[string][][]uint64{}
+	for id, cfg := range map[string]Config{
+		"v1": lmCfg(4),
+		"v2": {Framework: "lm-amm", Window: "sequence", Size: 48, D: 6, DB: 2, Ell: 8, B: 4},
+	} {
+		tn, err := src.Create(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestRows(t, tn, cfg.D, 40, 0)
+		want[id] = queryBits(t, tn, 39)
+		if err := tn.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := tn.Raw().(encoding.BinaryMarshaler).MarshalBinary()
+		tn.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := legacySpill(id, tn.Config(), 40, 39, blob)
+		if err := os.WriteFile(src.spillPath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := mustNew(t, WithSpillDir(dir))
+	for id, bits := range want {
+		tn, ok := r.Get(id)
+		if !ok {
+			t.Fatalf("%s spill file not registered", id)
+		}
+		if got := queryBits(t, tn, 39); !bitsEqual(bits, got) {
+			t.Fatalf("%s spill file restored to different state", id)
+		}
+		if tn.Updates() != 40 {
+			t.Fatalf("%s: updates %d, want 40", id, tn.Updates())
 		}
 	}
 }

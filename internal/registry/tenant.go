@@ -1,16 +1,24 @@
 package registry
 
 import (
+	"encoding"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
 	"swsketch/internal/core"
 )
 
-// ErrDeleted is returned by Tenant.Acquire when the tenant was removed
-// from its registry after the caller obtained the pointer.
-var ErrDeleted = errors.New("registry: tenant deleted")
+var (
+	// ErrDeleted is returned by Tenant.Acquire when the tenant was
+	// removed from its registry after the caller obtained the pointer.
+	ErrDeleted = errors.New("registry: tenant deleted")
+	// ErrNoSnapshot is returned by Tenant.Restore when the tenant's
+	// sketch does not support binary snapshots.
+	ErrNoSnapshot = errors.New("registry: sketch does not support snapshots")
+)
 
 // Tenant is one named sliding-window sketch inside a Registry. All
 // sketch and clock access goes through Acquire/Release — the tenant's
@@ -161,6 +169,49 @@ func (t *Tenant) Dequeue() { t.pending.Add(-1) }
 
 // Pending returns, lock-free, the tenant's in-flight stream blocks.
 func (t *Tenant) Pending() int { return int(t.pending.Load()) }
+
+// Restore replaces the tenant's sketch state with a binary snapshot,
+// leaving the clock to the caller; upload, WAL replay and spill restore
+// all use it. The blob is first decoded into a fresh sketch, which must
+// have the tenant's algorithm and row width (a snapshot's header sets
+// its geometry); a resident tenant then decodes it again in place, so
+// a decorated front or tracer stays attached. Callers must hold the
+// tenant via Acquire.
+func (t *Tenant) Restore(blob []byte) error {
+	fresh, err := t.blank()
+	if err != nil {
+		return err
+	}
+	u, ok := fresh.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoSnapshot, t.algo)
+	}
+	if err := u.UnmarshalBinary(blob); err != nil {
+		return err
+	}
+	if dim, ok := fresh.(interface{ Dim() int }); !ok || fresh.Name() != t.algo || dim.Dim() != t.d {
+		return fmt.Errorf("registry: the snapshot's %s sketch does not fit tenant %q, %s of row width %d",
+			fresh.Name(), t.id, t.algo, t.d)
+	}
+	if t.sk == nil {
+		t.sk = fresh
+		return nil
+	}
+	return t.sk.(encoding.BinaryUnmarshaler).UnmarshalBinary(blob) // same type, same bytes: cannot fail
+}
+
+// blank returns a sketch to decode into: a spilled tenant's built from
+// its config, else a new value of the sketch's type.
+func (t *Tenant) blank() (core.WindowSketch, error) {
+	if t.sk == nil {
+		return t.cfg.Build()
+	}
+	if v := reflect.ValueOf(t.sk); v.Kind() == reflect.Pointer {
+		sk, _ := reflect.New(v.Type().Elem()).Interface().(core.WindowSketch)
+		return sk, nil
+	}
+	return nil, nil
+}
 
 // SetClock force-sets the ingest clock — WAL replay uses it to
 // reinstate the clock a logged snapshot restore recorded. Callers

@@ -65,7 +65,10 @@
 //	                         state could not be restored from disk)
 //
 // Snapshot endpoints require the underlying sketch to support binary
-// snapshots (SWR, SWOR, SWOR-ALL, LM-FD do); others get 501. Tenant
+// snapshots (SWR, SWOR, SWOR-ALL, LM-FD, DS-FD, LM-AMM and DI-AMM do);
+// others get 501, except LM-HASH, whose download fails with 500. An
+// upload must hold the tenant's algorithm and row width, or it gets
+// 400 and the tenant keeps its state. Tenant
 // IDs are restricted to [A-Za-z0-9._-], at most 128 bytes; "default"
 // names the sketch passed to NewServer and cannot be created or
 // deleted.
@@ -607,14 +610,13 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	u, ok := t.Raw().(encoding.BinaryUnmarshaler)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, CodeUnsupported,
-			"%s does not support snapshots", t.Raw().Name())
-		return
-	}
-	if err := u.UnmarshalBinary(data); err != nil {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
+	if err := t.Restore(data); err != nil {
+		if errors.Is(err, registry.ErrNoSnapshot) {
+			httpError(w, http.StatusNotImplemented, CodeUnsupported,
+				"%s does not support snapshots", t.Raw().Name())
+		} else {
+			httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
+		}
 		return
 	}
 	t.ResetClock()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -614,5 +616,124 @@ func TestTenantRouteMethodNotAllowed(t *testing.T) {
 	}
 	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, "PUT") || !strings.Contains(allow, "DELETE") {
 		t.Fatalf("Allow = %q", allow)
+	}
+}
+
+// constructorLimitConfigs are tenant configs the framework table lets
+// through but a constructor rejects. Each used to pass validation and
+// then panic in PUT (dropping the connection) or, for lm-fd's ell and
+// fd_buffer, build a tenant that panicked on its first merge or could
+// not be restored after a spill.
+var constructorLimitConfigs = []string{
+	`{"framework":"lm-fd","size":64,"d":3,"ell":8,"b":1}`,
+	`{"framework":"lm-hash","size":64,"d":3,"ell":8,"b":1}`,
+	`{"framework":"lm-amm","size":64,"d":4,"d_b":2,"ell":8,"b":1}`,
+	`{"framework":"di-fd","size":64,"d":3,"ell":8,"levels":30,"r":1}`,
+	`{"framework":"di-fd","size":64,"d":3,"ell":8,"levels":3,"r":0.5}`,
+	`{"framework":"di-fd","size":64,"d":3,"ell":1,"levels":3,"r":1}`,
+	`{"framework":"di-amm","size":64,"d":4,"d_b":2,"ell":1,"levels":3,"r":1}`,
+	`{"framework":"lm-fd","size":64,"d":3,"ell":1}`,
+	`{"framework":"lm-fd","size":64,"d":3,"ell":8,"fd_buffer":70000}`,
+}
+
+// TestTenantPutRejectsConstructorLimits pins that PUT answers every
+// constructorLimitConfigs entry with 400 invalid_argument on a
+// connection that stays open, and that the server logs no panic.
+func TestTenantPutRejectsConstructorLimits(t *testing.T) {
+	treg, err := registry.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverLog bytes.Buffer
+	ts := httptest.NewUnstartedServer(NewServer(core.NewLMFD(window.Seq(100), 3, 8, 4), 3, WithRegistry(treg)).Handler())
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+	client := ts.Client()
+	for i, cfg := range constructorLimitConfigs {
+		reused := false
+		trace := &httptrace.ClientTrace{GotConn: func(c httptrace.GotConnInfo) { reused = c.Reused }}
+		req, err := http.NewRequest("PUT", fmt.Sprintf("%s/v2/tenants/t%d", ts.URL, i), strings.NewReader(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req.WithContext(httptrace.WithClientTrace(req.Context(), trace)))
+		if err != nil {
+			t.Fatalf("%s: %v", cfg, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 400", cfg, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != CodeInvalidArgument {
+			t.Fatalf("%s: code %q (%s), want %s", cfg, e.Code, e.Message, CodeInvalidArgument)
+		}
+		if i > 0 && !reused {
+			t.Fatalf("%s: the previous response closed the connection", cfg)
+		}
+	}
+	ts.Close()
+	if strings.Contains(serverLog.String(), "panic") {
+		t.Fatalf("server logged a panic:\n%s", serverLog.String())
+	}
+}
+
+// TestSnapshotRestoreRejectsForeignTenant pins that an uploaded
+// snapshot must hold the tenant's algorithm and row width. A restore
+// decodes the geometry its header declares, so a d=9 LM-FD snapshot
+// turned a d=3 tenant into one that answered every ingest with 409,
+// and an LM-FD snapshot turned an lm-hash tenant into LM-FD. Each now
+// gets 400 invalid_argument, and the tenant, the pinned default one
+// included, keeps its state and keeps ingesting.
+func TestSnapshotRestoreRejectsForeignTenant(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	doReq(t, "PUT", ts.URL+"/v2/tenants/fd", lmTenantCfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/hash",
+		`{"framework":"lm-hash","window":"sequence","size":64,"d":3,"ell":8,"b":4}`).Body.Close()
+	snapshot := func(d int) []byte {
+		sk := core.NewLMFD(window.Seq(64), d, 8, 4)
+		sk.Update(make([]float64, d), 0)
+		b, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	wide := snapshot(9)
+	for _, c := range []struct {
+		tenant, algo string
+		blob         []byte
+	}{
+		{"fd", "LM-FD", wide},
+		{"hash", "LM-HASH", snapshot(3)},
+		{DefaultTenant, "LM-FD", wide},
+	} {
+		base := ts.URL + "/v2/tenants/" + c.tenant
+		postJSON(t, base+"/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
+		before, _ := io.ReadAll(doReq(t, "GET", base+"/approximation?t=1", "").Body)
+		resp, err := http.Post(base+"/snapshot", "application/octet-stream", bytes.NewReader(c.blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Fatalf("%s: foreign snapshot restore status %d, want 400", c.tenant, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != CodeInvalidArgument {
+			t.Fatalf("%s: code %q, want %s", c.tenant, e.Code, CodeInvalidArgument)
+		}
+		after, _ := io.ReadAll(doReq(t, "GET", base+"/approximation?t=1", "").Body)
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: a rejected restore changed the tenant's answer", c.tenant)
+		}
+		resp = postJSON(t, base+"/rows", `{"updates":[{"row":[4,5,6],"t":2}]}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: ingest after a rejected restore: status %d", c.tenant, resp.StatusCode)
+		}
+		var st map[string]any
+		decode(t, doReq(t, "GET", base+"/stats", ""), &st)
+		if st["algorithm"] != c.algo {
+			t.Fatalf("%s: stats algorithm %v, want %s", c.tenant, st["algorithm"], c.algo)
+		}
 	}
 }

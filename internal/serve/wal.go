@@ -9,7 +9,6 @@ package serve
 // records for truncation via the registry's evict hook.
 
 import (
-	"encoding"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -124,11 +123,7 @@ func (a *registryApplier) Snapshot(tenant string, updates uint64, lastT float64,
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	defer t.Release()
-	u, ok := t.Raw().(encoding.BinaryUnmarshaler)
-	if !ok {
-		return false, fmt.Errorf("snapshot %q: %s does not support snapshots", tenant, t.Raw().Name())
-	}
-	if err := u.UnmarshalBinary(blob); err != nil {
+	if err := t.Restore(blob); err != nil {
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	t.SetClock(updates, lastT, seen)

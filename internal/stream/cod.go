@@ -80,7 +80,7 @@ type COD struct {
 
 // NewCOD returns a co-occurring-directions co-sketch keeping at most
 // ell row pairs over side dimensions dA and dB, with the classic
-// shrink-on-full cadence. It panics unless ell ≥ 2, dA ≥ 1, dB ≥ 1.
+// shrink-on-full cadence. It panics unless CheckCOD accepts the shape.
 func NewCOD(ell, dA, dB int) *COD {
 	return NewCODOpts(ell, dA, dB, FDOpts{})
 }
@@ -88,15 +88,13 @@ func NewCOD(ell, dA, dB int) *COD {
 // NewCODOpts returns a COD co-sketch with the FastFD buffer
 // discipline applied to both sides: o.Buffer widens the working
 // buffers to b·ℓ row pairs between shrinks and o.Alpha tunes the cut
-// depth. The zero FDOpts selects the classic cadence.
+// depth. The zero FDOpts selects the classic cadence. It panics with
+// CheckCOD's error.
 func NewCODOpts(ell, dA, dB int, o FDOpts) *COD {
-	if ell < 2 {
-		panic(fmt.Sprintf("stream: COD needs ell ≥ 2, got %d", ell))
-	}
-	if dA < 1 || dB < 1 {
-		panic(fmt.Sprintf("stream: COD needs dA ≥ 1 and dB ≥ 1, got %d and %d", dA, dB))
-	}
 	o = o.Normalize()
+	if err := CheckCOD(ell, dA, dB, o); err != nil {
+		panic(err)
+	}
 	return &COD{
 		ell:   ell,
 		dA:    dA,

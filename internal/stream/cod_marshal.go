@@ -35,9 +35,8 @@ func (c *COD) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a snapshot produced by MarshalBinary into
 // the receiver, replacing its state (configuration included). The
-// decode limits are shared with FD: a short corrupt or adversarial
-// snapshot cannot demand a giant allocation before the declared row
-// payload is validated against the remaining bytes.
+// header must pass CheckCOD, and the declared row payload is validated
+// against the remaining bytes before anything is allocated for it.
 func (c *COD) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
 	if magic := r.U64(); magic != codMagic && r.Err() == nil {
@@ -52,15 +51,8 @@ func (c *COD) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stream: COD snapshot: %w", err)
 	}
-	if ell < 2 || dA < 1 || dB < 1 || bfac < 1 || bfac > fdMaxBuffer {
-		return fmt.Errorf("stream: COD snapshot has invalid shape ell=%d dA=%d dB=%d buffer=%d", ell, dA, dB, bfac)
-	}
-	if ell > fdMaxDim || dA > fdMaxDim || dB > fdMaxDim ||
-		ell > fdMaxElems/dA || ell > fdMaxElems/dB {
-		return fmt.Errorf("stream: COD snapshot shape ell=%d dA=%d dB=%d exceeds decode limits", ell, dA, dB)
-	}
-	if !(alpha > 0 && alpha <= 1) {
-		return fmt.Errorf("stream: COD snapshot has invalid alpha %v", alpha)
+	if err := CheckCOD(ell, dA, dB, FDOpts{Buffer: bfac, Alpha: alpha}); err != nil {
+		return fmt.Errorf("stream: COD snapshot: %w", err)
 	}
 	if used < 0 || used > bfac*ell {
 		return fmt.Errorf("stream: COD snapshot has invalid shape ell=%d buffer=%d used=%d", ell, bfac, used)

@@ -90,33 +90,64 @@ type FDOpts struct {
 	// Buffer is the working-buffer factor b: the sketch buffers up to
 	// Buffer·ℓ rows between shrinks. 0 and 1 both mean the classic
 	// shrink-on-full cadence; 2 is the FastFD setting the benchmarks
-	// recommend. Negative values panic.
+	// recommend. CheckFD bounds it.
 	Buffer int
 	// Alpha is the shrink aggressiveness α ∈ (0,1]: each shrink
 	// charges λ = σ²_{idx} with idx interpolated from ℓ (α→0, cut as
 	// little as the bound allows) down to ⌈ℓ/2⌉ (α=1, the classic
-	// halving). 0 means 1. Values outside (0,1] panic.
+	// halving). 0 means 1. CheckFD rejects values outside (0,1].
 	Alpha float64
 }
 
-// Normalize resolves the zero-value defaults (b=1, α=1) and panics on
-// out-of-range fields — the same validation NewFDOpts applies, exposed
-// so constructors that capture an FDOpts in a factory closure can fail
-// fast instead of on the first block sketch.
+// Normalize resolves the zero-value defaults of Buffer and Alpha to 1.
 func (o FDOpts) Normalize() FDOpts {
-	if o.Buffer < 0 {
-		panic(fmt.Sprintf("stream: FD needs buffer factor ≥ 0, got %d", o.Buffer))
-	}
 	if o.Buffer == 0 {
 		o.Buffer = 1
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 1
 	}
-	if !(o.Alpha > 0 && o.Alpha <= 1) {
-		panic(fmt.Sprintf("stream: FD needs alpha in (0,1], got %v", o.Alpha))
-	}
 	return o
+}
+
+// FD limits on b, on each of ℓ and d, and on the b·ℓ·d working buffer:
+// far above any sane config, so no config or snapshot can grow a giant
+// buffer.
+const (
+	fdMaxBuffer = 1 << 16
+	fdMaxDim    = 1 << 24
+	fdMaxElems  = 1 << 26
+)
+
+// CheckFD is the one statement of FrequentDirections' limits, for o
+// with its defaults resolved: ℓ ≥ 2, d ≥ 1, b ∈ [1, 2¹⁶], α ∈ (0,1],
+// ℓ and d ≤ 2²⁴, and b·ℓ·d ≤ 2²⁶. NewFDOpts panics with its error, the
+// decoder returns it, and the window frameworks run it when built.
+func CheckFD(ell, d int, o FDOpts) error { return checkShape("FD", "d", ell, d, o) }
+
+// CheckCOD is CheckFD for each side of a COD co-sketch.
+func CheckCOD(ell, dA, dB int, o FDOpts) error {
+	if err := checkShape("COD", "dA", ell, dA, o); err != nil {
+		return err
+	}
+	return checkShape("COD", "dB", ell, dB, o)
+}
+
+// checkShape is CheckFD naming the sketch and dimension.
+func checkShape(sketch, dim string, ell, d int, o FDOpts) error {
+	switch {
+	case ell < 2:
+		return fmt.Errorf("stream: %s needs ell ≥ 2, got %d", sketch, ell)
+	case d < 1:
+		return fmt.Errorf("stream: %s needs %s ≥ 1, got %d", sketch, dim, d)
+	case o.Buffer < 1 || o.Buffer > fdMaxBuffer:
+		return fmt.Errorf("stream: %s needs buffer factor in [1, %d] (0 selects 1), got %d", sketch, fdMaxBuffer, o.Buffer)
+	case !(o.Alpha > 0 && o.Alpha <= 1):
+		return fmt.Errorf("stream: %s needs alpha in (0,1] (0 selects 1), got %v", sketch, o.Alpha)
+	case ell > fdMaxDim || d > fdMaxDim || o.Buffer*ell > fdMaxElems/d:
+		return fmt.Errorf("stream: %s buffer of %d×%d rows of %s=%d exceeds %d elements", sketch, o.Buffer, ell, dim, d, fdMaxElems)
+	}
+	return nil
 }
 
 // SetTracer attaches a tracer; each shrink emits an fd_shrink span.
@@ -134,22 +165,18 @@ func (f *FD) Reset() {
 
 // NewFD returns a FrequentDirections sketch with at most ell rows over
 // dimension d, using the classic shrink cadence. It panics unless
-// ell ≥ 2 and d ≥ 1.
+// CheckFD accepts (ell, d).
 func NewFD(ell, d int) *FD {
 	return NewFDOpts(ell, d, FDOpts{})
 }
 
 // NewFDOpts returns a FrequentDirections sketch with the given buffer
-// discipline. It panics unless ell ≥ 2, d ≥ 1, o.Buffer ≥ 0, and
-// o.Alpha ∈ {0} ∪ (0,1].
+// discipline. It panics with CheckFD's error.
 func NewFDOpts(ell, d int, o FDOpts) *FD {
-	if ell < 2 {
-		panic(fmt.Sprintf("stream: FD needs ell ≥ 2, got %d", ell))
-	}
-	if d < 1 {
-		panic(fmt.Sprintf("stream: FD needs d ≥ 1, got %d", d))
-	}
 	o = o.Normalize()
+	if err := CheckFD(ell, d, o); err != nil {
+		panic(err)
+	}
 	return &FD{
 		ell:   ell,
 		d:     d,

@@ -17,17 +17,6 @@ const (
 	fdMagicV2 = uint64(0x46445348_00000002) // "FDSH" v2: v1 + (b, α) geometry
 )
 
-// Decode limits: far above any sane configuration, so a corrupt or
-// adversarial snapshot cannot restore a sketch whose first update
-// demands a giant buffer. fdMaxBuffer bounds the buffer factor,
-// fdMaxDim each of ℓ and d, and fdMaxElems their product — the ℓ×d
-// buffer the sketch grows to.
-const (
-	fdMaxBuffer = 1 << 16
-	fdMaxDim    = 1 << 24
-	fdMaxElems  = 1 << 26
-)
-
 // MarshalBinary snapshots the sketch state (configuration plus the
 // occupied buffer rows). FD is deterministic, so a restored sketch
 // continues exactly where the original left off. Classic-cadence
@@ -74,14 +63,8 @@ func (f *FD) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stream: FD snapshot: %w", err)
 	}
-	if ell < 2 || d < 1 || bfac < 1 || bfac > fdMaxBuffer {
-		return fmt.Errorf("stream: FD snapshot has invalid shape ell=%d d=%d buffer=%d", ell, d, bfac)
-	}
-	if ell > fdMaxDim || d > fdMaxDim || ell > fdMaxElems/d {
-		return fmt.Errorf("stream: FD snapshot shape ell=%d d=%d exceeds decode limits", ell, d)
-	}
-	if !(alpha > 0 && alpha <= 1) {
-		return fmt.Errorf("stream: FD snapshot has invalid alpha %v", alpha)
+	if err := CheckFD(ell, d, FDOpts{Buffer: bfac, Alpha: alpha}); err != nil {
+		return fmt.Errorf("stream: FD snapshot: %w", err)
 	}
 	if used < 0 || used > bfac*ell {
 		return fmt.Errorf("stream: FD snapshot has invalid shape ell=%d d=%d buffer=%d used=%d", ell, d, bfac, used)

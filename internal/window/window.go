@@ -47,20 +47,39 @@ type Spec struct {
 	Size float64
 }
 
-// Seq returns a sequence-based window of the most recent n rows.
-func Seq(n int) Spec {
-	if n < 1 {
-		panic(fmt.Sprintf("window: sequence window size %d", n))
+// Seq returns a sequence-based window of the most recent n rows. It
+// panics unless n ≥ 1.
+func Seq(n int) Spec { return Spec{Kind: Sequence, Size: float64(n)}.must() }
+
+// TimeSpan returns a time-based window of span delta. It panics unless
+// delta is positive and finite.
+func TimeSpan(delta float64) Spec { return Spec{Kind: Time, Size: delta}.must() }
+
+// Check is the one statement of a window's limits: a positive integer
+// row count or a positive finite span. Seq and TimeSpan panic with its
+// error, and the snapshot decoders return it.
+func (s Spec) Check() error {
+	switch s.Kind {
+	case Sequence:
+		if !(s.Size >= 1) || s.Size != math.Trunc(s.Size) || math.IsInf(s.Size, 0) {
+			return fmt.Errorf("window: sequence window size must be positive and an integer row count, got %v", s.Size)
+		}
+	case Time:
+		if !(s.Size > 0) || math.IsInf(s.Size, 0) {
+			return fmt.Errorf("window: time window span must be positive and finite, got %v", s.Size)
+		}
+	default:
+		return fmt.Errorf("window: unknown window kind %d", int(s.Kind))
 	}
-	return Spec{Kind: Sequence, Size: float64(n)}
+	return nil
 }
 
-// TimeSpan returns a time-based window of span delta.
-func TimeSpan(delta float64) Spec {
-	if delta <= 0 {
-		panic(fmt.Sprintf("window: time window span %v", delta))
+// must panics with Check's error unless the spec is valid.
+func (s Spec) must() Spec {
+	if err := s.Check(); err != nil {
+		panic(err)
 	}
-	return Spec{Kind: Time, Size: delta}
+	return s
 }
 
 // Cutoff returns the expiry threshold at current time t: rows with
