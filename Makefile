@@ -34,26 +34,26 @@ bench:
 # the default config (b=2, α=1) at 1.2× the committed baseline, then
 # refreshes BENCH_fd.json in place.
 bench-fd:
-	$(GO) run ./cmd/swbench -fd-baseline BENCH_fd.json -fd-out BENCH_fd.json fd
+	$(GO) run ./cmd/swbench -baseline BENCH_fd.json fd
 
 # DS-FD head-to-head artifact: DS-FD vs LM-FD vs DI-FD at matched ε on
 # the fig6 skewed PAMAP workload; fails if DS-FD breaches its N·R/ℓ
 # guarantee or needs more space than LM-FD. Refreshes BENCH_dsfd.json.
 bench-dsfd:
-	$(GO) run ./cmd/swbench -dsfd-out BENCH_dsfd.json dsfd
+	$(GO) run ./cmd/swbench dsfd
 
-# Ingest-plane load artifact: the three wire generations against a
+# Ingest-plane load artifact: the three wire modes against a
 # Zipf-skewed tenant fleet, soft-gated against the committed baseline,
 # refreshing BENCH_load.json in place.
 bench-load:
-	$(GO) run ./cmd/swbench -load-baseline BENCH_load.json -load-out BENCH_load.json load
+	$(GO) run ./cmd/swbench -baseline BENCH_load.json load
 
 # Hot-key observability artifact: the sliding count-min top-K sidecar
 # judged against exact per-tenant counts from a Zipf load run (recall
 # and ε·N bound are hard gates), plus its ingest-path cost.
 # Refreshes BENCH_hh.json.
 bench-hh:
-	$(GO) run ./cmd/swbench -hh-out BENCH_hh.json hh
+	$(GO) run ./cmd/swbench hh
 
 # Cross-framework conformance suite under the race detector: every
 # registered framework through the shared contract table.

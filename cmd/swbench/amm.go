@@ -2,55 +2,16 @@ package main
 
 import (
 	"encoding"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/data"
 	"swsketch/internal/eval"
 	"swsketch/internal/window"
 )
-
-// ammResult is one row of the BENCH_amm.json artifact: one paired
-// framework at one co-sketch size ℓ on the correlated paired stream,
-// judged on the windowed-AMM correlation error against the exact-AᵀB
-// oracle.
-type ammResult struct {
-	Algo string `json:"algo"`
-	Ell  int    `json:"ell"`
-	// AvgErr / MaxErr are correlation errors ‖AᵀB−XᵀY‖₂/(‖A‖_F·‖B‖_F)
-	// across the evaluated windows.
-	AvgErr float64 `json:"avg_err"`
-	MaxErr float64 `json:"max_err"`
-	// Bound is the grid point's acceptance gate: the COD stream-level
-	// correlation bound 4/ℓ (from the certified shrink charge
-	// Σδ ≤ 2(‖A‖²_F+‖B‖²_F)/ℓ, at balanced side masses) times the
-	// framework's documented window-maintenance slack.
-	Bound       float64 `json:"bound"`
-	WithinBound bool    `json:"within_bound"`
-	// PeakRows is the largest RowsStored() observed, PeakBytes its
-	// float64 footprint (rows × d × 8).
-	PeakRows  int `json:"peak_rows"`
-	PeakBytes int `json:"peak_bytes"`
-	// SnapshotBytes is the binary snapshot size after the full stream.
-	SnapshotBytes int `json:"snapshot_bytes"`
-	// NsPerUpdate is the amortized per-row ingest cost.
-	NsPerUpdate float64 `json:"ns_per_update"`
-	Queries     int     `json:"queries"`
-}
-
-// ammArtifact is the BENCH_amm.json document.
-type ammArtifact struct {
-	Dataset string      `json:"dataset"`
-	N       int         `json:"n"`
-	Window  int         `json:"window"`
-	DA      int         `json:"d_a"`
-	DB      int         `json:"d_b"`
-	Results []ammResult `json:"results"`
-}
 
 // ammEllGrid sweeps the per-block co-sketch size.
 var ammEllGrid = []int{16, 32, 64}
@@ -114,11 +75,16 @@ func ammDataset(n, dA, dB, k int, seed int64) *data.Dataset {
 }
 
 // runAMM benchmarks the paired frameworks on the correlated stream
-// across the ℓ grid against the exact-AᵀB oracle, and writes the
-// artifact. The run fails if any grid point's worst correlation error
-// breaches its bound — the acceptance bar for shipping the windowed
-// AMM subsystem.
-func runAMM(out io.Writer, sc scaleCfg, path string) error {
+// across the ℓ grid against the exact-AᵀB oracle. Each row is one
+// framework at one co-sketch size ℓ. avg_err and max_err are the
+// correlation errors ‖AᵀB−XᵀY‖₂/(‖A‖_F·‖B‖_F) across the evaluated
+// windows. bound is the grid point's acceptance gate (checkAMM): the
+// COD stream-level correlation bound 4/ℓ (from the certified shrink
+// charge Σδ ≤ 2(‖A‖²_F+‖B‖²_F)/ℓ, at balanced side masses) times the
+// framework's documented window-maintenance slack. peak_rows is the
+// largest RowsStored() observed and peak_bytes its float64 footprint;
+// snapshot_bytes is the binary snapshot size after the full stream.
+func runAMM(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	const dA, dB, latentK = 12, 8, 4
 	d := dA + dB
 	ds := ammDataset(sc.seqN, dA, dB, latentK, sc.seed)
@@ -136,7 +102,7 @@ func runAMM(out io.Writer, sc scaleCfg, path string) error {
 		}
 	}
 
-	var results []ammResult
+	art.Params = map[string]any{"dataset": ds.Name, "n": ds.N(), "window": win, "d_a": dA, "d_b": dB}
 	for _, ell := range ammEllGrid {
 		ell := ell
 		specs := []eval.SketchSpec{
@@ -154,54 +120,41 @@ func runAMM(out io.Writer, sc scaleCfg, path string) error {
 		}, dA)
 		for i, m := range ms {
 			bound := ammSlack[m.Label] * 4 / float64(ell)
-			r := ammResult{
-				Algo:        m.Label,
-				Ell:         ell,
-				AvgErr:      m.AvgErr,
-				MaxErr:      m.MaxErr,
-				Bound:       bound,
-				WithinBound: m.MaxErr <= bound,
-				PeakRows:    m.MaxRows,
-				PeakBytes:   m.MaxRows * d * 8,
-				NsPerUpdate: m.NsPerUpdate,
-				Queries:     m.Queries,
-			}
 			// Snapshot size after the full stream (both frameworks
 			// marshal; a refusal just reports 0).
+			snapshotBytes := 0
 			sk := specs[i].New()
 			sk.UpdateBatch(ds.Rows, ds.Times)
 			if mb, ok := sk.(encoding.BinaryMarshaler); ok {
 				if blob, err := mb.MarshalBinary(); err == nil {
-					r.SnapshotBytes = len(blob)
+					snapshotBytes = len(blob)
 				}
 			}
-			results = append(results, r)
+			art.Add(map[string]string{"algo": m.Label, "ell": fmt.Sprint(ell)}, map[string]float64{
+				"avg_err":        m.AvgErr,
+				"max_err":        m.MaxErr,
+				"bound":          bound,
+				"within_bound":   bench.Flag(m.MaxErr <= bound),
+				"peak_rows":      float64(m.MaxRows),
+				"peak_bytes":     float64(m.MaxRows * d * 8),
+				"snapshot_bytes": float64(snapshotBytes),
+				"ns_per_update":  m.NsPerUpdate,
+				"queries":        float64(m.Queries),
+			})
 			fmt.Fprintf(out, "amm ell=%-4d %-7s err avg %.5f max %.5f  bound %.4f  peak %5d rows (%7d B)  snap %6d B  %6.0f ns/update\n",
-				ell, r.Algo, r.AvgErr, r.MaxErr, r.Bound, r.PeakRows, r.PeakBytes, r.SnapshotBytes, r.NsPerUpdate)
+				ell, m.Label, m.AvgErr, m.MaxErr, bound, m.MaxRows, m.MaxRows*d*8, snapshotBytes, m.NsPerUpdate)
 		}
 	}
-
-	art := ammArtifact{Dataset: ds.Name, N: ds.N(), Window: win, DA: dA, DB: dB, Results: results}
-	blob, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
-
-	return checkAMMAcceptance(results)
+	return nil
 }
 
-// checkAMMAcceptance enforces the shipping bar: every grid point's
-// worst observed correlation error within its slacked 4/ℓ bound.
-func checkAMMAcceptance(results []ammResult) error {
-	for _, r := range results {
-		if !r.WithinBound {
-			return fmt.Errorf("amm: %s ell=%d max correlation error %.4f exceeds bound %.4f",
-				r.Algo, r.Ell, r.MaxErr, r.Bound)
+// checkAMM enforces the shipping bar: every grid point's worst
+// observed correlation error within its slacked 4/ℓ bound.
+func checkAMM(art *bench.Artifact) error {
+	for _, r := range art.Results {
+		if m := r.Metrics; m["within_bound"] == 0 {
+			return fmt.Errorf("amm: %s ell=%s max correlation error %.4f exceeds bound %.4f",
+				r.Labels["algo"], r.Labels["ell"], m["max_err"], m["bound"])
 		}
 	}
 	return nil

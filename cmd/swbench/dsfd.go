@@ -2,63 +2,27 @@ package main
 
 import (
 	"encoding"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/data"
 	"swsketch/internal/window"
 )
-
-// dsfdResult is one row of the BENCH_dsfd.json artifact: one sketch at
-// one target ε on the Figure 6 workload (the skewed PAMAP sequence
-// window), with its measured error, its worst absolute error relative
-// to the DS-FD threshold θ = N·R/ℓ, and its space.
-type dsfdResult struct {
-	Algo string  `json:"algo"`
-	Eps  float64 `json:"eps"`
-	Ell  int     `json:"ell"`
-	// AvgErr / MaxErr are relative covariance errors across the
-	// evaluated windows.
-	AvgErr float64 `json:"avg_err"`
-	MaxErr float64 `json:"max_err"`
-	// WorstVsTheta is max over queries of |AᵀA−BᵀB|₂ / (N·R/ℓ) with R
-	// the stream's max squared row norm — the DS-FD guarantee says ≤ 1.
-	WorstVsTheta float64 `json:"worst_vs_theta"`
-	WithinTheta  bool    `json:"within_theta"`
-	// PeakRows is the largest RowsStored() observed at a query, and
-	// PeakBytes its float64 footprint (rows × d × 8).
-	PeakRows  int `json:"peak_rows"`
-	PeakBytes int `json:"peak_bytes"`
-	// SnapshotBytes is the binary snapshot size after the full stream
-	// (0 when the sketch does not marshal).
-	SnapshotBytes int `json:"snapshot_bytes"`
-	// NsPerUpdate is the amortized per-row ingest cost.
-	NsPerUpdate float64 `json:"ns_per_update"`
-}
-
-// dsfdArtifact is the BENCH_dsfd.json document.
-type dsfdArtifact struct {
-	Dataset string       `json:"dataset"`
-	N       int          `json:"n"`
-	Window  int          `json:"window"`
-	D       int          `json:"d"`
-	Results []dsfdResult `json:"results"`
-}
 
 // dsfdEpsGrid is the matched-ε grid for the head-to-head: each sketch
 // is auto-sized for the same target and judged on what it delivers.
 var dsfdEpsGrid = []float64{0.05, 0.1, 0.2}
 
 // runDSFD benchmarks DS-FD head-to-head against LM-FD and DI-FD on the
-// Figure 6 workload at matched target ε, and writes the artifact. The
-// run fails if DS-FD breaches its N·R/ℓ guarantee at any grid point,
-// or needs more space than LM-FD at the same ε — the acceptance bar
-// for shipping the framework.
-func runDSFD(out io.Writer, sc scaleCfg, path string) error {
+// Figure 6 workload (the skewed PAMAP sequence window) at matched
+// target ε. Each row is one sketch at one ε: its measured error, its
+// worst absolute error relative to the DS-FD threshold θ = N·R/ℓ, and
+// its space. checkDSFD holds the acceptance bar for shipping the
+// framework.
+func runDSFD(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	ds := sc.seqDataset("PAMAP")
 	d := ds.D()
 	win := sc.win
@@ -83,7 +47,7 @@ func runDSFD(out io.Writer, sc scaleCfg, path string) error {
 		ratio = maxSq / minSq
 	}
 
-	var results []dsfdResult
+	art.Params = map[string]any{"dataset": ds.Name, "n": ds.N(), "window": win, "d": d}
 	for _, eps := range dsfdEpsGrid {
 		// All three sketches at one grid point are judged against the
 		// same yardstick: DS-FD's threshold θ = N·R/ℓ at the ℓ its
@@ -99,31 +63,25 @@ func runDSFD(out io.Writer, sc scaleCfg, path string) error {
 			{"DI-FD", func() core.WindowSketch { return core.AutoDIFD(win, d, eps, maxSq, ratio) }},
 		}
 		for _, s := range sketches {
-			r := benchDSFDPoint(ds, win, sc.stride, sc.maxQ, theta, s.algo, s.mk)
-			r.Eps = eps
-			results = append(results, r)
-			fmt.Fprintf(out, "dsfd eps=%-5v %-6s ell=%-4d err avg %.5f max %.5f  vs-theta %.3f  peak %5d rows (%7d B)  %6.0f ns/update\n",
-				eps, r.Algo, r.Ell, r.AvgErr, r.MaxErr, r.WorstVsTheta, r.PeakRows, r.PeakBytes, r.NsPerUpdate)
+			m := benchDSFDPoint(ds, win, sc.stride, sc.maxQ, theta, s.mk)
+			art.Add(map[string]string{"algo": s.algo, "eps": fmt.Sprint(eps)}, m)
+			fmt.Fprintf(out, "dsfd eps=%-5v %-6s ell=%-4.0f err avg %.5f max %.5f  vs-theta %.3f  peak %5.0f rows (%7.0f B)  %6.0f ns/update\n",
+				eps, s.algo, m["ell"], m["avg_err"], m["max_err"], m["worst_vs_theta"], m["peak_rows"], m["peak_bytes"], m["ns_per_update"])
 		}
 	}
-
-	art := dsfdArtifact{Dataset: ds.Name, N: ds.N(), Window: win, D: d, Results: results}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
-
-	return checkDSFDAcceptance(results)
+	return nil
 }
 
 // benchDSFDPoint streams the dataset through one sketch, evaluating
 // the covariance error at the query stride and tracking peak space.
-func benchDSFDPoint(ds *data.Dataset, win, stride, maxQ int, theta float64, algo string, mk func() core.WindowSketch) dsfdResult {
+// avg_err and max_err are relative covariance errors across the
+// evaluated windows; worst_vs_theta is the maximum over queries of
+// |AᵀA−BᵀB|₂ / (N·R/ℓ), with R the stream's max squared row norm,
+// which the DS-FD guarantee keeps ≤ 1. peak_rows is the largest
+// RowsStored() at a query and peak_bytes its float64 footprint;
+// snapshot_bytes is the binary snapshot size after the full stream (0
+// when the sketch does not marshal).
+func benchDSFDPoint(ds *data.Dataset, win, stride, maxQ int, theta float64, mk func() core.WindowSketch) map[string]float64 {
 	sk := mk()
 	spec := window.Seq(win)
 	oracle := window.NewExact(spec, ds.D())
@@ -155,25 +113,26 @@ func benchDSFDPoint(ds *data.Dataset, win, stride, maxQ int, theta float64, algo
 		}
 	}
 
-	res := dsfdResult{
-		Algo:         algo,
-		Ell:          sketchEll(sk),
-		MaxErr:       errMax,
-		WorstVsTheta: worstTheta,
-		WithinTheta:  worstTheta <= 1,
-		PeakRows:     peakRows,
-		PeakBytes:    peakRows * ds.D() * 8,
-		NsPerUpdate:  float64(ingestNs) / float64(ds.N()),
-	}
+	avgErr, snapshotBytes := 0.0, 0
 	if queries > 0 {
-		res.AvgErr = errSum / float64(queries)
+		avgErr = errSum / float64(queries)
 	}
 	if m, ok := sk.(encoding.BinaryMarshaler); ok {
 		if blob, err := m.MarshalBinary(); err == nil {
-			res.SnapshotBytes = len(blob)
+			snapshotBytes = len(blob)
 		}
 	}
-	return res
+	return map[string]float64{
+		"ell":            float64(sketchEll(sk)),
+		"avg_err":        avgErr,
+		"max_err":        errMax,
+		"worst_vs_theta": worstTheta,
+		"within_theta":   bench.Flag(worstTheta <= 1),
+		"peak_rows":      float64(peakRows),
+		"peak_bytes":     float64(peakRows * ds.D() * 8),
+		"snapshot_bytes": float64(snapshotBytes),
+		"ns_per_update":  float64(ingestNs) / float64(ds.N()),
+	}
 }
 
 // sketchEll pulls the answer-size parameter out of a sketch's Stats
@@ -190,29 +149,22 @@ func sketchEll(sk core.WindowSketch) int {
 	return 0
 }
 
-// checkDSFDAcceptance enforces the shipping bar: DS-FD within its
-// θ guarantee at every grid point, and no more space than LM-FD at
-// the same ε.
-func checkDSFDAcceptance(results []dsfdResult) error {
-	byAlgo := func(eps float64, algo string) *dsfdResult {
-		for i := range results {
-			if results[i].Eps == eps && results[i].Algo == algo {
-				return &results[i]
-			}
-		}
-		return nil
-	}
+// checkDSFD enforces the shipping bar: DS-FD within its θ guarantee at
+// every grid point, and no more space than LM-FD at the same ε.
+func checkDSFD(art *bench.Artifact) error {
 	for _, eps := range dsfdEpsGrid {
-		dsfd := byAlgo(eps, "DS-FD")
-		lm := byAlgo(eps, "LM-FD")
+		at := func(algo string) *bench.Row {
+			return art.Find(map[string]string{"algo": algo, "eps": fmt.Sprint(eps)})
+		}
+		dsfd, lm := at("DS-FD"), at("LM-FD")
 		if dsfd == nil || lm == nil {
 			return fmt.Errorf("dsfd: grid point eps=%v missing a result", eps)
 		}
-		if !dsfd.WithinTheta {
-			return fmt.Errorf("dsfd: eps=%v DS-FD absolute error %.3f× past the N·R/ℓ threshold", eps, dsfd.WorstVsTheta)
+		if dsfd.Metrics["within_theta"] == 0 {
+			return fmt.Errorf("dsfd: eps=%v DS-FD absolute error %.3f× past the N·R/ℓ threshold", eps, dsfd.Metrics["worst_vs_theta"])
 		}
-		if dsfd.PeakBytes > lm.PeakBytes {
-			return fmt.Errorf("dsfd: eps=%v DS-FD peak %d bytes exceeds LM-FD's %d", eps, dsfd.PeakBytes, lm.PeakBytes)
+		if ds, l := dsfd.Metrics["peak_bytes"], lm.Metrics["peak_bytes"]; ds > l {
+			return fmt.Errorf("dsfd: eps=%v DS-FD peak %.0f bytes exceeds LM-FD's %.0f", eps, ds, l)
 		}
 	}
 	return nil

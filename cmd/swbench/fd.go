@@ -1,51 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/mat"
 	"swsketch/internal/stream"
 )
-
-// fdResult is one row of the BENCH_fd.json artifact: the FastFD ingest
-// hot path at one (ℓ, b, α) point — wall-clock per row plus the
-// measured covariance error against the exact stream, judged against
-// Liberty's 2/ℓ bound.
-type fdResult struct {
-	Ell    int     `json:"ell"`
-	D      int     `json:"d"`
-	Buffer int     `json:"buffer"`
-	Alpha  float64 `json:"alpha"`
-	// NsPerUpdate is the amortized per-row ingest cost.
-	NsPerUpdate float64 `json:"ns_per_update"`
-	// CovaErr is the relative covariance error ‖AᵀA−BᵀB‖₂/‖A‖²_F.
-	CovaErr float64 `json:"cova_err"`
-	// Bound is the FD guarantee 2/ℓ in the same relative units.
-	Bound       float64 `json:"bound"`
-	WithinBound bool    `json:"within_bound"`
-	// SpeedupVsClassic compares against the (b=1, α=1) run at the same
-	// ℓ — the headline number for the doubled-buffer discipline.
-	SpeedupVsClassic float64 `json:"speedup_vs_classic"`
-	// Regime names the shrink's eigenproblem side: "n-side" solves the
-	// m×m Gram of the working buffer (m = b·ℓ rows), "d-side" the d×d
-	// covariance. Once b·ℓ ≥ d the shrink flips to d-side, which is why
-	// b=4 at ℓ=64, d=256 is slower than b=2 despite shrinking less
-	// often.
-	Regime string `json:"regime"`
-}
-
-// fdArtifact is the BENCH_fd.json document.
-type fdArtifact struct {
-	// KernelsAccelerated records whether the AVX2+FMA assembly kernels
-	// were active — numbers from different backends are not comparable.
-	KernelsAccelerated bool       `json:"kernels_accelerated"`
-	Results            []fdResult `json:"results"`
-}
 
 // fdGrid is the shipped sweep: every (b, α) combination the facade
 // exposes as a recommendation, at the two sketch sizes the acceptance
@@ -58,21 +22,20 @@ var (
 
 const fdDim = 256
 
-// runFD benchmarks the FastFD ingest hot path across the (b, α) grid
-// and writes the artifact to path. When baselinePath names a previous
-// artifact, the default configuration (b=2, α=1) is additionally gated
-// against it: a regression past 1.2× the baseline ns/update is an
-// error (the CI contract; compared per ℓ, same-backend runs only).
-func runFD(out io.Writer, path, baselinePath string) error {
-	baseline, err := loadFDBaseline(baselinePath)
-	if err != nil {
-		return err
-	}
-
-	var results []fdResult
+// runFD benchmarks the FastFD ingest hot path across the (b, α) grid.
+// Each row is one (ℓ, b, α) point: wall-clock per row, and the
+// measured covariance error ‖AᵀA−BᵀB‖₂/‖A‖²_F against the exact stream,
+// judged against Liberty's 2/ℓ bound (checkFD). speedup_vs_classic
+// compares against the (b=1, α=1) run at the same ℓ, the headline
+// number for the doubled-buffer discipline. The regime label names
+// the shrink's eigenproblem side: "n-side" solves the m×m Gram of the
+// working buffer (m = b·ℓ rows), "d-side" the d×d covariance. Once
+// b·ℓ ≥ d the shrink flips to d-side, which is why b=4 at ℓ=64, d=256
+// is slower than b=2 despite shrinking less often.
+func runFD(out io.Writer, _ scaleCfg, art *bench.Artifact) error {
 	// The classic cadence is every row's speedup denominator, so
 	// measure it first.
-	classic := map[int]fdResult{}
+	classic := map[int]bench.Row{}
 	for _, ell := range fdElls {
 		classic[ell] = benchFDPoint(ell, 1, 1)
 	}
@@ -83,35 +46,32 @@ func runFD(out io.Writer, path, baselinePath string) error {
 				if b != 1 || alpha != 1 {
 					r = benchFDPoint(ell, b, alpha)
 				}
-				r.SpeedupVsClassic = classic[ell].NsPerUpdate / r.NsPerUpdate
-				results = append(results, r)
+				m := r.Metrics
+				m["speedup_vs_classic"] = classic[ell].Metrics["ns_per_update"] / m["ns_per_update"]
+				art.Add(r.Labels, m)
 				fmt.Fprintf(out, "fd ell=%-4d b=%d alpha=%-4v %10.0f ns/update  err %.5f (bound %.5f)  %5.2fx  %s\n",
-					r.Ell, r.Buffer, r.Alpha, r.NsPerUpdate, r.CovaErr, r.Bound, r.SpeedupVsClassic, r.Regime)
-				if !r.WithinBound {
-					return fmt.Errorf("fd: b=%d alpha=%v ell=%d error %v exceeds bound %v",
-						b, alpha, ell, r.CovaErr, r.Bound)
-				}
+					ell, b, alpha, m["ns_per_update"], m["cova_err"], m["bound"], m["speedup_vs_classic"], r.Labels["regime"])
 			}
 		}
 	}
+	return nil
+}
 
-	art := fdArtifact{KernelsAccelerated: mat.KernelsAccelerated(), Results: results}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
+// checkFD fails the run when a grid point's error exceeds its 2/ℓ
+// bound.
+func checkFD(art *bench.Artifact) error {
+	for _, r := range art.Results {
+		if m := r.Metrics; m["within_bound"] == 0 {
+			return fmt.Errorf("fd: b=%s alpha=%s ell=%s error %v exceeds bound %v",
+				r.Labels["buffer"], r.Labels["alpha"], r.Labels["ell"], m["cova_err"], m["bound"])
+		}
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
-
-	return checkFDRegression(out, baseline, results)
+	return nil
 }
 
 // benchFDPoint times one configuration and measures its accuracy on
 // the same deterministic Gaussian stream.
-func benchFDPoint(ell, b int, alpha float64) fdResult {
+func benchFDPoint(ell, b int, alpha float64) bench.Row {
 	rng := rand.New(rand.NewSource(97))
 	m := b * ell
 	n := 3 * m
@@ -151,69 +111,16 @@ func benchFDPoint(ell, b int, alpha float64) fdResult {
 	if m >= fdDim {
 		regime = "d-side"
 	}
-	return fdResult{
-		Ell: ell, D: fdDim, Buffer: b, Alpha: alpha,
-		NsPerUpdate: best,
-		CovaErr:     errRel,
-		Bound:       bound,
-		WithinBound: errRel <= bound,
-		Regime:      regime,
+	return bench.Row{
+		Labels: map[string]string{
+			"ell": fmt.Sprint(ell), "d": fmt.Sprint(fdDim),
+			"buffer": fmt.Sprint(b), "alpha": fmt.Sprint(alpha), "regime": regime,
+		},
+		Metrics: map[string]float64{
+			"ns_per_update": best,
+			"cova_err":      errRel,
+			"bound":         bound,
+			"within_bound":  bench.Flag(errRel <= bound),
+		},
 	}
-}
-
-// loadFDBaseline reads a previous artifact for the regression gate;
-// an empty path disables the gate, a missing or foreign-backend file
-// just produces a notice (first run, or numbers that are not
-// comparable).
-func loadFDBaseline(path string) (*fdArtifact, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var art fdArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, fmt.Errorf("fd baseline %s: %w", path, err)
-	}
-	return &art, nil
-}
-
-// checkFDRegression gates the default configuration (b=2, α=1) against
-// the baseline artifact at each ℓ: past 1.2× the baseline ns/update
-// the run fails.
-func checkFDRegression(out io.Writer, baseline *fdArtifact, results []fdResult) error {
-	if baseline == nil {
-		fmt.Fprintln(out, "fd: no baseline artifact, regression gate skipped")
-		return nil
-	}
-	if baseline.KernelsAccelerated != mat.KernelsAccelerated() {
-		fmt.Fprintln(out, "fd: baseline ran on a different kernel backend, regression gate skipped")
-		return nil
-	}
-	find := func(rs []fdResult, ell int) *fdResult {
-		for i := range rs {
-			if rs[i].Ell == ell && rs[i].Buffer == 2 && rs[i].Alpha == 1 {
-				return &rs[i]
-			}
-		}
-		return nil
-	}
-	for _, ell := range fdElls {
-		base, cur := find(baseline.Results, ell), find(results, ell)
-		if base == nil || cur == nil {
-			continue
-		}
-		ratio := cur.NsPerUpdate / base.NsPerUpdate
-		fmt.Fprintf(out, "fd: default config ell=%d %0.0f ns vs baseline %0.0f ns (%.2fx)\n",
-			ell, cur.NsPerUpdate, base.NsPerUpdate, ratio)
-		if ratio > 1.2 {
-			return fmt.Errorf("fd: default config (b=2, alpha=1) at ell=%d regressed %.2fx past baseline (limit 1.2x)", ell, ratio)
-		}
-	}
-	return nil
 }

@@ -1,17 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/load"
 	"swsketch/internal/obs/hh"
@@ -31,51 +30,18 @@ const (
 // shared runners makes a hard gate flaky).
 const hhOverheadWarnPct = 5.0
 
-// hhEntry is one observed-vs-exact row of the BENCH_hh.json artifact.
-type hhEntry struct {
-	Tenant      string `json:"tenant"`
-	Estimated   uint64 `json:"estimated"`
-	Exact       int    `json:"exact"`
-	Bound       uint64 `json:"bound"`
-	WithinBound bool   `json:"within_bound"`
-}
-
-// hhResult is the BENCH_hh.json artifact: the hot-key sidecar's
-// observed top-K against the load driver's exact per-tenant counts,
-// plus the sidecar's cost on the ingest hot path.
-type hhResult struct {
-	Tenants       int     `json:"tenants"`
-	Rows          int     `json:"rows"`
-	ZipfS         float64 `json:"zipf_s"`
-	WindowSeconds float64 `json:"window_seconds"`
-	K             int     `json:"k"`
-	Width         int     `json:"width"`
-	Depth         int     `json:"depth"`
-	Epsilon       float64 `json:"epsilon"`
-
-	RecallTopN      int       `json:"recall_top_n"`
-	RecallHits      int       `json:"recall_hits"`
-	TopK            []hhEntry `json:"topk"`
-	TopKShare       float64   `json:"topk_share"`
-	ZipfSEst        float64   `json:"zipf_s_est"`
-	DistinctExact   int       `json:"distinct_tenants_exact"`
-	DistinctEst     float64   `json:"distinct_tenants_est"`
-	BoundViolations int       `json:"bound_violations"`
-
-	OverheadBareNsPerRow float64 `json:"overhead_bare_ns_per_row"`
-	OverheadInstNsPerRow float64 `json:"overhead_instrumented_ns_per_row"`
-	OverheadPct          float64 `json:"overhead_pct"`
-}
-
 // runHH closes the hot-key observability loop: a self-hosted server
 // with the sidecar attached ingests a Zipf-skewed fleet's traffic
 // while the load driver keeps exact per-tenant counts, then the
 // /debug/hotkeys snapshot is judged against that ground truth —
 // top-hhRecallTop recall, every estimate inside its ε·N count-min
 // bound — and the sidecar's cost on the ingest hot path is measured
-// with paired trials. Recall or bound failures exit non-zero; the CI
-// job runs this step continue-on-error so the gate is advisory there.
-func runHH(out io.Writer, sc scaleCfg, path string) error {
+// with paired trials. The summary row holds the recall, the skew
+// aggregates and the overhead; one topk row per sidecar entry holds
+// its estimate against the exact count. Recall or bound failures
+// (checkHH) exit non-zero; the CI job runs this step
+// continue-on-error so the gate is advisory there.
+func runHH(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	const d = 16
 	tenants := 512
 	rows := sc.seqN * 2
@@ -154,7 +120,6 @@ func runHH(out io.Writer, sc scaleCfg, path string) error {
 	threshold := ranking[top-1].rows
 
 	hits, violations := 0, 0
-	entries := make([]hhEntry, 0, len(snap.TopK))
 	fmt.Fprintf(out, "%12s %12s %12s %10s %8s\n", "tenant", "estimated", "exact", "bound", "ok")
 	for i, e := range snap.TopK {
 		exact := res.TenantRows[e.Tenant]
@@ -168,9 +133,9 @@ func runHH(out io.Writer, sc scaleCfg, path string) error {
 			}
 			fmt.Fprintf(out, "%12s %12d %12d %10d %8v\n", e.Tenant, e.Rows, exact, e.Bound, within)
 		}
-		entries = append(entries, hhEntry{
-			Tenant: e.Tenant, Estimated: e.Rows, Exact: exact,
-			Bound: e.Bound, WithinBound: within,
+		art.Add(map[string]string{"kind": "topk", "tenant": e.Tenant}, map[string]float64{
+			"estimated": float64(e.Rows), "exact": float64(exact),
+			"bound": float64(e.Bound), "within_bound": bench.Flag(within),
 		})
 	}
 	distinct := len(res.TenantRows)
@@ -186,32 +151,40 @@ func runHH(out io.Writer, sc scaleCfg, path string) error {
 			overheadPct, hhOverheadWarnPct)
 	}
 
-	result := hhResult{
-		Tenants: tenants, Rows: res.Rows, ZipfS: zipfS,
-		WindowSeconds: snap.WindowSeconds, K: snap.K, Width: snap.Width,
-		Depth: snap.Depth, Epsilon: snap.Epsilon,
-		RecallTopN: top, RecallHits: hits, TopK: entries,
-		TopKShare: snap.TopKShare, ZipfSEst: snap.ZipfS,
-		DistinctExact: distinct, DistinctEst: snap.DistinctTenants,
-		BoundViolations:      violations,
-		OverheadBareNsPerRow: bare, OverheadInstNsPerRow: inst,
-		OverheadPct: overheadPct,
+	art.Params = map[string]any{
+		"tenants": tenants, "rows": res.Rows, "zipf_s": zipfS,
+		"window_seconds": snap.WindowSeconds, "k": snap.K, "width": snap.Width,
+		"depth": snap.Depth, "epsilon": snap.Epsilon,
 	}
-	data, err := json.MarshalIndent(result, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", path)
+	art.Add(map[string]string{"kind": "summary"}, map[string]float64{
+		"recall_top_n":                     float64(top),
+		"recall_hits":                      float64(hits),
+		"topk_share":                       snap.TopKShare,
+		"zipf_s_est":                       snap.ZipfS,
+		"distinct_tenants_exact":           float64(distinct),
+		"distinct_tenants_est":             snap.DistinctTenants,
+		"bound_violations":                 float64(violations),
+		"overhead_bare_ns_per_row":         bare,
+		"overhead_instrumented_ns_per_row": inst,
+		"overhead_pct":                     overheadPct,
+	})
+	return nil
+}
 
-	if hits < hhRecallMin {
-		return fmt.Errorf("hot-key recall %d/%d below the %d/%d gate", hits, top, hhRecallMin, hhRecallTop)
+// checkHH is the accuracy gate: the sidecar surfaces at least
+// hhRecallMin of the hottest hhRecallTop tenants, and every one of
+// them lies inside its ε·N count-min bound.
+func checkHH(art *bench.Artifact) error {
+	sum := art.Find(map[string]string{"kind": "summary"})
+	if sum == nil {
+		return fmt.Errorf("hh: no summary row")
 	}
-	if violations > 0 {
-		return fmt.Errorf("%d top-%d estimate(s) outside the ε·N count-min bound", violations, top)
+	m := sum.Metrics
+	if m["recall_hits"] < hhRecallMin {
+		return fmt.Errorf("hot-key recall %.0f/%.0f below the %d/%d gate", m["recall_hits"], m["recall_top_n"], hhRecallMin, hhRecallTop)
+	}
+	if m["bound_violations"] > 0 {
+		return fmt.Errorf("%.0f top-%.0f estimate(s) outside the ε·N count-min bound", m["bound_violations"], m["recall_top_n"])
 	}
 	return nil
 }

@@ -1,42 +1,30 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/mat"
 )
 
-// kernelResult is one row of the BENCH_kernels.json artifact: a
-// compute-layer operation timed against a straightforward scalar
-// baseline at a fixed shape.
-type kernelResult struct {
-	Op              string  `json:"op"`
-	Shape           string  `json:"shape"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-}
-
 // runKernels benchmarks the internal/mat kernels (blocked, tiled,
-// parallel) against local naive references and writes the results to
-// path as JSON, echoing an aligned table to out. The shape list covers
-// the regimes the acceptance bar names: large sketch-scale products
+// parallel) against local naive references, one row per operation and
+// shape, echoing an aligned table to out. The shape list covers the
+// regimes the acceptance bar names: large sketch-scale products
 // (2048×256), the ℓ×d shapes FD shrinks produce, and small ℓ×ℓ
 // matrices where the kernels must not regress.
-func runKernels(out io.Writer, path string) error {
+func runKernels(out io.Writer, _ scaleCfg, art *bench.Artifact) error {
 	rng := rand.New(rand.NewSource(42))
-	var results []kernelResult
 
 	record := func(op, shape string, opt, base float64) {
-		r := kernelResult{Op: op, Shape: shape, NsPerOp: opt, BaselineNsPerOp: base, Speedup: base / opt}
-		results = append(results, r)
+		art.Add(map[string]string{"op": op, "shape": shape}, map[string]float64{
+			"ns_per_op": opt, "baseline_ns_per_op": base, "speedup": base / opt,
+		})
 		fmt.Fprintf(out, "%-6s %-14s %12.0f ns/op %12.0f ns/op (naive) %6.2fx\n",
-			r.Op, r.Shape, r.NsPerOp, r.BaselineNsPerOp, r.Speedup)
+			op, shape, opt, base, base/opt)
 	}
 
 	type mulShape struct{ m, k, n int }
@@ -83,16 +71,6 @@ func runKernels(out io.Writer, path string) error {
 		base := benchNs(func() { naiveDot(a, b) })
 		record("Dot", fmt.Sprintf("%d", n), opt, base)
 	}
-
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
 	return nil
 }
 

@@ -1,30 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/load"
 	"swsketch/internal/serve"
 	"swsketch/internal/window"
 )
 
-// loadHeadroom is the soft regression gate: a mode may lose up to this
-// fraction of its baseline rows/s before the gate trips.
-const loadHeadroom = 0.20
-
 // runLoad measures the ingest plane end to end: a self-hosted server,
-// a Zipf-skewed tenant fleet, and the three wire generations side by
-// side. The v1 baseline pays one JSON request per update (the shape
-// v1 clients actually send); the stream modes run pipelined blocks. The headline: the binary stream should
+// a Zipf-skewed tenant fleet, and the three wire modes side by side.
+// The rows-mode baseline pays one JSON request per update; the stream
+// modes run pipelined blocks. The headline: the binary stream should
 // carry an order of magnitude more rows/s than per-request JSON while
 // holding p99 under 50 ms.
-func runLoad(out io.Writer, sc scaleCfg, path, basePath string) error {
+func runLoad(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	const d = 16
 	tenants := 2000
 	rows := sc.seqN * 2
@@ -62,18 +57,18 @@ func runLoad(out io.Writer, sc scaleCfg, path, basePath string) error {
 		batch   int
 		workers int
 	}{
-		{load.ModeV1, 1, 4}, // one JSON request per update — the v1 shape
+		{load.ModeRows, 1, 4}, // one JSON request per update
 		// The server ingests serially per tenant; a couple of pipelined
 		// streams saturate it without queueing the tail into the tens of
 		// milliseconds.
 		{load.ModeNDJSON, 128, 2},
 		{load.ModeFrames, 256, 2},
 	}
-	var results []load.Result
-	var v1Rate float64
+	var speedup float64
+	var final load.Result
 	for _, m := range modes {
 		cfg.Mode, cfg.Batch, cfg.Rows, cfg.Workers = m.mode, m.batch, rows, m.workers
-		if m.mode == load.ModeV1 {
+		if m.mode == load.ModeRows {
 			// The baseline pays a request per row; a fraction of the
 			// budget measures it just as well.
 			cfg.Rows = rows / 8
@@ -85,78 +80,22 @@ func runLoad(out io.Writer, sc scaleCfg, path, basePath string) error {
 		if res.Errors > 0 {
 			return fmt.Errorf("%s: %d failed blocks", m.mode, res.Errors)
 		}
-		if m.mode == load.ModeV1 {
-			v1Rate = res.RowsPerSec
-		} else if v1Rate > 0 {
-			res.SpeedupVsV1 = res.RowsPerSec / v1Rate
-		}
-		results = append(results, res)
+		speedup, final = load.Record(art, res), res
 		fmt.Fprintf(out, "%8s %6d %12.0f %10.2f %10.2f %8d",
 			res.Mode, res.Batch, res.RowsPerSec, res.P50Ms, res.P99Ms, res.Errors)
-		if res.SpeedupVsV1 > 0 {
-			fmt.Fprintf(out, "  %.1fx vs v1", res.SpeedupVsV1)
+		if speedup > 0 {
+			fmt.Fprintf(out, "  %.1fx vs rows", speedup)
 		}
 		fmt.Fprintln(out)
 	}
 
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
-
-	// Acceptance shape: the binary stream sustains ≥10× the v1 baseline
-	// with a sub-50ms tail.
-	final := results[len(results)-1]
-	if final.SpeedupVsV1 < 10 {
-		fmt.Fprintf(out, "WARN: frames speedup %.1fx below the 10x target\n", final.SpeedupVsV1)
+	// Acceptance shape: the binary stream sustains ≥10× the rows-mode
+	// baseline with a sub-50ms tail.
+	if speedup < 10 {
+		fmt.Fprintf(out, "WARN: frames speedup %.1fx below the 10x target\n", speedup)
 	}
 	if final.P99Ms >= 50 {
 		fmt.Fprintf(out, "WARN: frames p99 %.1fms above the 50ms target\n", final.P99Ms)
-	}
-
-	if basePath != "" {
-		return gateLoad(out, results, basePath)
-	}
-	return nil
-}
-
-// gateLoad compares a run against a committed baseline artifact and
-// fails on a >loadHeadroom throughput regression in any mode.
-func gateLoad(out io.Writer, results []load.Result, basePath string) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return fmt.Errorf("load baseline: %w", err)
-	}
-	var baseline []load.Result
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("load baseline: %w", err)
-	}
-	byMode := make(map[string]load.Result, len(baseline))
-	for _, b := range baseline {
-		byMode[b.Mode] = b
-	}
-	var failed []string
-	for _, r := range results {
-		b, ok := byMode[r.Mode]
-		if !ok || b.RowsPerSec <= 0 {
-			continue
-		}
-		ratio := r.RowsPerSec / b.RowsPerSec
-		verdict := "ok"
-		if ratio < 1-loadHeadroom {
-			verdict = "REGRESSED"
-			failed = append(failed, r.Mode)
-		}
-		fmt.Fprintf(out, "gate %-8s %12.0f vs baseline %12.0f rows/s (%.2fx) %s\n",
-			r.Mode, r.RowsPerSec, b.RowsPerSec, ratio, verdict)
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("load gate: %v regressed more than %.0f%%", failed, loadHeadroom*100)
 	}
 	return nil
 }

@@ -24,40 +24,38 @@
 //	projerr  rank-k projection-error study (the paper's "different
 //	         error metrics" future work)
 //	winsweep sketch space vs window size (the sublinearity headline)
-//	kernels  compute-layer micro-benchmarks vs naive baselines;
-//	         writes BENCH_kernels.json (see -kernels-out)
+//	kernels  compute-layer micro-benchmarks vs naive baselines
 //	fd       FastFD ingest hot path: ns/update and cova-err across the
-//	         (buffer, alpha) grid at ℓ∈{64,256}, d=256; writes
-//	         BENCH_fd.json (see -fd-out) and optionally gates the
-//	         default config against a baseline artifact (-fd-baseline)
+//	         (buffer, alpha) grid at ℓ∈{64,256}, d=256; fails if a grid
+//	         point breaches its 2/ℓ bound
 //	dsfd     DS-FD head-to-head vs LM-FD and DI-FD on the fig6 skewed
-//	         PAMAP workload at matched ε; writes BENCH_dsfd.json
-//	         (see -dsfd-out) and fails if DS-FD breaches its N·R/ℓ
-//	         guarantee or uses more space than LM-FD
+//	         PAMAP workload at matched ε; fails if DS-FD breaches its
+//	         N·R/ℓ guarantee or uses more space than LM-FD
 //	amm      windowed approximate matrix multiplication: LM-AMM and
 //	         DI-AMM on a correlated paired stream across the ℓ grid,
-//	         correlation error vs the exact-AᵀB oracle; writes
-//	         BENCH_amm.json (see -amm-out) and fails if any grid
-//	         point breaches its slacked 4/ℓ bound
+//	         correlation error vs the exact-AᵀB oracle; fails if any
+//	         grid point breaches its slacked 4/ℓ bound
 //	obs      overhead of the observability stack (metrics decorator
 //	         and disabled tracer), bare vs wrapped, per-row and
-//	         batched ingest, plus the /v2 binary-stream serving path;
-//	         writes BENCH_obs.json (see -obs-out)
+//	         batched ingest, plus the /v2 binary-stream serving path
 //	hh       hot-key observability accuracy: the sliding count-min
 //	         top-K sidecar vs exact per-tenant counts from a Zipf
-//	         load run, plus its ingest-path cost; writes
-//	         BENCH_hh.json (see -hh-out) and fails on a recall or
+//	         load run, plus its ingest-path cost; fails on a recall or
 //	         error-bound breach
 //	tenants  multi-tenant registry scaling: ingest throughput vs fleet
 //	         size (1..1024 tenants, parallel workers) plus spill/
-//	         restore cost; writes BENCH_tenants.json (see -tenants-out)
-//	load     ingest-plane load: per-request v1 JSON vs the /v2 stream
-//	         (NDJSON and binary frames) against a Zipf-skewed tenant
-//	         fleet on a self-hosted server; writes BENCH_load.json
-//	         (see -load-out) and optionally gates throughput against
-//	         a baseline artifact (-load-baseline)
+//	         restore cost
+//	load     ingest-plane load: per-request JSON (rows mode) vs the /v2
+//	         stream (NDJSON and binary frames) against a Zipf-skewed
+//	         tenant fleet on a self-hosted server
 //	verify   run the qualitative shape checks; non-zero exit on DIFF
 //	all      everything above plus the qualitative shape checks
+//
+// The experiments from kernels to load each write one artifact in the
+// shared internal/bench format: BENCH_<experiment>.json, or the path
+// -out names. -baseline names an earlier artifact of the same
+// experiment to gate the run against; only fd and load declare
+// baseline gates (see experiments), and the others reject the flag.
 //
 // Flags select run scale: the default completes in minutes and
 // preserves every qualitative conclusion; -full approaches paper scale.
@@ -66,8 +64,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/eval"
 )
 
@@ -80,16 +80,8 @@ func main() {
 		win    = flag.Int("window", 0, "override window size (rows)")
 		maxQ   = flag.Int("maxq", 0, "override max evaluated windows per run")
 		stride = flag.Int("stride", 0, "override query stride")
-		kOut   = flag.String("kernels-out", "BENCH_kernels.json", "output path for the kernels experiment")
-		fdOut  = flag.String("fd-out", "BENCH_fd.json", "output path for the fd experiment")
-		fdBase = flag.String("fd-baseline", "", "baseline BENCH_fd.json for the fd regression gate (empty disables)")
-		dsOut  = flag.String("dsfd-out", "BENCH_dsfd.json", "output path for the dsfd experiment")
-		aOut   = flag.String("amm-out", "BENCH_amm.json", "output path for the amm experiment")
-		oOut   = flag.String("obs-out", "BENCH_obs.json", "output path for the obs experiment")
-		hOut   = flag.String("hh-out", "BENCH_hh.json", "output path for the hh experiment")
-		tOut   = flag.String("tenants-out", "BENCH_tenants.json", "output path for the tenants experiment")
-		lOut   = flag.String("load-out", "BENCH_load.json", "output path for the load experiment")
-		lBase  = flag.String("load-baseline", "", "baseline BENCH_load.json for the load regression gate (empty disables)")
+		artOut = flag.String("out", "", "artifact path (default BENCH_<experiment>.json)")
+		base   = flag.String("baseline", "", "earlier artifact of the same experiment to gate the run against (fd and load; empty disables)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -116,8 +108,20 @@ func main() {
 		sc.stride = *stride
 	}
 
+	cmd := flag.Arg(0)
+	if e, ok := experiments[cmd]; ok {
+		if err := runExperiment(os.Stdout, sc, cmd, e, *artOut, *base); err != nil {
+			fmt.Fprintf(os.Stderr, "swbench: %s: %v\n", cmd, err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *artOut != "" || *base != "" {
+		fmt.Fprintf(os.Stderr, "swbench: %s writes no artifact; -out and -baseline apply to kernels|fd|dsfd|amm|obs|hh|tenants|load\n", cmd)
+		os.Exit(2)
+	}
 	out := os.Stdout
-	switch cmd := flag.Arg(0); cmd {
+	switch cmd {
 	case "table2":
 		printTable2(out, sc)
 	case "table3":
@@ -145,46 +149,6 @@ func main() {
 		runProjErr(out, sc)
 	case "winsweep":
 		runWinSweep(out, sc)
-	case "obs":
-		if err := runObs(out, sc, *oOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: obs: %v\n", err)
-			os.Exit(1)
-		}
-	case "hh":
-		if err := runHH(out, sc, *hOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: hh: %v\n", err)
-			os.Exit(1)
-		}
-	case "tenants":
-		if err := runTenants(out, sc, *tOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: tenants: %v\n", err)
-			os.Exit(1)
-		}
-	case "load":
-		if err := runLoad(out, sc, *lOut, *lBase); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: load: %v\n", err)
-			os.Exit(1)
-		}
-	case "kernels":
-		if err := runKernels(out, *kOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: kernels: %v\n", err)
-			os.Exit(1)
-		}
-	case "fd":
-		if err := runFD(out, *fdOut, *fdBase); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: fd: %v\n", err)
-			os.Exit(1)
-		}
-	case "dsfd":
-		if err := runDSFD(out, sc, *dsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: dsfd: %v\n", err)
-			os.Exit(1)
-		}
-	case "amm":
-		if err := runAMM(out, sc, *aOut); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: amm: %v\n", err)
-			os.Exit(1)
-		}
 	case "verify":
 		if failures := runVerify(out, sc); failures > 0 {
 			fmt.Fprintf(os.Stderr, "swbench: %d shape check(s) failed\n", failures)
@@ -197,6 +161,72 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swbench: unknown experiment %q\n", cmd)
 		os.Exit(2)
 	}
+}
+
+// experiment is one artifact-writing experiment.
+type experiment struct {
+	// run measures into the artifact, echoing a table to out.
+	run func(out io.Writer, sc scaleCfg, art *bench.Artifact) error
+	// check holds the checks that need no baseline; nil when there
+	// are none. A written artifact that fails them fails the run.
+	check func(*bench.Artifact) error
+	// gates are what -baseline compares; an experiment without any
+	// rejects the flag.
+	gates []bench.Gate
+}
+
+// experiments are the artifact-writing experiments. Their baseline
+// gates are declared here, never read from the baseline file, so
+// editing an artifact cannot change a gate.
+var experiments = map[string]experiment{
+	"kernels": {run: runKernels},
+	// FastFD's default config (b=2, α=1) may not slow past 1.2× the
+	// baseline's ns/update at any ℓ. Timings from another kernel
+	// backend are not comparable.
+	"fd": {run: runFD, check: checkFD, gates: []bench.Gate{{Metric: "ns_per_update",
+		Where: map[string]string{"buffer": "2", "alpha": "1"}, Pair: "ell", Max: 1.2, SameKernels: true}}},
+	"dsfd":    {run: runDSFD, check: checkDSFD},
+	"amm":     {run: runAMM, check: checkAMM},
+	"obs":     {run: runObs},
+	"hh":      {run: runHH, check: checkHH},
+	"tenants": {run: runTenants},
+	// A wire mode may lose up to 20% of its baseline rows/s. Shared
+	// runners make throughput noisy, so CI runs this gate advisory.
+	"load": {run: runLoad, gates: []bench.Gate{{Metric: "rows_per_sec", Pair: "mode", Min: 0.8}}},
+}
+
+// runExperiment runs e, writes its artifact to path
+// (BENCH_<name>.json when empty), applies its checks, and gates it
+// against the artifact at basePath when one is named. The baseline is
+// read first, so a missing or foreign one fails before the run.
+func runExperiment(out io.Writer, sc scaleCfg, name string, e experiment, path, basePath string) error {
+	var base *bench.Artifact
+	if basePath != "" {
+		if len(e.gates) == 0 {
+			return fmt.Errorf("-baseline: %s declares no baseline gates", name)
+		}
+		var err error
+		if base, err = bench.Read(basePath, name); err != nil {
+			return fmt.Errorf("baseline: %w", err)
+		}
+	}
+	art := bench.New(name)
+	if err := e.run(out, sc, art); err != nil {
+		return err
+	}
+	if path == "" {
+		path = "BENCH_" + name + ".json"
+	}
+	if err := bench.Write(path, art); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(art.Results))
+	if e.check != nil {
+		if err := e.check(art); err != nil {
+			return err
+		}
+	}
+	return bench.Compare(out, art, base, e.gates)
 }
 
 func emit(out *os.File, csv bool, title, figID string, ms []eval.Metrics, metric eval.Metric) {

@@ -1,17 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/load"
 	"swsketch/internal/obs"
@@ -21,20 +20,6 @@ import (
 	"swsketch/internal/window"
 )
 
-// obsResult is one row of the BENCH_obs.json artifact: one algorithm's
-// ingest cost bare, wrapped in the metrics decorator, and with a
-// disabled tracer attached. The last column is the acceptance bar for
-// the observability stack — a disabled tracer must cost < 5%.
-type obsResult struct {
-	Algo                 string  `json:"algo"`
-	Path                 string  `json:"path"` // "row", "batch", or "stream"
-	BareNsPerRow         float64 `json:"bare_ns_per_row"`
-	InstrumentedNsPerRow float64 `json:"instrumented_ns_per_row"`
-	InstrumentedPct      float64 `json:"instrumented_overhead_pct"`
-	TracedOffNsPerRow    float64 `json:"traced_disabled_ns_per_row"`
-	TracedOffPct         float64 `json:"traced_disabled_overhead_pct"`
-}
-
 // runObs measures the overhead of the observability stack: each
 // algorithm ingests the same synthetic stream bare, wrapped in the
 // obs.Instrumented decorator, and with a disabled tracer attached —
@@ -42,9 +27,12 @@ type obsResult struct {
 // row) and the UpdateBatch path (the serve and swstream default) —
 // and then the /v2 binary stream end to end (where "instrumented"
 // is the full metrics + hot-key sidecar stack).
-// Reported overheads justify — or veto — leaving -metrics and -trace
-// on in production; the results also land in path as JSON.
-func runObs(out io.Writer, sc scaleCfg, path string) error {
+// Each row is one algorithm and ingest path ("row", "batch" or
+// "stream"): its cost bare, wrapped in the metrics decorator, and with
+// a disabled tracer attached. The reported overheads justify — or
+// veto — leaving -metrics and -trace on in production; the acceptance
+// bar is that a disabled tracer costs < 5%.
+func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	n := sc.seqN
 	if n > 50000 {
 		n = 50000
@@ -87,7 +75,6 @@ func runObs(out io.Writer, sc scaleCfg, path string) error {
 		return sk
 	}
 
-	var results []obsResult
 	fmt.Fprintf(out, "obs overhead (n=%d rows, d=%d, window=%d, batch=%d, median of %d paired trials)\n",
 		n, d, win, batchSize, obsTrials)
 	fmt.Fprintf(out, "%-8s %-6s %12s %12s %10s %12s %10s\n",
@@ -112,22 +99,8 @@ func runObs(out io.Writer, sc scaleCfg, path string) error {
 			sort.Float64s(bares)
 			sort.Float64s(instRatios)
 			sort.Float64s(trRatios)
-			bare := bares[obsTrials/2]
-			instRatio := instRatios[obsTrials/2]
-			trRatio := trRatios[obsTrials/2]
-			r := obsResult{
-				Algo:                 a.name,
-				Path:                 ingestPath,
-				BareNsPerRow:         bare,
-				InstrumentedNsPerRow: bare * instRatio,
-				InstrumentedPct:      100 * (instRatio - 1),
-				TracedOffNsPerRow:    bare * trRatio,
-				TracedOffPct:         100 * (trRatio - 1),
-			}
-			results = append(results, r)
-			fmt.Fprintf(out, "%-8s %-6s %12.1f %12.1f %9.2f%% %12.1f %9.2f%%\n",
-				r.Algo, r.Path, r.BareNsPerRow, r.InstrumentedNsPerRow, r.InstrumentedPct,
-				r.TracedOffNsPerRow, r.TracedOffPct)
+			addObsRow(out, art, a.name, ingestPath, bares[obsTrials/2],
+				instRatios[obsTrials/2], trRatios[obsTrials/2])
 		}
 	}
 
@@ -137,34 +110,38 @@ func runObs(out io.Writer, sc scaleCfg, path string) error {
 	// number the row/batch microbenchmarks above approximate from
 	// below — it includes HTTP framing, the registry touch hook, and
 	// the ingest funnel's sidecar calls.
-	streamRow, err := obsStream(sc)
+	bare, instRatio, trRatio, err := obsStream(sc)
 	if err != nil {
 		return err
 	}
-	results = append(results, streamRow)
-	fmt.Fprintf(out, "%-8s %-6s %12.1f %12.1f %9.2f%% %12.1f %9.2f%%\n",
-		streamRow.Algo, streamRow.Path, streamRow.BareNsPerRow, streamRow.InstrumentedNsPerRow,
-		streamRow.InstrumentedPct, streamRow.TracedOffNsPerRow, streamRow.TracedOffPct)
-
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
+	addObsRow(out, art, "LM-FD", "stream", bare, instRatio, trRatio)
 	return nil
+}
+
+// addObsRow records one algorithm and path: the bare cost per row and
+// the median paired ratios of the instrumented and traced-off runs to
+// it.
+func addObsRow(out io.Writer, art *bench.Artifact, algo, path string, bare, instRatio, trRatio float64) {
+	m := map[string]float64{
+		"bare_ns_per_row":              bare,
+		"instrumented_ns_per_row":      bare * instRatio,
+		"instrumented_overhead_pct":    100 * (instRatio - 1),
+		"traced_disabled_ns_per_row":   bare * trRatio,
+		"traced_disabled_overhead_pct": 100 * (trRatio - 1),
+	}
+	art.Add(map[string]string{"algo": algo, "path": path}, m)
+	fmt.Fprintf(out, "%-8s %-6s %12.1f %12.1f %9.2f%% %12.1f %9.2f%%\n",
+		algo, path, bare, m["instrumented_ns_per_row"], m["instrumented_overhead_pct"],
+		m["traced_disabled_ns_per_row"], m["traced_disabled_overhead_pct"])
 }
 
 // obsStream measures the /v2 binary-stream ingest path three ways:
 // bare, instrumented (WithMetrics + the hot-key sidecar — the full
 // production observability stack), and with a disabled tracer. Each
 // trial drives the same Zipf fleet through all three servers back to
-// back; the median paired ratio is reported, as in the
-// microbenchmarks above.
-func obsStream(sc scaleCfg) (obsResult, error) {
+// back; it returns the median bare ns per row and the median paired
+// ratios, as in the microbenchmarks above.
+func obsStream(sc scaleCfg) (bareNs, instRatio, trRatio float64, err error) {
 	const d = 16
 	rows := sc.seqN
 	if rows < 20000 {
@@ -190,18 +167,18 @@ func obsStream(sc scaleCfg) (obsResult, error) {
 	}
 	bare, err := mk()
 	if err != nil {
-		return obsResult{}, err
+		return 0, 0, 0, err
 	}
 	defer bare.srv.Close()
 	inst, err := mk(serve.WithMetrics(obs.NewRegistry()),
 		serve.WithHotKeys(hh.New(hh.Config{Window: 10 * time.Minute})))
 	if err != nil {
-		return obsResult{}, err
+		return 0, 0, 0, err
 	}
 	defer inst.srv.Close()
 	trSrv, err := mk(serve.WithTrace(trace.New(1024))) // attached, never enabled
 	if err != nil {
-		return obsResult{}, err
+		return 0, 0, 0, err
 	}
 	defer trSrv.srv.Close()
 
@@ -226,15 +203,15 @@ func obsStream(sc scaleCfg) (obsResult, error) {
 	for trial := range bares {
 		b, err := rate(bare)
 		if err != nil {
-			return obsResult{}, err
+			return 0, 0, 0, err
 		}
 		w, err := rate(inst)
 		if err != nil {
-			return obsResult{}, err
+			return 0, 0, 0, err
 		}
 		tr, err := rate(trSrv)
 		if err != nil {
-			return obsResult{}, err
+			return 0, 0, 0, err
 		}
 		bares[trial] = b
 		instRatios[trial] = w / b
@@ -243,17 +220,7 @@ func obsStream(sc scaleCfg) (obsResult, error) {
 	sort.Float64s(bares)
 	sort.Float64s(instRatios)
 	sort.Float64s(trRatios)
-	b := bares[obsTrials/2]
-	iw := instRatios[obsTrials/2]
-	tw := trRatios[obsTrials/2]
-	return obsResult{
-		Algo: "LM-FD", Path: "stream",
-		BareNsPerRow:         b,
-		InstrumentedNsPerRow: b * iw,
-		InstrumentedPct:      100 * (iw - 1),
-		TracedOffNsPerRow:    b * tw,
-		TracedOffPct:         100 * (tw - 1),
-	}, nil
+	return bares[obsTrials/2], instRatios[obsTrials/2], trRatios[obsTrials/2], nil
 }
 
 // obsTrials is the per-configuration repeat count; odd, so the median

@@ -2,15 +2,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/data"
 	"swsketch/internal/eval"
-	"swsketch/internal/mat"
 )
 
 func TestDiLevels(t *testing.T) {
@@ -206,65 +207,173 @@ func TestBenchFDPoint(t *testing.T) {
 	// One fast configuration end to end: timing positive, accuracy
 	// within the bound, regime classified by m = b·ℓ against d.
 	r := benchFDPoint(8, 2, 0.5)
-	if r.NsPerUpdate <= 0 {
-		t.Fatalf("ns/update = %v", r.NsPerUpdate)
+	m := r.Metrics
+	if m["ns_per_update"] <= 0 {
+		t.Fatalf("ns/update = %v", m["ns_per_update"])
 	}
-	if !r.WithinBound || r.CovaErr > r.Bound {
-		t.Fatalf("error %v exceeds bound %v", r.CovaErr, r.Bound)
+	if m["within_bound"] != 1 || m["cova_err"] > m["bound"] {
+		t.Fatalf("error %v exceeds bound %v", m["cova_err"], m["bound"])
 	}
-	if r.Regime != "n-side" {
-		t.Fatalf("ell=8 b=2 d=256 regime %q, want n-side", r.Regime)
+	if r.Labels["regime"] != "n-side" {
+		t.Fatalf("ell=8 b=2 d=256 regime %q, want n-side", r.Labels["regime"])
 	}
 }
 
-func TestFDRegressionGate(t *testing.T) {
-	mk := func(ns64, ns256 float64) []fdResult {
-		return []fdResult{
-			{Ell: 64, Buffer: 2, Alpha: 1, NsPerUpdate: ns64},
-			{Ell: 256, Buffer: 2, Alpha: 1, NsPerUpdate: ns256},
+// gateCase is one run of an experiment's gates through runExperiment:
+// the rows it reports, the baseline it is given, and how it ends.
+type gateCase struct {
+	name, exp string
+	run       *bench.Artifact
+	base      string
+	fail      bool
+	say       string // a line the run prints
+}
+
+// gateFixture holds baselines on disk for the gate tests.
+type gateFixture struct {
+	dir                                     string
+	fdBase, foreignBase, corrupt, oldFormat string
+	loadBase                                string
+}
+
+func newGateFixture(t *testing.T) *gateFixture {
+	t.Helper()
+	f := &gateFixture{dir: t.TempDir()}
+	write := func(name string, art *bench.Artifact) string {
+		path := filepath.Join(f.dir, name)
+		if err := bench.Write(path, art); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	f.fdBase = write("fd.json", fdRun(1000, 2000))
+	foreign := fdRun(1, 1)
+	other := !*foreign.Env.KernelsAccelerated
+	foreign.Env.KernelsAccelerated = &other
+	f.foreignBase = write("foreign.json", foreign)
+	f.corrupt = filepath.Join(f.dir, "corrupt.json")
+	if err := os.WriteFile(f.corrupt, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f.oldFormat = filepath.Join(f.dir, "old.json")
+	if err := os.WriteFile(f.oldFormat, []byte(`{"kernels_accelerated":true,"results":[{"ell":64}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f.loadBase = write("load.json", loadRun(map[string]float64{"rows": 1000, "ndjson": 5000}))
+	return f
+}
+
+// fdRun is an fd artifact whose default config (b=2, α=1) reads ns64
+// at ℓ=64 and ns256 at ℓ=256.
+func fdRun(ns64, ns256 float64) *bench.Artifact {
+	art := bench.New("fd")
+	for ell, ns := range map[string]float64{"64": ns64, "256": ns256} {
+		art.Add(map[string]string{"ell": ell, "buffer": "2", "alpha": "1"}, map[string]float64{"ns_per_update": ns})
+		// A non-default config the gate ignores.
+		art.Add(map[string]string{"ell": ell, "buffer": "1", "alpha": "1"}, map[string]float64{"ns_per_update": 9 * ns})
+	}
+	return art
+}
+
+// loadRun is a load artifact with one row per mode.
+func loadRun(rates map[string]float64) *bench.Artifact {
+	art := bench.New("load")
+	for mode, rate := range rates {
+		art.Add(map[string]string{"mode": mode}, map[string]float64{"rows_per_sec": rate})
+	}
+	return art
+}
+
+// runGateCases runs each case's rows through the gates that the
+// experiments table declares for its experiment.
+func runGateCases(t *testing.T, f *gateFixture, cases []gateCase) {
+	t.Helper()
+	for _, c := range cases {
+		run := c.run
+		e := experiment{gates: experiments[c.exp].gates, run: func(_ io.Writer, _ scaleCfg, art *bench.Artifact) error {
+			art.Results = run.Results
+			return nil
+		}}
+		var buf bytes.Buffer
+		err := runExperiment(&buf, defaultScale(), c.exp, e, filepath.Join(f.dir, "out.json"), c.base)
+		if (err != nil) != c.fail {
+			t.Errorf("%s: err = %v, want failure %v\n%s", c.name, err, c.fail, buf.String())
+		}
+		if !strings.Contains(buf.String(), c.say) {
+			t.Errorf("%s: output lacks %q:\n%s", c.name, c.say, buf.String())
 		}
 	}
-	base := &fdArtifact{KernelsAccelerated: mat.KernelsAccelerated(), Results: mk(1000, 2000)}
-	var buf bytes.Buffer
-	// Within 1.2x: passes.
-	if err := checkFDRegression(&buf, base, mk(1100, 2200)); err != nil {
-		t.Fatalf("within-limit run failed gate: %v", err)
-	}
-	// Past 1.2x: fails.
-	if err := checkFDRegression(&buf, base, mk(1300, 2000)); err == nil {
-		t.Fatal("1.3x regression passed the gate")
-	}
-	// Different backend: skipped.
-	other := &fdArtifact{KernelsAccelerated: !mat.KernelsAccelerated(), Results: mk(1, 1)}
-	if err := checkFDRegression(&buf, other, mk(1300, 2600)); err != nil {
-		t.Fatalf("foreign-backend baseline not skipped: %v", err)
-	}
-	// No baseline: skipped.
-	if err := checkFDRegression(&buf, nil, mk(1300, 2600)); err != nil {
-		t.Fatalf("nil baseline not skipped: %v", err)
-	}
 }
 
+// TestFDRegressionGate runs the fd gate against a baseline on disk:
+// the default config within 1.2x passes, past it fails, and a baseline
+// from another kernel backend is skipped.
+func TestFDRegressionGate(t *testing.T) {
+	f := newGateFixture(t)
+	runGateCases(t, f, []gateCase{
+		{"fd within 1.2x", "fd", fdRun(1100, 2200), f.fdBase, false, "ell=64: 1100 vs baseline 1000 (1.10x) ok"},
+		{"fd at 1.3x", "fd", fdRun(1300, 2000), f.fdBase, true, "ell=64: 1300 vs baseline 1000 (1.30x) REGRESSED"},
+		{"fd baseline on another backend", "fd", fdRun(1300, 2600), f.foreignBase, false, "another kernel backend, skipped"},
+	})
+}
+
+// TestLoadFDBaseline covers how -baseline reads the fd baseline: an
+// empty path runs no comparison, a good file is compared, and a
+// missing, corrupt, old-format or wrong-experiment file is an error.
 func TestLoadFDBaseline(t *testing.T) {
-	if art, err := loadFDBaseline(""); err != nil || art != nil {
-		t.Fatalf("empty path: %v, %v", art, err)
+	f := newGateFixture(t)
+	runGateCases(t, f, []gateCase{
+		{"fd without -baseline", "fd", fdRun(1300, 2600), "", false, "wrote"},
+		{"fd good baseline", "fd", fdRun(1000, 2000), f.fdBase, false, "ell=256: 2000 vs baseline 2000 (1.00x) ok"},
+		{"fd corrupt baseline", "fd", fdRun(1000, 2000), f.corrupt, true, ""},
+		{"fd baseline in the per-experiment format", "fd", fdRun(1000, 2000), f.oldFormat, true, ""},
+		{"fd missing baseline", "fd", fdRun(1000, 2000), filepath.Join(f.dir, "missing.json"), true, ""},
+		{"fd given a load baseline", "fd", fdRun(1000, 2000), f.loadBase, true, ""},
+	})
+}
+
+// TestBaselineGates runs the load gate against a baseline on disk: a
+// mode within 20% of its baseline rows/s passes, past it fails, and a
+// mode absent from the baseline is skipped; an experiment that
+// declares no gates rejects -baseline.
+func TestBaselineGates(t *testing.T) {
+	f := newGateFixture(t)
+	runGateCases(t, f, []gateCase{
+		{"load -19%", "load", loadRun(map[string]float64{"rows": 810, "ndjson": 5000}), f.loadBase, false, "mode=rows: 810 vs baseline 1000 (0.81x) ok"},
+		{"load -21%", "load", loadRun(map[string]float64{"rows": 790, "ndjson": 5000}), f.loadBase, true, "mode=rows: 790 vs baseline 1000 (0.79x) REGRESSED"},
+		{"load mode absent from baseline", "load", loadRun(map[string]float64{"rows": 1000, "frames": 1}), f.loadBase, false, "mode=frames: no baseline, skipped"},
+		{"dsfd declares no gates", "dsfd", bench.New("dsfd"), f.fdBase, true, ""},
+	})
+}
+
+// TestCommittedArtifacts decodes every committed BENCH_*.json with the
+// one artifact type. Each names the experiment of its file name,
+// passes that experiment's checks, and compared against itself pairs
+// every gated row.
+func TestCommittedArtifacts(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) < 7 {
+		t.Fatalf("committed artifacts: %v, %v", paths, err)
 	}
-	if art, err := loadFDBaseline(t.TempDir() + "/missing.json"); err != nil || art != nil {
-		t.Fatalf("missing file: %v, %v", art, err)
-	}
-	p := t.TempDir() + "/base.json"
-	if err := os.WriteFile(p, []byte(`{"kernels_accelerated":true,"results":[{"ell":64}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	art, err := loadFDBaseline(p)
-	if err != nil || art == nil || len(art.Results) != 1 || !art.KernelsAccelerated {
-		t.Fatalf("good file: %+v, %v", art, err)
-	}
-	if err := os.WriteFile(p, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadFDBaseline(p); err == nil {
-		t.Fatal("corrupt baseline accepted")
+	for _, path := range paths {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+		art, err := bench.Read(path, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := experiments[name]
+		if !ok || len(art.Results) == 0 {
+			t.Fatalf("%s: experiment known %v, %d results", path, ok, len(art.Results))
+		}
+		if e.check != nil {
+			if err := e.check(art); err != nil {
+				t.Errorf("%s: %v", path, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := bench.Compare(&buf, art, art, e.gates); err != nil || strings.Contains(buf.String(), "skipped") {
+			t.Errorf("%s: self-comparison: %v\n%s", path, err, buf.String())
+		}
 	}
 }
 
@@ -273,28 +382,24 @@ func TestRunTenantsSmoke(t *testing.T) {
 	sc.seqN = 1024 // micro scale: total clamps to the 4096-row floor
 	out := t.TempDir() + "/BENCH_tenants.json"
 	var buf bytes.Buffer
-	if err := runTenants(&buf, sc, out); err != nil {
+	if err := runExperiment(&buf, sc, "tenants", experiments["tenants"], out, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "tenant scaling") {
 		t.Fatalf("missing header:\n%s", buf.String())
 	}
-	data, err := os.ReadFile(out)
+	art, err := bench.Read(out, "tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []tenantResult
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatal(err)
+	if len(art.Results) < 3 {
+		t.Fatalf("results = %d, want >= 3 fleet sizes", len(art.Results))
 	}
-	if len(results) < 3 {
-		t.Fatalf("results = %d, want >= 3 fleet sizes", len(results))
+	if r := art.Results[0]; r.Labels["tenants"] != "1" || r.Metrics["ns_per_row_vs_single"] != 1 {
+		t.Fatalf("baseline row %+v", r)
 	}
-	if results[0].Tenants != 1 || results[0].VsSingleTenant != 1 {
-		t.Fatalf("baseline row %+v", results[0])
-	}
-	for _, r := range results {
-		if r.NsPerRow <= 0 || r.RowsPerSec <= 0 || r.RowsTotal <= 0 {
+	for _, r := range art.Results {
+		if m := r.Metrics; m["ns_per_row"] <= 0 || m["rows_per_sec"] <= 0 || m["rows_total"] <= 0 {
 			t.Fatalf("degenerate row %+v", r)
 		}
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,22 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/registry"
 )
-
-// tenantResult is one row of the BENCH_tenants.json artifact: ingest
-// throughput through the sharded registry at one fleet size, with the
-// per-tenant lock overhead relative to the single-tenant baseline.
-type tenantResult struct {
-	Tenants        int     `json:"tenants"`
-	Workers        int     `json:"workers"`
-	RowsTotal      int     `json:"rows_total"`
-	NsPerRow       float64 `json:"ns_per_row"`
-	RowsPerSec     float64 `json:"rows_per_sec"`
-	VsSingleTenant float64 `json:"ns_per_row_vs_single"` // ratio to the 1-tenant run
-	SpillNs        float64 `json:"spill_ns_per_tenant,omitempty"`
-	RestoreNs      float64 `json:"restore_ns_per_tenant,omitempty"`
-}
 
 // runTenants measures how registry ingest scales with fleet size: a
 // fixed total row budget is streamed into 1..k tenants from
@@ -33,9 +19,9 @@ type tenantResult struct {
 // acquire/release path included), plus a spill/restore cost probe at
 // the largest fleet. The headline: throughput should hold roughly flat
 // as the fleet grows — the striped locks and per-tenant mutexes keep
-// cross-tenant ingest parallel — so ns/row vs the single-tenant
-// baseline stays near 1.
-func runTenants(out io.Writer, sc scaleCfg, path string) error {
+// cross-tenant ingest parallel — so ns_per_row_vs_single, the ratio to
+// the 1-tenant run, stays near 1.
+func runTenants(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	total := sc.seqN * 4
 	if total > 200000 {
 		total = 200000
@@ -65,7 +51,6 @@ func runTenants(out io.Writer, sc scaleCfg, path string) error {
 		total, d, ell, workers, batch)
 	fmt.Fprintf(out, "%8s %10s %12s %14s %10s\n", "tenants", "workers", "ns/row", "rows/sec", "vs 1")
 
-	var results []tenantResult
 	var baseline float64
 	for _, fleet := range fleets {
 		if fleet > total/batch {
@@ -124,35 +109,23 @@ func runTenants(out io.Writer, sc scaleCfg, path string) error {
 		if baseline > 0 {
 			ratio = nsRow / baseline
 		}
-		res := tenantResult{
-			Tenants:        fleet,
-			Workers:        workers,
-			RowsTotal:      ingested,
-			NsPerRow:       nsRow,
-			RowsPerSec:     float64(ingested) / elapsed.Seconds(),
-			VsSingleTenant: ratio,
+		m := map[string]float64{
+			"rows_total":           float64(ingested),
+			"ns_per_row":           nsRow,
+			"rows_per_sec":         float64(ingested) / elapsed.Seconds(),
+			"ns_per_row_vs_single": ratio,
 		}
 
 		// At the largest fleet, probe the evict/restore cycle cost.
 		if fleet == fleets[len(fleets)-1] || fleet == total/batch {
 			if sNs, rNs, err := probeSpillCost(cfg, tns[:min(fleet, 64)]); err == nil {
-				res.SpillNs, res.RestoreNs = sNs, rNs
+				m["spill_ns_per_tenant"], m["restore_ns_per_tenant"] = sNs, rNs
 			}
 		}
-		results = append(results, res)
+		art.Add(map[string]string{"tenants": fmt.Sprint(fleet), "workers": fmt.Sprint(workers)}, m)
 		fmt.Fprintf(out, "%8d %10d %12.1f %14.0f %9.2fx\n",
-			res.Tenants, res.Workers, res.NsPerRow, res.RowsPerSec, res.VsSingleTenant)
+			fleet, workers, nsRow, m["rows_per_sec"], ratio)
 	}
-
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d results)\n", path, len(results))
 	return nil
 }
 

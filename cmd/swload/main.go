@@ -11,26 +11,27 @@
 //
 // Modes (-mode):
 //
-//	v1      one JSON POST per batch — the request-per-batch baseline
+//	rows    one JSON POST per batch to /v2/tenants/{id}/rows — the
+//	        request-per-batch baseline
 //	ndjson  /v2 streaming ingest, NDJSON framing
 //	frames  /v2 streaming ingest, binary framing
-//	all     the three in sequence, with speedups vs v1
+//	all     the three in sequence, with speedups vs rows
 //
 // Results go to stdout as an aligned table and to -out (default
-// BENCH_load.json) as a JSON array of per-mode measurements.
+// BENCH_load.json) as a "load" artifact in the shared internal/bench
+// format, one row per mode.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/load"
 	"swsketch/internal/obs/hh"
@@ -41,7 +42,7 @@ import (
 func main() {
 	var (
 		url     = flag.String("url", "", "target server root (empty = self-host in-process)")
-		mode    = flag.String("mode", "all", "wire mode: v1 | ndjson | frames | all")
+		mode    = flag.String("mode", "all", "wire mode: rows | ndjson | frames | all")
 		tenants = flag.Int("tenants", 1000, "fleet size")
 		rows    = flag.Int("rows", 100000, "total row budget")
 		batch   = flag.Int("batch", 64, "rows per block")
@@ -50,7 +51,7 @@ func main() {
 		d       = flag.Int("d", 16, "row dimension")
 		win     = flag.Int("window", 1024, "tenant window size (rows)")
 		seed    = flag.Int64("seed", 1, "random seed")
-		out     = flag.String("out", "BENCH_load.json", "JSON results path (empty disables)")
+		out     = flag.String("out", "BENCH_load.json", "artifact path (empty disables)")
 		hotkeys = flag.Bool("hotkeys", false, "enable the hot-key sidecar (self-host only), track exact per-tenant rows, and compare /debug/hotkeys against them after the run")
 	)
 	flag.Parse()
@@ -79,7 +80,7 @@ func main() {
 
 	modes := []string{*mode}
 	if *mode == "all" {
-		modes = []string{load.ModeV1, load.ModeNDJSON, load.ModeFrames}
+		modes = []string{load.ModeRows, load.ModeNDJSON, load.ModeFrames}
 	}
 	cfg := load.Config{
 		BaseURL: base, Tenants: *tenants, D: *d, Window: *win,
@@ -90,8 +91,7 @@ func main() {
 		*tenants, *rows, *batch, *workers, *zipf)
 	fmt.Printf("%8s %12s %10s %10s %8s\n", "mode", "rows/sec", "p50 ms", "p99 ms", "errors")
 
-	var results []load.Result
-	var v1Rate float64
+	art := bench.New("load")
 	exact := map[string]int{}
 	for _, m := range modes {
 		cfg.Mode = m
@@ -99,19 +99,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("swload: %s: %v", m, err)
 		}
-		if m == load.ModeV1 {
-			v1Rate = res.RowsPerSec
-		} else if v1Rate > 0 {
-			res.SpeedupVsV1 = res.RowsPerSec / v1Rate
-		}
 		for id, n := range res.TenantRows {
 			exact[id] += n
 		}
-		res.TenantRows = nil // per-mode maps would bloat the JSON; keep the merged view
-		results = append(results, res)
+		speedup := load.Record(art, res)
 		fmt.Printf("%8s %12.0f %10.2f %10.2f %8d", res.Mode, res.RowsPerSec, res.P50Ms, res.P99Ms, res.Errors)
-		if res.SpeedupVsV1 > 0 {
-			fmt.Printf("  %.1fx vs v1", res.SpeedupVsV1)
+		if speedup > 0 {
+			fmt.Printf("  %.1fx vs rows", speedup)
 		}
 		fmt.Println()
 	}
@@ -123,15 +117,10 @@ func main() {
 	}
 
 	if *out != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
+		if err := bench.Write(*out, art); err != nil {
 			log.Fatalf("swload: %v", err)
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Fatalf("swload: %v", err)
-		}
-		fmt.Printf("wrote %s (%d results)\n", *out, len(results))
+		fmt.Printf("wrote %s (%d results)\n", *out, len(art.Results))
 	}
 }
 

@@ -6,17 +6,17 @@
 // tail — the shape real multi-tenant ingest has), and reports rows/s
 // plus p50/p99 per-block latency.
 //
-// Three wire modes cover the ingest plane's generations:
+// Three wire modes cover the ingest plane:
 //
-//	v1      one JSON POST per block (/v2/tenants/{id}/rows) — the
-//	        request-per-batch baseline, named for the API generation
-//	        whose clients sent it
+//	rows    one JSON POST per block (/v2/tenants/{id}/rows) — the
+//	        request-per-batch baseline
 //	ndjson  the /v2 stream in NDJSON framing, blocks separated by
 //	        blank lines, one connection per worker-tenant lease
 //	frames  the /v2 stream in binenc binary framing
 //
-// Latency is measured per block: POST round trip in v1, write-to-ack
-// in the stream modes.
+// Latency is measured per block: POST round trip in rows mode,
+// write-to-ack in the stream modes. Record turns each run into a row
+// of the BENCH_load.json artifact.
 package load
 
 import (
@@ -33,12 +33,13 @@ import (
 	"sync"
 	"time"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/binenc"
 )
 
 // Modes recognised by Config.Mode.
 const (
-	ModeV1     = "v1"
+	ModeRows   = "rows"
 	ModeNDJSON = "ndjson"
 	ModeFrames = "frames"
 )
@@ -47,7 +48,7 @@ const (
 type Config struct {
 	// BaseURL is the target server's root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Mode is one of ModeV1, ModeNDJSON, ModeFrames.
+	// Mode is one of ModeRows, ModeNDJSON, ModeFrames.
 	Mode string
 	// Tenants is the fleet size; tenants are created as load-0000...
 	// before traffic starts (already-existing ones are reused).
@@ -79,24 +80,51 @@ type Config struct {
 	TrackTenants bool
 }
 
-// Result is one load run's measurement, JSON-shaped for BENCH_load.json.
+// Result is one load run's measurement.
 type Result struct {
-	Mode       string  `json:"mode"`
-	Tenants    int     `json:"tenants"`
-	Workers    int     `json:"workers"`
-	Batch      int     `json:"batch"`
-	Rows       int     `json:"rows"`
-	Blocks     int     `json:"blocks"`
-	Errors     int     `json:"errors"`
-	Seconds    float64 `json:"seconds"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	// SpeedupVsV1 is filled by callers comparing runs; zero otherwise.
-	SpeedupVsV1 float64 `json:"speedup_vs_v1,omitempty"`
+	Mode       string
+	Tenants    int
+	Workers    int
+	Batch      int
+	Rows       int
+	Blocks     int
+	Errors     int
+	Seconds    float64
+	RowsPerSec float64
+	P50Ms      float64
+	P99Ms      float64
 	// TenantRows is the exact accepted-row count per tenant ID, filled
 	// only when Config.TrackTenants is set.
-	TenantRows map[string]int `json:"tenant_rows,omitempty"`
+	TenantRows map[string]int
+}
+
+// Record adds res to art as one row of the load artifact, labelled by
+// its mode and shape. A stream mode that runs after the per-request
+// rows mode also gets speedup_vs_rows, its rows/s over that mode's;
+// Record returns that speedup, or 0 when there is none.
+func Record(art *bench.Artifact, res Result) float64 {
+	m := map[string]float64{
+		"rows":         float64(res.Rows),
+		"blocks":       float64(res.Blocks),
+		"errors":       float64(res.Errors),
+		"seconds":      res.Seconds,
+		"rows_per_sec": res.RowsPerSec,
+		"p50_ms":       res.P50Ms,
+		"p99_ms":       res.P99Ms,
+	}
+	speedup := 0.0
+	if base := art.Find(map[string]string{"mode": ModeRows}); base != nil && res.Mode != ModeRows &&
+		base.Metrics["rows_per_sec"] > 0 {
+		speedup = res.RowsPerSec / base.Metrics["rows_per_sec"]
+		m["speedup_vs_rows"] = speedup
+	}
+	art.Add(map[string]string{
+		"mode":    res.Mode,
+		"tenants": fmt.Sprint(res.Tenants),
+		"workers": fmt.Sprint(res.Workers),
+		"batch":   fmt.Sprint(res.Batch),
+	}, m)
+	return speedup
 }
 
 // driver is the shared run state.
@@ -136,7 +164,7 @@ func Run(cfg Config) (Result, error) {
 		cfg.StreamBlocks = 8
 	}
 	switch cfg.Mode {
-	case ModeV1, ModeNDJSON, ModeFrames:
+	case ModeRows, ModeNDJSON, ModeFrames:
 	default:
 		return Result{}, fmt.Errorf("load: unknown mode %q", cfg.Mode)
 	}
@@ -294,14 +322,14 @@ func (d *driver) picker(worker int) func() int {
 }
 
 // worker drains the block queue. Stream modes lease a tenant for up to
-// StreamBlocks consecutive blocks on one connection; v1 re-picks per
-// request.
+// StreamBlocks consecutive blocks on one connection; rows mode
+// re-picks per request.
 func (d *driver) worker(w int, work chan int) {
 	pick := d.picker(w)
 	switch d.cfg.Mode {
-	case ModeV1:
+	case ModeRows:
 		for range work {
-			d.v1Block(pick())
+			d.rowsBlock(pick())
 		}
 	default:
 		for {
@@ -351,8 +379,8 @@ func (d *driver) record(tn int, ms float64, rows int, failed bool) {
 	d.mu.Unlock()
 }
 
-// v1Block sends one JSON batch request — the baseline path.
-func (d *driver) v1Block(tn int) {
+// rowsBlock sends one JSON batch request — the baseline path.
+func (d *driver) rowsBlock(tn int) {
 	d.locks[tn].Lock()
 	rows, times := d.batchFor(tn, int(d.clocks[tn]))
 	var b bytes.Buffer

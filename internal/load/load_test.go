@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"swsketch/internal/bench"
 	"swsketch/internal/core"
 	"swsketch/internal/serve"
 	"swsketch/internal/window"
@@ -35,7 +36,7 @@ func runMode(t *testing.T, url, mode string, zipf float64) Result {
 // checks all rows arrive without errors.
 func TestRunAllModes(t *testing.T) {
 	url := testTarget(t)
-	for _, mode := range []string{ModeV1, ModeNDJSON, ModeFrames} {
+	for _, mode := range []string{ModeRows, ModeNDJSON, ModeFrames} {
 		res := runMode(t, url, mode, 0)
 		if res.Errors != 0 {
 			t.Fatalf("%s: %d errors", mode, res.Errors)
@@ -61,6 +62,31 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestRecordSpeedup: each mode becomes one artifact row, and a stream
+// mode run after the rows mode gets its speedup over it.
+func TestRecordSpeedup(t *testing.T) {
+	art := bench.New("load")
+	if sp := Record(art, Result{Mode: ModeNDJSON, RowsPerSec: 500}); sp != 0 {
+		t.Fatalf("speedup %v before the rows mode ran", sp)
+	}
+	if sp := Record(art, Result{Mode: ModeRows, Tenants: 8, Workers: 4, Batch: 1, RowsPerSec: 1000}); sp != 0 {
+		t.Fatalf("rows mode speedup %v over itself", sp)
+	}
+	if sp := Record(art, Result{Mode: ModeFrames, RowsPerSec: 12000}); sp != 12 {
+		t.Fatalf("frames speedup %v, want 12", sp)
+	}
+	rows := art.Find(map[string]string{"mode": ModeRows, "tenants": "8", "workers": "4", "batch": "1"})
+	if len(art.Results) != 3 || rows == nil || rows.Metrics["rows_per_sec"] != 1000 {
+		t.Fatalf("artifact rows %+v", art.Results)
+	}
+	if _, ok := rows.Metrics["speedup_vs_rows"]; ok {
+		t.Fatal("rows mode carries a speedup")
+	}
+	if got := art.Results[2].Metrics["speedup_vs_rows"]; got != 12 {
+		t.Fatalf("frames row speedup_vs_rows = %v", got)
+	}
+}
+
 // TestPercentiles pins the estimator.
 func TestPercentiles(t *testing.T) {
 	lat := make([]float64, 100)
@@ -81,7 +107,7 @@ func TestBadConfig(t *testing.T) {
 	if _, err := Run(Config{Mode: "carrier-pigeon", Tenants: 1, Rows: 1, D: 1}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
-	if _, err := Run(Config{Mode: ModeV1}); err == nil {
+	if _, err := Run(Config{Mode: ModeRows}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }

@@ -1,6 +1,6 @@
 // Compute layer: cache-blocked, worker-pool-parallel kernels behind
-// Mul, Gram, and GramT, plus the naive scalar references they are
-// tested against.
+// Mul, Gram, and GramT. The naive scalar references they are tested
+// against live in parallel_test.go.
 //
 // The design has three tiers:
 //
@@ -362,76 +362,4 @@ func MulTo(dst, a, b *Dense) *Dense {
 	}
 	mulInto(dst, a, b)
 	return dst
-}
-
-// ----- naive scalar references -----
-//
-// The original single-goroutine implementations, kept as the ground
-// truth for the equivalence property tests and as the baseline the
-// `swbench kernels` benchmark measures speedups against.
-
-// mulNaive is the reference triple loop (i,k,j with zero skip).
-func mulNaive(a, b *Dense) *Dense {
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// gramNaive is the reference full-square outer-product accumulation.
-func gramNaive(m *Dense) *Dense {
-	g := NewDense(m.cols, m.cols)
-	for i := 0; i < m.rows; i++ {
-		addOuterToNaive(g, m.Row(i), 1)
-	}
-	return g
-}
-
-// gramTNaive is the reference pairwise-dot upper triangle.
-func gramTNaive(m *Dense) *Dense {
-	g := NewDense(m.rows, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.Row(i)
-		for j := i; j < m.rows; j++ {
-			v := dotNaive(ri, m.Row(j))
-			g.data[i*m.rows+j] = v
-			g.data[j*m.rows+i] = v
-		}
-	}
-	return g
-}
-
-// dotNaive is the reference single-accumulator inner product.
-func dotNaive(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// addOuterToNaive is the reference rank-1 update.
-func addOuterToNaive(g *Dense, row []float64, s float64) {
-	n := len(row)
-	for i, vi := range row {
-		if vi == 0 {
-			continue
-		}
-		f := s * vi
-		gi := g.data[i*n : (i+1)*n]
-		for j, vj := range row {
-			gi[j] += f * vj
-		}
-	}
 }

@@ -133,35 +133,22 @@ func WithClock(now func() time.Time) Option {
 	return func(r *Registry) { r.now = now }
 }
 
-// WithEvictHook registers fn to run whenever a tenant's in-memory
+// SetEvictHook registers fn to run whenever a tenant's in-memory
 // state leaves the registry: after a successful spill (spilled=true)
-// and after a drop or explicit Delete (spilled=false). The serve
-// layer uses it to release the tenant's WAL records for truncation —
-// a spilled or deleted tenant no longer needs them for recovery. fn
-// may run with registry locks held and must not call back into the
-// registry.
-func WithEvictHook(fn func(id string, spilled bool)) Option {
-	return func(r *Registry) { r.evictHook = fn }
-}
-
-// SetEvictHook installs the WithEvictHook callback after construction
-// — the serve layer wires its WAL into a caller-built registry this
-// way. Call it before the registry takes traffic; it is not
+// and after a drop or explicit Delete (spilled=false). The serve layer
+// uses it to release the tenant's WAL records for truncation — a
+// spilled or deleted tenant no longer needs them for recovery. fn may
+// run with registry locks held and must not call back into the
+// registry. Call it before the registry takes traffic; it is not
 // synchronised against concurrent evictions.
 func (r *Registry) SetEvictHook(fn func(id string, spilled bool)) { r.evictHook = fn }
 
-// WithTouchHook registers fn to run after every successful tenant
+// SetTouchHook registers fn to run after every successful tenant
 // Acquire, identifying the tenant. The serve layer feeds it to the
 // hot-key sidecar as a per-request activity signal. fn runs with the
-// tenant's lock held on the acquiring goroutine's hot path, so it
-// must be cheap and must not call back into the registry.
-func WithTouchHook(fn func(id string)) Option {
-	return func(r *Registry) { r.touchHook = fn }
-}
-
-// SetTouchHook installs the WithTouchHook callback after construction
-// (the serve layer wires caller-built registries this way). Call it
-// before the registry takes traffic; it is not synchronised against
+// tenant's lock held on the acquiring goroutine's hot path, so it must
+// be cheap and must not call back into the registry. Call it before
+// the registry takes traffic; it is not synchronised against
 // concurrent acquisitions.
 func (r *Registry) SetTouchHook(fn func(id string)) { r.touchHook = fn }
 

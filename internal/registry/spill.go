@@ -146,8 +146,11 @@ func (r *Registry) spill(t *Tenant) bool {
 }
 
 // restore rebuilds a spilled tenant from its spill file and reinstates
-// its clock. Caller holds t.mu. The spill file is removed on success
-// (the in-memory state immediately diverges from it).
+// its clock. Caller holds t.mu. The file stays as the tenant's
+// checkpoint until a later spill replaces it or a Delete removes it:
+// the spill released the tenant's WAL records, so after a restart
+// replay rebuilds the tenant from this file plus the rows logged since
+// the restore.
 func (r *Registry) restore(t *Tenant) error {
 	path := r.spillPath(t.id)
 	data, err := os.ReadFile(path)
@@ -168,7 +171,6 @@ func (r *Registry) restore(t *Tenant) error {
 	t.lastT, t.seen = h.lastT, h.seen
 	t.lastRows.Store(int64(t.sk.RowsStored()))
 	t.spilled.Store(false)
-	_ = os.Remove(path)
 	if r.restored != nil {
 		r.restored.Inc()
 	}
@@ -215,7 +217,9 @@ func (r *Registry) scanSpillDir() error {
 }
 
 // writeFileAtomic writes data via a temp file + rename so a crashed
-// spill never leaves a truncated file behind.
+// spill never leaves a truncated file behind. The temp file is synced
+// before the rename and the directory after it: a spill releases the
+// tenant's WAL records, so the file must be durable before it counts.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".spill-*")
@@ -223,18 +227,32 @@ func writeFileAtomic(path string, data []byte) error {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(name, path)
+	}
+	if err != nil {
 		os.Remove(name)
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
+	return syncDir(dir)
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }

@@ -82,32 +82,30 @@ func TestSpillScanOnRestart(t *testing.T) {
 		t.Fatalf("Sweep spilled %d, want 5", n)
 	}
 
-	// "Restart": a fresh registry over the same directory.
-	r2 := mustNew(t, WithSpillDir(dir))
-	if r2.Len() != 5 {
-		t.Fatalf("restarted Len = %d, want 5", r2.Len())
-	}
-	for id, bits := range want {
-		tn, ok := r2.Get(id)
-		if !ok {
-			t.Fatalf("tenant %s missing after restart", id)
+	// "Restart": a fresh registry over the same directory. A restore
+	// keeps the spill file as the tenant's checkpoint, so a third
+	// registry over the directory resumes the same fleet again.
+	for _, restart := range []string{"second", "third"} {
+		r := mustNew(t, WithSpillDir(dir))
+		if r.Len() != 5 {
+			t.Fatalf("%s registry: Len = %d, want 5", restart, r.Len())
 		}
-		if tn.Resident() {
-			t.Fatalf("tenant %s eagerly resident (restore should be lazy)", id)
+		for id, bits := range want {
+			tn, ok := r.Get(id)
+			if !ok {
+				t.Fatalf("%s registry: tenant %s missing", restart, id)
+			}
+			if tn.Resident() {
+				t.Fatalf("%s registry: tenant %s eagerly resident (restore should be lazy)", restart, id)
+			}
+			if tn.Algorithm() != "LM-FD" {
+				t.Fatalf("%s registry: tenant %s algorithm = %q", restart, id, tn.Algorithm())
+			}
+			at := float64(tn.Updates() - 1)
+			if got := queryBits(t, tn, at); !bitsEqual(bits, got) {
+				t.Fatalf("%s registry: tenant %s restarted answer differs", restart, id)
+			}
 		}
-		if tn.Algorithm() != "LM-FD" {
-			t.Fatalf("tenant %s algorithm = %q", id, tn.Algorithm())
-		}
-		at := float64(tn.Updates() - 1)
-		if got := queryBits(t, tn, at); !bitsEqual(bits, got) {
-			t.Fatalf("tenant %s restarted answer differs", id)
-		}
-	}
-	// Restore consumed the spill files; creating a colliding tenant in
-	// a third registry over the same dir starts clean.
-	left, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
-	if len(left) != 0 {
-		t.Fatalf("%d spill files left after restores", len(left))
 	}
 }
 
