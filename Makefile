@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzSWORUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime 30s ./internal/core
+	$(GO) test -fuzz '^FuzzDIUnmarshal$$' -fuzztime 30s ./internal/core
 	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/obs/hh

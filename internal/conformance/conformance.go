@@ -55,6 +55,11 @@ type Case struct {
 	// under identical further updates (beyond the answer-at-snapshot
 	// equality every marshaler must satisfy).
 	Deterministic bool
+	// NoSnapshot excuses a registry framework from snapshotting: without
+	// it, a case with Frameworks fails SnapshotRoundTrip when its sketch
+	// does not marshal. Cases without Frameworks are not served, so they
+	// skip.
+	NoSnapshot bool
 	// StrictQueryOrder marks sketches whose Query panics on a
 	// timestamp older than the last update (BEST's exact window); they
 	// skip the concurrent check, where a reader inevitably holds a
@@ -106,7 +111,8 @@ func Cases() []Case {
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				return core.NewLMFD(spec, d, 24, 8)
 			}},
-		{Name: "LM-HASH", Frameworks: []string{"lm-hash"}, MaxErr: 0.8, LooseSingleRow: true, BatchExact: true,
+		// LM-HASH has no snapshot codec yet (ROADMAP 6).
+		{Name: "LM-HASH", Frameworks: []string{"lm-hash"}, MaxErr: 0.8, LooseSingleRow: true, BatchExact: true, NoSnapshot: true,
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				return core.NewLMHash(spec, d, 256, 8, uint64(seed))
 			}},
@@ -114,7 +120,7 @@ func Cases() []Case {
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				return core.NewLMRP(spec, d, 128, 8, seed)
 			}},
-		{Name: "DI-FD", Frameworks: []string{"di-fd"}, MaxErr: 0.6, SeqOnly: true, BatchExact: true,
+		{Name: "DI-FD", Frameworks: []string{"di-fd"}, MaxErr: 0.6, SeqOnly: true, BatchExact: true, Deterministic: true,
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				return core.NewDIFD(core.DIConfig{N: int(spec.Size), R: 4 * float64(d), L: 5, Ell: 48, RSlack: 2}, d)
 			}},
@@ -137,7 +143,7 @@ func Cases() []Case {
 				dA, dB := pairedSplit(d)
 				return core.NewLMAMM(spec, dA, dB, 24, 8)
 			}},
-		{Name: "DI-AMM", Frameworks: []string{"di-amm"}, MaxErr: 0.6, Paired: true, SeqOnly: true, BatchExact: true,
+		{Name: "DI-AMM", Frameworks: []string{"di-amm"}, MaxErr: 0.6, Paired: true, SeqOnly: true, BatchExact: true, Deterministic: true,
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				dA, dB := pairedSplit(d)
 				return core.NewDIAMM(core.DIConfig{N: int(spec.Size), R: 4 * float64(d), L: 5, Ell: 48, RSlack: 2}, dA, dB)
@@ -382,18 +388,23 @@ func batchBitEqual(t *testing.T, cases []Case) {
 // interface must restore to bit-identical answers, re-marshal as a
 // byte-level fixed point (the registry spill layer relies on both),
 // and — for deterministic sketches — continue bit-exactly under
-// identical further updates. Sketches without the interface (or whose
-// variant refuses to marshal, like the hashed LM) are skipped.
+// identical further updates. A sketch without the interface, or whose
+// variant refuses to marshal, fails if the registry serves it (unless
+// the case is marked NoSnapshot) and is skipped otherwise.
 func snapshotRoundTrip(t *testing.T, cases []Case) {
 	const d, win, n = 6, 120, 700
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
+			noSnapshot := t.Fatalf
+			if len(tc.Frameworks) == 0 || tc.NoSnapshot {
+				noSnapshot = t.Skipf
+			}
 			spec := window.Seq(win)
 			sk := tc.Make(spec, d, 11)
 			m, ok := sk.(encoding.BinaryMarshaler)
 			if !ok {
-				t.Skipf("%s does not implement BinaryMarshaler", tc.Name)
+				noSnapshot("%s does not implement BinaryMarshaler", tc.Name)
 			}
 			rng := rand.New(rand.NewSource(17))
 			for i := 0; i < n; i++ {
@@ -401,7 +412,7 @@ func snapshotRoundTrip(t *testing.T, cases []Case) {
 			}
 			blob, err := m.MarshalBinary()
 			if err != nil {
-				t.Skipf("%s refuses to marshal: %v", tc.Name, err)
+				noSnapshot("%s refuses to marshal: %v", tc.Name, err)
 			}
 			fresh := tc.Make(spec, d, 11)
 			u, ok := fresh.(encoding.BinaryUnmarshaler)

@@ -60,14 +60,7 @@ type AMM struct {
 	inner WindowSketch // *LM or *DI over stacked rows
 	dA    int
 	dB    int
-	kind  int
 	opts  stream.FDOpts // COD buffer tuning, recorded for snapshots
-
-	// Rebuild parameters for the snapshot codec.
-	spec  window.Spec // LM kind
-	ell   int         // LM kind: block mass threshold and COD size
-	b     int         // LM kind: blocks per level
-	dicfg DIConfig    // DI kind (validated)
 
 	tr *trace.Tracer
 }
@@ -108,7 +101,7 @@ func NewLMAMMOpts(spec window.Spec, dA, dB, ell, b int, o stream.FDOpts) *AMM {
 	lm := NewLM(spec, dA+dB, float64(ell), b, "LM-AMM", func(int) stream.Mergeable {
 		return stream.NewCODOpts(ell, dA, dB, o)
 	})
-	return &AMM{inner: lm, dA: dA, dB: dB, kind: ammKindLM, opts: o, spec: spec, ell: ell, b: b}
+	return &AMM{inner: lm, dA: dA, dB: dB, opts: o}
 }
 
 // NewDIAMM builds the DI-lifted co-sketch: per-level COD sketches
@@ -135,7 +128,7 @@ func newDIAMM(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
 	di := newDI(cfg, dA+dB, "DI-AMM", func(level, _ int) stream.Sketch {
 		return stream.NewCODOpts(c.fdLevelEll(level), dA, dB, o)
 	})
-	return &AMM{inner: di, dA: dA, dB: dB, kind: ammKindDI, opts: o, dicfg: c}
+	return &AMM{inner: di, dA: dA, dB: dB, opts: o}
 }
 
 // AutoAMM returns an LM-lifted co-sketch sized for target relative AMM

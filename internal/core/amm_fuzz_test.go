@@ -141,16 +141,17 @@ func ammFuzzSeeds(tb testing.TB) [][]byte {
 		{NewDIAMM(DIConfig{N: 40, R: 8, L: 3, Ell: 8, RSlack: 2}, 2, 2), 150},
 	} {
 		dA, dB := c.a.AmmDims()
+		_, isLM := c.a.inner.(*LM)
 		for i := 0; i < c.rows; i++ {
 			row := randRow(rng, dA+dB)
 			scale := []float64{0.2, 0.6, 1}[i%3] // sub-ℓ rows and, under LM, singletons
-			if c.a.kind == ammKindLM {
+			if isLM {
 				scale *= 3
 			}
 			for j := range row {
 				row[j] *= scale
 			}
-			if c.a.kind == ammKindDI { // DI needs 1 ≤ ‖row‖² ≤ R
+			if !isLM { // DI needs 1 ≤ ‖row‖² ≤ R
 				norm := math.Sqrt(mat.SqNorm(row))
 				for j := range row {
 					row[j] *= 1.5 / norm
@@ -174,10 +175,13 @@ func ammFuzzSeeds(tb testing.TB) [][]byte {
 // a fixed point. For LM-AMM, a copy restored from that re-marshal, fed
 // the same rows as the first, must answer and re-marshal
 // byte-identically; the second repeats every query, so its memo serves
-// answers after a restore too. The committed corpus
+// answers after a restore too. DI-AMM skips the continuation (its rows
+// must keep DI's norm bound); FuzzDIUnmarshal runs it on the DI body
+// that DI-FD shares. The committed corpus
 // (testdata/fuzz/FuzzAMMUnmarshal) holds this version's ammFuzzSeeds
-// snapshots and the three crash inputs of
-// TestAMMSnapshotAllocationBombs.
+// snapshots, the three crash inputs of TestAMMSnapshotAllocationBombs,
+// and the DI-AMM patched-m input of
+// TestDISnapshotRejectsPatchedBlockCount.
 func FuzzAMMUnmarshal(f *testing.F) {
 	for _, seed := range ammFuzzSeeds(f) {
 		f.Add(seed)
@@ -186,6 +190,7 @@ func FuzzAMMUnmarshal(f *testing.F) {
 	f.Add(ammBombDIHeader())
 	f.Add(ammBombCODShape())
 	f.Add(ammBombRawRow())
+	f.Add(diAMMPatchedM(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first AMM

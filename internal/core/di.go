@@ -107,6 +107,10 @@ type DI struct {
 	d       int
 	factory func(level int, d int) stream.Sketch
 	name    string
+	// fdOpts is the FastFD tuning baked into DI-FD's factory, recorded
+	// so a snapshot rebuilds an identically tuned factory; zero
+	// elsewhere.
+	fdOpts stream.FDOpts
 
 	cap1 float64 // level-1 block mass capacity
 
@@ -213,13 +217,33 @@ func NewDIFD(cfg DIConfig, d int) *DI {
 
 // NewDIFDOpts builds DI-FD with FastFD ingest tuning applied to every
 // per-level sketch (see stream.FDOpts). The zero FDOpts reproduces
-// NewDIFD exactly.
+// NewDIFD exactly. It panics with checkDIFD's error.
 func NewDIFDOpts(cfg DIConfig, d int, o stream.FDOpts) *DI {
-	c := cfg.validate()
+	s := newDIFD(cfg, d, o)
+	s.openActives()
+	return s
+}
+
+// newDIFD builds a DI-FD whose per-level actives are still nil, for
+// NewDIFDOpts to open or a restore to fill from its snapshot.
+func newDIFD(cfg DIConfig, d int, o stream.FDOpts) *DI {
+	c := cfg.withDefaults()
 	o = o.Normalize()
-	return NewDI(cfg, d, "DI-FD", func(level, dim int) stream.Sketch {
+	must(checkDIFD(c, d, o))
+	s := newDI(c, d, "DI-FD", func(level, dim int) stream.Sketch {
 		return stream.NewFDOpts(c.fdLevelEll(level), dim, o)
 	})
+	s.fdOpts = o
+	return s
+}
+
+// checkDIFD states DI-FD's limits: DI's and its largest (top-level)
+// FD's.
+func checkDIFD(c DIConfig, d int, o stream.FDOpts) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	return stream.CheckFD(c.fdLevelEll(c.L), d, o)
 }
 
 // NewDIRP builds DI over random projections: the appendix's DI-RP
@@ -393,22 +417,40 @@ func (s *DI) Query(t float64) *mat.Dense {
 	s.expire(cutoff)
 
 	// Smallest completed level-1 block index fully inside the window.
-	startIdx := s.m + 1
-	if lv1 := s.levels[0]; len(lv1) > 0 {
-		for _, b := range lv1 {
-			if b.startT > cutoff {
-				startIdx = b.startIdx
-				break
-			}
+	lo := s.m + 1
+	for _, b := range s.levels[0] {
+		if b.startT > cutoff {
+			lo = b.startIdx
+			break
 		}
 	}
+	// The open level-1 block: exact raw rows (filtered by the cutoff)
+	// while they fit the level-1 budget, otherwise the level-1 active
+	// sketch — skipped entirely once the whole open block has expired.
+	if s.rawOverflow {
+		var open stream.Sketch
+		if s.activeRows[0] > 0 && s.lastT > cutoff {
+			open = s.actives[0]
+		}
+		return s.cover(lo, s.m, open, nil)
+	}
+	live := 0
+	for live < len(s.raw) && s.rawTimes[live] <= cutoff {
+		live++
+	}
+	return s.cover(lo, s.m, nil, s.raw[live:])
+}
 
+// cover is the answer both queries build: the completed level-1 blocks
+// [lo, hi] tiled by the largest aligned dyadic blocks, then the open
+// level-1 block's share — its active sketch when open is non-nil, and
+// the raw rows — stacked in one allocation.
+func (s *DI) cover(lo, hi int, open stream.Sketch, raw []mat.SparseRow) *mat.Dense {
 	var parts []*mat.Dense
-	pos := startIdx
-	for pos <= s.m {
-		// Largest aligned span starting at pos that fits within m.
+	for pos := lo; pos <= hi; {
+		// Largest aligned span starting at pos that fits within hi.
 		span := 1
-		for span*2 <= s.m-pos+1 && (pos-1)%(span*2) == 0 {
+		for span*2 <= hi-pos+1 && (pos-1)%(span*2) == 0 {
 			span *= 2
 		}
 		blk := s.findBlock(pos, pos+span-1)
@@ -427,34 +469,20 @@ func (s *DI) Query(t float64) *mat.Dense {
 		parts = append(parts, blk.sk.Matrix())
 		pos += span
 	}
-	// The open level-1 block: exact raw rows (filtered by the cutoff)
-	// while they fit the level-1 budget, otherwise the level-1 active
-	// sketch — skipped entirely once the whole open block has expired.
-	if s.rawOverflow {
-		if s.activeRows[0] > 0 && s.lastT > cutoff {
-			parts = append(parts, s.actives[0].Matrix())
-		}
-	} else {
-		live := 0
-		for live < len(s.raw) && s.rawTimes[live] <= cutoff {
-			live++
-		}
-		if live < len(s.raw) {
-			rows := s.raw[live:]
-			openRows := mat.NewDense(len(rows), s.d)
-			for i, r := range rows {
-				r.ScatterTo(openRows.Row(i))
-			}
-			parts = append(parts, openRows)
-		}
+	if open != nil {
+		parts = append(parts, open.Matrix())
 	}
-
-	out := mat.NewDense(0, s.d)
+	n := len(raw)
 	for _, p := range parts {
-		out = mat.Stack(out, p)
+		n += p.Rows()
 	}
-	if out.Rows() == 0 {
-		return mat.NewDense(0, s.d)
+	out := mat.NewDense(n, s.d)
+	off := 0
+	for _, p := range parts {
+		off += copy(out.Data()[off:], p.Data())
+	}
+	for i, r := range raw {
+		r.ScatterTo(out.Row(n - len(raw) + i))
 	}
 	return out
 }
@@ -502,6 +530,9 @@ func (s *DI) RowsStored() int {
 // CompletedBlocks reports the number of completed level-1 blocks (for
 // tests).
 func (s *DI) CompletedBlocks() int { return s.m }
+
+// Dim returns the row dimension d.
+func (s *DI) Dim() int { return s.d }
 
 // Name implements WindowSketch.
 func (s *DI) Name() string { return s.name }
@@ -603,61 +634,27 @@ func (s *DI) QueryRange(from, to float64) *mat.Dense {
 	s.expire(s.lastT - float64(s.cfg.N))
 
 	// Completed level-1 blocks fully inside (from, to].
-	startIdx, endIdx := s.m+1, 0
+	lo, hi := s.m+1, 0
 	for _, b := range s.levels[0] {
 		if b.startT > from && b.endT <= to {
-			if b.startIdx < startIdx {
-				startIdx = b.startIdx
-			}
-			if b.endIdx > endIdx {
-				endIdx = b.endIdx
-			}
+			lo, hi = min(lo, b.startIdx), max(hi, b.endIdx)
 		}
 	}
-
-	var parts []*mat.Dense
-	pos := startIdx
-	for pos <= endIdx {
-		span := 1
-		for span*2 <= endIdx-pos+1 && (pos-1)%(span*2) == 0 {
-			span *= 2
+	// The open block's share: its raw rows inside the range, or — once
+	// they overflowed — its sketch when the whole open block falls
+	// inside the range.
+	if s.rawOverflow {
+		var open stream.Sketch
+		if s.activeRows[0] > 0 && to >= s.lastT && from < s.curStart {
+			open = s.actives[0]
 		}
-		blk := s.findBlock(pos, pos+span-1)
-		for blk == nil && span > 1 {
-			span /= 2
-			blk = s.findBlock(pos, pos+span-1)
-		}
-		if blk == nil {
-			pos++
-			continue
-		}
-		parts = append(parts, blk.sk.Matrix())
-		pos += span
+		return s.cover(lo, hi, open, nil)
 	}
-	// Open raw rows inside the range (only relevant when `to` reaches
-	// into the open block).
-	if !s.rawOverflow {
-		var rows []mat.SparseRow
-		for i, r := range s.raw {
-			if s.rawTimes[i] > from && s.rawTimes[i] <= to {
-				rows = append(rows, r)
-			}
+	var rows []mat.SparseRow
+	for i, r := range s.raw {
+		if s.rawTimes[i] > from && s.rawTimes[i] <= to {
+			rows = append(rows, r)
 		}
-		if len(rows) > 0 {
-			open := mat.NewDense(len(rows), s.d)
-			for i, r := range rows {
-				r.ScatterTo(open.Row(i))
-			}
-			parts = append(parts, open)
-		}
-	} else if s.activeRows[0] > 0 && to >= s.lastT && from < s.curStart {
-		// The whole open block falls inside the range; use its sketch.
-		parts = append(parts, s.actives[0].Matrix())
 	}
-
-	out := mat.NewDense(0, s.d)
-	for _, p := range parts {
-		out = mat.Stack(out, p)
-	}
-	return out
+	return s.cover(lo, hi, nil, rows)
 }

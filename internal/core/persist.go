@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding"
 	"fmt"
 	"time"
 
@@ -259,7 +260,7 @@ func (l *LM) MarshalBinary() ([]byte, error) {
 		w.Int(l.fdOpts.Buffer)
 		w.F64(l.fdOpts.Alpha)
 	}
-	if err := l.writeBody(w, writeFDBlob); err != nil {
+	if err := l.writeBody(w); err != nil {
 		return nil, err
 	}
 	out := w.Bytes()
@@ -268,21 +269,20 @@ func (l *LM) MarshalBinary() ([]byte, error) {
 }
 
 // writeBody writes what every LM snapshot (LM-FD and LM-AMM) carries
-// after its header: the clock, the levels and the active block, each
-// block sketch written by writeSketch.
-func (l *LM) writeBody(w *binenc.Writer, writeSketch func(*binenc.Writer, stream.Sketch) error) error {
+// after its header: the clock, the levels and the active block.
+func (l *LM) writeBody(w *binenc.Writer) error {
 	w.F64(l.lastT)
 	w.Bool(l.seen)
 	w.Int(len(l.levels))
 	for _, lv := range l.levels {
 		w.Int(len(lv))
 		for i := range lv {
-			if err := writeLMBlock(w, &lv[i], writeSketch); err != nil {
+			if err := writeLMBlock(w, &lv[i]); err != nil {
 				return err
 			}
 		}
 	}
-	return writeLMBlock(w, &l.active, writeSketch)
+	return writeLMBlock(w, &l.active)
 }
 
 // readBody restores what writeBody wrote into l, a freshly built LM,
@@ -318,7 +318,7 @@ func (l *LM) readBody(r *binenc.Reader, readSketch func(*binenc.Reader) (stream.
 	return r.Err()
 }
 
-func writeLMBlock(w *binenc.Writer, blk *lmBlock, writeSketch func(*binenc.Writer, stream.Sketch) error) error {
+func writeLMBlock(w *binenc.Writer, blk *lmBlock) error {
 	w.F64(blk.start)
 	w.F64(blk.end)
 	w.F64(blk.size)
@@ -332,7 +332,7 @@ func writeLMBlock(w *binenc.Writer, blk *lmBlock, writeSketch func(*binenc.Write
 		return nil
 	}
 	w.Bool(true)
-	return writeSketch(w, blk.sk)
+	return writeBlob(w, blk.sk)
 }
 
 // Minimum encoded sizes of LM snapshot elements, for the count guards:
@@ -411,12 +411,14 @@ func readSparseRow(r *binenc.Reader, d int) (mat.SparseRow, float64, error) {
 	return mat.SparseRow{Idx: idx, Val: val}, t, nil
 }
 
-func writeFDBlob(w *binenc.Writer, sk stream.Sketch) error {
-	fd, ok := sk.(*stream.FD)
+// writeBlob writes a block sketch of LM or DI, FD or COD, as the blob
+// its own codec makes.
+func writeBlob(w *binenc.Writer, sk stream.Sketch) error {
+	m, ok := sk.(encoding.BinaryMarshaler)
 	if !ok {
-		return fmt.Errorf("core: LM snapshot found non-FD block sketch %T", sk)
+		return fmt.Errorf("core: snapshot found block sketch %T, which has no codec", sk)
 	}
-	b, err := fd.MarshalBinary()
+	b, err := m.MarshalBinary()
 	if err != nil {
 		return err
 	}

@@ -28,6 +28,8 @@ func TestSpillRestoreBitIdentical(t *testing.T) {
 		{Framework: "lm-amm", Size: 48, D: 6, DB: 2, Ell: 8, B: 4},
 		{Framework: "lm-amm", Window: "time", Size: 32.5, D: 5, DB: 2, Ell: 8, B: 4, FDBuffer: 2},
 		{Framework: "di-amm", Size: 48, D: 6, DB: 3, Ell: 16, L: 3, R: 16},
+		{Framework: "di-fd", Size: 48, D: 5, Ell: 16, L: 3, R: 16},
+		{Framework: "di-fd", Size: 48, D: 5, Ell: 16, L: 3, R: 16, FDBuffer: 2, FDAlpha: 0.5},
 	}
 	for _, cfg := range frameworks {
 		cfg := cfg
@@ -166,6 +168,8 @@ func TestSpillKeepsWholeConfig(t *testing.T) {
 		{Framework: "lm-fd", Size: 48, D: 5, Ell: 8, B: 4, FDBuffer: 2, FDAlpha: 0.5},
 		{Framework: "ds-fd", Size: 48, D: 5, Ell: 8, FDBuffer: 2, FDAlpha: 0.5},
 		{Framework: "lm-amm", Size: 48, D: 6, DB: 2, Ell: 8, B: 4, FDBuffer: 2, FDAlpha: 0.5},
+		{Framework: "di-fd", Size: 48, D: 5, Ell: 16, L: 3, R: 16},
+		{Framework: "di-fd", Size: 48, D: 5, Ell: 16, L: 3, R: 16, FDBuffer: 2, FDAlpha: 0.5},
 	} {
 		dir := t.TempDir()
 		clk := &fakeClock{t: time.Unix(1000, 0)}

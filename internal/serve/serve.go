@@ -65,8 +65,9 @@
 //	                         state could not be restored from disk)
 //
 // Snapshot endpoints require the underlying sketch to support binary
-// snapshots (SWR, SWOR, SWOR-ALL, LM-FD, DS-FD, LM-AMM and DI-AMM do);
-// others get 501, except LM-HASH, whose download fails with 500. An
+// snapshots (SWR, SWOR, SWOR-ALL, LM-FD, DI-FD, DS-FD, LM-AMM and
+// DI-AMM do); others get 501, except LM-HASH, whose download fails with
+// 500. An
 // upload must hold the tenant's algorithm and row width, or it gets
 // 400 and the tenant keeps its state. Tenant
 // IDs are restricted to [A-Za-z0-9._-], at most 128 bytes; "default"

@@ -424,6 +424,51 @@ func TestTenantSnapshotRoutes(t *testing.T) {
 	}
 }
 
+// TestDIFDSnapshotRoutes moves a FastFD-tuned di-fd tenant's state, with
+// completed blocks on every level, to a fresh tenant: the download
+// answers 200 (di-fd had no snapshot codec, so it answered 501), and the
+// restored tenant answers and snapshots bit-identically.
+func TestDIFDSnapshotRoutes(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	const cfg = `{"framework":"di-fd","size":48,"d":3,"ell":16,"levels":3,"r":2,"fd_buffer":2,"fd_alpha":0.5}`
+	doReq(t, "PUT", ts.URL+"/v2/tenants/src", cfg).Body.Close()
+	doReq(t, "PUT", ts.URL+"/v2/tenants/dst", cfg).Body.Close()
+	var rows []string
+	for i := 0; i < 60; i++ {
+		rows = append(rows, fmt.Sprintf(`{"row":[1,%v,0.2],"t":%d}`, 0.4*float64(i%3), i))
+	}
+	resp := postJSON(t, ts.URL+"/v2/tenants/src/rows", `{"updates":[`+strings.Join(rows, ",")+`]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+
+	resp = doReq(t, "GET", ts.URL+"/v2/tenants/src/snapshot", "")
+	snap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot download: status %d, %v", resp.StatusCode, err)
+	}
+	resp, err = http.Post(ts.URL+"/v2/tenants/dst/snapshot", "application/octet-stream", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot restore status %d", resp.StatusCode)
+	}
+
+	srcB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/src/approximation?t=59", "").Body)
+	dstB, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/dst/approximation?t=59", "").Body)
+	if !bytes.Equal(srcB, dstB) {
+		t.Fatal("restored tenant answers differently from the source")
+	}
+	again, _ := io.ReadAll(doReq(t, "GET", ts.URL+"/v2/tenants/dst/snapshot", "").Body)
+	if !bytes.Equal(snap, again) {
+		t.Fatal("restored tenant snapshots differently from the source")
+	}
+}
+
 // TestSnapshotRestoreRejectsAllocationBombs posts three ~100-byte
 // snapshots that each made the decoder die with "runtime: out of
 // memory": an LM-FD raw row claiming 2³¹−1 non-zeros, an LM-FD header
