@@ -60,24 +60,27 @@ bench-hh:
 conformance:
 	$(GO) test -race -run 'TestContract|TestRegistryCoverage' ./internal/core ./internal/conformance
 
-# Short fuzzing pass over the stateful structures and the decoders of
-# untrusted bytes.
+# Short fuzzing pass over every fuzz target: the stateful structures,
+# the batch-ingest path, and the decoders of untrusted bytes. This is
+# the one list of targets; CI smoke-runs it as `make fuzz FUZZTIME=15s`.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz '^FuzzEstimate$$' -fuzztime 30s ./internal/eh
-	$(GO) test -fuzz '^FuzzLMFD$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzSWOR$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzDSFDUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzLMUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzSWORUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzDIUnmarshal$$' -fuzztime 30s ./internal/core
-	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime 30s ./internal/stream
-	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime 30s ./internal/wal
-	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s ./internal/obs/hh
-	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/serve
-	$(GO) test -fuzz '^FuzzSpillDecode$$' -fuzztime 30s ./internal/registry
-	$(GO) test -fuzz '^FuzzConfigBuild$$' -fuzztime 30s ./internal/registry
+	$(GO) test -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/eh
+	$(GO) test -fuzz '^FuzzLMFD$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzUpdateBatch$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzSWOR$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzDSFDUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzLMUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzSWORUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzDIUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/obs/hh
+	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -fuzz '^FuzzSpillDecode$$' -fuzztime $(FUZZTIME) ./internal/registry
+	$(GO) test -fuzz '^FuzzConfigBuild$$' -fuzztime $(FUZZTIME) ./internal/registry
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

@@ -65,6 +65,9 @@ type Case struct {
 	// skip the concurrent check, where a reader inevitably holds a
 	// stale timestamp.
 	StrictQueryOrder bool
+	// DeclaresR marks sketches built with a squared row-norm bound R
+	// (the DI cases); RejectedBatch then also sends a row far past it.
+	DeclaresR bool
 	// Paired marks paired-stream (AMM) sketches: each d-wide row is
 	// the stacked pair [a|b] split by pairedSplit, the guarantee is on
 	// the product AᵀB rather than the Gram matrix AᵀA, and the error
@@ -121,6 +124,7 @@ func Cases() []Case {
 				return core.NewLMRP(spec, d, 128, 8, seed)
 			}},
 		{Name: "DI-FD", Frameworks: []string{"di-fd"}, MaxErr: 0.6, SeqOnly: true, BatchExact: true, Deterministic: true,
+			DeclaresR: true,
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				return core.NewDIFD(core.DIConfig{N: int(spec.Size), R: 4 * float64(d), L: 5, Ell: 48, RSlack: 2}, d)
 			}},
@@ -144,6 +148,7 @@ func Cases() []Case {
 				return core.NewLMAMM(spec, dA, dB, 24, 8)
 			}},
 		{Name: "DI-AMM", Frameworks: []string{"di-amm"}, MaxErr: 0.6, Paired: true, SeqOnly: true, BatchExact: true, Deterministic: true,
+			DeclaresR: true,
 			Make: func(spec window.Spec, d int, seed int64) core.WindowSketch {
 				dA, dB := pairedSplit(d)
 				return core.NewDIAMM(core.DIConfig{N: int(spec.Size), R: 4 * float64(d), L: 5, Ell: 48, RSlack: 2}, dA, dB)
@@ -176,6 +181,7 @@ func Run(t *testing.T, cases []Case) {
 	t.Run("SingleRow", func(t *testing.T) { singleRow(t, cases) })
 	t.Run("ZeroRow", func(t *testing.T) { zeroRow(t, cases) })
 	t.Run("BatchBitEqual", func(t *testing.T) { batchBitEqual(t, cases) })
+	t.Run("RejectedBatch", func(t *testing.T) { rejectedBatch(t, cases) })
 	t.Run("SnapshotRoundTrip", func(t *testing.T) { snapshotRoundTrip(t, cases) })
 	t.Run("Concurrent", func(t *testing.T) { concurrent(t, cases) })
 }
@@ -384,6 +390,69 @@ func batchBitEqual(t *testing.T, cases []Case) {
 	}
 }
 
+// rejectedBatch: UpdateBatch is all-or-nothing on every registry
+// framework. A batch whose last row breaks one rule (row width,
+// finiteness, a timestamp behind the clock, a declared R) must panic
+// and leave the sketch equal to a twin that never saw it: the same
+// answers bit for bit, RowsStored and snapshot bytes, also after both
+// take the batch's valid rows.
+func rejectedBatch(t *testing.T, cases []Case) {
+	const d, n = 4, 80
+	good := [][]float64{{1, 0, 2, 0}, {0, 1, 0, 1}}
+	bad := map[string][]float64{"width": {1, 2, 3, 4, 5}, "non-finite": {1, math.NaN(), 0, 0},
+		"timestamp": {1, 1, 1, 1}, "norm": {1e6, 0, 0, 0}}
+	for _, tc := range cases {
+		if len(tc.Frameworks) == 0 {
+			continue
+		}
+		for rule, row := range bad {
+			if rule == "norm" && !tc.DeclaresR {
+				continue
+			}
+			sk, twin := tc.Make(window.Seq(50), d, 5), tc.Make(window.Seq(50), d, 5)
+			rng := rand.New(rand.NewSource(23))
+			for i := 0; i < n; i++ {
+				r := randRow(rng, d)
+				sk.Update(r, float64(i))
+				twin.Update(r, float64(i))
+			}
+			last := float64(n + 2)
+			if rule == "timestamp" {
+				last = n - 10
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a batch breaking the %s rule was accepted", tc.Name, rule)
+					}
+				}()
+				sk.UpdateBatch(append(good[:2:2], row), []float64{n, n + 1, last})
+			}()
+			same := func(at float64) {
+				a, b := sk.Query(at), twin.Query(at)
+				if a.Rows() != b.Rows() || !a.Equal(b, 0) || sk.RowsStored() != twin.RowsStored() ||
+					string(snapshot(sk)) != string(snapshot(twin)) {
+					t.Errorf("%s, %s rule: the sketch differs from its twin at t=%v", tc.Name, rule, at)
+				}
+			}
+			same(n - 1)
+			sk.UpdateBatch(good, []float64{n, n + 1})
+			twin.UpdateBatch(good, []float64{n, n + 1})
+			same(n + 1)
+		}
+	}
+}
+
+// snapshot is a sketch's binary snapshot, or nil without one.
+func snapshot(sk core.WindowSketch) []byte {
+	if m, ok := sk.(encoding.BinaryMarshaler); ok {
+		if b, err := m.MarshalBinary(); err == nil {
+			return b
+		}
+	}
+	return nil
+}
+
 // snapshotRoundTrip: every sketch exposing the binary snapshot
 // interface must restore to bit-identical answers, re-marshal as a
 // byte-level fixed point (the registry spill layer relies on both),
@@ -434,11 +503,7 @@ func snapshotRoundTrip(t *testing.T, cases []Case) {
 			if err := again.(encoding.BinaryUnmarshaler).UnmarshalBinary(blob); err != nil {
 				t.Fatal(err)
 			}
-			re, err := again.(encoding.BinaryMarshaler).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(re) != string(blob) {
+			if string(snapshot(again)) != string(blob) {
 				t.Fatal("snapshot is not re-marshal stable")
 			}
 			if !tc.Deterministic {

@@ -38,7 +38,8 @@ type WindowSketch interface {
 	// each row in turn (including any internal randomness), but the
 	// sketch validates once and amortises per-row bookkeeping across
 	// the batch. Rows and times must have equal length; neither slice
-	// is retained.
+	// is retained. A batch that breaks a rule Update enforces panics
+	// before any of its rows is applied.
 	UpdateBatch(rows [][]float64, times []float64)
 	// Query returns the approximation B ∈ R^{ℓ×d} for the window
 	// ending at time t (which must be ≥ the latest Update timestamp).
@@ -71,11 +72,34 @@ func checkRowFinite(algo string, row []float64) {
 	}
 }
 
-// validateBatch performs the up-front batch checks shared by every
-// UpdateBatch implementation: matching slice lengths, row dimension,
-// and finiteness. Timestamp monotonicity stays with each sketch's
-// per-row ingest, which already enforces it against its own clock.
-func validateBatch(algo string, rows [][]float64, times []float64, d int) {
+// validateBatch performs the up-front checks shared by every windowed
+// UpdateBatch: validateRows, plus timestamps that never step back,
+// from the sketch's own clock (lastT, once seen) on. It panics before
+// any row reaches the sketch, so a rejected batch changes nothing.
+func validateBatch(algo string, rows [][]float64, times []float64, d int, lastT float64, seen bool) {
+	validateRows(algo, rows, times, d)
+	for _, t := range times {
+		if seen && t < lastT {
+			panic(fmt.Sprintf("core: %s timestamp %v precedes %v", algo, t, lastT))
+		}
+		lastT, seen = t, true
+	}
+}
+
+// checkBatchNorms is the norm-bounded frameworks' (DI, DS-FD) addition
+// to validateBatch: with a declared R > 0, every row's squared norm
+// must stay within R·slack, the bound their per-row ingest enforces.
+func checkBatchNorms(algo string, rows [][]float64, r, slack float64) {
+	for _, row := range rows {
+		if r > 0 && rowSqNorm(row) > r*slack {
+			panic(fmt.Sprintf("core: %s row squared norm %v exceeds declared R=%v", algo, rowSqNorm(row), r))
+		}
+	}
+}
+
+// validateRows checks a batch's shape: matching slice lengths, row
+// dimension, and finiteness.
+func validateRows(algo string, rows [][]float64, times []float64, d int) {
 	if len(rows) != len(times) {
 		panic(fmt.Sprintf("core: %s batch has %d rows but %d timestamps", algo, len(rows), len(times)))
 	}

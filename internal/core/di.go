@@ -281,7 +281,8 @@ func (s *DI) Update(row []float64, t float64) {
 // UpdateBatch ingests rows in order with one up-front validation pass;
 // the dyadic counter advances exactly as under row-at-a-time Update.
 func (s *DI) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("DI", rows, times, s.d)
+	validateBatch("DI", rows, times, s.d, s.lastT, s.seen)
+	checkBatchNorms("DI", rows, s.cfg.R, s.cfg.RSlack)
 	for i, r := range rows {
 		s.ingest(mat.SparseFromDense(r), times[i])
 	}

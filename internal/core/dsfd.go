@@ -213,7 +213,8 @@ func (s *DSFD) Update(row []float64, t float64) {
 // dump and snapshot decisions fall exactly as under row-at-a-time
 // Update, so the resulting state is bit-identical.
 func (s *DSFD) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("DSFD", rows, times, s.d)
+	validateBatch("DSFD", rows, times, s.d, s.lastT, s.seen)
+	checkBatchNorms("DSFD", rows, s.cfg.R, s.cfg.RSlack)
 	for i, r := range rows {
 		s.ingest(r, rowSqNorm(r), times[i])
 	}

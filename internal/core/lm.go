@@ -251,7 +251,7 @@ func (l *LM) Update(row []float64, t float64) {
 // the resulting block structure (and hence every query answer) is
 // identical to row-at-a-time ingestion.
 func (l *LM) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("LM", rows, times, l.d)
+	validateBatch("LM", rows, times, l.d, l.lastT, l.seen)
 	for i, r := range rows {
 		l.ingest(mat.SparseFromDense(r), times[i])
 	}

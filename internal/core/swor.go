@@ -106,7 +106,7 @@ func (s *SWOR) Update(row []float64, t float64) {
 // drawn in the same order as repeated Update calls, so the candidate
 // queue is identical.
 func (s *SWOR) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("SWOR", rows, times, s.d)
+	validateBatch("SWOR", rows, times, s.d, s.lastT, s.seen)
 	ts := make([]float64, 0, len(rows))
 	ws := make([]float64, 0, len(rows))
 	for i, r := range rows {

@@ -129,7 +129,7 @@ func (s *SWR) Update(row []float64, t float64) {
 // the same order as repeated Update calls, so the candidate queues —
 // and with the exact tracker, every query answer — are identical.
 func (s *SWR) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("SWR", rows, times, s.d)
+	validateBatch("SWR", rows, times, s.d, s.lastT, s.seen)
 	ts := make([]float64, 0, len(rows))
 	ws := make([]float64, 0, len(rows))
 	for i, r := range rows {

@@ -52,7 +52,7 @@ func (u *Unbounded) Update(row []float64, _ float64) {
 // UpdateBatch feeds the rows to the streaming sketch's bulk path; the
 // timestamps are ignored.
 func (u *Unbounded) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("Unbounded", rows, times, u.d)
+	validateRows("Unbounded", rows, times, u.d)
 	u.sk.UpdateBatch(rows)
 }
 

@@ -8,7 +8,6 @@ package serve
 // clients that never construct query strings can stay JSON-only.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 
@@ -36,34 +35,28 @@ type ammResponse struct {
 // POST requests a JSON body {"t": ...} takes the place of the ?t=
 // parameter (the body wins when both are present).
 func ammQueryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (float64, bool) {
+	var req ammRequest
 	if r.Method == http.MethodPost && r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, CodeInvalidArgument, "read body: %v", err)
+		// An empty body (io.EOF) leaves req.T unset.
+		if err := decodeStrict(io.LimitReader(r.Body, 1<<16), &req); err != nil && err != io.EOF {
+			httpError(w, http.StatusBadRequest, CodeInvalidJSON, "parse body: %v", err)
 			return 0, false
 		}
-		if len(body) > 0 {
-			var req ammRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				httpError(w, http.StatusBadRequest, CodeInvalidJSON, "parse body: %v", err)
-				return 0, false
-			}
-			if req.T != nil {
-				qt := *req.T
-				if qt != qt {
-					httpError(w, http.StatusBadRequest, CodeInvalidArgument, "non-finite t")
-					return 0, false
-				}
-				if last, seen := t.Clock(); seen && qt < last {
-					httpError(w, http.StatusBadRequest, CodeInvalidArgument,
-						"t %v precedes last ingested %v", qt, last)
-					return 0, false
-				}
-				return qt, true
-			}
-		}
 	}
-	return queryTime(w, r, t)
+	if req.T == nil {
+		return queryTime(w, r, t)
+	}
+	qt := *req.T
+	if qt != qt {
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "non-finite t")
+		return 0, false
+	}
+	if last, seen := t.Clock(); seen && qt < last {
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument,
+			"t %v precedes last ingested %v", qt, last)
+		return 0, false
+	}
+	return qt, true
 }
 
 func (s *Server) handleAMM(w http.ResponseWriter, r *http.Request) {

@@ -86,6 +86,10 @@ func TestTenantAMMQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || decodeError(t, resp).Code != CodeInvalidJSON {
 		t.Fatalf("bad json: status %d", resp.StatusCode)
 	}
+	resp = doReq(t, "POST", ts.URL+"/v2/tenants/pair/amm", `{"t":1,"bogus":7}`)
+	if resp.StatusCode != http.StatusBadRequest || decodeError(t, resp).Code != CodeInvalidJSON {
+		t.Fatalf("unknown field: status %d", resp.StatusCode)
+	}
 }
 
 func TestTenantAMMUnsupported(t *testing.T) {

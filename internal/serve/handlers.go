@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -34,17 +35,15 @@ func (e *apiError) write(w http.ResponseWriter) {
 	httpError(w, e.status, e.code, "%s", e.msg)
 }
 
-// decodeJSON strictly decodes a request body into v: unknown fields
-// are an error, and a body over the WithMaxBody cap answers 413. On
-// false the error envelope has been written.
+// decodeJSON strictly decodes a request body into v (decodeStrict),
+// and a body over the WithMaxBody cap answers 413. On false the error
+// envelope has been written.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	body := r.Body
 	if s.maxBody > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(body, v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
@@ -55,6 +54,21 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes exactly one JSON value from r into v: unknown
+// fields and data after the value are errors. Every JSON request body
+// and every NDJSON stream line is decoded by it.
+func decodeStrict(r io.Reader, v interface{}) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 type ingestRequest struct {
@@ -152,108 +166,77 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, bulkResponse{Results: results})
 }
 
-// ingestTenant validates and applies a batch of updates to a tenant,
-// acquiring it for the duration. The batch is all-or-nothing: it is
-// validated against the tenant's clock and dimension before any row
-// touches the sketch.
+// ingestTenant applies one JSON batch, all-or-nothing, to a tenant.
 func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
-	if len(updates) == 0 {
-		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
+	rows, times, apiErr := denseBlock(updates, t.D())
+	if apiErr != nil {
+		s.hot.ObserveEvent(t.ID())
+		return ingestResponse{}, apiErr
 	}
-	return s.acquireIngest(t, func() (ingestResponse, *apiError) { return s.ingestLocked(t, updates) })
+	return s.acquireIngest(t, rows, times)
 }
 
-// acquireIngest runs one ingest with the tenant acquired for its
-// duration. An unavailable tenant, and a rejected batch (clock
+// denseBlock turns JSON updates into the rows/times block a binary
+// frame decodes into: a sparse update is scattered into a zero row of
+// width d. The apply step checks the rest.
+func denseBlock(updates []ingestUpdate, d int) ([][]float64, []float64, *apiError) {
+	rows := make([][]float64, len(updates))
+	times := make([]float64, len(updates))
+	for i, u := range updates {
+		rows[i], times[i] = u.Row, u.T
+		if len(u.Idx) == 0 && len(u.Val) == 0 {
+			continue
+		}
+		if len(u.Row) > 0 {
+			return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
+				"update %d: row and idx/val are mutually exclusive", i)
+		}
+		if len(u.Idx) != len(u.Val) {
+			return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
+				"update %d: %d indices but %d values", i, len(u.Idx), len(u.Val))
+		}
+		rows[i] = make([]float64, d)
+		prev := -1
+		for k, ix := range u.Idx {
+			if ix <= prev || ix >= d {
+				return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
+					"update %d: sparse index %d invalid for dimension %d", i, ix, d)
+			}
+			rows[i][ix], prev = u.Val[k], ix
+		}
+	}
+	return rows, times, nil
+}
+
+// acquireIngest applies one live block with the tenant acquired for
+// its duration. An unavailable tenant, and a rejected block (clock
 // regressions, bad rows, sketch conflicts), land on the hot-key
 // sidecar's events plane.
-func (s *Server) acquireIngest(t *registry.Tenant, ingest func() (ingestResponse, *apiError)) (ingestResponse, *apiError) {
+func (s *Server) acquireIngest(t *registry.Tenant, rows [][]float64, times []float64) (ingestResponse, *apiError) {
 	if err := t.Acquire(); err != nil {
 		s.hot.ObserveEvent(t.ID())
 		return ingestResponse{}, acquireError(t, err)
 	}
 	defer t.Release()
-	resp, apiErr := ingest()
+	resp, apiErr := s.apply(t, rows, times, true)
 	if apiErr != nil {
 		s.hot.ObserveEvent(t.ID())
 	}
 	return resp, apiErr
 }
 
-// ingestLocked is the ingest core; the caller holds the tenant.
-func (s *Server) ingestLocked(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
-	allDense := true
-	for _, u := range updates {
-		if len(u.Idx) > 0 || len(u.Val) > 0 {
-			allDense = false
-			break
-		}
+// apply is the one step by which rows reach a tenant's sketch, rows[i]
+// arriving at times[i], whether live or replayed from the WAL. It
+// checks the block against the tenant's clock, width and finiteness;
+// journals it before the sketch sees it (live only: a replayed block
+// is already in the log, and is not hot-key traffic either); applies
+// it with one UpdateBatch; commits the clock; and shadows the rows for
+// the default tenant's auditor. The caller holds the tenant; nothing
+// retains rows or times.
+func (s *Server) apply(t *registry.Tenant, rows [][]float64, times []float64, live bool) (ingestResponse, *apiError) {
+	if len(rows) == 0 {
+		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
 	}
-	if allDense {
-		rows := make([][]float64, len(updates))
-		times := make([]float64, len(updates))
-		for i, u := range updates {
-			rows[i], times[i] = u.Row, u.T
-		}
-		return s.ingestDenseLocked(t, rows, times)
-	}
-	d := t.D()
-	prev, seen := t.Clock()
-	auditing := t == s.def && s.audit != nil
-	rows := make([]func(), 0, len(updates))
-	// The WAL logs dense row blocks (replay has no sparse path), so a
-	// sparse batch densifies when either the auditor or the WAL needs
-	// the dense form.
-	wantDense := auditing || s.wal != nil
-	var denseRows [][]float64
-	var denseTimes []float64
-	if wantDense {
-		denseRows = make([][]float64, 0, len(updates))
-		denseTimes = make([]float64, 0, len(updates))
-	}
-	for i, u := range updates {
-		if seen && u.T < prev {
-			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: timestamp %v precedes %v", i, u.T, prev)
-		}
-		apply, dense, err := prepareUpdate(t, u, wantDense)
-		if err != nil {
-			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: %v", i, err)
-		}
-		rows = append(rows, apply)
-		if wantDense {
-			denseRows = append(denseRows, dense)
-			denseTimes = append(denseTimes, u.T)
-		}
-		prev, seen = u.T, true
-	}
-	if apiErr := s.walAppendRows(t, denseRows, denseTimes); apiErr != nil {
-		return ingestResponse{}, apiErr
-	}
-	// The sketch enforces invariants the server cannot fully check —
-	// e.g. after a snapshot restore the sketch's internal clock may be
-	// ahead of the server's. Surface those as 409 instead of crashing
-	// the connection.
-	if err := applyAll(rows); err != nil {
-		return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
-			"ingest rejected by sketch: %v", err)
-	}
-	t.Commit(len(updates), prev)
-	// Committed rows feed the sidecar's rows plane; the bytes plane
-	// gets the dense-equivalent payload size (8 bytes × d per row).
-	s.hot.ObserveIngest(t.ID(), len(updates), 8*d*len(updates))
-	if auditing {
-		s.observeAudit(denseRows, denseTimes)
-	}
-	return ingestResponse{Accepted: len(updates), LastT: prev}, nil
-}
-
-// ingestDenseLocked applies an all-dense batch, rows[i] arriving at
-// times[i], through the sketch's bulk ingest in one call, amortising
-// per-row bookkeeping. Binary stream frames arrive here directly. The
-// caller holds the tenant; nothing retains rows or times.
-func (s *Server) ingestDenseLocked(t *registry.Tenant, rows [][]float64, times []float64) (ingestResponse, *apiError) {
 	d := t.D()
 	prev, seen := t.Clock()
 	for i, row := range rows {
@@ -265,90 +248,42 @@ func (s *Server) ingestDenseLocked(t *registry.Tenant, rows [][]float64, times [
 			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
 				"update %d: row length %d, want %d", i, len(row), d)
 		}
-		if err := checkFiniteVals(row); err != nil {
-			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: %v", i, err)
+		for j, v := range row {
+			if v != v || v > 1e308 || v < -1e308 { // NaN or overflow-ish
+				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
+					"update %d: non-finite value at %d", i, j)
+			}
 		}
 		prev, seen = times[i], true
 	}
-	if apiErr := s.walAppendRows(t, rows, times); apiErr != nil {
-		return ingestResponse{}, apiErr
+	if live && s.wal != nil {
+		if _, err := s.wal.AppendRows(t.ID(), t.Updates(), rows, times); err != nil {
+			return ingestResponse{}, errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
+		}
 	}
+	// The sketch enforces invariants the server cannot check — after a
+	// snapshot upload its own clock may be ahead of the tenant's — and
+	// rejects the whole block. Surface that as 409 instead of crashing
+	// the connection.
 	if err := applyBatch(t.Sketch(), rows, times); err != nil {
 		return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
 			"ingest rejected by sketch: %v", err)
 	}
 	t.Commit(len(rows), prev)
-	s.hot.ObserveIngest(t.ID(), len(rows), 8*d*len(rows))
+	if live {
+		// The bytes plane gets the dense payload size, 8 bytes × d per row.
+		s.hot.ObserveIngest(t.ID(), len(rows), 8*d*len(rows))
+	}
 	if t == s.def && s.audit != nil {
-		s.observeAudit(rows, times)
+		s.audit.ObserveBatch(rows, times, s.auditQuery)
 	}
 	return ingestResponse{Accepted: len(rows), LastT: prev}, nil
 }
 
-// observeAudit feeds freshly ingested default-tenant rows to the
-// auditor. The caller holds the default tenant, so the query closure
-// (which the auditor may invoke for a stride-triggered evaluation)
-// reads the sketch consistently. The closure queries the undecorated
-// sketch so audit evaluations don't pollute the serving query-latency
-// metrics.
-func (s *Server) observeAudit(rows [][]float64, times []float64) {
-	if s.audit == nil {
-		return
-	}
-	s.audit.ObserveBatch(rows, times, func(t float64) *mat.Dense {
-		return s.def.Raw().Query(t)
-	})
-}
-
-// prepareUpdate validates one ingest update and returns a closure that
-// applies it plus the dense form of the row (for the audit shadow —
-// sparse rows are only densified when wantDense is set); validation
-// and application are split so a bad batch is rejected atomically.
-// The caller holds the tenant.
-func prepareUpdate(t *registry.Tenant, u ingestUpdate, wantDense bool) (func(), []float64, error) {
-	d := t.D()
-	sk := t.Sketch()
-	if len(u.Idx) > 0 || len(u.Val) > 0 {
-		if len(u.Row) > 0 {
-			return nil, nil, fmt.Errorf("row and idx/val are mutually exclusive")
-		}
-		if len(u.Idx) != len(u.Val) {
-			return nil, nil, fmt.Errorf("%d indices but %d values", len(u.Idx), len(u.Val))
-		}
-		prev := -1
-		for _, ix := range u.Idx {
-			if ix <= prev || ix >= d {
-				return nil, nil, fmt.Errorf("sparse index %d invalid for dimension %d", ix, d)
-			}
-			prev = ix
-		}
-		if err := checkFiniteVals(u.Val); err != nil {
-			return nil, nil, err
-		}
-		sr := mat.SparseRow{Idx: u.Idx, Val: u.Val}
-		// Capability lives on the undecorated sketch; the decorated one
-		// (which forwards sparse updates) takes the call so the update
-		// is recorded.
-		if _, ok := t.Raw().(core.SparseUpdater); ok {
-			su := sk.(core.SparseUpdater)
-			var row []float64
-			if wantDense {
-				row = sr.Dense(d)
-			}
-			return func() { su.UpdateSparse(sr, u.T) }, row, nil
-		}
-		dense := sr.Dense(d)
-		return func() { sk.Update(dense, u.T) }, dense, nil
-	}
-	if len(u.Row) != d {
-		return nil, nil, fmt.Errorf("row length %d, want %d", len(u.Row), d)
-	}
-	if err := checkFiniteVals(u.Row); err != nil {
-		return nil, nil, err
-	}
-	return func() { sk.Update(u.Row, u.T) }, u.Row, nil
-}
+// auditQuery answers the auditor's evaluations from the default
+// tenant's undecorated sketch, so they stay out of the serving query
+// metrics. The caller holds the default tenant.
+func (s *Server) auditQuery(t float64) *mat.Dense { return s.def.Raw().Query(t) }
 
 // acquireError maps a Tenant.Acquire failure onto the envelope:
 // concurrent deletion is a 404, an unreadable spill file a 500.

@@ -2,9 +2,9 @@ package serve
 
 // Hot-key observability: WithHotKeys attaches an internal/obs/hh
 // sidecar and the server feeds it from every ingest entry point —
-// registry acquisitions (via the touch hook), committed ingest
-// batches (rows, bulk items, and stream blocks all funnel through
-// ingestLocked), shed and failed requests, and WAL appends.
+// registry acquisitions (via the touch hook), committed live blocks
+// (rows, bulk items and stream blocks all pass the apply step), shed
+// and failed requests, and WAL appends.
 // GET /debug/hotkeys serves the sidecar's merged snapshot; the
 // /v2/health body gains a "hotkeys" object when the sidecar is
 // enabled; topk_enter/topk_exit churn lands in the trace ring.

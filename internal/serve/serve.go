@@ -90,7 +90,6 @@ import (
 	"time"
 
 	"swsketch/internal/core"
-	"swsketch/internal/mat"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
 	"swsketch/internal/obs/hh"
@@ -523,19 +522,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkFiniteVals rejects NaN and overflow-ish values before they
-// reach a sketch.
-func checkFiniteVals(vals []float64) error {
-	for j, v := range vals {
-		if v != v || v > 1e308 || v < -1e308 { // NaN or overflow-ish
-			return fmt.Errorf("non-finite value at %d", j)
-		}
-	}
-	return nil
-}
-
-// applyBatch feeds an all-dense batch through the sketch's bulk path,
-// converting sketch panics into errors like applyAll.
+// applyBatch feeds a block through the sketch's bulk path, converting
+// a sketch panic (an invariant violation, raised before any row is
+// applied) into an error.
 func applyBatch(sk core.WindowSketch, rows [][]float64, times []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -546,16 +535,17 @@ func applyBatch(sk core.WindowSketch, rows [][]float64, times []float64) (err er
 	return nil
 }
 
-// applyAll runs the prepared updates, converting sketch panics
-// (invariant violations) into errors.
-func applyAll(rows []func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	for _, apply := range rows {
-		apply()
+// restore is the one step by which a snapshot replaces a tenant's
+// state, uploaded or replayed from the WAL. On the default tenant it
+// re-arms the auditor in its warming state, since the shadow cannot
+// know the restored window's rows. The caller holds the tenant and
+// sets the clock afterwards.
+func (s *Server) restore(t *registry.Tenant, blob []byte) error {
+	if err := t.Restore(blob); err != nil {
+		return err
+	}
+	if t == s.def {
+		s.audit.Reset()
 	}
 	return nil
 }
@@ -611,7 +601,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	if err := t.Restore(data); err != nil {
+	if err := s.restore(t, data); err != nil {
 		if errors.Is(err, registry.ErrNoSnapshot) {
 			httpError(w, http.StatusNotImplemented, CodeUnsupported,
 				"%s does not support snapshots", t.Raw().Name())
@@ -629,11 +619,6 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
 			return
 		}
-	}
-	if t == s.def {
-		// The restored window's contents are unknowable to the shadow
-		// oracle; re-arm it in the warming state.
-		s.audit.Reset()
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "restored")
@@ -686,7 +671,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			if !acquire(w, s.def) {
 				return
 			}
-			s.audit.Evaluate(func(t float64) *mat.Dense { return s.def.Raw().Query(t) })
+			s.audit.Evaluate(s.auditQuery)
 			s.def.Release()
 		}
 		st := s.audit.Status()

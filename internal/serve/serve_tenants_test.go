@@ -469,6 +469,47 @@ func TestDIFDSnapshotRoutes(t *testing.T) {
 	}
 }
 
+// TestRejectedBatchChangesNothing: on the frameworks with a norm bound,
+// a batch whose last row breaks the bound answers 409 and leaves the
+// tenant as it was (clock, approximation and snapshot bytes), so a
+// retry of its valid rows succeeds.
+func TestRejectedBatchChangesNothing(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	for id, cfg := range map[string]string{
+		"di-fd":  `{"framework":"di-fd","size":48,"d":3,"ell":8,"levels":3,"r":100}`,
+		"ds-fd":  `{"framework":"ds-fd","size":48,"d":3,"ell":8,"r":100}`,
+		"di-amm": `{"framework":"di-amm","size":48,"d":3,"d_b":1,"ell":8,"levels":3,"r":100}`,
+	} {
+		url := ts.URL + "/v2/tenants/" + id
+		resp := doReq(t, "PUT", url, cfg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: create status %d", id, resp.StatusCode)
+		}
+		snap := getBytes(t, url+"/snapshot")
+		approx := getBytes(t, url+"/approximation?t=3")
+		resp = postJSON(t, url+"/rows",
+			`{"updates":[{"row":[1,0,0],"t":1},{"row":[2,0,0],"t":2},{"row":[100,0,0],"t":3}]}`)
+		wantEnvelope(t, resp, http.StatusConflict, CodeConflict)
+		var st statsResponse
+		decode(t, doReq(t, "GET", url+"/stats", ""), &st)
+		if st.Updates != 0 || st.LastT != 0 {
+			t.Fatalf("%s: stats after the rejected batch %+v", id, st)
+		}
+		if !bytes.Equal(getBytes(t, url+"/approximation?t=3"), approx) {
+			t.Fatalf("%s: the rejected batch changed the approximation", id)
+		}
+		if !bytes.Equal(getBytes(t, url+"/snapshot"), snap) {
+			t.Fatalf("%s: the rejected batch changed the snapshot", id)
+		}
+		resp = postJSON(t, url+"/rows", `{"updates":[{"row":[1,0,0],"t":1},{"row":[2,0,0],"t":2}]}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: retry of the valid rows: status %d", id, resp.StatusCode)
+		}
+	}
+}
+
 // TestSnapshotRestoreRejectsAllocationBombs posts three ~100-byte
 // snapshots that each made the decoder die with "runtime: out of
 // memory": an LM-FD raw row claiming 2³¹−1 non-zeros, an LM-FD header

@@ -180,6 +180,32 @@ func TestStreamNDJSON(t *testing.T) {
 	}
 }
 
+// TestStreamLinesDecodeStrictly: an NDJSON line with an unknown field
+// is malformed, as on the batch route: it acks invalid_json and ends
+// the stream, and nothing of its block is applied.
+func TestStreamLinesDecodeStrictly(t *testing.T) {
+	ts, done := newTestServer(t)
+	defer done()
+	body := `{"row":[1,0,0],"t":1}` + "\n\n" +
+		`{"row":[0,1,0],"t":2}` + "\n" +
+		`{"row":[1,0,0],"t":3,"bogus":7}` + "\n" +
+		`{"row":[0,0,1],"t":4}` + "\n"
+	_, acks := streamPost(t, ts.URL+"/v2/tenants/default/stream", ContentTypeNDJSON, []byte(body))
+	if len(acks) != 2 || acks[0].Accepted != 1 || acks[0].Error != nil ||
+		acks[1].Error == nil || acks[1].Error.Code != CodeInvalidJSON {
+		t.Fatalf("acks %+v, want one accepted block, then invalid_json and the end", acks)
+	}
+	r, err := http.Get(ts.URL + "/v2/tenants/default/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statsResponse
+	decode(t, r, &st)
+	if st.Updates != 1 || st.LastT != 1 {
+		t.Fatalf("post-stream stats %+v", st)
+	}
+}
+
 // encodeFrame builds one binary stream frame (length prefix included).
 func encodeFrame(rows [][]float64, times []float64) []byte {
 	w := binenc.NewWriter()

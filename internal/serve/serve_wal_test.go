@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,18 +19,21 @@ import (
 	"testing"
 	"time"
 
+	"swsketch/internal/core"
+	"swsketch/internal/obs/audit"
 	"swsketch/internal/registry"
 	"swsketch/internal/wal"
+	"swsketch/internal/window"
 )
 
 // walServer builds a server journaling into dir and recovers the log.
-func walServer(t *testing.T, dir string) (*Server, *httptest.Server, wal.Stats) {
+func walServer(t *testing.T, dir string, opts ...Option) (*Server, *httptest.Server, wal.Stats) {
 	t.Helper()
 	l, err := wal.Open(dir, wal.WithShards(2), wal.WithSyncInterval(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(newSketch(3), 3, WithWAL(l))
+	s := NewServer(newSketch(3), 3, append(opts, WithWAL(l))...)
 	st, err := s.RecoverWAL()
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +127,94 @@ func TestWALRecoveryBitExact(t *testing.T) {
 	_, ts3, _ := walServer(t, dir)
 	if got := getBytes(t, ts3.URL+"/v2/tenants/default/snapshot"); !bytes.Equal(got, want3) {
 		t.Fatalf("second recovery diverged")
+	}
+}
+
+// TestWALRecoverySparseExplicitZero: a sparse update carrying an
+// explicit zero recovers to the same snapshot bytes on LM and DI
+// tenants: live ingest and replay apply the same dense block, in which
+// the zero is no entry.
+func TestWALRecoverySparseExplicitZero(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walServer(t, dir)
+	cfgs := map[string]string{
+		"lm": lmTenantCfg,
+		"di": `{"framework":"di-fd","size":48,"d":3,"ell":8,"levels":3,"r":100}`,
+	}
+	want := map[string][]byte{}
+	for id, cfg := range cfgs {
+		doReq(t, "PUT", ts.URL+"/v2/tenants/"+id, cfg).Body.Close()
+		resp := postJSON(t, ts.URL+"/v2/tenants/"+id+"/rows",
+			`{"updates":[{"idx":[0,1],"val":[0,5],"t":1},{"idx":[2],"val":[1],"t":2}]}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: ingest status %d", id, resp.StatusCode)
+		}
+		want[id] = getBytes(t, ts.URL+"/v2/tenants/"+id+"/snapshot")
+	}
+	_, ts2, _ := walServer(t, dir)
+	for id := range cfgs {
+		if got := getBytes(t, ts2.URL+"/v2/tenants/"+id+"/snapshot"); !bytes.Equal(got, want[id]) {
+			t.Errorf("%s: %d snapshot bytes after recovery, %d before", id, len(got), len(want[id]))
+		}
+	}
+}
+
+// auditedLMFD is the audit tests' auditor for the default tenant
+// walServer builds (LM-FD, sequence window 100, d 3).
+func auditedLMFD() *audit.Auditor {
+	return audit.New(audit.Config{Spec: window.Seq(100), D: 3, ErrThreshold: 10}, nil)
+}
+
+// TestWALRecoveryRefillsAuditShadow: replayed rows reach the auditor's
+// shadow as live rows do, so after a restart it holds the whole window
+// and the audited cova-err equals an offline evaluation.
+func TestWALRecoveryRefillsAuditShadow(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walServer(t, dir, WithAudit(auditedLMFD()))
+	ingestVaried(t, ts.URL, 0, 300)
+	a := auditedLMFD()
+	_, ts2, _ := walServer(t, dir, WithAudit(a))
+	ingestVaried(t, ts2.URL, 300, 364)
+
+	st := a.Status()
+	if st.Warming || st.ShadowRows != 100 || st.T != 363 {
+		t.Fatalf("auditor after the restart %+v, want an evaluation at t=363 on a 100-row shadow", st)
+	}
+	spec := window.Seq(100)
+	sk, exact := core.NewLMFD(spec, 3, 8, 4), window.NewExact(spec, 3)
+	for i := 0; i < 364; i++ {
+		sk.Update(variedRow(i), float64(i))
+		exact.Update(variedRow(i), float64(i))
+	}
+	if offline := exact.CovaErr(sk.Query(363)); math.Abs(st.CovaErr-offline) > 1e-12 {
+		t.Fatalf("audited cova-err %v, offline %v", st.CovaErr, offline)
+	}
+}
+
+// TestWALReplayedSnapshotRearmsAudit: a replayed snapshot record
+// re-arms the default tenant's auditor as the upload did, so it stays
+// warming until one window of rows has passed the restore.
+func TestWALReplayedSnapshotRearmsAudit(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walServer(t, dir, WithAudit(auditedLMFD()))
+	ingestVaried(t, ts.URL, 0, 150)
+	snap := getBytes(t, ts.URL+"/v2/tenants/default/snapshot")
+	resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ingestVaried(t, ts.URL, 150, 200)
+
+	a := auditedLMFD()
+	_, ts2, _ := walServer(t, dir, WithAudit(a))
+	if st := a.Status(); !st.Warming || a.ShadowRows() != 50 {
+		t.Fatalf("auditor after replay %+v with %d shadow rows, want warming on the 50 rows since the restore", st, a.ShadowRows())
+	}
+	ingestVaried(t, ts2.URL, 200, 250)
+	if st := a.Status(); st.Warming || a.ShadowRows() != 100 {
+		t.Fatalf("auditor one window after the restore %+v with %d shadow rows", st, a.ShadowRows())
 	}
 }
 

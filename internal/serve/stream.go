@@ -32,6 +32,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -164,9 +165,12 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 		if len(batch) == 0 {
 			return true
 		}
-		ok := c.block(func() (ingestResponse, *apiError) { return c.s.ingestLocked(c.t, batch) })
+		rows, times, apiErr := denseBlock(batch, c.t.D())
 		batch = batch[:0]
-		return ok
+		if apiErr != nil {
+			return c.fail(apiErr)
+		}
+		return c.block(rows, times)
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -177,7 +181,7 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 			continue
 		}
 		var u ingestUpdate
-		if err := json.Unmarshal(line, &u); err != nil {
+		if err := decodeStrict(bytes.NewReader(line), &u); err != nil {
 			// A malformed line poisons the pending batch (its boundary is
 			// now unknowable), so fail the batch as one block and stop.
 			batch = batch[:0]
@@ -233,7 +237,7 @@ func (c *streamConn) runFrames(body io.Reader) {
 			c.fail(&apiError{code: CodeInvalidArgument, msg: err.Error()})
 			return
 		}
-		if !c.block(func() (ingestResponse, *apiError) { return c.s.ingestDenseLocked(c.t, f.rows, f.times) }) {
+		if !c.block(f.rows, f.times) {
 			return
 		}
 	}
@@ -292,11 +296,10 @@ func decodeFrame(payload []byte, wantD int, f *frame) error {
 	return nil
 }
 
-// block admits one batch through the backpressure gate, applies it
-// with ingest under the tenant, and acks the outcome. It reports
-// whether the stream should continue (only an unwritable ack stops
-// it).
-func (c *streamConn) block(ingest func() (ingestResponse, *apiError)) bool {
+// block admits one row block through the backpressure gate, applies
+// it, and acks the outcome. It reports whether the stream should
+// continue (only an unwritable ack stops it).
+func (c *streamConn) block(rows [][]float64, times []float64) bool {
 	if !c.t.TryEnqueue(c.s.streamQueue) {
 		if c.s.streamShed != nil {
 			c.s.streamShed.Inc()
@@ -304,7 +307,7 @@ func (c *streamConn) block(ingest func() (ingestResponse, *apiError)) bool {
 		return c.fail(&apiError{code: CodeOverloaded,
 			msg: fmt.Sprintf("tenant %q has %d stream blocks in flight", c.t.ID(), c.t.Pending())})
 	}
-	resp, apiErr := c.s.acquireIngest(c.t, ingest)
+	resp, apiErr := c.s.acquireIngest(c.t, rows, times)
 	c.t.Dequeue()
 	if apiErr != nil {
 		return c.ack(apiErr, 0, 0)
@@ -318,7 +321,7 @@ func (c *streamConn) block(ingest func() (ingestResponse, *apiError)) bool {
 }
 
 // fail records the error on the hot-key sidecar's events plane and
-// acks it. For block-level ingest failures ingestTenant already
+// acks it. For a block the apply step rejected, acquireIngest already
 // counted the event, so those go straight to ack.
 func (c *streamConn) fail(apiErr *apiError) bool {
 	c.s.hot.ObserveEvent(c.t.ID())

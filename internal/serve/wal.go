@@ -3,15 +3,16 @@ package serve
 // WAL integration: the durability half of the ingest plane. With
 // WithWAL attached, every state-changing request appends a record to
 // the per-shard write-ahead log BEFORE it mutates the registry, and
-// RecoverWAL replays the log through the registry on startup so a
-// crashed node rebuilds its tenant sketches bit-exactly (modulo the
-// group-commit window). Spills and deletions release a tenant's
-// records for truncation via the registry's evict hook.
+// RecoverWAL replays the log on startup through the apply and restore
+// steps live requests take, so a crashed node rebuilds its tenant
+// sketches bit-exactly (modulo the group-commit window) and the
+// default tenant's audit shadow with them. Spills and deletions
+// release a tenant's records for truncation via the registry's evict
+// hook.
 
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"swsketch/internal/registry"
 	"swsketch/internal/wal"
@@ -54,18 +55,6 @@ func (s *Server) RecoverWAL() (wal.Stats, error) {
 	return st, nil
 }
 
-// walAppendRows logs one validated row block; the caller holds the
-// tenant and has NOT yet applied the block. A nil WAL is a no-op.
-func (s *Server) walAppendRows(t *registry.Tenant, rows [][]float64, times []float64) *apiError {
-	if s.wal == nil {
-		return nil
-	}
-	if _, err := s.wal.AppendRows(t.ID(), t.Updates(), rows, times); err != nil {
-		return errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
-	}
-	return nil
-}
-
 // registryApplier adapts the tenant registry to wal.Applier for
 // replay-to-restore.
 type registryApplier struct {
@@ -89,10 +78,11 @@ func (a *registryApplier) Create(tenant string, cfgJSON []byte) (bool, error) {
 	return true, nil
 }
 
-// Rows re-applies a logged row block when the tenant's committed
-// update count matches the block's start: a spilled snapshot that
-// already covers the block leaves Updates() past it (skip), and a
-// gap means an intervening record was lost to truncation by design.
+// Rows re-applies a logged row block through the live ingest's apply
+// step when the tenant's committed update count matches the block's
+// start: a spilled snapshot that already covers the block leaves
+// Updates() past it (skip), and a gap means an intervening record was
+// lost to truncation by design.
 func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error) {
 	t, ok := a.s.treg.Get(tenant)
 	if !ok {
@@ -105,15 +95,14 @@ func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, ti
 	if t.Updates() != start {
 		return false, nil
 	}
-	if err := applyBatch(t.Sketch(), rows, times); err != nil {
-		return false, fmt.Errorf("rows %q: %w", tenant, err)
+	if _, apiErr := a.s.apply(t, rows, times, false); apiErr != nil {
+		return false, fmt.Errorf("rows %q: %s", tenant, apiErr.msg)
 	}
-	t.Commit(len(rows), times[len(times)-1])
 	return true, nil
 }
 
-// Snapshot re-applies a logged snapshot restore: the blob replaces the
-// sketch state and the logged clock is reinstated.
+// Snapshot re-applies a logged snapshot restore through the upload's
+// restore step, then reinstates the logged clock.
 func (a *registryApplier) Snapshot(tenant string, updates uint64, lastT float64, seen bool, blob []byte) (bool, error) {
 	t, ok := a.s.treg.Get(tenant)
 	if !ok {
@@ -123,7 +112,7 @@ func (a *registryApplier) Snapshot(tenant string, updates uint64, lastT float64,
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	defer t.Release()
-	if err := t.Restore(blob); err != nil {
+	if err := a.s.restore(t, blob); err != nil {
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	t.SetClock(updates, lastT, seen)
