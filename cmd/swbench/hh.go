@@ -62,8 +62,10 @@ func runHH(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	if err != nil {
 		return err
 	}
-	sk := core.NewLMFD(window.Seq(1024), d, 8, 4)
-	srv := &http.Server{Handler: serve.NewServer(sk, d, serve.WithHotKeys(hot)).Handler()}
+	srv, err := lmServer(d, serve.WithHotKeys(hot))
+	if err != nil {
+		return err
+	}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -7,10 +7,9 @@ import (
 	"net/http"
 
 	"swsketch/internal/bench"
-	"swsketch/internal/core"
 	"swsketch/internal/load"
+	"swsketch/internal/registry"
 	"swsketch/internal/serve"
-	"swsketch/internal/window"
 )
 
 // runLoad measures the ingest plane end to end: a self-hosted server,
@@ -19,6 +18,16 @@ import (
 // modes run pipelined blocks. The headline: the binary stream should
 // carry an order of magnitude more rows/s than per-request JSON while
 // holding p99 under 50 ms.
+// lmServer serves a default LM-FD tenant (a 1024-row window, ℓ 8,
+// b 4) over d-wide rows: the server of every swbench HTTP experiment.
+func lmServer(d int, opts ...serve.Option) (*http.Server, error) {
+	s, err := serve.NewServer(registry.Config{Framework: registry.FrameworkLMFD, Size: 1024, D: d, Ell: 8, B: 4}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &http.Server{Handler: s.Handler()}, nil
+}
+
 func runLoad(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	const d = 16
 	tenants := 2000
@@ -37,8 +46,10 @@ func runLoad(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	if err != nil {
 		return err
 	}
-	sk := core.NewLMFD(window.Seq(1024), d, 8, 4)
-	srv := &http.Server{Handler: serve.NewServer(sk, d).Handler()}
+	srv, err := lmServer(d)
+	if err != nil {
+		return err
+	}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -160,8 +160,10 @@ func obsStream(sc scaleCfg) (bareNs, instRatio, trRatio float64, err error) {
 		if err != nil {
 			return target{}, err
 		}
-		sk := core.NewLMFD(window.Seq(1024), d, 8, 4)
-		srv := &http.Server{Handler: serve.NewServer(sk, d, opts...).Handler()}
+		srv, err := lmServer(d, opts...)
+		if err != nil {
+			return target{}, err
+		}
 		go func() { _ = srv.Serve(ln) }()
 		return target{"http://" + ln.Addr().String(), srv}, nil
 	}

@@ -85,13 +85,13 @@ func runTenants(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 						if err := tn.Acquire(); err != nil {
 							return
 						}
-						lastT, _ := tn.Clock()
+						lastT, _ := tn.Raw().Clock()
 						times := make([]float64, batch)
 						for k := range times {
 							times[k] = lastT + float64(k) + 1
 						}
 						tn.Sketch().UpdateBatch(rows[off+b:off+b+batch], times)
-						tn.Commit(batch, times[batch-1])
+						tn.Commit(batch)
 						tn.Release()
 					}
 				}
@@ -186,13 +186,7 @@ func copyTenantState(src, dst *registry.Tenant) error {
 	if err := src.Acquire(); err != nil {
 		return err
 	}
-	m, ok := src.Raw().(interface{ MarshalBinary() ([]byte, error) })
-	if !ok {
-		src.Release()
-		return fmt.Errorf("sketch lacks snapshot support")
-	}
-	blob, err := m.MarshalBinary()
-	lastT, _ := src.Clock()
+	blob, err := src.Raw().MarshalBinary()
 	n := src.Updates()
 	src.Release()
 	if err != nil {
@@ -202,9 +196,5 @@ func copyTenantState(src, dst *registry.Tenant) error {
 		return err
 	}
 	defer dst.Release()
-	if err := dst.Restore(blob); err != nil {
-		return err
-	}
-	dst.Commit(int(n), lastT)
-	return nil
+	return dst.Restore(blob, n)
 }

@@ -32,11 +32,10 @@ import (
 	"time"
 
 	"swsketch/internal/bench"
-	"swsketch/internal/core"
 	"swsketch/internal/load"
 	"swsketch/internal/obs/hh"
+	"swsketch/internal/registry"
 	"swsketch/internal/serve"
-	"swsketch/internal/window"
 )
 
 func main() {
@@ -62,14 +61,18 @@ func main() {
 		if err != nil {
 			log.Fatalf("swload: listen: %v", err)
 		}
-		sk := core.NewLMFD(window.Seq(*win), *d, 16, 8)
+		cfg := registry.Config{Framework: registry.FrameworkLMFD, Size: float64(*win), D: *d, Ell: 16, B: 8}
 		var sopts []serve.Option
 		if *hotkeys {
 			// A window far longer than any load run keeps the sidecar's
 			// counts effectively exact for the post-run comparison.
 			sopts = append(sopts, serve.WithHotKeys(hh.New(hh.Config{Window: 10 * time.Minute})))
 		}
-		srv := &http.Server{Handler: serve.NewServer(sk, *d, sopts...).Handler()}
+		server, err := serve.NewServer(cfg, sopts...)
+		if err != nil {
+			log.Fatalf("swload: %v", err)
+		}
+		srv := &http.Server{Handler: server.Handler()}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		base = "http://" + ln.Addr().String()

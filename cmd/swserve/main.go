@@ -110,12 +110,7 @@ func main() {
 	if *useTime {
 		cfg.Window = registry.WindowTime
 	}
-	sk, err := cfg.Build()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swserve: %v\n", err)
-		os.Exit(2)
-	}
-	spec := cfg.Spec()
+	spec, specErr := cfg.Spec()
 
 	var opts []serve.Option
 	var reg *obs.Registry
@@ -136,7 +131,9 @@ func main() {
 		tr.Enable()
 		opts = append(opts, serve.WithTrace(tr))
 	}
-	if *auditOn {
+	if *auditOn && specErr == nil && *d > 0 {
+		// Any other config fails to build in NewServer below, before an
+		// auditor sees a row.
 		opts = append(opts, serve.WithAudit(audit.New(audit.Config{
 			Spec: spec, D: *d, Stride: *aStride,
 			MaxShadowRows: *aCap, ErrThreshold: *aThresh,
@@ -188,7 +185,11 @@ func main() {
 		opts = append(opts, serve.WithWAL(wlog))
 	}
 
-	server := serve.NewServer(sk, *d, opts...)
+	server, err := serve.NewServer(cfg, opts...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swserve: %v\n", err)
+		os.Exit(2)
+	}
 	if wlog != nil {
 		st, err := server.RecoverWAL()
 		if err != nil {
@@ -198,11 +199,14 @@ func main() {
 		if st.Torn {
 			note = " (torn tail truncated)"
 		}
+		if st.Failed > 0 {
+			note = " (FAILED records: damage or a changed default config, serving degraded)"
+		}
 		if st.Damaged {
 			note = " (CORRUPTION: replay stopped early, serving degraded)"
 		}
-		log.Printf("swserve: wal replayed %d records from %d segments: %d applied, %d skipped, %d rows%s",
-			st.Records, st.Segments, st.Applied, st.Skipped, st.Rows, note)
+		log.Printf("swserve: wal replayed %d records from %d segments: %d applied, %d skipped, %d failed, %d rows%s",
+			st.Records, st.Segments, st.Applied, st.Skipped, st.Failed, st.Rows, note)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -274,7 +278,8 @@ func main() {
 	if *hotOn {
 		extras += fmt.Sprintf(" hotkeys(window=%v k=%d)", *hotWin, *hotK)
 	}
-	log.Printf("swserve: %s over %v window, d=%d, listening on %s%s", sk.Name(), spec, *d, *addr, extras)
+	def, _ := server.Registry().Get(serve.DefaultTenant)
+	log.Printf("swserve: %s over %v window, d=%d, listening on %s%s", def.Algorithm(), spec, *d, *addr, extras)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("swserve: %v", err)
 	}

@@ -185,7 +185,7 @@ func run(in io.Reader, out io.Writer, opt options) error {
 			if err != nil {
 				return err
 			}
-			spec = opt.cfg.Spec()
+			spec, _ = opt.cfg.Spec() // valid: the sketch built
 			rawSk = sk
 			if t, ok := sk.(trace.Traceable); ok {
 				t.SetTracer(tr)
@@ -340,7 +340,11 @@ func printInstrumentation(w io.Writer, reg *obs.Registry, sk core.WindowSketch) 
 func buildSketch(cfg registry.Config, d int) (core.WindowSketch, error) {
 	cfg.D = d
 	if strings.EqualFold(cfg.Framework, "best") {
-		return core.NewBest(cfg.Spec(), cfg.Ell, d), nil
+		spec, err := cfg.Spec()
+		if err != nil {
+			return nil, err
+		}
+		return core.NewBest(spec, cfg.Ell, d), nil
 	}
 	return cfg.Build()
 }

@@ -172,7 +172,7 @@ func ExampleNewTenantRegistry() {
 	for i := 0; i < 100; i++ {
 		alpha.Sketch().Update([]float64{1, 0, 1}, float64(i))
 	}
-	alpha.Commit(100, 99)
+	alpha.Commit(100)
 	alpha.Release()
 
 	fmt.Println("tenants:", reg.Len())

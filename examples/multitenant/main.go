@@ -80,9 +80,9 @@ func main() {
 					if err := tn.Acquire(); err != nil {
 						fail(err)
 					}
-					lastT, _ := tn.Clock()
+					lastT, _ := tn.Raw().Clock()
 					tn.Sketch().Update(row, lastT+1)
-					tn.Commit(1, lastT+1)
+					tn.Commit(1)
 					tn.Release()
 				}
 			}

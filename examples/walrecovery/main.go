@@ -19,10 +19,9 @@ import (
 	"os"
 	"strings"
 
-	"swsketch/internal/core"
+	"swsketch/internal/registry"
 	"swsketch/internal/serve"
 	"swsketch/internal/wal"
-	"swsketch/internal/window"
 )
 
 const d = 3
@@ -42,8 +41,10 @@ func boot(dir string) (*httptest.Server, *wal.Log, wal.Stats) {
 	if err != nil {
 		fail(err)
 	}
-	sk := core.NewLMFD(window.Seq(64), d, 6, 3)
-	srv := serve.NewServer(sk, d, serve.WithWAL(l))
+	srv, err := serve.NewServer(registry.Config{Framework: registry.FrameworkLMFD, Size: 64, D: d, Ell: 6, B: 3}, serve.WithWAL(l))
+	if err != nil {
+		fail(err)
+	}
 	st, err := srv.RecoverWAL()
 	if err != nil {
 		fail(err)

@@ -327,7 +327,8 @@ func singleRow(t *testing.T, cases []Case) {
 }
 
 // zeroRow: all-zero rows carry no spectral mass; ingesting them mid-
-// stream must neither panic nor corrupt the answer.
+// stream must neither panic nor corrupt the answer. A zero row is
+// still accepted, so it advances a TenantSketch's clock.
 func zeroRow(t *testing.T, cases []Case) {
 	const d = 4
 	for _, tc := range cases {
@@ -339,6 +340,11 @@ func zeroRow(t *testing.T, cases []Case) {
 				sk.Update(randRow(rng, d), float64(i))
 			}
 			sk.Update(make([]float64, d), 30)
+			if ts, ok := sk.(core.TenantSketch); ok {
+				if lastT, seen := ts.Clock(); !seen || lastT != 30 {
+					t.Fatalf("clock %v (seen %v) after a zero row at t=30", lastT, seen)
+				}
+			}
 			for i := 31; i < 60; i++ {
 				sk.Update(randRow(rng, d), float64(i))
 			}
@@ -391,16 +397,20 @@ func batchBitEqual(t *testing.T, cases []Case) {
 }
 
 // rejectedBatch: UpdateBatch is all-or-nothing on every registry
-// framework. A batch whose last row breaks one rule (row width,
-// finiteness, a timestamp behind the clock, a declared R) must panic
-// and leave the sketch equal to a twin that never saw it: the same
-// answers bit for bit, RowsStored and snapshot bytes, also after both
-// take the batch's valid rows.
+// framework, and its sketch (a core.TenantSketch) says so first. A
+// batch whose last row breaks one rule (row width, finiteness, a
+// squared norm that overflows, a timestamp behind its predecessor, a
+// declared R), or whose rows all lie behind the sketch's clock, must
+// get an error from CheckBatch, then panic in
+// UpdateBatch, and leave the sketch equal to a twin that never saw it:
+// the same answers bit for bit, RowsStored, snapshot bytes and clock,
+// also after both take the batch's valid rows, which CheckBatch
+// accepts. The clock is the last accepted timestamp throughout.
 func rejectedBatch(t *testing.T, cases []Case) {
 	const d, n = 4, 80
 	good := [][]float64{{1, 0, 2, 0}, {0, 1, 0, 1}}
 	bad := map[string][]float64{"width": {1, 2, 3, 4, 5}, "non-finite": {1, math.NaN(), 0, 0},
-		"timestamp": {1, 1, 1, 1}, "norm": {1e6, 0, 0, 0}}
+		"overflow": {1e160, 0, 0, 0}, "timestamp": {1, 1, 1, 1}, "clock": {1, 1, 1, 1}, "norm": {1e6, 0, 0, 0}}
 	for _, tc := range cases {
 		if len(tc.Frameworks) == 0 {
 			continue
@@ -410,35 +420,53 @@ func rejectedBatch(t *testing.T, cases []Case) {
 				continue
 			}
 			sk, twin := tc.Make(window.Seq(50), d, 5), tc.Make(window.Seq(50), d, 5)
+			ts, ok := sk.(core.TenantSketch)
+			if !ok {
+				t.Fatalf("%s serves a registry framework but is not a core.TenantSketch", tc.Name)
+			}
 			rng := rand.New(rand.NewSource(23))
 			for i := 0; i < n; i++ {
 				r := randRow(rng, d)
 				sk.Update(r, float64(i))
 				twin.Update(r, float64(i))
 			}
-			last := float64(n + 2)
-			if rule == "timestamp" {
-				last = n - 10
+			times := []float64{n, n + 1, n + 2}
+			switch rule {
+			case "timestamp":
+				times[2] = n - 10
+			case "clock":
+				times = []float64{n - 5, n - 4, n - 3}
 			}
+			same := func(at, clock float64) {
+				a, b := sk.Query(at), twin.Query(at)
+				if a.Rows() != b.Rows() || !a.Equal(b, 0) || sk.RowsStored() != twin.RowsStored() ||
+					string(snapshot(sk)) != string(snapshot(twin)) {
+					t.Errorf("%s, %s rule: the sketch differs from its twin at t=%v", tc.Name, rule, at)
+				}
+				if lastT, seen := ts.Clock(); !seen || lastT != clock {
+					t.Errorf("%s, %s rule: clock %v (seen %v), want %v", tc.Name, rule, lastT, seen, clock)
+				}
+			}
+			rows := append(good[:2:2], row)
+			if err := ts.CheckBatch(rows, times); err == nil {
+				t.Errorf("%s: CheckBatch accepted a batch breaking the %s rule", tc.Name, rule)
+			}
+			same(n-1, n-1)
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Errorf("%s: a batch breaking the %s rule was accepted", tc.Name, rule)
 					}
 				}()
-				sk.UpdateBatch(append(good[:2:2], row), []float64{n, n + 1, last})
+				sk.UpdateBatch(rows, times)
 			}()
-			same := func(at float64) {
-				a, b := sk.Query(at), twin.Query(at)
-				if a.Rows() != b.Rows() || !a.Equal(b, 0) || sk.RowsStored() != twin.RowsStored() ||
-					string(snapshot(sk)) != string(snapshot(twin)) {
-					t.Errorf("%s, %s rule: the sketch differs from its twin at t=%v", tc.Name, rule, at)
-				}
+			same(n-1, n-1)
+			if err := ts.CheckBatch(good, []float64{n, n + 1}); err != nil {
+				t.Errorf("%s, %s rule: CheckBatch rejected the valid rows: %v", tc.Name, rule, err)
 			}
-			same(n - 1)
 			sk.UpdateBatch(good, []float64{n, n + 1})
 			twin.UpdateBatch(good, []float64{n, n + 1})
-			same(n + 1)
+			same(n+1, n+1)
 		}
 	}
 }
@@ -496,6 +524,12 @@ func snapshotRoundTrip(t *testing.T, cases []Case) {
 			}
 			if fresh.RowsStored() != sk.RowsStored() {
 				t.Fatalf("rows stored differ after restore: %d vs %d", fresh.RowsStored(), sk.RowsStored())
+			}
+			if ts, ok := sk.(core.TenantSketch); ok {
+				lastT, seen := fresh.(core.TenantSketch).Clock()
+				if wantT, wantSeen := ts.Clock(); lastT != wantT || seen != wantSeen || wantT != n-1 {
+					t.Fatalf("clock after restore %v,%v, want %v,%v (the last update, t=%d)", lastT, seen, wantT, wantSeen, n-1)
+				}
 			}
 			// Re-marshal of an untouched decode must be a byte-level
 			// fixed point.

@@ -57,7 +57,7 @@ const (
 // thresholds charge both sides — the norm regime the paper's analysis
 // assumes.
 type AMM struct {
-	inner WindowSketch // *LM or *DI over stacked rows
+	inner TenantSketch // *LM or *DI over stacked rows
 	dA    int
 	dB    int
 	opts  stream.FDOpts // COD buffer tuning, recorded for snapshots
@@ -158,6 +158,14 @@ func (a *AMM) Update(row []float64, t float64) { a.inner.Update(row, t) }
 // UpdateBatch feeds stacked rows in order (the WindowSketch contract).
 func (a *AMM) UpdateBatch(rows [][]float64, times []float64) { a.inner.UpdateBatch(rows, times) }
 
+// CheckBatch implements TenantSketch: the inner framework's check.
+func (a *AMM) CheckBatch(rows [][]float64, times []float64) error {
+	return a.inner.CheckBatch(rows, times)
+}
+
+// Clock implements TenantSketch: the inner framework's clock.
+func (a *AMM) Clock() (float64, bool) { return a.inner.Clock() }
+
 // UpdateSparse feeds one sparse stacked row; both inner frameworks
 // exploit sparsity end-to-end.
 func (a *AMM) UpdateSparse(row mat.SparseRow, t float64) {
@@ -248,7 +256,7 @@ func StackedProduct(q *mat.Dense, dA, dB int) *mat.Dense {
 }
 
 var (
-	_ WindowSketch       = (*AMM)(nil)
+	_ TenantSketch       = (*AMM)(nil)
 	_ PairedWindowSketch = (*AMM)(nil)
 	_ SparseUpdater      = (*AMM)(nil)
 	_ Introspector       = (*AMM)(nil)

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"encoding"
 	"fmt"
 	"math"
 
@@ -59,55 +60,74 @@ func must(err error) {
 	}
 }
 
-// checkRowFinite panics when a row contains NaN or ±Inf. Every sketch
-// calls it on ingest: a single non-finite value would otherwise poison
-// Gram accumulations, FD shrinks, and priority draws silently, and the
-// corruption only surfaces queries later — fail loudly at the source
-// instead.
-func checkRowFinite(algo string, row []float64) {
-	for i, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("core: %s row has non-finite value %v at index %d", algo, v, i))
-		}
-	}
+// TenantSketch is a window sketch a served tenant can hold; every
+// registry framework builds one (SWR, SWOR, LM, DI, DS-FD and AMM
+// implement it). Beyond WindowSketch it owns the stream clock, checks
+// a batch without applying it, and snapshots itself.
+type TenantSketch interface {
+	WindowSketch
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+	// CheckBatch returns the error UpdateBatch(rows, times) would panic
+	// with, or nil when UpdateBatch would accept the batch. It changes
+	// nothing.
+	CheckBatch(rows [][]float64, times []float64) error
+	// Clock returns the last accepted timestamp and whether any row has
+	// been accepted. A snapshot carries it.
+	Clock() (lastT float64, seen bool)
+	// Dim returns the row dimension d.
+	Dim() int
 }
 
-// validateBatch performs the up-front checks shared by every windowed
-// UpdateBatch: validateRows, plus timestamps that never step back,
-// from the sketch's own clock (lastT, once seen) on. It panics before
-// any row reaches the sketch, so a rejected batch changes nothing.
-func validateBatch(algo string, rows [][]float64, times []float64, d int, lastT float64, seen bool) {
-	validateRows(algo, rows, times, d)
-	for _, t := range times {
-		if seen && t < lastT {
-			panic(fmt.Sprintf("core: %s timestamp %v precedes %v", algo, t, lastT))
-		}
-		lastT, seen = t, true
+// checkRow states the rules every sketch holds one row to, given its
+// squared norm w and timestamp t: w is finite, within r·slack when a
+// bound r > 0 is declared, and t does not precede the sketch's clock
+// (lastT, once seen). One sum catches NaN and ±Inf values and overflow
+// alike, any of which would otherwise poison Gram accumulations, FD
+// shrinks and priority draws silently. Every update path checks a row
+// before it changes anything.
+func checkRow(algo string, w, t, lastT float64, seen bool, r, slack float64) error {
+	switch {
+	case math.IsNaN(w) || math.IsInf(w, 0):
+		return fmt.Errorf("core: %s row has squared norm %v", algo, w)
+	case r > 0 && w > r*slack:
+		return fmt.Errorf("core: %s row squared norm %v exceeds declared R=%v", algo, w, r)
+	case seen && t < lastT:
+		return fmt.Errorf("core: %s timestamp %v precedes %v", algo, t, lastT)
 	}
+	return nil
 }
 
-// checkBatchNorms is the norm-bounded frameworks' (DI, DS-FD) addition
-// to validateBatch: with a declared R > 0, every row's squared norm
-// must stay within R·slack, the bound their per-row ingest enforces.
-func checkBatchNorms(algo string, rows [][]float64, r, slack float64) {
-	for _, row := range rows {
-		if r > 0 && rowSqNorm(row) > r*slack {
-			panic(fmt.Sprintf("core: %s row squared norm %v exceeds declared R=%v", algo, rowSqNorm(row), r))
-		}
-	}
-}
-
-// validateRows checks a batch's shape: matching slice lengths, row
-// dimension, and finiteness.
-func validateRows(algo string, rows [][]float64, times []float64, d int) {
+// checkBatch is the batch form of checkRow behind every CheckBatch:
+// matching slice lengths, rows of width d, and each row checked
+// against the clock its predecessors in the batch advanced.
+func checkBatch(algo string, rows [][]float64, times []float64, d int, lastT float64, seen bool, r, slack float64) error {
 	if len(rows) != len(times) {
-		panic(fmt.Sprintf("core: %s batch has %d rows but %d timestamps", algo, len(rows), len(times)))
+		return fmt.Errorf("core: %s batch has %d rows but %d timestamps", algo, len(rows), len(times))
 	}
-	for i, r := range rows {
-		if len(r) != d {
-			panic(fmt.Sprintf("core: %s batch row %d length %d, want %d", algo, i, len(r), d))
+	for i, row := range rows {
+		if len(row) != d {
+			return fmt.Errorf("core: %s batch row %d length %d, want %d", algo, i, len(row), d)
 		}
-		checkRowFinite(algo, r)
+		if err := checkRow(algo, mat.SqNorm(row), times[i], lastT, seen, r, slack); err != nil {
+			return fmt.Errorf("%w (batch row %d)", err, i)
+		}
+		lastT, seen = times[i], true
+	}
+	return nil
+}
+
+// checkWidth panics when a dense row is not d wide.
+func checkWidth(algo string, row []float64, d int) {
+	if len(row) != d {
+		panic(fmt.Sprintf("core: %s row length %d, want %d", algo, len(row), d))
+	}
+}
+
+// checkSparseWidth panics when a sparse row indexes past dimension d.
+func checkSparseWidth(algo string, row mat.SparseRow, d int) {
+	if m := row.MaxIdx(); m >= d {
+		panic(fmt.Sprintf("core: %s sparse row index %d, dimension %d", algo, m, d))
 	}
 }
 

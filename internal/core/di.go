@@ -271,31 +271,34 @@ func NewDIHash(cfg DIConfig, d int, seed uint64) *DI {
 // level's active sketch, and close active blocks on dyadic boundaries
 // when the level-1 block fills up.
 func (s *DI) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: DI row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("DI", row)
+	checkWidth("DI", row, s.d)
+	must(checkRow("DI", mat.SqNorm(row), t, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack))
 	s.ingest(mat.SparseFromDense(row), t)
 }
 
 // UpdateBatch ingests rows in order with one up-front validation pass;
 // the dyadic counter advances exactly as under row-at-a-time Update.
 func (s *DI) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("DI", rows, times, s.d, s.lastT, s.seen)
-	checkBatchNorms("DI", rows, s.cfg.R, s.cfg.RSlack)
+	must(s.CheckBatch(rows, times))
 	for i, r := range rows {
 		s.ingest(mat.SparseFromDense(r), times[i])
 	}
 }
 
+// CheckBatch implements TenantSketch; rows are held to the declared R.
+func (s *DI) CheckBatch(rows [][]float64, times []float64) error {
+	return checkBatch("DI", rows, times, s.d, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
+}
+
+// Clock implements TenantSketch.
+func (s *DI) Clock() (float64, bool) { return s.lastT, s.seen }
+
 // UpdateSparse ingests a sparse row, equivalent to Update on its dense
 // form; the open block stores it sparsely and the per-level active
 // sketches use their O(nnz) paths. The row's slices are copied.
 func (s *DI) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: DI sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("DI", row.Val)
+	checkSparseWidth("DI", row, s.d)
+	must(checkRow("DI", row.SqNorm(), t, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack))
 	idx := make([]int, len(row.Idx))
 	val := make([]float64, len(row.Val))
 	copy(idx, row.Idx)
@@ -305,15 +308,10 @@ func (s *DI) UpdateSparse(row mat.SparseRow, t float64) {
 
 // ingest owns r (already copied).
 func (s *DI) ingest(r mat.SparseRow, t float64) {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: DI timestamp %v precedes %v", t, s.lastT))
-	}
+	s.lastT, s.seen = t, true
 	w := r.SqNorm()
 	if w == 0 {
-		return // zero rows are disallowed on sequence windows; carry no mass
-	}
-	if w > s.cfg.R*s.cfg.RSlack {
-		panic(fmt.Sprintf("core: DI row squared norm %v exceeds declared R=%v", w, s.cfg.R))
+		return // zero rows carry no mass; they only advance the clock
 	}
 	if s.normMin == 0 || w < s.normMin {
 		s.normMin = w
@@ -325,7 +323,6 @@ func (s *DI) ingest(r mat.SparseRow, t float64) {
 	if len(s.raw) == 0 {
 		s.curStart = t
 	}
-	s.lastT, s.seen = t, true
 
 	if !s.rawOverflow {
 		if len(s.raw) < s.rawCap {
@@ -599,7 +596,7 @@ func b2f(b bool) float64 {
 }
 
 var (
-	_ WindowSketch = (*DI)(nil)
+	_ TenantSketch = (*DI)(nil)
 	_ Introspector = (*DI)(nil)
 )
 

@@ -202,33 +202,38 @@ func (s *DSFD) theta() float64 {
 // Update feeds one row; t must be the row's stream index (sequence
 // windows only, like DI).
 func (s *DSFD) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: DSFD row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("DSFD", row)
-	s.ingest(row, rowSqNorm(row), t)
+	checkWidth("DSFD", row, s.d)
+	w := rowSqNorm(row)
+	must(checkRow("DSFD", w, t, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack))
+	s.ingest(row, w, t)
 }
 
 // UpdateBatch ingests rows in order with one up-front validation pass;
 // dump and snapshot decisions fall exactly as under row-at-a-time
 // Update, so the resulting state is bit-identical.
 func (s *DSFD) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("DSFD", rows, times, s.d, s.lastT, s.seen)
-	checkBatchNorms("DSFD", rows, s.cfg.R, s.cfg.RSlack)
+	must(s.CheckBatch(rows, times))
 	for i, r := range rows {
 		s.ingest(r, rowSqNorm(r), times[i])
 	}
 }
 
+// CheckBatch implements TenantSketch; with a declared R > 0, rows are
+// held to it.
+func (s *DSFD) CheckBatch(rows [][]float64, times []float64) error {
+	return checkBatch("DSFD", rows, times, s.d, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
+}
+
+// Clock implements TenantSketch.
+func (s *DSFD) Clock() (float64, bool) { return s.lastT, s.seen }
+
 // UpdateSparse ingests a sparse row, equivalent to Update on its dense
 // form (the frame sketch stores rows dense, so the row is scattered).
 func (s *DSFD) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: DSFD sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("DSFD", row.Val)
-	dense := row.Dense(s.d)
-	s.ingest(dense, row.SqNorm(), t)
+	checkSparseWidth("DSFD", row, s.d)
+	w := row.SqNorm()
+	must(checkRow("DSFD", w, t, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack))
+	s.ingest(row.Dense(s.d), w, t)
 }
 
 func rowSqNorm(row []float64) float64 {
@@ -241,14 +246,9 @@ func rowSqNorm(row []float64) float64 {
 
 // ingest does not retain row.
 func (s *DSFD) ingest(row []float64, w, t float64) {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: DSFD timestamp %v precedes %v", t, s.lastT))
-	}
+	s.lastT, s.seen = t, true
 	if w == 0 {
-		return // zero rows carry no mass (sequence windows, as in DI)
-	}
-	if s.cfg.R > 0 && w > s.cfg.R*s.cfg.RSlack {
-		panic(fmt.Sprintf("core: DSFD row squared norm %v exceeds declared R=%v", w, s.cfg.R))
+		return // zero rows carry no mass; they only advance the clock
 	}
 	if w > s.rSeen {
 		s.rSeen = w
@@ -257,7 +257,6 @@ func (s *DSFD) ingest(row []float64, w, t float64) {
 	if s.cur.mass == 0 {
 		s.cur.start = t
 	}
-	s.lastT, s.seen = t, true
 
 	s.fd.Update(row)
 	s.cur.end = t
@@ -368,7 +367,7 @@ func (s *DSFD) expire(cutoff float64) {
 	for i := range s.frames {
 		snapsDropped += trimSnaps(&s.frames[i], cutoff)
 	}
-	if s.cur.mass > 0 && s.lastT <= cutoff {
+	if s.cur.mass > 0 && s.cur.end <= cutoff {
 		framesDropped++
 		snapsDropped += len(s.cur.snaps)
 		s.fd = s.mkFD()
@@ -596,7 +595,7 @@ func (s *DSFD) Stats() map[string]float64 {
 }
 
 var (
-	_ WindowSketch  = (*DSFD)(nil)
+	_ TenantSketch  = (*DSFD)(nil)
 	_ Introspector  = (*DSFD)(nil)
 	_ SparseUpdater = (*DSFD)(nil)
 )

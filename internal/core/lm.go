@@ -239,10 +239,8 @@ func NewLMHash(spec window.Spec, d, ell, b int, seed uint64) *LM {
 
 // Update implements Algorithm 6.1.
 func (l *LM) Update(row []float64, t float64) {
-	if len(row) != l.d {
-		panic(fmt.Sprintf("core: LM row length %d, want %d", len(row), l.d))
-	}
-	checkRowFinite("LM", row)
+	checkWidth("LM", row, l.d)
+	must(checkRow("LM", mat.SqNorm(row), t, l.lastT, l.seen, 0, 0))
 	l.ingest(mat.SparseFromDense(row), t)
 }
 
@@ -251,21 +249,27 @@ func (l *LM) Update(row []float64, t float64) {
 // the resulting block structure (and hence every query answer) is
 // identical to row-at-a-time ingestion.
 func (l *LM) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("LM", rows, times, l.d, l.lastT, l.seen)
+	must(l.CheckBatch(rows, times))
 	for i, r := range rows {
 		l.ingest(mat.SparseFromDense(r), times[i])
 	}
 }
+
+// CheckBatch implements TenantSketch.
+func (l *LM) CheckBatch(rows [][]float64, times []float64) error {
+	return checkBatch("LM", rows, times, l.d, l.lastT, l.seen, 0, 0)
+}
+
+// Clock implements TenantSketch.
+func (l *LM) Clock() (float64, bool) { return l.lastT, l.seen }
 
 // UpdateSparse ingests a sparse row, equivalent to Update on its dense
 // form but storing the raw-block copy sparsely — the memory and
 // sketch-feed win for high-dimensional sparse streams. The row's
 // slices are copied.
 func (l *LM) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= l.d {
-		panic(fmt.Sprintf("core: LM sparse row index %d, dimension %d", m, l.d))
-	}
-	checkRowFinite("LM", row.Val)
+	checkSparseWidth("LM", row, l.d)
+	must(checkRow("LM", row.SqNorm(), t, l.lastT, l.seen, 0, 0))
 	idx := make([]int, len(row.Idx))
 	val := make([]float64, len(row.Val))
 	copy(idx, row.Idx)
@@ -275,9 +279,6 @@ func (l *LM) UpdateSparse(row mat.SparseRow, t float64) {
 
 // ingest owns r (already copied).
 func (l *LM) ingest(r mat.SparseRow, t float64) {
-	if l.seen && t < l.lastT {
-		panic(fmt.Sprintf("core: LM timestamp %v precedes %v", t, l.lastT))
-	}
 	l.lastT, l.seen = t, true
 	l.memo = nil
 	l.expire(l.spec.Cutoff(t))
@@ -553,7 +554,7 @@ func (l *LM) Stats() map[string]float64 {
 }
 
 var (
-	_ WindowSketch = (*LM)(nil)
+	_ TenantSketch = (*LM)(nil)
 	_ Introspector = (*LM)(nil)
 )
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -92,10 +91,8 @@ func (s *SWOR) SetNormTracker(nt window.NormTracker) { s.norms = nt }
 // Update feeds one row (Algorithm 5.2): expire, bump the rank of every
 // candidate the new priority beats, evict ranks beyond ℓ, append.
 func (s *SWOR) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: SWOR row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("SWOR", row)
+	checkWidth("SWOR", row, s.d)
+	must(checkRow("SWOR", mat.SqNorm(row), t, s.lastT, s.seen, 0, 0))
 	if w := s.ingestRow(row, t); w > 0 {
 		s.norms.Add(t, w)
 	}
@@ -106,7 +103,7 @@ func (s *SWOR) Update(row []float64, t float64) {
 // drawn in the same order as repeated Update calls, so the candidate
 // queue is identical.
 func (s *SWOR) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("SWOR", rows, times, s.d, s.lastT, s.seen)
+	must(s.CheckBatch(rows, times))
 	ts := make([]float64, 0, len(rows))
 	ws := make([]float64, 0, len(rows))
 	for i, r := range rows {
@@ -118,13 +115,18 @@ func (s *SWOR) UpdateBatch(rows [][]float64, times []float64) {
 	s.norms.AddBatch(ts, ws)
 }
 
+// CheckBatch implements TenantSketch.
+func (s *SWOR) CheckBatch(rows [][]float64, times []float64) error {
+	return checkBatch("SWOR", rows, times, s.d, s.lastT, s.seen, 0, 0)
+}
+
+// Clock implements TenantSketch.
+func (s *SWOR) Clock() (float64, bool) { return s.lastT, s.seen }
+
 // ingestRow runs one Algorithm 5.2 step, returning the row's squared
 // norm (0 when it carried no mass); norm-tracker accounting is the
 // caller's.
 func (s *SWOR) ingestRow(row []float64, t float64) float64 {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: SWOR timestamp %v precedes %v", t, s.lastT))
-	}
 	s.lastT, s.seen = t, true
 	expired := s.expire(s.spec.Cutoff(t))
 	w := mat.SqNorm(row)
@@ -256,15 +258,12 @@ func (s *SWOR) Name() string {
 // Dim returns the row dimension d.
 func (s *SWOR) Dim() int { return s.d }
 
-var _ WindowSketch = (*SWOR)(nil)
+var _ TenantSketch = (*SWOR)(nil)
 
 // UpdateSparse ingests a sparse row (densified on admission; see
 // SWR.UpdateSparse).
 func (s *SWOR) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: SWOR sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("SWOR", row.Val)
+	checkSparseWidth("SWOR", row, s.d)
 	s.Update(row.Dense(s.d), t)
 }
 

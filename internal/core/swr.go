@@ -114,10 +114,8 @@ func (s *SWR) SetNormTracker(nt window.NormTracker) { s.norms = nt }
 // Update feeds one row. Zero rows carry no sampling mass and are only
 // used to advance the expiry clock.
 func (s *SWR) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: SWR row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("SWR", row)
+	checkWidth("SWR", row, s.d)
+	must(checkRow("SWR", mat.SqNorm(row), t, s.lastT, s.seen, 0, 0))
 	if w := s.ingestRow(row, t); w > 0 {
 		s.norms.Add(t, w)
 	}
@@ -129,7 +127,7 @@ func (s *SWR) Update(row []float64, t float64) {
 // the same order as repeated Update calls, so the candidate queues —
 // and with the exact tracker, every query answer — are identical.
 func (s *SWR) UpdateBatch(rows [][]float64, times []float64) {
-	validateBatch("SWR", rows, times, s.d, s.lastT, s.seen)
+	must(s.CheckBatch(rows, times))
 	ts := make([]float64, 0, len(rows))
 	ws := make([]float64, 0, len(rows))
 	for i, r := range rows {
@@ -141,13 +139,18 @@ func (s *SWR) UpdateBatch(rows [][]float64, times []float64) {
 	s.norms.AddBatch(ts, ws)
 }
 
+// CheckBatch implements TenantSketch.
+func (s *SWR) CheckBatch(rows [][]float64, times []float64) error {
+	return checkBatch("SWR", rows, times, s.d, s.lastT, s.seen, 0, 0)
+}
+
+// Clock implements TenantSketch.
+func (s *SWR) Clock() (float64, bool) { return s.lastT, s.seen }
+
 // ingestRow advances the clock, expires, and pushes the row into every
 // queue. It returns the row's squared norm (0 when it carried no mass)
 // and leaves the norm-tracker accounting to the caller.
 func (s *SWR) ingestRow(row []float64, t float64) float64 {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: SWR timestamp %v precedes %v", t, s.lastT))
-	}
 	s.lastT, s.seen = t, true
 	cutoff := s.spec.Cutoff(t)
 	w := mat.SqNorm(row)
@@ -265,7 +268,7 @@ func (s *SWR) Stats() map[string]float64 {
 }
 
 var (
-	_ WindowSketch = (*SWR)(nil)
+	_ TenantSketch = (*SWR)(nil)
 	_ Introspector = (*SWR)(nil)
 )
 
@@ -273,10 +276,7 @@ var (
 // dense (sampler answers are rows of A), but norm computation and
 // admission use the sparse form.
 func (s *SWR) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: SWR sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("SWR", row.Val)
+	checkSparseWidth("SWR", row, s.d)
 	s.Update(row.Dense(s.d), t)
 }
 

@@ -42,18 +42,27 @@ func NewUnboundedFDOpts(ell, d int, o stream.FDOpts) *Unbounded {
 // Update feeds the row to the streaming sketch; the timestamp is
 // ignored.
 func (u *Unbounded) Update(row []float64, _ float64) {
-	if len(row) != u.d {
-		panic(fmt.Sprintf("core: Unbounded row length %d, want %d", len(row), u.d))
-	}
-	checkRowFinite("Unbounded", row)
+	u.check(row)
 	u.sk.Update(row)
 }
 
 // UpdateBatch feeds the rows to the streaming sketch's bulk path; the
 // timestamps are ignored.
 func (u *Unbounded) UpdateBatch(rows [][]float64, times []float64) {
-	validateRows("Unbounded", rows, times, u.d)
+	if len(rows) != len(times) {
+		panic(fmt.Sprintf("core: Unbounded batch has %d rows but %d timestamps", len(rows), len(times)))
+	}
+	for _, r := range rows {
+		u.check(r)
+	}
 	u.sk.UpdateBatch(rows)
+}
+
+// check panics on a row that is not d wide or whose squared norm is
+// not finite; Unbounded has no clock.
+func (u *Unbounded) check(row []float64) {
+	checkWidth("Unbounded", row, u.d)
+	must(checkRow("Unbounded", mat.SqNorm(row), 0, 0, false, 0, 0))
 }
 
 // Query returns the whole-history approximation.

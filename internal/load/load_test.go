@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"swsketch/internal/bench"
-	"swsketch/internal/core"
+	"swsketch/internal/registry"
 	"swsketch/internal/serve"
-	"swsketch/internal/window"
 )
 
 // testTarget stands up an in-process server for the driver to hit.
 func testTarget(t *testing.T) string {
 	t.Helper()
-	sk := core.NewLMFD(window.Seq(256), 4, 8, 4)
-	ts := httptest.NewServer(serve.NewServer(sk, 4).Handler())
+	s, err := serve.NewServer(registry.Config{Framework: registry.FrameworkLMFD, Size: 256, D: 4, Ell: 8, B: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
 }

@@ -134,13 +134,15 @@ func parallelFor(n, grain int, body func(lo, hi int)) {
 
 // grainFor picks a chunk size for n output rows so there are a few
 // chunks per worker (dynamic balancing) without dropping below
-// minGrain.
+// minGrain. The grain is a multiple of mulRows' 4-row tile, so every
+// chunk starts on a tile boundary and each row takes the same path —
+// and gives the same bits — whatever the pool size.
 func grainFor(n int) int {
 	g := n / (4 * pool.size)
 	if g < minGrain {
 		g = minGrain
 	}
-	return g
+	return (g + 3) &^ 3
 }
 
 // mulRows computes rows [lo, hi) of out = a·b. It fully owns those

@@ -130,36 +130,36 @@ type framework struct {
 	paired  bool   // takes stacked rows [a|b] split by d_b
 	auto    bool   // ell = 0 sizes the sketch from eps
 	fd      bool   // fd_buffer/fd_alpha apply
-	build   func(c Config, spec window.Spec) core.WindowSketch
+	build   func(c Config, spec window.Spec) core.TenantSketch
 }
 
 // frameworks is the framework table, in documentation order.
 var frameworks = []framework{
-	{key: FrameworkSWR, name: "SWR", auto: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkSWR, name: "SWR", auto: true, build: func(c Config, spec window.Spec) core.TenantSketch {
 		if c.Ell == 0 {
 			return core.AutoSWR(spec, c.D, c.Eps, c.Seed)
 		}
 		return core.NewSWR(spec, c.Ell, c.D, c.Seed)
 	}},
-	{key: FrameworkSWOR, name: "SWOR", build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkSWOR, name: "SWOR", build: func(c Config, spec window.Spec) core.TenantSketch {
 		return core.NewSWOR(spec, c.Ell, c.D, c.Seed)
 	}},
-	{key: FrameworkSWORAll, name: "SWOR-ALL", build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkSWORAll, name: "SWOR-ALL", build: func(c Config, spec window.Spec) core.TenantSketch {
 		return core.NewSWORAll(spec, c.Ell, c.D, c.Seed)
 	}},
-	{key: FrameworkLMFD, name: "LM-FD", auto: true, fd: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkLMFD, name: "LM-FD", auto: true, fd: true, build: func(c Config, spec window.Spec) core.TenantSketch {
 		if c.Ell == 0 {
 			return core.AutoLMFDOpts(spec, c.D, c.Eps, c.fdOpts())
 		}
 		return core.NewLMFDOpts(spec, c.D, c.Ell, c.B, c.fdOpts())
 	}},
-	{key: FrameworkLMHash, name: "LM-HASH", build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkLMHash, name: "LM-HASH", build: func(c Config, spec window.Spec) core.TenantSketch {
 		return core.NewLMHash(spec, c.D, c.Ell, c.B, uint64(c.Seed))
 	}},
-	{key: FrameworkDIFD, name: "DI-FD", seqOnly: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+	{key: FrameworkDIFD, name: "DI-FD", seqOnly: true, fd: true, build: func(c Config, _ window.Spec) core.TenantSketch {
 		return core.NewDIFDOpts(c.diConfig(), c.D, c.fdOpts())
 	}},
-	{key: FrameworkDSFD, name: "DS-FD", seqOnly: true, auto: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+	{key: FrameworkDSFD, name: "DS-FD", seqOnly: true, auto: true, fd: true, build: func(c Config, _ window.Spec) core.TenantSketch {
 		if c.Ell == 0 {
 			return core.AutoDSFDOpts(int(c.Size), c.D, c.Eps, c.fdOpts())
 		}
@@ -167,13 +167,13 @@ var frameworks = []framework{
 			N: int(c.Size), Ell: c.Ell, R: c.R, RSlack: 1.01, FD: c.fdOpts(),
 		}, c.D)
 	}},
-	{key: FrameworkLMAMM, name: "LM-AMM", paired: true, auto: true, fd: true, build: func(c Config, spec window.Spec) core.WindowSketch {
+	{key: FrameworkLMAMM, name: "LM-AMM", paired: true, auto: true, fd: true, build: func(c Config, spec window.Spec) core.TenantSketch {
 		if c.Ell == 0 {
 			return core.AutoAMM(spec, c.D-c.DB, c.DB, c.Eps)
 		}
 		return core.NewLMAMMOpts(spec, c.D-c.DB, c.DB, c.Ell, c.B, c.fdOpts())
 	}},
-	{key: FrameworkDIAMM, name: "DI-AMM", seqOnly: true, paired: true, fd: true, build: func(c Config, _ window.Spec) core.WindowSketch {
+	{key: FrameworkDIAMM, name: "DI-AMM", seqOnly: true, paired: true, fd: true, build: func(c Config, _ window.Spec) core.TenantSketch {
 		return core.NewDIAMMOpts(c.diConfig(), c.D-c.DB, c.DB, c.fdOpts())
 	}},
 }
@@ -200,7 +200,7 @@ func lookup(key string) *framework {
 }
 
 // algoName maps the framework to the sketch's Name() without building
-// one (used when registering spilled stubs at startup).
+// one.
 func (c Config) algoName() string {
 	if f := lookup(c.normalize().Framework); f != nil {
 		return f.name
@@ -208,21 +208,26 @@ func (c Config) algoName() string {
 	return c.Framework
 }
 
-// Spec returns the window specification the config describes.
-func (c Config) Spec() window.Spec {
-	c = c.normalize()
-	if c.Window == WindowTime {
-		return window.TimeSpan(c.Size)
+// Spec returns the window specification the config describes, or the
+// window's own error (window.Spec.Check) when its size is invalid.
+func (c Config) Spec() (window.Spec, error) {
+	s := window.Spec{Kind: window.Time, Size: c.Size}
+	if c.normalize().Window != WindowTime {
+		s = window.Spec{Kind: window.Sequence, Size: float64(int(c.Size))}
 	}
-	return window.Seq(int(c.Size))
+	return s, s.Check()
 }
 
 // Build constructs the sketch the config describes, or reports the
 // first problem found, phrased for an API error message: a rule of the
 // framework table, or the constructor's panic on its own limits.
-func (c Config) Build() (sk core.WindowSketch, err error) {
+func (c Config) Build() (sk core.TenantSketch, err error) {
 	c = c.normalize()
 	f, err := c.check()
+	if err != nil {
+		return nil, err
+	}
+	spec, err := c.Spec()
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +236,7 @@ func (c Config) Build() (sk core.WindowSketch, err error) {
 			sk, err = nil, fmt.Errorf("%v", r)
 		}
 	}()
-	return f.build(c, c.Spec()), nil
+	return f.build(c, spec), nil
 }
 
 // check applies the rules no constructor can see and returns the

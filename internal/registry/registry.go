@@ -16,12 +16,12 @@
 //     longer than the TTL; with WithMaxTenants, Create evicts the
 //     least-recently-used tenant of a full shard (the cap is striped
 //     across shards, so it is enforced approximately). Eviction
-//     *spills* — snapshots the sketch plus its config and clock to the
-//     WithSpillDir directory — when the sketch supports binary
-//     snapshots, and drops the tenant otherwise. A spilled tenant is
-//     restored transparently on its next Acquire; restore is
-//     bit-exact for the deterministic sketches (LM-FD, DS-FD, LM-AMM,
-//     DI-AMM).
+//     *spills* — snapshots the sketch plus its config and update count
+//     to the WithSpillDir directory — when one is set, and drops the
+//     tenant otherwise; a failed spill keeps the tenant resident. A
+//     spilled tenant is restored transparently on its next Acquire;
+//     restore is bit-exact for the deterministic sketches (LM-FD,
+//     DS-FD, LM-AMM, DI-AMM).
 //   - Observability. WithObs publishes aggregate counters/gauges and a
 //     per-tenant row-count gauge set; WithTrace emits tenant_create /
 //     tenant_evict / tenant_restore / tenant_delete events.
@@ -31,7 +31,6 @@
 package registry
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
 	"swsketch/internal/trace"
 )
@@ -291,6 +289,16 @@ func (r *Registry) shardFor(id string) *shard {
 // the shard is at its striped WithMaxTenants cap, the shard's
 // least-recently-used idle tenant is evicted first (spill or drop).
 func (r *Registry) Create(id string, cfg Config) (*Tenant, error) {
+	return r.create(id, cfg, false)
+}
+
+// CreatePinned is Create for a tenant exempt from eviction. The serve
+// layer creates its default tenant so.
+func (r *Registry) CreatePinned(id string, cfg Config) (*Tenant, error) {
+	return r.create(id, cfg, true)
+}
+
+func (r *Registry) create(id string, cfg Config, pinned bool) (*Tenant, error) {
 	if id == "" || len(id) > MaxIDLen {
 		return nil, ErrBadID
 	}
@@ -299,7 +307,7 @@ func (r *Registry) Create(id string, cfg Config) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tenant{id: id, cfg: cfg, algo: sk.Name(), d: cfg.D, reg: r, sk: sk}
+	t := &Tenant{id: id, cfg: cfg, pinned: pinned, reg: r, sk: sk}
 	t.touch()
 	sh := r.shardFor(id)
 	sh.mu.Lock()
@@ -318,33 +326,6 @@ func (r *Registry) Create(id string, cfg Config) (*Tenant, error) {
 	if r.tr.Enabled() {
 		res, _ := r.counts()
 		r.tr.EmitNote("registry", trace.KindTenantCreate, 0, float64(res), 0, id)
-	}
-	return t, nil
-}
-
-// Adopt admits a pre-built sketch as a pinned tenant — exempt from
-// eviction and (lacking a declarative config) never spilled. The
-// serve layer adopts its legacy single sketch as the "default"
-// tenant. It fails like Create on a duplicate or bad ID.
-func (r *Registry) Adopt(id string, sk core.WindowSketch, d int) (*Tenant, error) {
-	if id == "" || len(id) > MaxIDLen {
-		return nil, ErrBadID
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("registry: adopt %q: dimension %d", id, d)
-	}
-	t := &Tenant{id: id, algo: sk.Name(), d: d, reg: r, sk: sk, pinned: true}
-	t.touch()
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.tenants[id]; ok {
-		sh.mu.Unlock()
-		return nil, ErrExists
-	}
-	sh.tenants[id] = t
-	sh.mu.Unlock()
-	if r.created != nil {
-		r.created.Inc()
 	}
 	return t, nil
 }
@@ -418,7 +399,7 @@ func (r *Registry) List() []Info {
 	r.each(func(t *Tenant) {
 		out = append(out, Info{
 			ID:        t.id,
-			Algorithm: t.algo,
+			Algorithm: t.Algorithm(),
 			Resident:  t.Resident(),
 			Rows:      t.Rows(),
 			Updates:   t.Updates(),
@@ -523,26 +504,14 @@ func (r *Registry) evictLocked(sh *shard, t *Tenant) bool {
 	if t.deleted || t.sk == nil {
 		return false
 	}
-	if t.canSpill() {
+	if r.spillDir != "" {
 		return r.spill(t)
 	}
 	r.drop(sh, t)
 	return true
 }
 
-// canSpill reports whether eviction can preserve the tenant's state on
-// disk: a spill directory is configured, the tenant has a declarative
-// config to rebuild from, and the sketch snapshots itself. Caller
-// holds t.mu (it reads t.sk).
-func (t *Tenant) canSpill() bool {
-	if t.reg.spillDir == "" || t.cfg.Framework == "" || t.sk == nil {
-		return false
-	}
-	_, ok := t.sk.(encoding.BinaryMarshaler)
-	return ok
-}
-
-// drop discards a tenant outright (no snapshot support). Caller holds
+// drop discards a tenant outright (no spill directory). Caller holds
 // both sh.mu and t.mu.
 func (r *Registry) drop(sh *shard, t *Tenant) {
 	delete(sh.tenants, t.id)

@@ -59,7 +59,7 @@ func ingestRows(t *testing.T, tn *Tenant, d, n int, t0 float64) {
 		times[i] = t0 + float64(i)
 	}
 	tn.Sketch().UpdateBatch(rows, times)
-	tn.Commit(n, times[n-1])
+	tn.Commit(n)
 }
 
 // queryBits snapshots a tenant's approximation as raw float64 bits.
@@ -272,6 +272,9 @@ func TestCreateGetDelete(t *testing.T) {
 	}
 }
 
+// TestTenantClock checks that a tenant's clock is its sketch's: Commit
+// only counts rows, and a restore sets the count and brings the
+// snapshot's clock along.
 func TestTenantClock(t *testing.T) {
 	r := mustNew(t)
 	tn, err := r.Create("c", lmCfg(3))
@@ -281,19 +284,27 @@ func TestTenantClock(t *testing.T) {
 	if err := tn.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	if lastT, seen := tn.Clock(); seen || lastT != 0 {
+	defer tn.Release()
+	if lastT, seen := tn.Raw().Clock(); seen || lastT != 0 {
 		t.Fatalf("fresh clock = %v,%v", lastT, seen)
 	}
 	tn.Sketch().Update([]float64{1, 2, 3}, 7)
-	tn.Commit(1, 7)
-	if lastT, seen := tn.Clock(); !seen || lastT != 7 {
-		t.Fatalf("clock = %v,%v after commit", lastT, seen)
+	tn.Commit(1)
+	if lastT, seen := tn.Raw().Clock(); !seen || lastT != 7 || tn.Updates() != 1 {
+		t.Fatalf("clock = %v,%v, updates %d after commit", lastT, seen, tn.Updates())
 	}
-	tn.ResetClock()
-	if lastT, seen := tn.Clock(); seen || lastT != 0 || tn.Updates() != 0 {
-		t.Fatalf("clock = %v,%v,%d after reset", lastT, seen, tn.Updates())
+	blob, err := tn.Raw().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	tn.Release()
+	tn.Sketch().Update([]float64{1, 2, 3}, 9)
+	tn.Commit(1)
+	if err := tn.Restore(blob, 0); err != nil {
+		t.Fatal(err)
+	}
+	if lastT, seen := tn.Raw().Clock(); !seen || lastT != 7 || tn.Updates() != 0 {
+		t.Fatalf("clock = %v,%v, updates %d after restore", lastT, seen, tn.Updates())
+	}
 }
 
 func TestSweepSpillsAndRestores(t *testing.T) {
@@ -388,11 +399,7 @@ func TestSweepSkipsPinnedAndBusy(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	r := mustNew(t, WithEvictTTL(time.Minute), WithClock(clk.Now))
 	cfg := lmCfg(4)
-	sk, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Adopt("default", sk, 4); err != nil {
+	if _, err := r.CreatePinned("default", cfg); err != nil {
 		t.Fatal(err)
 	}
 	busy, err := r.Create("busy", cfg)
@@ -513,8 +520,7 @@ func TestMaxTenantsSkipsUnspillableVictim(t *testing.T) {
 // TestRestoreRejectsForeignSnapshot checks that Restore keeps a
 // tenant's algorithm and row width: a snapshot of another d, or of
 // another algorithm the sketch type can decode, is rejected and the
-// tenant's state is unchanged. The adopted (config-less) tenant is
-// covered as well.
+// tenant's state is unchanged. A pinned tenant is covered as well.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	r := mustNew(t)
 	snap := func(sk core.WindowSketch) []byte {
@@ -527,7 +533,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	wide := core.NewLMFD(window.Seq(64), 9, 8, 4)
 	fd4, _ := r.Create("fd4", lmCfg(4))
 	hash, _ := r.Create("hash", Config{Framework: "lm-hash", Size: 64, D: 4, Ell: 8, B: 4})
-	pinned, _ := r.Adopt("pinned", core.NewLMFD(window.Seq(64), 4, 8, 4), 4)
+	pinned, _ := r.CreatePinned("pinned", lmCfg(4))
 	for _, c := range []struct {
 		tn   *Tenant
 		blob []byte
@@ -543,7 +549,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 		if err := c.tn.Acquire(); err != nil {
 			t.Fatal(err)
 		}
-		err := c.tn.Restore(c.blob)
+		err := c.tn.Restore(c.blob, 0)
 		c.tn.Release()
 		if err == nil {
 			t.Fatalf("%s: restored a foreign snapshot", c.tn.ID())

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -14,8 +13,10 @@ import (
 )
 
 // Spill files carry everything needed to resurrect a tenant in a
-// fresh process: the tenant ID, its declarative config, its ingest
-// clock, and the sketch's own binary snapshot. The format is
+// fresh process: the tenant ID, its declarative config, its update
+// count, and the sketch's own binary snapshot. The header's clock
+// fields are written from the sketch's clock and ignored on restore:
+// the snapshot carries the clock. The format is
 // versioned with a magic number like the core snapshot formats. v1 and
 // v2 wrote the config field by field, without the FastFD knobs; v3,
 // the only one written, carries it as the WAL's create-record JSON.
@@ -112,13 +113,15 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 }
 
 // spill writes the tenant's state to disk and releases its in-memory
-// sketch. Caller holds t.mu and has verified canSpill. On a write
-// failure the tenant stays resident and the failure is counted.
+// sketch. Caller holds t.mu. On a failure (a write, or a sketch that
+// refuses to marshal) the tenant stays resident and the failure is
+// counted.
 func (r *Registry) spill(t *Tenant) bool {
-	blob, err := t.sk.(encoding.BinaryMarshaler).MarshalBinary()
+	lastT, seen := t.sk.Clock()
+	blob, err := t.sk.MarshalBinary()
 	var data []byte
 	if err == nil {
-		data, err = encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: t.updates.Load(), lastT: t.lastT, seen: t.seen}, blob)
+		data, err = encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: t.updates.Load(), lastT: lastT, seen: seen}, blob)
 	}
 	if err == nil {
 		err = writeFileAtomic(r.spillPath(t.id), data)
@@ -140,13 +143,13 @@ func (r *Registry) spill(t *Tenant) bool {
 		r.evictHook(t.id, true)
 	}
 	if r.tr.Enabled() {
-		r.tr.EmitNote("registry", trace.KindTenantEvict, t.lastT, float64(rows), 1, t.id)
+		r.tr.EmitNote("registry", trace.KindTenantEvict, lastT, float64(rows), 1, t.id)
 	}
 	return true
 }
 
 // restore rebuilds a spilled tenant from its spill file and reinstates
-// its clock. Caller holds t.mu. The file stays as the tenant's
+// its update count. Caller holds t.mu. The file stays as the tenant's
 // checkpoint until a later spill replaces it or a Delete removes it:
 // the spill released the tenant's WAL records, so after a restart
 // replay rebuilds the tenant from this file plus the rows logged since
@@ -164,18 +167,17 @@ func (r *Registry) restore(t *Tenant) error {
 	if h.id != t.id {
 		return fmt.Errorf("registry: restore %q: spill file belongs to %q", t.id, h.id)
 	}
-	if err := t.Restore(blob); err != nil {
+	if err := t.Restore(blob, h.updates); err != nil {
 		return fmt.Errorf("registry: restore %q: %w", t.id, err)
 	}
-	t.updates.Store(h.updates)
-	t.lastT, t.seen = h.lastT, h.seen
 	t.lastRows.Store(int64(t.sk.RowsStored()))
 	t.spilled.Store(false)
 	if r.restored != nil {
 		r.restored.Inc()
 	}
 	if r.tr.Enabled() {
-		r.tr.EmitNote("registry", trace.KindTenantRestore, t.lastT, float64(len(data)), 0, t.id)
+		lastT, _ := t.sk.Clock()
+		r.tr.EmitNote("registry", trace.KindTenantRestore, lastT, float64(len(data)), 0, t.id)
 	}
 	return nil
 }
@@ -202,7 +204,7 @@ func (r *Registry) scanSpillDir() error {
 		if err != nil || h.id == "" || len(h.id) > MaxIDLen {
 			continue
 		}
-		t := &Tenant{id: h.id, cfg: h.cfg, d: h.cfg.D, reg: r, algo: h.cfg.algoName()}
+		t := &Tenant{id: h.id, cfg: h.cfg, reg: r}
 		t.updates.Store(h.updates)
 		t.spilled.Store(true)
 		t.touch()

@@ -55,7 +55,7 @@ func TestConcurrentIngestManyTenants(t *testing.T) {
 						t.Errorf("Acquire: %v", err)
 						return
 					}
-					lastT, _ := tn.Clock()
+					lastT, _ := tn.Raw().Clock()
 					rows := make([][]float64, batchPerCall)
 					times := make([]float64, batchPerCall)
 					for k := range rows {
@@ -66,7 +66,7 @@ func TestConcurrentIngestManyTenants(t *testing.T) {
 						times[k] = lastT + float64(k) + 1
 					}
 					tn.Sketch().UpdateBatch(rows, times)
-					tn.Commit(batchPerCall, times[batchPerCall-1])
+					tn.Commit(batchPerCall)
 					tn.Release()
 				}
 			}

@@ -1,29 +1,24 @@
 package registry
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
 	"swsketch/internal/core"
 )
 
-var (
-	// ErrDeleted is returned by Tenant.Acquire when the tenant was
-	// removed from its registry after the caller obtained the pointer.
-	ErrDeleted = errors.New("registry: tenant deleted")
-	// ErrNoSnapshot is returned by Tenant.Restore when the tenant's
-	// sketch does not support binary snapshots.
-	ErrNoSnapshot = errors.New("registry: sketch does not support snapshots")
-)
+// ErrDeleted is returned by Tenant.Acquire when the tenant was removed
+// from its registry after the caller obtained the pointer.
+var ErrDeleted = errors.New("registry: tenant deleted")
 
-// Tenant is one named sliding-window sketch inside a Registry. All
-// sketch and clock access goes through Acquire/Release — the tenant's
-// own mutex — so ingest into different tenants runs in parallel while
-// each tenant stays single-writer (the sketches' contract).
+// Tenant is one named sliding-window sketch inside a Registry, built
+// from its Config. All sketch access goes through Acquire/Release —
+// the tenant's own mutex — so ingest into different tenants runs in
+// parallel while each tenant stays single-writer (the sketches'
+// contract). The sketch owns the stream clock; the tenant keeps only
+// its update count.
 //
 // A tenant can be *resident* (sketch in memory) or *spilled* (state on
 // disk under the registry's spill directory); Acquire transparently
@@ -31,16 +26,12 @@ var (
 type Tenant struct {
 	id     string
 	cfg    Config
-	algo   string
-	d      int
 	pinned bool
 	reg    *Registry
 
 	mu      sync.Mutex
-	sk      core.WindowSketch // the built sketch; nil while spilled
+	sk      core.TenantSketch // the built sketch; nil while spilled
 	serving core.WindowSketch // optional decorated front (metrics); nil = sk
-	lastT   float64
-	seen    bool
 	deleted bool
 	spilled atomic.Bool
 
@@ -54,24 +45,24 @@ type Tenant struct {
 func (t *Tenant) ID() string { return t.id }
 
 // Config returns the declarative config the tenant was created from.
-// Adopted tenants (Registry.Adopt) have a zero config.
 func (t *Tenant) Config() Config { return t.cfg }
 
 // Algorithm returns the sketch's algorithm name (e.g. "LM-FD").
-func (t *Tenant) Algorithm() string { return t.algo }
+func (t *Tenant) Algorithm() string { return t.cfg.algoName() }
 
 // D returns the tenant's row dimension.
-func (t *Tenant) D() int { return t.d }
+func (t *Tenant) D() int { return t.cfg.D }
 
 // Pinned reports whether the tenant is exempt from eviction (the
-// serve layer's adopted default tenant is).
+// serve layer's default tenant is; see Registry.CreatePinned).
 func (t *Tenant) Pinned() bool { return t.pinned }
 
 // Resident reports, lock-free, whether the sketch is in memory (true)
 // or spilled to disk (false).
 func (t *Tenant) Resident() bool { return !t.spilled.Load() }
 
-// Updates returns, lock-free, the number of rows committed so far.
+// Updates returns, lock-free, the number of rows committed since the
+// tenant was created or last restored: the WAL's replay offset.
 func (t *Tenant) Updates() uint64 { return t.updates.Load() }
 
 // Rows returns, lock-free, the sketch's row count as of the last
@@ -125,27 +116,19 @@ func (t *Tenant) Sketch() core.WindowSketch {
 	return t.sk
 }
 
-// Raw returns the undecorated sketch, for capability checks (snapshot
-// support, introspection) and audit-path queries. Callers must hold
-// the tenant via Acquire.
-func (t *Tenant) Raw() core.WindowSketch { return t.sk }
+// Raw returns the undecorated sketch, for its batch check, clock,
+// snapshots, capability checks and audit-path queries. Callers must
+// hold the tenant via Acquire.
+func (t *Tenant) Raw() core.TenantSketch { return t.sk }
 
 // SetServing installs a decorated front (e.g. obs.Instrumented) that
 // Sketch will return in place of the raw sketch. Callers must hold
 // the tenant via Acquire.
 func (t *Tenant) SetServing(sk core.WindowSketch) { t.serving = sk }
 
-// Clock returns the tenant's ingest clock: the last committed
-// timestamp and whether any row has been committed. Callers must hold
-// the tenant via Acquire.
-func (t *Tenant) Clock() (lastT float64, seen bool) { return t.lastT, t.seen }
-
-// Commit advances the ingest clock after n rows were applied up to
-// timestamp lastT. Callers must hold the tenant via Acquire.
-func (t *Tenant) Commit(n int, lastT float64) {
-	t.updates.Add(uint64(n))
-	t.lastT, t.seen = lastT, true
-}
+// Commit counts n rows applied to the sketch. Callers must hold the
+// tenant via Acquire.
+func (t *Tenant) Commit(n int) { t.updates.Add(uint64(n)) }
 
 // TryEnqueue admits one in-flight stream block if the tenant's
 // pending count is below limit, reporting whether it was admitted.
@@ -171,60 +154,30 @@ func (t *Tenant) Dequeue() { t.pending.Add(-1) }
 func (t *Tenant) Pending() int { return int(t.pending.Load()) }
 
 // Restore replaces the tenant's sketch state with a binary snapshot,
-// leaving the clock to the caller; upload, WAL replay and spill restore
-// all use it. The blob is first decoded into a fresh sketch, which must
-// have the tenant's algorithm and row width (a snapshot's header sets
-// its geometry); a resident tenant then decodes it again in place, so
-// a decorated front or tracer stays attached. Callers must hold the
+// clock included, and sets the update count to updates; upload, WAL
+// replay and spill restore all use it. The blob is first decoded into
+// a sketch built from the tenant's config, which must come out with
+// the tenant's algorithm and row width (a snapshot's header sets its
+// geometry); a resident tenant then decodes it again in place, so a
+// decorated front or tracer stays attached. Callers must hold the
 // tenant via Acquire.
-func (t *Tenant) Restore(blob []byte) error {
-	fresh, err := t.blank()
+func (t *Tenant) Restore(blob []byte, updates uint64) error {
+	fresh, err := t.cfg.Build()
 	if err != nil {
 		return err
 	}
-	u, ok := fresh.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSnapshot, t.algo)
-	}
-	if err := u.UnmarshalBinary(blob); err != nil {
+	if err := fresh.UnmarshalBinary(blob); err != nil {
 		return err
 	}
-	if dim, ok := fresh.(interface{ Dim() int }); !ok || fresh.Name() != t.algo || dim.Dim() != t.d {
+	if fresh.Name() != t.Algorithm() || fresh.Dim() != t.cfg.D {
 		return fmt.Errorf("registry: the snapshot's %s sketch does not fit tenant %q, %s of row width %d",
-			fresh.Name(), t.id, t.algo, t.d)
+			fresh.Name(), t.id, t.Algorithm(), t.cfg.D)
 	}
 	if t.sk == nil {
 		t.sk = fresh
-		return nil
+	} else if err := t.sk.UnmarshalBinary(blob); err != nil {
+		return err // same type, same bytes: cannot fail
 	}
-	return t.sk.(encoding.BinaryUnmarshaler).UnmarshalBinary(blob) // same type, same bytes: cannot fail
-}
-
-// blank returns a sketch to decode into: a spilled tenant's built from
-// its config, else a new value of the sketch's type.
-func (t *Tenant) blank() (core.WindowSketch, error) {
-	if t.sk == nil {
-		return t.cfg.Build()
-	}
-	if v := reflect.ValueOf(t.sk); v.Kind() == reflect.Pointer {
-		sk, _ := reflect.New(v.Type().Elem()).Interface().(core.WindowSketch)
-		return sk, nil
-	}
-	return nil, nil
-}
-
-// SetClock force-sets the ingest clock — WAL replay uses it to
-// reinstate the clock a logged snapshot restore recorded. Callers
-// must hold the tenant via Acquire.
-func (t *Tenant) SetClock(updates uint64, lastT float64, seen bool) {
 	t.updates.Store(updates)
-	t.lastT, t.seen = lastT, seen
-}
-
-// ResetClock zeroes the ingest clock (after a snapshot restore, whose
-// stream position is unrelated to the pre-restore one). Callers must
-// hold the tenant via Acquire.
-func (t *Tenant) ResetClock() {
-	t.updates.Store(0)
-	t.lastT, t.seen = 0, false
+	return nil
 }

@@ -51,7 +51,7 @@ func ammQueryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (f
 		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "non-finite t")
 		return 0, false
 	}
-	if last, seen := t.Clock(); seen && qt < last {
+	if last, seen := t.Raw().Clock(); seen && qt < last {
 		httpError(w, http.StatusBadRequest, CodeInvalidArgument,
 			"t %v precedes last ingested %v", qt, last)
 		return 0, false

@@ -209,9 +209,8 @@ func denseBlock(updates []ingestUpdate, d int) ([][]float64, []float64, *apiErro
 }
 
 // acquireIngest applies one live block with the tenant acquired for
-// its duration. An unavailable tenant, and a rejected block (clock
-// regressions, bad rows, sketch conflicts), land on the hot-key
-// sidecar's events plane.
+// its duration. An unavailable tenant, and a block the apply step
+// rejects, land on the hot-key sidecar's events plane.
 func (s *Server) acquireIngest(t *registry.Tenant, rows [][]float64, times []float64) (ingestResponse, *apiError) {
 	if err := t.Acquire(); err != nil {
 		s.hot.ObserveEvent(t.ID())
@@ -226,58 +225,36 @@ func (s *Server) acquireIngest(t *registry.Tenant, rows [][]float64, times []flo
 }
 
 // apply is the one step by which rows reach a tenant's sketch, rows[i]
-// arriving at times[i], whether live or replayed from the WAL. It
-// checks the block against the tenant's clock, width and finiteness;
-// journals it before the sketch sees it (live only: a replayed block
-// is already in the log, and is not hot-key traffic either); applies
-// it with one UpdateBatch; commits the clock; and shadows the rows for
-// the default tenant's auditor. The caller holds the tenant; nothing
-// retains rows or times.
+// arriving at times[i], whether live or replayed from the WAL. The
+// sketch checks the block (CheckBatch: width, squared norms, its own
+// clock) before anything else; the block is then journaled (live
+// only: a replayed block is already in the log, and is not hot-key
+// traffic either), applied with one UpdateBatch and counted, and the
+// rows are shadowed for the default tenant's auditor. So the WAL never
+// holds a block the sketch rejects. The caller holds the tenant;
+// nothing retains rows or times.
 func (s *Server) apply(t *registry.Tenant, rows [][]float64, times []float64, live bool) (ingestResponse, *apiError) {
 	if len(rows) == 0 {
 		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
 	}
-	d := t.D()
-	prev, seen := t.Clock()
-	for i, row := range rows {
-		if seen && times[i] < prev {
-			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: timestamp %v precedes %v", i, times[i], prev)
-		}
-		if len(row) != d {
-			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: row length %d, want %d", i, len(row), d)
-		}
-		for j, v := range row {
-			if v != v || v > 1e308 || v < -1e308 { // NaN or overflow-ish
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: non-finite value at %d", i, j)
-			}
-		}
-		prev, seen = times[i], true
+	if err := t.Raw().CheckBatch(rows, times); err != nil {
+		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
 	if live && s.wal != nil {
 		if _, err := s.wal.AppendRows(t.ID(), t.Updates(), rows, times); err != nil {
 			return ingestResponse{}, errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
 		}
 	}
-	// The sketch enforces invariants the server cannot check — after a
-	// snapshot upload its own clock may be ahead of the tenant's — and
-	// rejects the whole block. Surface that as 409 instead of crashing
-	// the connection.
-	if err := applyBatch(t.Sketch(), rows, times); err != nil {
-		return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
-			"ingest rejected by sketch: %v", err)
-	}
-	t.Commit(len(rows), prev)
+	t.Sketch().UpdateBatch(rows, times)
+	t.Commit(len(rows))
 	if live {
 		// The bytes plane gets the dense payload size, 8 bytes × d per row.
-		s.hot.ObserveIngest(t.ID(), len(rows), 8*d*len(rows))
+		s.hot.ObserveIngest(t.ID(), len(rows), 8*t.D()*len(rows))
 	}
 	if t == s.def && s.audit != nil {
 		s.audit.ObserveBatch(rows, times, s.auditQuery)
 	}
-	return ingestResponse{Accepted: len(rows), LastT: prev}, nil
+	return ingestResponse{Accepted: len(rows), LastT: times[len(times)-1]}, nil
 }
 
 // auditQuery answers the auditor's evaluations from the default
@@ -294,10 +271,10 @@ func acquireError(t *registry.Tenant, err error) *apiError {
 	return errf(http.StatusInternalServerError, CodeInternal, "%v", err)
 }
 
-// queryTime parses ?t= against an acquired tenant's clock; when
+// queryTime parses ?t= against an acquired tenant's sketch clock; when
 // omitted, the last ingested timestamp is used (query "now").
 func queryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (float64, bool) {
-	last, seen := t.Clock()
+	last, seen := t.Raw().Clock()
 	tq := r.URL.Query().Get("t")
 	if tq == "" {
 		return last, true
@@ -401,7 +378,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok || !acquire(w, t) {
 		return
 	}
-	lastT, _ := t.Clock()
+	lastT, _ := t.Raw().Clock()
 	resp := statsResponse{
 		Tenant:     t.ID(),
 		Algorithm:  t.Sketch().Name(),

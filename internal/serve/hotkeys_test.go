@@ -52,7 +52,7 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 	hot := hh.New(hh.Config{Window: time.Minute, K: 8})
 	tr := trace.New(256)
 	tr.Enable()
-	s := NewServer(newSketch(3), 3, WithHotKeys(hot), WithTrace(tr))
+	s := newServer(t, lmCfg(3), WithHotKeys(hot), WithTrace(tr))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -123,7 +123,7 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 // tenant all land on the events plane under the right key.
 func TestHotkeysEvents(t *testing.T) {
 	hot := hh.New(hh.Config{Window: time.Minute, K: 8})
-	s := NewServer(newSketch(3), 3, WithHotKeys(hot), WithStreamQueue(2))
+	s := newServer(t, lmCfg(3), WithHotKeys(hot), WithStreamQueue(2))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -182,9 +182,9 @@ func TestHotkeysEvents(t *testing.T) {
 // it is attached, and has no hotkeys key when it is not.
 func TestHotkeysHealthSurface(t *testing.T) {
 	hot := hh.New(hh.Config{Window: 90 * time.Second, K: 5})
-	with := httptest.NewServer(NewServer(newSketch(3), 3, WithHotKeys(hot)).Handler())
+	with := httptest.NewServer(newServer(t, lmCfg(3), WithHotKeys(hot)).Handler())
 	defer with.Close()
-	without := httptest.NewServer(NewServer(newSketch(3), 3).Handler())
+	without := httptest.NewServer(newServer(t, lmCfg(3)).Handler())
 	defer without.Close()
 
 	resp, err := http.Get(with.URL + "/v2/health")
@@ -228,7 +228,7 @@ func TestHotkeysHealthSurface(t *testing.T) {
 // skew gauges land in the Prometheus exposition.
 func TestHotkeysMetricsGauges(t *testing.T) {
 	hot := hh.New(hh.Config{Window: time.Minute, K: 8})
-	s := NewServer(newSketch(3), 3, WithHotKeys(hot), WithMetrics(obs.NewRegistry()))
+	s := newServer(t, lmCfg(3), WithHotKeys(hot), WithMetrics(obs.NewRegistry()))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

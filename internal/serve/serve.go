@@ -1,10 +1,11 @@
 // Package serve exposes sliding-window matrix sketches over HTTP. A
 // Server fronts a multi-tenant registry of named sketches
 // (internal/registry): every tenant gets ingest and query endpoints
-// under /v2/tenants/{id}/..., and the sketch passed to NewServer is
-// the reserved "default" tenant. Per-tenant access serialises on the
-// tenant's own mutex, so ingest into different tenants runs in
-// parallel.
+// under /v2/tenants/{id}/..., and the config passed to NewServer
+// builds the reserved "default" tenant. Each tenant's sketch owns its
+// clock and checks every batch before the WAL journals it.
+// Per-tenant access serialises on the tenant's own mutex, so ingest
+// into different tenants runs in parallel.
 //
 // Routes are registered with Go 1.22 method patterns:
 //
@@ -48,35 +49,33 @@
 // with the following codes:
 //
 //	invalid_json        400  request body is not valid JSON for the endpoint
-//	invalid_argument    400  a field or query parameter is out of range
+//	invalid_argument    400  a field or query parameter is out of range,
+//	                         or the sketch rejected a batch (row width, a
+//	                         squared norm that is not finite or exceeds
+//	                         the declared r, a timestamp behind its clock)
 //	method_not_allowed  405  wrong HTTP method (Allow header lists valid ones)
 //	not_found           404  unknown route or unknown tenant
 //	gone                410  a route of the retired /v1 grammar; the
 //	                         migration table in docs/API.md names its
 //	                         /v2 successor
-//	conflict            409  the sketch's invariants rejected the operation
-//	                         (e.g. a timestamp behind a restored clock), or a
-//	                         tenant with that ID already exists
-//	unsupported         501  the sketch lacks the capability (snapshots)
+//	conflict            409  a tenant with that ID already exists
+//	unsupported         501  the sketch lacks the capability (AMM queries
+//	                         on a framework that is not paired)
 //	body_too_large      413  body exceeded the WithMaxBody limit
 //	overloaded          429  the tenant's stream budget is exhausted
 //	                         (WithStreamQueue)
 //	internal            500  server-side failure (e.g. a spilled tenant whose
 //	                         state could not be restored from disk)
 //
-// Snapshot endpoints require the underlying sketch to support binary
-// snapshots (SWR, SWOR, SWOR-ALL, LM-FD, DI-FD, DS-FD, LM-AMM and
-// DI-AMM do); others get 501, except LM-HASH, whose download fails with
-// 500. An
-// upload must hold the tenant's algorithm and row width, or it gets
-// 400 and the tenant keeps its state. Tenant
-// IDs are restricted to [A-Za-z0-9._-], at most 128 bytes; "default"
-// names the sketch passed to NewServer and cannot be created or
-// deleted.
+// Every framework snapshots except LM-HASH, whose download fails with
+// 500. An upload must hold the tenant's algorithm and row width, or it
+// gets 400 and the tenant keeps its state; a restored tenant reads the
+// snapshot's clock. Tenant IDs are restricted to [A-Za-z0-9._-], at
+// most 128 bytes; "default" names the tenant NewServer builds and
+// cannot be created or deleted.
 package serve
 
 import (
-	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -89,7 +88,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
 	"swsketch/internal/obs/hh"
@@ -111,14 +109,14 @@ const (
 	CodeInternal         = "internal"
 )
 
-// DefaultTenant is the reserved tenant ID of the sketch passed to
-// NewServer. It cannot be created, deleted, or evicted over the API.
+// DefaultTenant is the reserved tenant ID of the tenant NewServer
+// builds. It cannot be created, deleted, or evicted over the API.
 const DefaultTenant = "default"
 
-// Server routes HTTP traffic onto a tenant registry. The sketch given
-// to NewServer is adopted as the pinned "default" tenant; further
-// tenants are created over the API or pre-registered in the registry
-// passed via WithRegistry.
+// Server routes HTTP traffic onto a tenant registry. The config given
+// to NewServer builds the pinned "default" tenant; further tenants are
+// created over the API or pre-registered in the registry passed via
+// WithRegistry.
 type Server struct {
 	treg *registry.Registry
 	def  *registry.Tenant
@@ -133,6 +131,7 @@ type Server struct {
 
 	wal         *wal.Log
 	walDamaged  atomic.Bool
+	walFailed   atomic.Int64
 	streamQueue int
 
 	hot *hh.Sidecar
@@ -204,8 +203,8 @@ func WithLogger(l *slog.Logger) Option {
 
 // WithRegistry mounts a caller-built tenant registry (eviction TTL,
 // spill directory, caps — see internal/registry's options) instead of
-// the plain one the server otherwise creates. The NewServer sketch is
-// still adopted into it as the pinned "default" tenant.
+// the plain one the server otherwise creates. NewServer still creates
+// the pinned "default" tenant in it.
 func WithRegistry(reg *registry.Registry) Option {
 	return func(s *Server) {
 		if reg == nil {
@@ -215,12 +214,10 @@ func WithRegistry(reg *registry.Registry) Option {
 	}
 }
 
-// NewServer returns a server around the given default sketch and
-// dimension.
-func NewServer(sk core.WindowSketch, d int, opts ...Option) *Server {
-	if d < 1 {
-		panic(fmt.Sprintf("serve: dimension %d", d))
-	}
+// NewServer returns a server whose pinned "default" tenant is built
+// from cfg, as PUT /v2/tenants/{id} builds a tenant; a config that
+// does not build returns Build's error.
+func NewServer(cfg registry.Config, opts ...Option) (*Server, error) {
 	s := &Server{streamQueue: DefaultStreamQueue}
 	for _, o := range opts {
 		o(s)
@@ -238,21 +235,24 @@ func NewServer(sk core.WindowSketch, d int, opts ...Option) *Server {
 		}
 		treg, err := registry.New(ropts...)
 		if err != nil {
-			panic(fmt.Sprintf("serve: registry: %v", err))
+			return nil, err
 		}
 		s.treg = treg
 	}
-	def, err := s.treg.Adopt(DefaultTenant, sk, d)
+	def, err := s.treg.CreatePinned(DefaultTenant, cfg)
 	if errors.Is(err, registry.ErrExists) {
 		// The name is reserved: discard any stub a spill-dir scan may
 		// have registered under it and take the slot.
 		s.treg.Delete(DefaultTenant)
-		def, err = s.treg.Adopt(DefaultTenant, sk, d)
+		def, err = s.treg.CreatePinned(DefaultTenant, cfg)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("serve: adopt default tenant: %v", err))
+		return nil, err
 	}
 	s.def = def
+	_ = def.Acquire() // a fresh pinned tenant cannot fail
+	defer def.Release()
+	sk := def.Raw()
 	if s.tr != nil {
 		if t, ok := sk.(trace.Traceable); ok {
 			t.SetTracer(s.tr)
@@ -269,9 +269,7 @@ func NewServer(sk core.WindowSketch, d int, opts ...Option) *Server {
 			defer s.def.Release()
 			f()
 		}))
-		_ = s.def.Acquire()
 		s.def.SetServing(instrumented)
-		s.def.Release()
 		obs.RegisterRuntimeMetrics(s.reg)
 		obs.RegisterTracer(s.reg, s.tr)
 		s.streamRows = s.reg.Counter("swsketch_stream_rows_total",
@@ -313,7 +311,7 @@ func NewServer(sk core.WindowSketch, d int, opts ...Option) *Server {
 			}
 		})
 	}
-	return s
+	return s, nil
 }
 
 // Registry returns the server's tenant registry (for sweepers and
@@ -522,26 +520,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// applyBatch feeds a block through the sketch's bulk path, converting
-// a sketch panic (an invariant violation, raised before any row is
-// applied) into an error.
-func applyBatch(sk core.WindowSketch, rows [][]float64, times []float64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	sk.UpdateBatch(rows, times)
-	return nil
-}
-
 // restore is the one step by which a snapshot replaces a tenant's
-// state, uploaded or replayed from the WAL. On the default tenant it
-// re-arms the auditor in its warming state, since the shadow cannot
-// know the restored window's rows. The caller holds the tenant and
-// sets the clock afterwards.
-func (s *Server) restore(t *registry.Tenant, blob []byte) error {
-	if err := t.Restore(blob); err != nil {
+// state and sets its update count, uploaded or replayed from the WAL.
+// On the default tenant it re-arms the auditor in its warming state,
+// since the shadow cannot know the restored window's rows. The caller
+// holds the tenant.
+func (s *Server) restore(t *registry.Tenant, blob []byte, updates uint64) error {
+	if err := t.Restore(blob, updates); err != nil {
 		return err
 	}
 	if t == s.def {
@@ -550,21 +535,14 @@ func (s *Server) restore(t *registry.Tenant, blob []byte) error {
 	return nil
 }
 
-// handleSnapshotGet downloads a tenant's sketch state when the sketch
-// supports binary snapshots.
+// handleSnapshotGet downloads a tenant's sketch state.
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenantOf(w, r)
 	if !ok || !acquire(w, t) {
 		return
 	}
 	defer t.Release()
-	m, ok := t.Raw().(encoding.BinaryMarshaler)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, CodeUnsupported,
-			"%s does not support snapshots", t.Raw().Name())
-		return
-	}
-	data, err := m.MarshalBinary()
+	data, err := t.Raw().MarshalBinary()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, CodeInternal, "snapshot: %v", err)
 		return
@@ -574,10 +552,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotPost replaces a tenant's sketch state from an uploaded
-// snapshot. On success the tenant's ingest clock (updates, lastT,
-// seen) resets to zero: the restored sketch carries its own clock, and
-// keeping the pre-restore lastT would make default-t queries answer at
-// a timestamp unrelated to the restored state.
+// snapshot. On success the tenant's update count resets to zero and
+// its clock is the restored sketch's.
 func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenantOf(w, r)
 	if !ok {
@@ -601,21 +577,25 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	if err := s.restore(t, data); err != nil {
-		if errors.Is(err, registry.ErrNoSnapshot) {
-			httpError(w, http.StatusNotImplemented, CodeUnsupported,
-				"%s does not support snapshots", t.Raw().Name())
-		} else {
-			httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
-		}
+	if err := s.restore(t, data, 0); err != nil {
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
 		return
 	}
-	t.ResetClock()
 	if s.wal != nil {
 		// The logged snapshot supersedes the tenant's earlier records —
 		// replay restores the blob instead of re-running them — and its
-		// append lets the WAL truncate behind it.
-		if _, err := s.wal.AppendSnapshot(t.ID(), 0, 0, false, data); err != nil {
+		// append lets the WAL truncate behind it. The create record
+		// logged just before it keeps the tenant's config on the log,
+		// so replay can rebuild the tenant whatever was truncated.
+		lastT, seen := t.Raw().Clock()
+		cfgJSON, err := json.Marshal(t.Config())
+		if err == nil {
+			_, err = s.wal.AppendCreate(t.ID(), cfgJSON)
+		}
+		if err == nil {
+			_, err = s.wal.AppendSnapshot(t.ID(), 0, lastT, seen, data)
+		}
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
 			return
 		}
@@ -647,6 +627,10 @@ type walHealth struct {
 	// a mid-segment tear): recovery stopped early on that shard and the
 	// server is serving a possibly incomplete restore.
 	Damaged bool `json:"damaged,omitempty"`
+	// Failed counts replayed records that could not be applied. Every
+	// check runs before a record is journaled, so a failure means
+	// damage, or a restart whose config builds another default sketch.
+	Failed int64 `json:"failed,omitempty"`
 }
 
 // handleHealth reports the default tenant's accuracy health. Without
@@ -657,7 +641,7 @@ type walHealth struct {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{Status: "ok"}
 	if s.wal != nil {
-		resp.WAL = &walHealth{Replayed: s.wal.Replayed(), Damaged: s.walDamaged.Load()}
+		resp.WAL = &walHealth{Replayed: s.wal.Replayed(), Damaged: s.walDamaged.Load(), Failed: s.walFailed.Load()}
 	}
 	if s.hot != nil {
 		resp.HotKeys = &hotkeysHealth{
@@ -680,7 +664,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	if resp.WAL != nil && resp.WAL.Damaged {
+	if resp.WAL != nil && (resp.WAL.Damaged || resp.WAL.Failed > 0) {
 		resp.Status = "degraded"
 	}
 	if resp.Status == "degraded" {

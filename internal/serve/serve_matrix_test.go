@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
 	"swsketch/internal/trace"
-	"swsketch/internal/window"
 )
 
 // newMatrixServer mounts every optional route (metrics, trace, pprof)
@@ -18,8 +16,7 @@ import (
 func newMatrixServer(t *testing.T) (*httptest.Server, func()) {
 	t.Helper()
 	tr := trace.New(256)
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	srv := NewServer(sk, 3,
+	srv := newServer(t, lmCfg(3),
 		WithMetrics(obs.NewRegistry()),
 		WithTrace(tr),
 		WithPprof(),

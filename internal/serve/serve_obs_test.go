@@ -9,9 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
-	"swsketch/internal/window"
+	"swsketch/internal/registry"
 )
 
 // decodeError reads the uniform error envelope off a response.
@@ -114,19 +113,23 @@ func TestConflictEnvelopeAfterRestore(t *testing.T) {
 	}
 	r.Body.Close()
 
+	// The restored sketch's clock rejects the stale timestamp like any
+	// other batch the sketch refuses.
 	resp := postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":5}]}`)
-	if resp.StatusCode != http.StatusConflict {
+	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if e := decodeError(t, resp); e.Code != CodeConflict {
-		t.Fatalf("code = %q", e.Code)
+	if e := decodeError(t, resp); e.Code != CodeInvalidArgument || !strings.Contains(e.Message, "precedes 100") {
+		t.Fatalf("error %+v", e)
 	}
 }
 
 // TestSnapshotRestoreResetsClock is the regression test for the stale
 // lastT bug: a server that had ingested up to t=500 and then restores
 // a snapshot taken at t=100 must not keep answering default-t queries
-// at the dead pre-restore clock.
+// at the dead pre-restore clock. The restored sketch's clock governs:
+// stats read last_t 100 with the update count reset, and a default-t
+// query answers at t=100.
 func TestSnapshotRestoreResetsClock(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
@@ -158,21 +161,20 @@ func TestSnapshotRestoreResetsClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode(t, stats, &sr)
-	if sr.LastT != 0 || sr.Updates != 0 {
-		t.Fatalf("post-restore clock not reset: last_t=%v updates=%d", sr.LastT, sr.Updates)
+	if sr.LastT != 100 || sr.Updates != 0 {
+		t.Fatalf("post-restore clock: last_t=%v updates=%d, want 100 and 0", sr.LastT, sr.Updates)
 	}
 
-	// A default-t query must not be answered at the stale t=500 clock;
-	// with the reset it queries t=0 (sketch-internal clock governs), and
-	// before the fix it answered t=500 against a sketch restored at 100.
+	// A default-t query must not be answered at the stale t=500 clock,
+	// nor at a zeroed one: it answers at the restored sketch's t=100.
 	ra, err := http.Get(ts.URL + "/v2/tenants/default/approximation")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ar approximationResponse
 	decode(t, ra, &ar)
-	if ar.T != 0 {
-		t.Fatalf("default query time after restore = %v, want 0", ar.T)
+	if ar.T != 100 {
+		t.Fatalf("default query time after restore = %v, want 100", ar.T)
 	}
 }
 
@@ -210,8 +212,7 @@ func TestStatsInternals(t *testing.T) {
 }
 
 func TestWithMaxBody(t *testing.T) {
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	ts := httptest.NewServer(NewServer(sk, 3, WithMaxBody(64)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithMaxBody(64)).Handler())
 	defer ts.Close()
 
 	small := `{"updates":[{"row":[1,2,3],"t":0}]}`
@@ -252,8 +253,7 @@ func TestWithMaxBody(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	sk := core.NewSWR(window.Seq(50), 4, 3, 1)
-	ts := httptest.NewServer(NewServer(sk, 3, WithMetrics(reg)).Handler())
+	ts := httptest.NewServer(newServer(t, registry.Config{Framework: registry.FrameworkSWR, Size: 50, D: 3, Ell: 4}, WithMetrics(reg)).Handler())
 	defer ts.Close()
 
 	var b strings.Builder
@@ -310,7 +310,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // server answers queries exactly like a bare one over the same stream.
 func TestMetricsInstrumentationIsTransparent(t *testing.T) {
 	mk := func(opts ...Option) *httptest.Server {
-		return httptest.NewServer(NewServer(core.NewSWOR(window.Seq(40), 4, 3, 9), 3, opts...).Handler())
+		return httptest.NewServer(newServer(t, registry.Config{Framework: registry.FrameworkSWOR, Size: 40, D: 3, Ell: 4, Seed: 9}, opts...).Handler())
 	}
 	bare := mk()
 	defer bare.Close()
@@ -356,8 +356,7 @@ func TestInstrumentedSnapshotStillWorks(t *testing.T) {
 	// The obs wrapper must not hide the snapshot capability of the
 	// underlying sketch.
 	reg := obs.NewRegistry()
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	ts := httptest.NewServer(NewServer(sk, 3, WithMetrics(reg)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithMetrics(reg)).Handler())
 	defer ts.Close()
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":0}]}`).Body.Close()
 	resp, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
@@ -371,8 +370,7 @@ func TestInstrumentedSnapshotStillWorks(t *testing.T) {
 }
 
 func TestWithPprofMountsProfiles(t *testing.T) {
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	srv := NewServer(sk, 3, WithPprof())
+	srv := newServer(t, lmCfg(3), WithPprof())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
@@ -385,7 +383,7 @@ func TestWithPprofMountsProfiles(t *testing.T) {
 	}
 
 	// Without the option the route 404s with the envelope.
-	ts2 := httptest.NewServer(NewServer(core.NewLMFD(window.Seq(100), 3, 8, 4), 3).Handler())
+	ts2 := httptest.NewServer(newServer(t, lmCfg(3)).Handler())
 	defer ts2.Close()
 	r2, err := http.Get(ts2.URL + "/debug/pprof/cmdline")
 	if err != nil {

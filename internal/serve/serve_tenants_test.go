@@ -28,8 +28,7 @@ func newTenantServer(t *testing.T, ropts ...registry.Option) (*httptest.Server, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	s := NewServer(sk, 3, WithRegistry(treg))
+	s := newServer(t, lmCfg(3), WithRegistry(treg))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts, s
@@ -67,7 +66,7 @@ func TestTenantCRUD(t *testing.T) {
 	if info.ID != "alpha" || info.Algorithm != "LM-FD" || info.Dimension != 3 || !info.Resident {
 		t.Fatalf("create response %+v", info)
 	}
-	if info.Config == nil || info.Config.Framework != "lm-fd" {
+	if info.Config.Framework != "lm-fd" {
 		t.Fatalf("create response lacks config: %+v", info)
 	}
 
@@ -222,12 +221,11 @@ func TestTenantIngestAndQuery(t *testing.T) {
 }
 
 // TestDefaultTenantAlias verifies the "default" tenant ID addresses
-// the sketch passed to NewServer: rows posted to it through the
-// per-tenant and bulk routes land in that very sketch, and its query
-// and stats routes read it.
+// the tenant NewServer builds from its config: rows posted to it
+// through the per-tenant and bulk routes land in its sketch, its query
+// and stats routes read it, and its summary carries the config.
 func TestDefaultTenantAlias(t *testing.T) {
-	sk := newSketch(3)
-	s := NewServer(sk, 3)
+	s := newServer(t, lmCfg(3))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":4}]}`).Body.Close()
@@ -244,6 +242,7 @@ func TestDefaultTenantAlias(t *testing.T) {
 	if err := def.Acquire(); err != nil {
 		t.Fatal(err)
 	}
+	sk := def.Raw()
 	want, rows := sk.Query(9), sk.RowsStored()
 	def.Release()
 	if ar.T != 9 || len(ar.Rows) != want.Rows() {
@@ -259,6 +258,11 @@ func TestDefaultTenantAlias(t *testing.T) {
 	if st.Tenant != DefaultTenant || !st.Pinned || st.Algorithm != sk.Name() ||
 		st.Updates != 2 || st.LastT != 9 || st.RowsStored != rows {
 		t.Fatalf("default stats %+v", st)
+	}
+	var info tenantInfoResponse
+	decode(t, doReq(t, "GET", ts.URL+"/v2/tenants/default", ""), &info)
+	if want := lmCfg(3); info.Config.Framework != want.Framework || info.Config.D != 3 || info.Config.Ell != want.Ell {
+		t.Fatalf("default summary config %+v, want %+v", info.Config, want)
 	}
 }
 
@@ -470,9 +474,9 @@ func TestDIFDSnapshotRoutes(t *testing.T) {
 }
 
 // TestRejectedBatchChangesNothing: on the frameworks with a norm bound,
-// a batch whose last row breaks the bound answers 409 and leaves the
-// tenant as it was (clock, approximation and snapshot bytes), so a
-// retry of its valid rows succeeds.
+// a batch whose last row breaks the bound answers 400 invalid_argument
+// and leaves the tenant as it was (clock, approximation and snapshot
+// bytes), so a retry of its valid rows succeeds.
 func TestRejectedBatchChangesNothing(t *testing.T) {
 	ts, _ := newTenantServer(t)
 	for id, cfg := range map[string]string{
@@ -490,7 +494,7 @@ func TestRejectedBatchChangesNothing(t *testing.T) {
 		approx := getBytes(t, url+"/approximation?t=3")
 		resp = postJSON(t, url+"/rows",
 			`{"updates":[{"row":[1,0,0],"t":1},{"row":[2,0,0],"t":2},{"row":[100,0,0],"t":3}]}`)
-		wantEnvelope(t, resp, http.StatusConflict, CodeConflict)
+		wantEnvelope(t, resp, http.StatusBadRequest, CodeInvalidArgument)
 		var st statsResponse
 		decode(t, doReq(t, "GET", url+"/stats", ""), &st)
 		if st.Updates != 0 || st.LastT != 0 {
@@ -731,7 +735,7 @@ func TestTenantPutRejectsConstructorLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var serverLog bytes.Buffer
-	ts := httptest.NewUnstartedServer(NewServer(core.NewLMFD(window.Seq(100), 3, 8, 4), 3, WithRegistry(treg)).Handler())
+	ts := httptest.NewUnstartedServer(newServer(t, lmCfg(3), WithRegistry(treg)).Handler())
 	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
 	ts.Start()
 	client := ts.Client()

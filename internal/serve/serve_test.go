@@ -8,15 +8,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"swsketch/internal/core"
-	"swsketch/internal/window"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, func()) {
 	t.Helper()
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	ts := httptest.NewServer(NewServer(sk, 3).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3)).Handler())
 	return ts, ts.Close
 }
 
@@ -298,20 +294,6 @@ func TestSnapshotRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSnapshotUnsupportedSketch(t *testing.T) {
-	sk := core.NewBest(window.Seq(10), 2, 3) // no snapshot support
-	ts := httptest.NewServer(NewServer(sk, 3).Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v2/tenants/default/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("unsupported snapshot status %d", resp.StatusCode)
-	}
-}
-
 func TestIngestSparseForm(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
@@ -361,8 +343,8 @@ func TestIngestSparseValidation(t *testing.T) {
 }
 
 func TestIngestAfterRestoreWithStaleTimestamp(t *testing.T) {
-	// Restore resets the server's clock but not the sketch's; a stale
-	// ingest must come back as 409, not a dropped connection.
+	// The restored sketch brings its clock along; a stale ingest must
+	// come back as 400, not a dropped connection.
 	ts, done := newTestServer(t)
 	defer done()
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":100}]}`).Body.Close()
@@ -384,8 +366,8 @@ func TestIngestAfterRestoreWithStaleTimestamp(t *testing.T) {
 
 	resp := postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":5}]}`)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale post-restore ingest status %d, want 409", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stale post-restore ingest status %d, want 400", resp.StatusCode)
 	}
 	// A forward timestamp is accepted.
 	resp = postJSON(t, ts2.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":200}]}`)

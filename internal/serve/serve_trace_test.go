@@ -67,9 +67,8 @@ func TestHealthWithoutAuditor(t *testing.T) {
 // the same sketch against an exact window, to FP tolerance.
 func TestHealthAuditMatchesOfflineEval(t *testing.T) {
 	spec := window.Seq(100)
-	sk := core.NewLMFD(spec, 3, 8, 4)
 	a := audit.New(audit.Config{Spec: spec, D: 3, ErrThreshold: 10}, nil)
-	ts := httptest.NewServer(NewServer(sk, 3, WithAudit(a)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithAudit(a)).Handler())
 	defer ts.Close()
 
 	// Two batches of one default stride each: the second evaluation
@@ -109,9 +108,8 @@ func TestHealthAuditMatchesOfflineEval(t *testing.T) {
 
 func TestHealthFreshForcesEvaluation(t *testing.T) {
 	spec := window.Seq(100)
-	sk := core.NewLMFD(spec, 3, 8, 4)
 	a := audit.New(audit.Config{Spec: spec, D: 3, ErrThreshold: 10}, nil)
-	ts := httptest.NewServer(NewServer(sk, 3, WithAudit(a)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithAudit(a)).Handler())
 	defer ts.Close()
 
 	// 70 rows: one stride boundary passed (64), 6 rows un-evaluated.
@@ -136,9 +134,10 @@ func TestHealthDegraded(t *testing.T) {
 	spec := window.Seq(100)
 	// ℓ=2 on varied 3-dimensional rows: the sketch cannot be accurate,
 	// so any positive threshold this small must trip.
-	sk := core.NewLMFD(spec, 3, 2, 2)
+	cfg := lmCfg(3)
+	cfg.Ell, cfg.B = 2, 2
 	a := audit.New(audit.Config{Spec: spec, D: 3, ErrThreshold: 1e-9}, nil)
-	ts := httptest.NewServer(NewServer(sk, 3, WithAudit(a)).Handler())
+	ts := httptest.NewServer(newServer(t, cfg, WithAudit(a)).Handler())
 	defer ts.Close()
 
 	ingestVaried(t, ts.URL, 0, 2*audit.DefaultStride)
@@ -160,9 +159,8 @@ func TestHealthDegraded(t *testing.T) {
 func TestAuditResetOnSnapshotRestore(t *testing.T) {
 	spec := window.Seq(100)
 	mk := func() (*httptest.Server, *audit.Auditor) {
-		sk := core.NewLMFD(spec, 3, 8, 4)
 		a := audit.New(audit.Config{Spec: spec, D: 3}, nil)
-		return httptest.NewServer(NewServer(sk, 3, WithAudit(a)).Handler()), a
+		return httptest.NewServer(newServer(t, lmCfg(3), WithAudit(a)).Handler()), a
 	}
 	ts, _ := mk()
 	defer ts.Close()
@@ -198,8 +196,7 @@ func TestAuditResetOnSnapshotRestore(t *testing.T) {
 func TestDebugTraceEndpoint(t *testing.T) {
 	tr := trace.New(4096)
 	tr.Enable()
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	ts := httptest.NewServer(NewServer(sk, 3, WithTrace(tr)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithTrace(tr)).Handler())
 	defer ts.Close()
 
 	// Enough varied rows to force block closes, merges, expiries, and
@@ -288,8 +285,7 @@ func TestRequestLoggingAndIDs(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	tr := trace.New(256)
 	tr.Enable()
-	sk := core.NewLMFD(window.Seq(100), 3, 8, 4)
-	ts := httptest.NewServer(NewServer(sk, 3, WithLogger(logger), WithTrace(tr)).Handler())
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithLogger(logger), WithTrace(tr)).Handler())
 	defer ts.Close()
 
 	resp := postJSON(t, ts.URL+"/v2/tenants/default/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`)

@@ -17,12 +17,23 @@ import (
 	"testing"
 
 	"swsketch/internal/binenc"
-	"swsketch/internal/core"
-	"swsketch/internal/window"
+	"swsketch/internal/registry"
 )
 
-func newSketch(d int) core.WindowSketch {
-	return core.NewLMFD(window.Seq(100), d, 8, 4)
+// lmCfg is the tests' default tenant: an LM-FD over a 100-row window,
+// ℓ 8, b 4, with rows d wide.
+func lmCfg(d int) registry.Config {
+	return registry.Config{Framework: registry.FrameworkLMFD, Size: 100, D: d, Ell: 8, B: 4}
+}
+
+// newServer is NewServer for a config that builds.
+func newServer(t testing.TB, cfg registry.Config, opts ...Option) *Server {
+	t.Helper()
+	s, err := NewServer(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestV1Gone: the retired /v1 grammar answers 410 with the gone
@@ -312,8 +323,7 @@ func TestStreamErrorAckMatchesBulkEnvelope(t *testing.T) {
 // TestStreamBackpressure: a tenant with an exhausted in-flight budget
 // refuses a stream open with 429 + Retry-After.
 func TestStreamBackpressure(t *testing.T) {
-	sk := newSketch(3)
-	s := NewServer(sk, 3, WithStreamQueue(2))
+	s := newServer(t, lmCfg(3), WithStreamQueue(2))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

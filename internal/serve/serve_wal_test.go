@@ -33,7 +33,7 @@ func walServer(t *testing.T, dir string, opts ...Option) (*Server, *httptest.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(newSketch(3), 3, append(opts, WithWAL(l))...)
+	s := newServer(t, lmCfg(3), append(opts, WithWAL(l))...)
 	st, err := s.RecoverWAL()
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestWALRecoveryAfterSpillRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewServer(newSketch(3), 3, WithRegistry(treg), WithWAL(l))
+		s := newServer(t, lmCfg(3), WithRegistry(treg), WithWAL(l))
 		if _, err := s.RecoverWAL(); err != nil {
 			t.Fatal(err)
 		}

@@ -46,18 +46,18 @@ func (s *Server) handleTenantList(w http.ResponseWriter, _ *http.Request) {
 // tenantInfoResponse is the GET /v2/tenants/{id} payload (also
 // returned by PUT on creation).
 type tenantInfoResponse struct {
-	ID        string           `json:"id"`
-	Algorithm string           `json:"algorithm"`
-	Dimension int              `json:"dimension"`
-	Resident  bool             `json:"resident"`
-	Rows      int              `json:"rows_stored"`
-	Updates   uint64           `json:"updates"`
-	Pinned    bool             `json:"pinned,omitempty"`
-	Config    *registry.Config `json:"config,omitempty"`
+	ID        string          `json:"id"`
+	Algorithm string          `json:"algorithm"`
+	Dimension int             `json:"dimension"`
+	Resident  bool            `json:"resident"`
+	Rows      int             `json:"rows_stored"`
+	Updates   uint64          `json:"updates"`
+	Pinned    bool            `json:"pinned,omitempty"`
+	Config    registry.Config `json:"config"`
 }
 
 func tenantInfo(t *registry.Tenant) tenantInfoResponse {
-	resp := tenantInfoResponse{
+	return tenantInfoResponse{
 		ID:        t.ID(),
 		Algorithm: t.Algorithm(),
 		Dimension: t.D(),
@@ -65,11 +65,8 @@ func tenantInfo(t *registry.Tenant) tenantInfoResponse {
 		Rows:      t.Rows(),
 		Updates:   t.Updates(),
 		Pinned:    t.Pinned(),
+		Config:    t.Config(),
 	}
-	if cfg := t.Config(); cfg.Framework != "" {
-		resp.Config = &cfg
-	}
-	return resp
 }
 
 // handleTenantPut creates a tenant from a declarative config. The body

@@ -37,10 +37,10 @@ func (s *Server) WAL() *wal.Log { return s.wal }
 
 // RecoverWAL replays the attached WAL through the tenant registry and
 // enables appends. It must run after NewServer (so replayed rows for
-// the adopted default tenant land in its fresh sketch) and before the
-// server takes traffic. Corruption does not fail recovery: it is
-// reported in the returned stats and on the health endpoints as
-// degraded. Without WithWAL it is a no-op.
+// the default tenant land in its fresh sketch) and before the server
+// takes traffic. Neither corruption nor failed records fail recovery:
+// they are reported in the returned stats and on the health endpoints
+// as degraded. Without WithWAL it is a no-op.
 func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if s.wal == nil {
 		return wal.Stats{}, nil
@@ -49,9 +49,8 @@ func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	if st.Damaged {
-		s.walDamaged.Store(true)
-	}
+	s.walDamaged.Store(st.Damaged)
+	s.walFailed.Store(int64(st.Failed))
 	return st, nil
 }
 
@@ -102,8 +101,9 @@ func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, ti
 }
 
 // Snapshot re-applies a logged snapshot restore through the upload's
-// restore step, then reinstates the logged clock.
-func (a *registryApplier) Snapshot(tenant string, updates uint64, lastT float64, seen bool, blob []byte) (bool, error) {
+// restore step with the logged update count. The record's clock fields
+// are not needed: the snapshot carries the sketch's clock.
+func (a *registryApplier) Snapshot(tenant string, updates uint64, _ float64, _ bool, blob []byte) (bool, error) {
 	t, ok := a.s.treg.Get(tenant)
 	if !ok {
 		return false, nil
@@ -112,10 +112,9 @@ func (a *registryApplier) Snapshot(tenant string, updates uint64, lastT float64,
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	defer t.Release()
-	if err := a.s.restore(t, blob); err != nil {
+	if err := a.s.restore(t, blob, updates); err != nil {
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
-	t.SetClock(updates, lastT, seen)
 	return true, nil
 }
 

@@ -132,10 +132,16 @@ func (sh *logShard) replay(ap Applier, st *Stats) error {
 				if rec.kind == KindRows {
 					st.Rows += len(rec.rows)
 				}
-				sh.trackNeeded(rec)
+				sh.track(&rec)
 			default:
 				st.Skipped++
 				skipped++
+				if rec.kind == KindCreate {
+					// The tenant exists (a spill file, or an earlier create):
+					// a later snapshot's mark still stops here, as it did on
+					// the log that wrote it.
+					sh.created[rec.tenant] = rec.seq
+				}
 			}
 		}
 		sh.closed[segIdx] = segmentInfo{path: seg.path, first: seg.first, last: sh.seq}
@@ -169,17 +175,27 @@ func (sh *logShard) dispatch(ap Applier, rec record) (bool, error) {
 	return false, fmt.Errorf("wal: unknown kind %d", rec.kind)
 }
 
-// trackNeeded rebuilds the truncation low-water marks during replay,
-// mirroring the append-path bookkeeping.
-func (sh *logShard) trackNeeded(rec record) {
+// track keeps the truncation low-water marks for one record, on
+// append and for every applied record on replay, so a restarted log
+// garbage-collects exactly like the one that wrote it. A snapshot
+// supersedes the tenant's earlier records except its latest create
+// record. Caller owns the shard.
+func (sh *logShard) track(rec *record) {
 	switch rec.kind {
-	case KindRows, KindCreate:
+	case KindCreate:
+		sh.created[rec.tenant] = rec.seq
+		fallthrough
+	case KindRows:
 		if _, ok := sh.needed[rec.tenant]; !ok {
 			sh.needed[rec.tenant] = rec.seq
 		}
 	case KindSnapshot:
 		sh.needed[rec.tenant] = rec.seq
+		if seq, ok := sh.created[rec.tenant]; ok {
+			sh.needed[rec.tenant] = seq
+		}
 	case KindDelete:
 		delete(sh.needed, rec.tenant)
+		delete(sh.created, rec.tenant)
 	}
 }

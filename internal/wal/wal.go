@@ -21,7 +21,9 @@
 //     sequence number whose effect is not yet durable elsewhere; when
 //     a tenant spills, is deleted, or logs a snapshot, Released (or
 //     the snapshot append itself) advances that low-water mark and
-//     closed segments wholly below it are unlinked.
+//     closed segments wholly below it are unlinked. A snapshot's mark
+//     stops at the tenant's latest create record, which replay needs
+//     to rebuild the tenant before it can restore into it.
 //   - Replay. Replay walks every shard's segments in order, skipping
 //     duplicate sequence numbers (idempotent re-delivery) and records
 //     whose effect a spill snapshot already covers, and surfaces a
@@ -143,6 +145,8 @@ type logShard struct {
 	// needed maps tenant -> first seq whose effect is not durable
 	// outside the WAL. min over the map bounds what truncation keeps.
 	needed map[string]uint64
+	// created maps tenant -> seq of its latest create record.
+	created map[string]uint64
 }
 
 // segmentInfo describes one on-disk segment file.
@@ -174,7 +178,7 @@ func Open(dir string, opts ...Option) (*Log, error) {
 	}
 	l.shards = make([]*logShard, l.nshards)
 	for i := range l.shards {
-		l.shards[i] = &logShard{log: l, idx: i, needed: make(map[string]uint64)}
+		l.shards[i] = &logShard{log: l, idx: i, needed: make(map[string]uint64), created: make(map[string]uint64)}
 	}
 	if err := l.scanSegments(); err != nil {
 		return nil, err
@@ -374,17 +378,8 @@ func (l *Log) append(rec *record) (uint64, error) {
 	sh.activeInfo.last = rec.seq
 	sh.size += int64(len(data))
 	sh.dirty = true
-	switch rec.kind {
-	case KindRows, KindCreate:
-		if _, ok := sh.needed[rec.tenant]; !ok {
-			sh.needed[rec.tenant] = rec.seq
-		}
-	case KindSnapshot:
-		// The snapshot record supersedes everything before it.
-		sh.needed[rec.tenant] = rec.seq
-		sh.gcLocked()
-	case KindDelete:
-		delete(sh.needed, rec.tenant)
+	sh.track(rec)
+	if rec.kind == KindSnapshot || rec.kind == KindDelete {
 		sh.gcLocked()
 	}
 	if l.syncEvery <= 0 {
@@ -500,6 +495,7 @@ func (l *Log) Released(tenant string) {
 	sh := l.shardFor(tenant)
 	sh.mu.Lock()
 	delete(sh.needed, tenant)
+	delete(sh.created, tenant)
 	sh.gcLocked()
 	sh.mu.Unlock()
 }

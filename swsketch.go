@@ -397,8 +397,8 @@ func ReadCSV(name string, r io.Reader) (*Dataset, error) {
 	return data.ReadCSV(name, r)
 }
 
-// Server exposes a sketch over HTTP (ingest, approximation, PCA,
-// stats, snapshot, and optional metrics/pprof endpoints); see
+// Server exposes tenant sketches over HTTP (ingest, approximation,
+// PCA, stats, snapshot, and optional metrics/pprof endpoints); see
 // cmd/swserve for a ready binary and internal/serve for the route and
 // error-envelope documentation.
 type Server = serve.Server
@@ -407,10 +407,11 @@ type Server = serve.Server
 // WithMaxBody, WithTrace, WithAudit, WithLogger).
 type ServerOption = serve.Option
 
-// NewServer wraps a sketch of dimension d for HTTP serving; mount
-// Handler() on any mux.
-func NewServer(sk WindowSketch, d int, opts ...ServerOption) *Server {
-	return serve.NewServer(sk, d, opts...)
+// NewServer builds a server whose "default" tenant is the sketch cfg
+// describes, or returns the config's error; mount Handler() on any
+// mux.
+func NewServer(cfg TenantConfig, opts ...ServerOption) (*Server, error) {
+	return serve.NewServer(cfg, opts...)
 }
 
 // WithMetrics instruments the server's sketch and routes into reg and
@@ -615,6 +616,6 @@ func WithTenantTrace(tr *Tracer) RegistryOption { return registry.WithTrace(tr) 
 func WithRegistryClock(now func() time.Time) RegistryOption { return registry.WithClock(now) }
 
 // WithRegistry mounts a caller-built tenant registry on a Server
-// instead of the plain one it otherwise creates; the server's default
-// sketch is adopted into it as the pinned "default" tenant.
+// instead of the plain one it otherwise creates; the server creates
+// its pinned "default" tenant in it.
 func WithRegistry(reg *TenantRegistry) ServerOption { return serve.WithRegistry(reg) }

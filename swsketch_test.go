@@ -140,10 +140,12 @@ func TestPublicAPIEHNorms(t *testing.T) {
 }
 
 func TestPublicAPIServer(t *testing.T) {
-	sk := swsketch.NewLMFD(swsketch.Seq(10), 2, 4, 3)
-	srv := swsketch.NewServer(sk, 2)
-	if srv.Handler() == nil {
-		t.Fatal("nil handler")
+	srv, err := swsketch.NewServer(swsketch.TenantConfig{Framework: "lm-fd", Size: 10, D: 2, Ell: 4, B: 3})
+	if err != nil || srv.Handler() == nil {
+		t.Fatalf("server %v, err %v", srv, err)
+	}
+	if _, err := swsketch.NewServer(swsketch.TenantConfig{Framework: "lm-fd", Size: 10, Ell: 4}); err == nil {
+		t.Fatal("a config without d built a server")
 	}
 }
 
@@ -352,12 +354,12 @@ func TestPublicAPIObservability(t *testing.T) {
 	}
 
 	// The full observability stack over HTTP: trace + audit + logs.
-	srv := swsketch.NewServer(swsketch.NewLMFD(spec, d, 8, 4), d,
+	srv, err := swsketch.NewServer(swsketch.TenantConfig{Framework: "lm-fd", Size: win, D: d, Ell: 8, B: 4},
 		swsketch.WithMetrics(swsketch.NewMetricsRegistry()),
 		swsketch.WithTrace(swsketch.NewTracer(256)),
 		swsketch.WithAudit(swsketch.NewAuditor(swsketch.AuditConfig{Spec: spec, D: d}, nil)),
 	)
-	if srv.Handler() == nil {
-		t.Fatal("nil handler")
+	if err != nil || srv.Handler() == nil {
+		t.Fatalf("server %v, err %v", srv, err)
 	}
 }
