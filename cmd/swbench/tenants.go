@@ -85,7 +85,7 @@ func runTenants(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 						if err := tn.Acquire(); err != nil {
 							return
 						}
-						lastT, _ := tn.Raw().Clock()
+						lastT, _ := tn.Sketch().Clock()
 						times := make([]float64, batch)
 						for k := range times {
 							times[k] = lastT + float64(k) + 1
@@ -186,7 +186,7 @@ func copyTenantState(src, dst *registry.Tenant) error {
 	if err := src.Acquire(); err != nil {
 		return err
 	}
-	blob, err := src.Raw().MarshalBinary()
+	blob, err := src.Sketch().MarshalBinary()
 	n := src.Updates()
 	src.Release()
 	if err != nil {
@@ -196,5 +196,9 @@ func copyTenantState(src, dst *registry.Tenant) error {
 		return err
 	}
 	defer dst.Release()
-	return dst.Restore(blob, n)
+	sk, err := dst.Decode(blob)
+	if err == nil {
+		dst.Install(sk, n)
+	}
+	return err
 }

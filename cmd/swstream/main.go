@@ -303,21 +303,17 @@ func printTraceSummary(w io.Writer, tr *trace.Tracer) {
 // the run: row/batch counts, latency totals, and — when the sketch is
 // a core.Introspector — its internal stats, sorted by key.
 func printInstrumentation(w io.Writer, reg *obs.Registry, sk core.WindowSketch) {
-	algo := obs.Labels{"algo": sk.Name()}
-	rows := reg.Counter("swsketch_ingest_rows_total", "", algo).Value()
-	batches := reg.Counter("swsketch_ingest_batches_total", "", algo).Value()
-	upd := reg.Histogram("swsketch_update_seconds", "", algo, nil)
-	qry := reg.Histogram("swsketch_query_seconds", "", algo, nil)
+	m := obs.NewSketchMetrics(reg, sk.Name()) // the decorator's instruments
 
 	fmt.Fprintf(w, "\n# instrumentation (%s)\n", sk.Name())
-	fmt.Fprintf(w, "#   rows ingested      %d (in %d batched calls)\n", rows, batches)
-	if c := upd.Count(); c > 0 {
+	fmt.Fprintf(w, "#   rows ingested      %d (in %d batched calls)\n", m.Rows.Value(), m.Batches.Value())
+	if c := m.Update.Count(); c > 0 {
 		fmt.Fprintf(w, "#   update calls       %d, total %.3fms, mean %.1fµs\n",
-			c, upd.Sum()*1e3, upd.Sum()/float64(c)*1e6)
+			c, m.Update.Sum()*1e3, m.Update.Sum()/float64(c)*1e6)
 	}
-	if c := qry.Count(); c > 0 {
+	if c := m.Query.Count(); c > 0 {
 		fmt.Fprintf(w, "#   query calls        %d, total %.3fms, mean %.1fµs\n",
-			c, qry.Sum()*1e3, qry.Sum()/float64(c)*1e6)
+			c, m.Query.Sum()*1e3, m.Query.Sum()/float64(c)*1e6)
 	}
 	fmt.Fprintf(w, "#   rows stored        %d\n", sk.RowsStored())
 	if in, ok := sk.(core.Introspector); ok {

@@ -80,7 +80,7 @@ func main() {
 					if err := tn.Acquire(); err != nil {
 						fail(err)
 					}
-					lastT, _ := tn.Raw().Clock()
+					lastT, _ := tn.Sketch().Clock()
 					tn.Sketch().Update(row, lastT+1)
 					tn.Commit(1)
 					tn.Release()

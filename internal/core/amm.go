@@ -147,9 +147,7 @@ func AutoAMM(spec window.Spec, dA, dB int, eps float64) *AMM {
 // merges, and COD shrink spans flow from there).
 func (a *AMM) SetTracer(tr *trace.Tracer) {
 	a.tr = tr
-	if t, ok := a.inner.(trace.Traceable); ok {
-		t.SetTracer(tr)
-	}
+	a.inner.SetTracer(tr)
 }
 
 // Update feeds one stacked row [a|b] (the WindowSketch contract).
@@ -222,10 +220,7 @@ func (a *AMM) Dim() int { return a.dA + a.dB }
 // Stats implements Introspector: the inner framework's stats plus the
 // side dimensions.
 func (a *AMM) Stats() map[string]float64 {
-	m := map[string]float64{}
-	if in, ok := a.inner.(Introspector); ok {
-		m = in.Stats()
-	}
+	m := a.inner.Stats()
 	m["d_a"] = float64(a.dA)
 	m["d_b"] = float64(a.dB)
 	return m

@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"swsketch/internal/mat"
+	"swsketch/internal/trace"
 )
 
 // WindowSketch is a continuously maintained matrix sketch over a
@@ -63,9 +64,12 @@ func must(err error) {
 // TenantSketch is a window sketch a served tenant can hold; every
 // registry framework builds one (SWR, SWOR, LM, DI, DS-FD and AMM
 // implement it). Beyond WindowSketch it owns the stream clock, checks
-// a batch without applying it, and snapshots itself.
+// a batch without applying it, snapshots itself, reports its
+// internals and takes a tracer.
 type TenantSketch interface {
 	WindowSketch
+	Introspector
+	trace.Traceable
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
 	// CheckBatch returns the error UpdateBatch(rows, times) would panic

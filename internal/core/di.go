@@ -486,23 +486,24 @@ func (s *DI) cover(lo, hi int, open stream.Sketch, raw []mat.SparseRow) *mat.Den
 }
 
 // findBlock returns the completed block spanning exactly level-1
-// blocks [lo, hi], or nil.
+// blocks [lo, hi], or nil. A level is one gapless, aligned run in order
+// (closeBlocks appends, expire drops a prefix, the decoder checks), so
+// the block's index follows from the level's first startIdx.
 func (s *DI) findBlock(lo, hi int) *diBlock {
 	span := hi - lo + 1
 	level := 0
 	for 1<<uint(level) < span {
 		level++
 	}
-	if 1<<uint(level) != span || level >= s.cfg.L {
+	if 1<<uint(level) != span || level >= s.cfg.L || len(s.levels[level]) == 0 {
 		return nil
 	}
-	for j := range s.levels[level] {
-		b := &s.levels[level][j]
-		if b.startIdx == lo && b.endIdx == hi {
-			return b
-		}
+	lv := s.levels[level]
+	j := (lo - lv[0].startIdx) / span
+	if lo < lv[0].startIdx || j >= len(lv) || lv[j].startIdx != lo {
+		return nil
 	}
-	return nil
+	return &lv[j]
 }
 
 // RowsStored reports rows across all completed block sketches, the

@@ -136,11 +136,12 @@ func readDIConfig(r *binenc.Reader) DIConfig {
 // binenc.Reader.Count.
 //
 // The blocks must have the structure closeBlocks and expire keep: a
-// level-i block spans 2^(i−1) aligned level-1 blocks, each level's
-// blocks are in order and none ends past the m completed, and level 1
-// is one gapless run ending at m. The query walk then takes at most one
-// step per decoded level-1 block; without the checks, a patched m alone
-// would make every query step through each index up to m (< 2³¹).
+// level-i block spans 2^(i−1) aligned level-1 blocks, each level is one
+// gapless run in order, none ending past the m completed, and level 1
+// ends at m. The query walk then takes at most one step per decoded
+// level-1 block, each finding its block by index; without the checks, a
+// patched m alone would make every query step through each index up to
+// m (< 2³¹).
 func (s *DI) readBody(r *binenc.Reader, readSketch func(r *binenc.Reader, level int) (stream.Sketch, error)) error {
 	s.m = r.Int()
 	s.curSize = r.F64()
@@ -165,7 +166,7 @@ func (s *DI) readBody(r *binenc.Reader, readSketch func(r *binenc.Reader, level 
 			if r.Err() != nil {
 				return r.Err()
 			}
-			ok := blk.startIdx > prevEnd && blk.endIdx <= s.m &&
+			ok := blk.startIdx > prevEnd && (j == 0 || blk.startIdx == prevEnd+1) && blk.endIdx <= s.m &&
 				blk.endIdx-blk.startIdx+1 == span && (blk.startIdx-1)%span == 0
 			if i == 0 {
 				ok = ok && blk.startIdx == s.m-n+1+j

@@ -141,8 +141,8 @@ func TestDISnapshotRejectsPatchedBlockCount(t *testing.T) {
 // closeBlocks and expire keep, and must be rejected.
 func TestDISnapshotRejectsBrokenDyadicStructure(t *testing.T) {
 	s := NewDIFD(DIConfig{N: 64, R: 8, L: 3, Ell: 8, RSlack: 2}, 2)
-	feedDI(s, rand.New(rand.NewSource(5)), 120, 2.25)
-	if len(s.levels[0]) < 2 || len(s.levels[1]) == 0 {
+	feedDI(s, rand.New(rand.NewSource(5)), 240, 2.25)
+	if len(s.levels[0]) < 2 || len(s.levels[1]) < 3 {
 		t.Fatalf("want blocks on levels 1 and 2, have %d and %d", len(s.levels[0]), len(s.levels[1]))
 	}
 	for _, c := range []struct {
@@ -152,6 +152,7 @@ func TestDISnapshotRejectsBrokenDyadicStructure(t *testing.T) {
 		{"level-1 gap", func(s *DI) { s.levels[0][0].startIdx--; s.levels[0][0].endIdx-- }},
 		{"level 1 ends before m", func(s *DI) { s.m++ }},
 		{"level-2 block misaligned", func(s *DI) { s.levels[1][0].startIdx++; s.levels[1][0].endIdx++ }},
+		{"level-2 gap", func(s *DI) { s.levels[1] = append(s.levels[1][:1], s.levels[1][2:]...) }},
 		{"level-2 block of span 1", func(s *DI) { s.levels[1][0].startIdx = s.levels[1][0].endIdx }},
 		{"level-2 block past m", func(s *DI) {
 			last := &s.levels[1][len(s.levels[1])-1]

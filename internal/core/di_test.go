@@ -266,6 +266,48 @@ func TestDIQueryCoverNoOverlapNoGapInCompleted(t *testing.T) {
 	}
 }
 
+// TestDIFindBlockMatchesScan checks findBlock's index arithmetic
+// against a scan of the whole level, for every (lo, span) over the
+// completed range and beyond, on a DI whose levels have expired
+// prefixes and a decoded copy of it.
+func TestDIFindBlockMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	di := NewDIFD(DIConfig{N: 96, R: 1, L: 5, Ell: 16}, 3)
+	for i := 0; i < 900; i++ {
+		di.Update(unitRow(rng, 3), float64(i))
+	}
+	di.Query(899)
+	if di.levels[0][0].startIdx == 1 || len(di.levels[di.cfg.L-1]) == 0 {
+		t.Fatalf("want an expired level-1 prefix and a top-level block; level 1 starts at %d", di.levels[0][0].startIdx)
+	}
+	blob, err := di.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := NewDIFD(DIConfig{N: 96, R: 1, L: 5, Ell: 16}, 3)
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*DI{di, decoded} {
+		for level := 0; level <= s.cfg.L; level++ {
+			span := 1 << level
+			for lo := -span; lo <= s.m+span; lo++ {
+				var want *diBlock
+				if level < s.cfg.L {
+					for j := range s.levels[level] {
+						if b := &s.levels[level][j]; b.startIdx == lo && b.endIdx == lo+span-1 {
+							want = b
+						}
+					}
+				}
+				if got := s.findBlock(lo, lo+span-1); got != want {
+					t.Fatalf("findBlock(%d, %d) = %v, scan finds %v", lo, lo+span-1, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDIRPAndDIHashRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	win, d := 256, 5

@@ -125,11 +125,19 @@ type LM struct {
 }
 
 // SetTracer attaches a tracer: structural transitions (active-block
-// closes, merges, singleton promotions, expiry) emit events, and block
-// sketches created afterwards inherit the tracer (FD blocks then emit
-// fd_shrink spans). Attach before the first Update — blocks sketched
-// earlier keep emitting nowhere.
-func (l *LM) SetTracer(tr *trace.Tracer) { l.tr = tr }
+// closes, merges, singleton promotions, expiry) emit events, and every
+// block sketch, held now or created later, emits into it (FD blocks
+// emit fd_shrink spans). A restore re-attaches it the same way.
+func (l *LM) SetTracer(tr *trace.Tracer) {
+	l.tr = tr
+	for i := range l.levels {
+		for j := range l.levels[i] {
+			if t, ok := l.levels[i][j].sk.(trace.Traceable); ok {
+				t.SetTracer(tr)
+			}
+		}
+	}
+}
 
 // mkSketch builds a block sketch, reusing a recycled one when the free
 // list has one, and attaches the tracer when the sketch supports it.

@@ -473,14 +473,7 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	if r.Rest() != 0 {
 		return fmt.Errorf("core: LM snapshot has %d trailing bytes", r.Rest())
 	}
-	restored.tr = l.tr // the tracer survives restore
-	for i := range restored.levels {
-		for j := range restored.levels[i] {
-			if t, ok := restored.levels[i][j].sk.(trace.Traceable); ok {
-				t.SetTracer(l.tr)
-			}
-		}
-	}
+	restored.SetTracer(l.tr) // the tracer survives restore
 	*l = *restored
 	l.tr.Emit(l.name, trace.KindRestore, l.lastT, float64(len(data)), 0)
 	return nil

@@ -153,6 +153,40 @@ func TestTraceSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestTraceAttachedAfterDecode checks that SetTracer reaches the
+// blocks a snapshot brought: a sketch decoded and then traced counts
+// the same shrinks under further ingest as the traced sketch the
+// snapshot came from.
+func TestTraceAttachedAfterDecode(t *testing.T) {
+	ref, attached := trace.New(1<<12), trace.New(1<<12)
+	ref.Enable()
+	attached.Enable()
+	src := NewLMFD(window.Seq(1000), 4, 8, 2)
+	src.SetTracer(ref)
+	for i, r := range traceRows(150, 4, 5) {
+		src.Update(r, float64(i))
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := NewLMFD(window.Seq(1000), 4, 8, 2)
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	decoded.SetTracer(attached)
+	before := ref.Counts()[trace.KindFDShrink].Count
+	for i := 150; i < 400; i++ {
+		r := traceRows(1, 4, int64(i))[0]
+		src.Update(r, float64(i))
+		decoded.Update(r, float64(i))
+	}
+	want, got := ref.Counts()[trace.KindFDShrink].Count-before, attached.Counts()[trace.KindFDShrink].Count
+	if want == 0 || got != want {
+		t.Fatalf("fd_shrink events after the snapshot: %d from its source, %d from the decoded sketch", want, got)
+	}
+}
+
 // TestTraceDisabledSketchesMatch verifies tracing does not perturb
 // sketch behaviour: with a nil tracer and a disabled tracer, identical
 // streams produce identical query answers.

@@ -9,97 +9,87 @@ import (
 	"swsketch/internal/trace"
 )
 
-// Instrumented decorates a core.WindowSketch with metrics: ingest and
-// query latency histograms, row counters, a rows-stored gauge, and —
-// when the sketch implements core.Introspector — a dynamic gauge set
-// exposing its internals. Counters count every row, but per-row update
-// timings are sampled (every 16th row by default; see WithSampleEvery)
-// because a clock read pair costs a meaningful fraction of a cheap
-// sampler update. Batch and query calls are always timed — their cost
-// amortises the clock reads. Scrape-time callbacks (rows stored,
-// internals) go through the Sync option so a /metrics scrape can
-// serialise against the writer.
+// SketchMetrics is one sketch algorithm's instrument set, labelled
+// algo=<Name()>: ingest row and batch counters and update and query
+// latency histograms, recorded by Instrumented and by the server's
+// apply and read steps. On a nil set the methods do nothing and Start
+// reads no clock: a caller with metrics off passes nil.
+type SketchMetrics struct {
+	Rows, Batches *Counter   // rows ingested; UpdateBatch calls
+	Update, Query *Histogram // seconds per Update or UpdateBatch call; per Query call
+}
+
+// NewSketchMetrics returns algo's instrument set in reg, registering it
+// on first use.
+func NewSketchMetrics(reg *Registry, algo string) *SketchMetrics {
+	l := Labels{"algo": algo}
+	return &SketchMetrics{
+		Rows:    reg.Counter("swsketch_ingest_rows_total", "Rows ingested into the sketch.", l),
+		Batches: reg.Counter("swsketch_ingest_batches_total", "Bulk ingest calls (UpdateBatch).", l),
+		Update:  reg.Histogram("swsketch_update_seconds", "Latency of one Update or UpdateBatch call.", l, nil),
+		Query:   reg.Histogram("swsketch_query_seconds", "Latency of one Query call.", l, nil),
+	}
+}
+
+// Start reads the clock, or returns the zero time on a nil set.
+func (m *SketchMetrics) Start() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveBatch records one UpdateBatch of n rows that began at start.
+func (m *SketchMetrics) ObserveBatch(start time.Time, n int) {
+	if m == nil {
+		return
+	}
+	m.Update.Observe(time.Since(start).Seconds())
+	m.Rows.Add(uint64(n))
+	m.Batches.Inc()
+}
+
+// ObserveQuery records one query that began at start.
+func (m *SketchMetrics) ObserveQuery(start time.Time) {
+	if m == nil {
+		return
+	}
+	m.Query.Observe(time.Since(start).Seconds())
+}
+
+// RegisterInternals publishes a sketch's internals (stats, called at
+// scrape time) as the swsketch_internal{algo,stat} gauge set.
+func RegisterInternals(reg *Registry, algo string, stats func() map[string]float64) {
+	reg.GaugeSet("swsketch_internal", "Sketch internals from core.Introspector.",
+		"stat", Labels{"algo": algo}, stats)
+}
+
+// Instrumented decorates a core.WindowSketch with its algorithm's
+// SketchMetrics, a rows-stored gauge and, for a core.Introspector, its
+// internals. Every row is counted, but per-row update timings are
+// sampled (every 16th row), as a clock read pair costs a fair share of
+// a cheap sampler update; batches and queries are always timed. Scrape
+// callbacks read the sketch directly, so the decorator is for one
+// goroutine (swstream -stats, the library); the server times its
+// tenants in its own steps.
 type Instrumented struct {
-	sk   core.WindowSketch
-	sync func(func())
-
-	n    atomic.Uint64
-	mask uint64 // per-row timing sampled when (n-1)&mask == 0
-
-	ingestRows    *Counter
-	ingestBatches *Counter
-	updateSeconds *Histogram
-	querySeconds  *Histogram
-}
-
-// InstrumentOption configures an Instrumented wrapper.
-type InstrumentOption func(*Instrumented)
-
-// WithSync sets the callback wrapper used for scrape-time reads of the
-// wrapped sketch (RowsStored, Stats). Pass a function that runs its
-// argument under the lock that guards the sketch; the default runs it
-// directly, which is only safe for single-threaded use.
-func WithSync(sync func(func())) InstrumentOption {
-	return func(i *Instrumented) { i.sync = sync }
-}
-
-// WithSampleEvery times one in every k per-row updates (k rounds up to
-// a power of two; k=1 times every row). The default is 16, which keeps
-// the decorator's overhead under a few percent even for sub-µs sampler
-// updates while still populating the latency histogram.
-func WithSampleEvery(k int) InstrumentOption {
-	if k < 1 {
-		panic("obs: sample interval must be >= 1")
-	}
-	m := uint64(1)
-	for m < uint64(k) {
-		m <<= 1
-	}
-	return func(i *Instrumented) { i.mask = m - 1 }
+	sk core.WindowSketch
+	m  *SketchMetrics
+	n  atomic.Uint64 // per-row timing sampled when (n-1)%16 == 0
 }
 
 // NewInstrumented wraps sk, registering its instruments in reg under
 // the label algo=<sk.Name()>. The wrapped sketch must not be updated
 // directly afterwards, or the metrics go stale.
-func NewInstrumented(sk core.WindowSketch, reg *Registry, opts ...InstrumentOption) *Instrumented {
-	algo := Labels{"algo": sk.Name()}
-	i := &Instrumented{
-		sk:   sk,
-		sync: func(f func()) { f() },
-		mask: 15,
-		ingestRows: reg.Counter("swsketch_ingest_rows_total",
-			"Rows ingested into the sketch.", algo),
-		ingestBatches: reg.Counter("swsketch_ingest_batches_total",
-			"Bulk ingest calls (UpdateBatch).", algo),
-		updateSeconds: reg.Histogram("swsketch_update_seconds",
-			"Latency of one Update or UpdateBatch call.", algo, nil),
-		querySeconds: reg.Histogram("swsketch_query_seconds",
-			"Latency of one Query call.", algo, nil),
-	}
-	for _, o := range opts {
-		o(i)
-	}
-	reg.GaugeFunc("swsketch_rows_stored",
-		"Current sketch space usage in rows.", algo, func() float64 {
-			var n int
-			i.sync(func() { n = i.sk.RowsStored() })
-			return float64(n)
-		})
+func NewInstrumented(sk core.WindowSketch, reg *Registry) *Instrumented {
+	i := &Instrumented{sk: sk, m: NewSketchMetrics(reg, sk.Name())}
+	reg.GaugeFunc("swsketch_rows_stored", "Current sketch space usage in rows.",
+		Labels{"algo": sk.Name()}, func() float64 { return float64(sk.RowsStored()) })
 	if intro, ok := sk.(core.Introspector); ok {
-		reg.GaugeSet("swsketch_internal",
-			"Sketch internals from core.Introspector.", "stat", algo,
-			func() map[string]float64 {
-				var m map[string]float64
-				i.sync(func() { m = intro.Stats() })
-				return m
-			})
+		RegisterInternals(reg, sk.Name(), intro.Stats)
 	}
 	return i
 }
-
-// Unwrap returns the underlying sketch (for capability checks like
-// snapshot support that must not see the decorator).
-func (i *Instrumented) Unwrap() core.WindowSketch { return i.sk }
 
 // SetTracer forwards the tracer to the wrapped sketch.
 func (i *Instrumented) SetTracer(tr *trace.Tracer) {
@@ -108,17 +98,22 @@ func (i *Instrumented) SetTracer(tr *trace.Tracer) {
 	}
 }
 
+// sampled counts one per-row update and reports whether to time it.
+func (i *Instrumented) sampled() bool {
+	i.m.Rows.Inc()
+	return (i.n.Add(1)-1)%16 == 0
+}
+
 // Update implements core.WindowSketch. The timing is sampled; the row
 // counter is exact.
 func (i *Instrumented) Update(row []float64, t float64) {
-	i.ingestRows.Inc()
-	if (i.n.Add(1)-1)&i.mask == 0 {
-		start := time.Now()
+	if !i.sampled() {
 		i.sk.Update(row, t)
-		i.updateSeconds.Observe(time.Since(start).Seconds())
 		return
 	}
+	start := time.Now()
 	i.sk.Update(row, t)
+	i.m.Update.Observe(time.Since(start).Seconds())
 }
 
 // UpdateBatch implements core.WindowSketch; the whole batch is one
@@ -127,9 +122,7 @@ func (i *Instrumented) Update(row []float64, t float64) {
 func (i *Instrumented) UpdateBatch(rows [][]float64, times []float64) {
 	start := time.Now()
 	i.sk.UpdateBatch(rows, times)
-	i.updateSeconds.Observe(time.Since(start).Seconds())
-	i.ingestRows.Add(uint64(len(rows)))
-	i.ingestBatches.Inc()
+	i.m.ObserveBatch(start, len(rows))
 }
 
 // UpdateSparse forwards a sparse update, panicking like
@@ -139,21 +132,20 @@ func (i *Instrumented) UpdateSparse(row mat.SparseRow, t float64) {
 	if !ok {
 		panic("obs: wrapped sketch does not support sparse updates")
 	}
-	i.ingestRows.Inc()
-	if (i.n.Add(1)-1)&i.mask == 0 {
-		start := time.Now()
+	if !i.sampled() {
 		su.UpdateSparse(row, t)
-		i.updateSeconds.Observe(time.Since(start).Seconds())
 		return
 	}
+	start := time.Now()
 	su.UpdateSparse(row, t)
+	i.m.Update.Observe(time.Since(start).Seconds())
 }
 
 // Query implements core.WindowSketch.
 func (i *Instrumented) Query(t float64) *mat.Dense {
 	start := time.Now()
 	b := i.sk.Query(t)
-	i.querySeconds.Observe(time.Since(start).Seconds())
+	i.m.ObserveQuery(start)
 	return b
 }
 

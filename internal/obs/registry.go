@@ -1,8 +1,8 @@
 // Package obs is the stdlib-only observability layer: a low-overhead
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms) with Prometheus text exposition, plus an Instrumented
-// decorator that wraps any core.WindowSketch to record ingest and
-// query latencies and surface the sketch's Introspector internals.
+// histograms) with Prometheus text exposition, plus the instrument
+// set of a sketch algorithm (SketchMetrics), which the server's steps
+// and the Instrumented decorator record into.
 //
 // The registry is deliberately tiny compared to a real Prometheus
 // client: metric families are identified by name, each family carries
@@ -327,11 +327,12 @@ func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64
 // text exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w *strings.Builder) {
 	r.mu.Lock()
-	// Snapshot the family list so scrape-time callbacks run outside
-	// the registry lock (they may grab the caller's own locks).
-	fams := make([]*family, 0, len(r.order))
+	// Snapshot the families and their series lists: scrape-time
+	// callbacks run outside the registry lock (they may grab the
+	// caller's own locks) while first-use registrations append.
+	fams := make([]family, 0, len(r.order))
 	for _, name := range r.order {
-		fams = append(fams, r.families[name])
+		fams = append(fams, *r.families[name])
 	}
 	r.mu.Unlock()
 

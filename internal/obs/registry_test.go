@@ -157,3 +157,29 @@ func TestConcurrentObservations(t *testing.T) {
 		t.Fatalf("lost updates: c=%d h=%d g=%v", c.Value(), h.Count(), g.Value())
 	}
 }
+
+// TestScrapeDuringRegistration scrapes while other goroutines register
+// new series in the scraped families, as the server does on a
+// framework's first use; run under -race it pins that the exposition
+// reads a snapshot of each family's series.
+func TestScrapeDuringRegistration(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("swsketch_probe_total", "Probe.", Labels{"algo": "A"})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				reg.Counter("swsketch_probe_total", "Probe.", Labels{"algo": strings.Repeat("x", g*50+i+1)}).Inc()
+			}
+		}(g)
+	}
+	for i := 0; i < 50; i++ {
+		_ = reg.Expose()
+	}
+	wg.Wait()
+	if n := strings.Count(reg.Expose(), "swsketch_probe_total{"); n != 201 {
+		t.Fatalf("exposition holds %d series, want 201", n)
+	}
+}

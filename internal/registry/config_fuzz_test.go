@@ -94,7 +94,7 @@ func FuzzConfigBuild(f *testing.F) {
 		}
 		tn.Commit(len(rows))
 		tn.Sketch().Query(last)
-		before, err := tn.Raw().MarshalBinary()
+		before, err := tn.Sketch().MarshalBinary()
 		tn.Release()
 		if err != nil {
 			return // LM-HASH refuses
@@ -107,7 +107,7 @@ func FuzzConfigBuild(f *testing.F) {
 			t.Fatalf("restore after a spill: %v", err)
 		}
 		defer tn.Release()
-		after, err := tn.Raw().MarshalBinary()
+		after, err := tn.Sketch().MarshalBinary()
 		if err != nil || !bytes.Equal(before, after) {
 			t.Fatalf("restored tenant snapshots differently (err %v)", err)
 		}

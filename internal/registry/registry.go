@@ -359,7 +359,7 @@ func (r *Registry) Delete(id string) bool {
 	}
 	t.mu.Lock()
 	t.deleted = true
-	t.sk, t.serving = nil, nil
+	t.sk = nil
 	t.spilled.Store(false)
 	t.mu.Unlock()
 	if r.spillDir != "" {
@@ -520,7 +520,7 @@ func (r *Registry) drop(sh *shard, t *Tenant) {
 		rows = t.sk.RowsStored()
 	}
 	t.deleted = true
-	t.sk, t.serving = nil, nil
+	t.sk = nil
 	if r.evictDropped != nil {
 		r.evictDropped.Inc()
 	}

@@ -179,7 +179,7 @@ func TestConfigDSFDFDOptsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := tuned.(core.Introspector).Stats()
+	st := tuned.Stats()
 	if st["fd_buffer"] != 3 || st["fd_alpha"] != 0.5 {
 		t.Fatalf("FastFD knobs not passed through: buffer=%v alpha=%v", st["fd_buffer"], st["fd_alpha"])
 	}
@@ -187,7 +187,7 @@ func TestConfigDSFDFDOptsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = classic.(core.Introspector).Stats()
+	st = classic.Stats()
 	if st["fd_buffer"] != 1 || st["fd_alpha"] != 1 {
 		t.Fatalf("default config is not the classic cadence: buffer=%v alpha=%v", st["fd_buffer"], st["fd_alpha"])
 	}
@@ -285,24 +285,26 @@ func TestTenantClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tn.Release()
-	if lastT, seen := tn.Raw().Clock(); seen || lastT != 0 {
+	if lastT, seen := tn.Sketch().Clock(); seen || lastT != 0 {
 		t.Fatalf("fresh clock = %v,%v", lastT, seen)
 	}
 	tn.Sketch().Update([]float64{1, 2, 3}, 7)
 	tn.Commit(1)
-	if lastT, seen := tn.Raw().Clock(); !seen || lastT != 7 || tn.Updates() != 1 {
+	if lastT, seen := tn.Sketch().Clock(); !seen || lastT != 7 || tn.Updates() != 1 {
 		t.Fatalf("clock = %v,%v, updates %d after commit", lastT, seen, tn.Updates())
 	}
-	blob, err := tn.Raw().MarshalBinary()
+	blob, err := tn.Sketch().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tn.Sketch().Update([]float64{1, 2, 3}, 9)
 	tn.Commit(1)
-	if err := tn.Restore(blob, 0); err != nil {
+	sk, err := tn.Decode(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lastT, seen := tn.Raw().Clock(); !seen || lastT != 7 || tn.Updates() != 0 {
+	tn.Install(sk, 0)
+	if lastT, seen := tn.Sketch().Clock(); !seen || lastT != 7 || tn.Updates() != 0 {
 		t.Fatalf("clock = %v,%v, updates %d after restore", lastT, seen, tn.Updates())
 	}
 }
@@ -517,7 +519,7 @@ func TestMaxTenantsSkipsUnspillableVictim(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignSnapshot checks that Restore keeps a
+// TestRestoreRejectsForeignSnapshot checks that Decode keeps a
 // tenant's algorithm and row width: a snapshot of another d, or of
 // another algorithm the sketch type can decode, is rejected and the
 // tenant's state is unchanged. A pinned tenant is covered as well.
@@ -546,12 +548,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 		t0 := float64(c.tn.Updates())
 		ingestRows(t, c.tn, 4, 20, t0)
 		want := queryBits(t, c.tn, t0+19)
-		if err := c.tn.Acquire(); err != nil {
-			t.Fatal(err)
-		}
-		err := c.tn.Restore(c.blob, 0)
-		c.tn.Release()
-		if err == nil {
+		if _, err := c.tn.Decode(c.blob); err == nil {
 			t.Fatalf("%s: restored a foreign snapshot", c.tn.ID())
 		}
 		if got := queryBits(t, c.tn, t0+19); !bitsEqual(want, got) {

@@ -134,7 +134,7 @@ func (r *Registry) spill(t *Tenant) bool {
 	}
 	rows := t.sk.RowsStored()
 	t.lastRows.Store(int64(rows))
-	t.sk, t.serving = nil, nil
+	t.sk = nil
 	t.spilled.Store(true)
 	if r.evictSpilled != nil {
 		r.evictSpilled.Inc()
@@ -167,10 +167,11 @@ func (r *Registry) restore(t *Tenant) error {
 	if h.id != t.id {
 		return fmt.Errorf("registry: restore %q: spill file belongs to %q", t.id, h.id)
 	}
-	if err := t.Restore(blob, h.updates); err != nil {
+	sk, err := t.Decode(blob)
+	if err != nil {
 		return fmt.Errorf("registry: restore %q: %w", t.id, err)
 	}
-	t.lastRows.Store(int64(t.sk.RowsStored()))
+	t.Install(sk, h.updates)
 	t.spilled.Store(false)
 	if r.restored != nil {
 		r.restored.Inc()

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"bytes"
-	"encoding"
 	"math"
 	"reflect"
 	"runtime"
@@ -47,7 +46,7 @@ func spillFuzzSeeds(tb testing.TB) [][]byte {
 			row[j%cfg.D] = float64(j%4) + 0.5
 			tn.Sketch().Update(row, float64(j))
 		}
-		blob, err := tn.Raw().(encoding.BinaryMarshaler).MarshalBinary()
+		blob, err := tn.Sketch().MarshalBinary()
 		tn.Release()
 		if err != nil {
 			tb.Fatal(err)

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"encoding"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -258,7 +257,7 @@ func TestLegacySpillFilesRestore(t *testing.T) {
 		if err := tn.Acquire(); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := tn.Raw().(encoding.BinaryMarshaler).MarshalBinary()
+		blob, err := tn.Sketch().MarshalBinary()
 		tn.Release()
 		if err != nil {
 			t.Fatal(err)

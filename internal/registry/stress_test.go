@@ -55,7 +55,7 @@ func TestConcurrentIngestManyTenants(t *testing.T) {
 						t.Errorf("Acquire: %v", err)
 						return
 					}
-					lastT, _ := tn.Raw().Clock()
+					lastT, _ := tn.Sketch().Clock()
 					rows := make([][]float64, batchPerCall)
 					times := make([]float64, batchPerCall)
 					for k := range rows {

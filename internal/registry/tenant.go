@@ -31,7 +31,6 @@ type Tenant struct {
 
 	mu      sync.Mutex
 	sk      core.TenantSketch // the built sketch; nil while spilled
-	serving core.WindowSketch // optional decorated front (metrics); nil = sk
 	deleted bool
 	spilled atomic.Bool
 
@@ -106,25 +105,9 @@ func (t *Tenant) Release() {
 // touch stamps the tenant as recently used.
 func (t *Tenant) touch() { t.lastTouch.Store(t.reg.now().UnixNano()) }
 
-// Sketch returns the serving sketch — the decorated front when one was
-// installed with SetServing, the raw sketch otherwise. Callers must
-// hold the tenant via Acquire.
-func (t *Tenant) Sketch() core.WindowSketch {
-	if t.serving != nil {
-		return t.serving
-	}
-	return t.sk
-}
-
-// Raw returns the undecorated sketch, for its batch check, clock,
-// snapshots, capability checks and audit-path queries. Callers must
-// hold the tenant via Acquire.
-func (t *Tenant) Raw() core.TenantSketch { return t.sk }
-
-// SetServing installs a decorated front (e.g. obs.Instrumented) that
-// Sketch will return in place of the raw sketch. Callers must hold
-// the tenant via Acquire.
-func (t *Tenant) SetServing(sk core.WindowSketch) { t.serving = sk }
+// Sketch returns the tenant's sketch: its clock, batch check,
+// snapshots and queries. Callers must hold the tenant via Acquire.
+func (t *Tenant) Sketch() core.TenantSketch { return t.sk }
 
 // Commit counts n rows applied to the sketch. Callers must hold the
 // tenant via Acquire.
@@ -153,31 +136,30 @@ func (t *Tenant) Dequeue() { t.pending.Add(-1) }
 // Pending returns, lock-free, the tenant's in-flight stream blocks.
 func (t *Tenant) Pending() int { return int(t.pending.Load()) }
 
-// Restore replaces the tenant's sketch state with a binary snapshot,
-// clock included, and sets the update count to updates; upload, WAL
-// replay and spill restore all use it. The blob is first decoded into
-// a sketch built from the tenant's config, which must come out with
-// the tenant's algorithm and row width (a snapshot's header sets its
-// geometry); a resident tenant then decodes it again in place, so a
-// decorated front or tracer stays attached. Callers must hold the
-// tenant via Acquire.
-func (t *Tenant) Restore(blob []byte, updates uint64) error {
-	fresh, err := t.cfg.Build()
+// Decode decodes a binary snapshot, clock included, into a sketch built
+// from the tenant's config, which must come out with the tenant's
+// algorithm and row width (a snapshot's header sets its geometry). It
+// changes nothing; Install puts the sketch in place. Every restore
+// (upload, WAL replay, spill) uses the pair.
+func (t *Tenant) Decode(blob []byte) (core.TenantSketch, error) {
+	sk, err := t.cfg.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := fresh.UnmarshalBinary(blob); err != nil {
-		return err
+	if err := sk.UnmarshalBinary(blob); err != nil {
+		return nil, err
 	}
-	if fresh.Name() != t.Algorithm() || fresh.Dim() != t.cfg.D {
-		return fmt.Errorf("registry: the snapshot's %s sketch does not fit tenant %q, %s of row width %d",
-			fresh.Name(), t.id, t.Algorithm(), t.cfg.D)
+	if sk.Name() != t.Algorithm() || sk.Dim() != t.cfg.D {
+		return nil, fmt.Errorf("registry: the snapshot's %s sketch does not fit tenant %q, %s of row width %d",
+			sk.Name(), t.id, t.Algorithm(), t.cfg.D)
 	}
-	if t.sk == nil {
-		t.sk = fresh
-	} else if err := t.sk.UnmarshalBinary(blob); err != nil {
-		return err // same type, same bytes: cannot fail
-	}
+	return sk, nil
+}
+
+// Install replaces the tenant's sketch with sk, which Decode returned,
+// and sets the update count to updates. Callers must hold the tenant
+// via Acquire.
+func (t *Tenant) Install(sk core.TenantSketch, updates uint64) {
+	t.sk = sk
 	t.updates.Store(updates)
-	return nil
 }

@@ -2,8 +2,8 @@ package serve
 
 // The windowed AMM query plane: tenants built from a paired framework
 // (lm-amm, di-amm) answer approximate matrix products AᵀB over the row
-// pairs inside the sliding window. The endpoint mirrors the
-// approximation route's time handling (?t= or the ingest clock) and
+// pairs inside the sliding window. The endpoint goes through the read
+// step like the approximation route (?t= or the ingest clock) and
 // additionally accepts the timestamp in a small JSON body on POST, so
 // clients that never construct query strings can stay JSON-only.
 
@@ -12,11 +12,11 @@ import (
 	"net/http"
 
 	"swsketch/internal/core"
-	"swsketch/internal/registry"
 )
 
 // ammRequest is the optional POST body: {"t": 12.5}. An empty body is
-// equivalent to omitting ?t= (query at the ingest clock).
+// equivalent to omitting ?t= (query at the ingest clock); a body t
+// takes the place of ?t= when both are present.
 type ammRequest struct {
 	T *float64 `json:"t"`
 }
@@ -31,56 +31,35 @@ type ammResponse struct {
 	T       float64     `json:"t"`
 }
 
-// ammQueryTime resolves the query timestamp like queryTime, but for
-// POST requests a JSON body {"t": ...} takes the place of the ?t=
-// parameter (the body wins when both are present).
-func ammQueryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (float64, bool) {
+func (s *Server) handleAMM(w http.ResponseWriter, r *http.Request) {
+	t, ok := s.tenantOf(w, r)
+	if !ok {
+		return
+	}
+	// Only the paired frameworks take d_b (Config.DB), so the config
+	// answers the capability without acquiring the tenant.
+	if t.Config().DB == 0 {
+		httpError(w, http.StatusNotImplemented, CodeUnsupported,
+			"%s does not answer AMM queries (paired frameworks lm-amm/di-amm only)", t.Algorithm())
+		return
+	}
 	var req ammRequest
 	if r.Method == http.MethodPost && r.Body != nil {
 		// An empty body (io.EOF) leaves req.T unset.
 		if err := decodeStrict(io.LimitReader(r.Body, 1<<16), &req); err != nil && err != io.EOF {
 			httpError(w, http.StatusBadRequest, CodeInvalidJSON, "parse body: %v", err)
-			return 0, false
+			return
 		}
 	}
-	if req.T == nil {
-		return queryTime(w, r, t)
-	}
-	qt := *req.T
-	if qt != qt {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "non-finite t")
-		return 0, false
-	}
-	if last, seen := t.Raw().Clock(); seen && qt < last {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"t %v precedes last ingested %v", qt, last)
-		return 0, false
-	}
-	return qt, true
-}
-
-func (s *Server) handleAMM(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantOf(w, r)
-	if !ok || !acquire(w, t) {
-		return
-	}
-	// The capability lives on the raw sketch: serving decorations
-	// (instrumentation) forward only the WindowSketch surface.
-	p, paired := t.Raw().(core.PairedWindowSketch)
-	if !paired {
-		name := t.Raw().Name()
-		t.Release()
-		httpError(w, http.StatusNotImplemented, CodeUnsupported,
-			"%s does not answer AMM queries (paired frameworks lm-amm/di-amm only)", name)
-		return
-	}
-	qt, ok := ammQueryTime(w, r, t)
+	var resp ammResponse
+	qt, ok := s.read(w, r, t, req.T, func(sk core.TenantSketch, qt float64) {
+		p := sk.(core.PairedWindowSketch)
+		resp.Product = p.AmmApproximation(qt)
+		resp.DA, resp.DB = p.AmmDims()
+	})
 	if !ok {
-		t.Release()
 		return
 	}
-	product := p.AmmApproximation(qt)
-	dA, dB := p.AmmDims()
-	t.Release()
-	writeJSON(w, ammResponse{Product: product, DA: dA, DB: dB, T: qt})
+	resp.T = qt
+	writeJSON(w, resp)
 }

@@ -1,19 +1,21 @@
 package serve
 
-// Ingest and query handlers: batch and bulk ingest, and the
-// approximation, PCA, and stats reads. Each resolves {id} through the
-// registry; the default tenant is addressed by name like any other.
+// Ingest and query handlers: the apply and read steps, batch and bulk
+// ingest, and the approximation, PCA, and stats reads. Each resolves
+// {id} through the registry, the default tenant's like any other.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 
 	"swsketch/internal/core"
 	"swsketch/internal/mat"
+	"swsketch/internal/obs"
 	"swsketch/internal/pca"
 	"swsketch/internal/registry"
 )
@@ -229,15 +231,16 @@ func (s *Server) acquireIngest(t *registry.Tenant, rows [][]float64, times []flo
 // sketch checks the block (CheckBatch: width, squared norms, its own
 // clock) before anything else; the block is then journaled (live
 // only: a replayed block is already in the log, and is not hot-key
-// traffic either), applied with one UpdateBatch and counted, and the
-// rows are shadowed for the default tenant's auditor. So the WAL never
-// holds a block the sketch rejects. The caller holds the tenant;
-// nothing retains rows or times.
+// traffic either), applied with one UpdateBatch, timed and counted for
+// the tenant's framework, and the rows are shadowed for the default
+// tenant's auditor. So the WAL never holds a block the sketch rejects.
+// The caller holds the tenant; nothing retains rows or times.
 func (s *Server) apply(t *registry.Tenant, rows [][]float64, times []float64, live bool) (ingestResponse, *apiError) {
 	if len(rows) == 0 {
 		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
 	}
-	if err := t.Raw().CheckBatch(rows, times); err != nil {
+	sk := t.Sketch()
+	if err := sk.CheckBatch(rows, times); err != nil {
 		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
 	if live && s.wal != nil {
@@ -245,22 +248,35 @@ func (s *Server) apply(t *registry.Tenant, rows [][]float64, times []float64, li
 			return ingestResponse{}, errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
 		}
 	}
-	t.Sketch().UpdateBatch(rows, times)
+	m := s.sketchMetrics(t)
+	start := m.Start()
+	sk.UpdateBatch(rows, times)
+	m.ObserveBatch(start, len(rows))
 	t.Commit(len(rows))
 	if live {
 		// The bytes plane gets the dense payload size, 8 bytes × d per row.
 		s.hot.ObserveIngest(t.ID(), len(rows), 8*t.D()*len(rows))
 	}
 	if t == s.def && s.audit != nil {
-		s.audit.ObserveBatch(rows, times, s.auditQuery)
+		s.audit.ObserveBatch(rows, times, sk.Query)
 	}
 	return ingestResponse{Accepted: len(rows), LastT: times[len(times)-1]}, nil
 }
 
-// auditQuery answers the auditor's evaluations from the default
-// tenant's undecorated sketch, so they stay out of the serving query
-// metrics. The caller holds the default tenant.
-func (s *Server) auditQuery(t float64) *mat.Dense { return s.def.Raw().Query(t) }
+// sketchMetrics returns the instrument set of t's framework, or nil
+// with metrics off. Each framework's set is registered on its first
+// use and cached, so later requests look nothing up in s.reg.
+func (s *Server) sketchMetrics(t *registry.Tenant) *obs.SketchMetrics {
+	if s.reg == nil {
+		return nil
+	}
+	algo := t.Algorithm()
+	m, ok := s.algoMetrics.Load(algo)
+	if !ok {
+		m, _ = s.algoMetrics.LoadOrStore(algo, obs.NewSketchMetrics(s.reg, algo))
+	}
+	return m.(*obs.SketchMetrics)
+}
 
 // acquireError maps a Tenant.Acquire failure onto the envelope:
 // concurrent deletion is a 404, an unreadable spill file a 500.
@@ -271,25 +287,51 @@ func acquireError(t *registry.Tenant, err error) *apiError {
 	return errf(http.StatusInternalServerError, CodeInternal, "%v", err)
 }
 
-// queryTime parses ?t= against an acquired tenant's sketch clock; when
-// omitted, the last ingested timestamp is used (query "now").
-func queryTime(w http.ResponseWriter, r *http.Request, t *registry.Tenant) (float64, bool) {
-	last, seen := t.Raw().Clock()
-	tq := r.URL.Query().Get("t")
-	if tq == "" {
-		return last, true
-	}
-	qt, err := strconv.ParseFloat(tq, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "bad t %q", tq)
+// read is the one step by which a query reaches a tenant's sketch:
+// it acquires the tenant, resolves the query time (queryTime), and runs
+// q at it, timed for the tenant's framework, before it releases the
+// tenant. bodyT is the AMM POST body's t, nil elsewhere. On false the
+// error envelope has been written.
+func (s *Server) read(w http.ResponseWriter, r *http.Request, t *registry.Tenant, bodyT *float64, q func(sk core.TenantSketch, qt float64)) (float64, bool) {
+	if !acquire(w, t) {
 		return 0, false
 	}
-	if seen && qt < last {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"t %v precedes last ingested %v", qt, last)
+	defer t.Release()
+	sk := t.Sketch()
+	qt, apiErr := queryTime(r, bodyT, sk)
+	if apiErr != nil {
+		apiErr.write(w)
 		return 0, false
 	}
+	m := s.sketchMetrics(t)
+	start := m.Start()
+	q(sk, qt)
+	m.ObserveQuery(start)
 	return qt, true
+}
+
+// queryTime resolves a read's query time against the sketch's clock:
+// bodyT when given, else ?t=, else the clock itself (query "now"). It
+// rejects a time that is not finite (a query at +Inf would expire every
+// block, and JSON cannot carry it back) or that precedes the clock.
+func queryTime(r *http.Request, bodyT *float64, sk core.TenantSketch) (float64, *apiError) {
+	last, seen := sk.Clock()
+	qt := last
+	if bodyT != nil {
+		qt = *bodyT
+	} else if tq := r.URL.Query().Get("t"); tq != "" {
+		var err error
+		if qt, err = strconv.ParseFloat(tq, 64); err != nil {
+			return 0, errf(http.StatusBadRequest, CodeInvalidArgument, "bad t %q", tq)
+		}
+	}
+	switch {
+	case math.IsNaN(qt) || math.IsInf(qt, 0):
+		return 0, errf(http.StatusBadRequest, CodeInvalidArgument, "non-finite t %v", qt)
+	case seen && qt < last:
+		return 0, errf(http.StatusBadRequest, CodeInvalidArgument, "t %v precedes last ingested %v", qt, last)
+	}
+	return qt, nil
 }
 
 type approximationResponse struct {
@@ -299,16 +341,14 @@ type approximationResponse struct {
 
 func (s *Server) handleApproximation(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenantOf(w, r)
-	if !ok || !acquire(w, t) {
-		return
-	}
-	qt, ok := queryTime(w, r, t)
 	if !ok {
-		t.Release()
 		return
 	}
-	b := t.Sketch().Query(qt)
-	t.Release()
+	var b *mat.Dense
+	qt, ok := s.read(w, r, t, nil, func(sk core.TenantSketch, qt float64) { b = sk.Query(qt) })
+	if !ok {
+		return
+	}
 	rows := make([][]float64, b.Rows())
 	for i := range rows {
 		rows[i] = b.RowCopy(i)
@@ -336,16 +376,11 @@ func (s *Server) handlePCA(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !acquire(w, t) {
-		return
-	}
-	qt, ok := queryTime(w, r, t)
+	var b *mat.Dense
+	qt, ok := s.read(w, r, t, nil, func(sk core.TenantSketch, qt float64) { b = sk.Query(qt) })
 	if !ok {
-		t.Release()
 		return
 	}
-	b := t.Sketch().Query(qt)
-	t.Release()
 	if b.Rows() == 0 {
 		writeJSON(w, pcaResponse{Components: [][]float64{}, Explained: []float64{}, T: qt})
 		return
@@ -378,18 +413,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok || !acquire(w, t) {
 		return
 	}
-	lastT, _ := t.Raw().Clock()
+	sk := t.Sketch()
+	lastT, _ := sk.Clock()
 	resp := statsResponse{
 		Tenant:     t.ID(),
-		Algorithm:  t.Sketch().Name(),
+		Algorithm:  sk.Name(),
 		Dimension:  t.D(),
-		RowsStored: t.Sketch().RowsStored(),
+		RowsStored: sk.RowsStored(),
 		Updates:    t.Updates(),
 		LastT:      lastT,
+		Internals:  sk.Stats(),
 		Pinned:     t.Pinned(),
-	}
-	if in, ok := t.Raw().(core.Introspector); ok {
-		resp.Internals = in.Stats()
 	}
 	t.Release()
 	resp.Resident = t.Resident()

@@ -5,7 +5,9 @@
 // builds the reserved "default" tenant. Each tenant's sketch owns its
 // clock and checks every batch before the WAL journals it.
 // Per-tenant access serialises on the tenant's own mutex, so ingest
-// into different tenants runs in parallel.
+// into different tenants runs in parallel. Three steps reach a
+// tenant's sketch: apply (ingest, live or replayed), read and restore
+// (upload or replay); apply and read time every tenant (WithMetrics).
 //
 // Routes are registered with Go 1.22 method patterns:
 //
@@ -49,10 +51,11 @@
 // with the following codes:
 //
 //	invalid_json        400  request body is not valid JSON for the endpoint
-//	invalid_argument    400  a field or query parameter is out of range,
-//	                         or the sketch rejected a batch (row width, a
-//	                         squared norm that is not finite or exceeds
-//	                         the declared r, a timestamp behind its clock)
+//	invalid_argument    400  a field or query parameter is out of range
+//	                         (t not finite or behind the clock), or the
+//	                         sketch rejected a batch (row width, a squared
+//	                         norm that is not finite or exceeds the
+//	                         declared r, a timestamp behind its clock)
 //	method_not_allowed  405  wrong HTTP method (Allow header lists valid ones)
 //	not_found           404  unknown route or unknown tenant
 //	gone                410  a route of the retired /v1 grammar; the
@@ -69,7 +72,8 @@
 //
 // Every framework snapshots except LM-HASH, whose download fails with
 // 500. An upload must hold the tenant's algorithm and row width, or it
-// gets 400 and the tenant keeps its state; a restored tenant reads the
+// gets 400 and the tenant keeps its state, as it does when the WAL
+// cannot journal the upload (500); a restored tenant reads the
 // snapshot's clock. Tenant IDs are restricted to [A-Za-z0-9._-], at
 // most 128 bytes; "default" names the tenant NewServer builds and
 // cannot be created or deleted.
@@ -85,6 +89,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,9 +126,10 @@ type Server struct {
 	treg *registry.Registry
 	def  *registry.Tenant
 
-	reg     *obs.Registry
-	pprof   bool
-	maxBody int64
+	reg         *obs.Registry
+	algoMetrics sync.Map // framework's algorithm name → *obs.SketchMetrics
+	pprof       bool
+	maxBody     int64
 
 	tr    *trace.Tracer
 	audit *audit.Auditor
@@ -146,11 +152,12 @@ type Server struct {
 // Option configures a Server; see WithMetrics, WithPprof, WithMaxBody.
 type Option func(*Server)
 
-// WithMetrics wraps the default tenant's sketch in an obs.Instrumented
-// recording ingest/query latencies and internals into reg, instruments
-// every route with request counters and latency histograms, and mounts
-// GET /metrics serving reg's Prometheus text exposition. When the
-// server builds its own registry (no WithRegistry), the registry's
+// WithMetrics records every tenant's ingest rows, batches and update
+// and query latencies into reg, labelled by framework (the apply and
+// read steps time them; without metrics they read no clock), plus the
+// default tenant's sketch internals. It instruments every route with
+// request counters and latency histograms and mounts GET /metrics; when
+// the server builds its own registry (no WithRegistry), the registry's
 // tenant-lifecycle metrics land in reg too.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(s *Server) { s.reg = reg }
@@ -174,12 +181,13 @@ func WithMaxBody(n int64) Option {
 	}
 }
 
-// WithTrace attaches an event tracer: the default sketch's structural
-// transitions emit into it (when the sketch is trace.Traceable),
-// completed requests emit http_request events tagged with their
-// request IDs, and GET /debug/trace serves the ring as JSONL. When
-// metrics are also active the tracer's per-kind counts and exemplar
-// event IDs are bridged into the registry.
+// WithTrace attaches an event tracer: the default tenant's structural
+// transitions emit into it (when its sketch is trace.Traceable; every
+// restore of the default tenant re-attaches it), completed requests
+// emit http_request events tagged with their request IDs, and GET
+// /debug/trace serves the ring as JSONL. When metrics are also active
+// the tracer's per-kind counts and exemplar event IDs are bridged into
+// the registry.
 func WithTrace(tr *trace.Tracer) Option {
 	return func(s *Server) { s.tr = tr }
 }
@@ -251,25 +259,19 @@ func NewServer(cfg registry.Config, opts ...Option) (*Server, error) {
 	}
 	s.def = def
 	_ = def.Acquire() // a fresh pinned tenant cannot fail
-	defer def.Release()
-	sk := def.Raw()
-	if s.tr != nil {
-		if t, ok := sk.(trace.Traceable); ok {
-			t.SetTracer(s.tr)
-		}
-	}
+	def.Sketch().SetTracer(s.tr)
+	def.Release()
 	if s.reg != nil {
-		// Scrape-time reads of the sketch (rows stored, internals) run
-		// under the default tenant's lock so /metrics never races an
-		// ingest.
-		instrumented := obs.NewInstrumented(sk, s.reg, obs.WithSync(func(f func()) {
+		// Scrape-time reads run under the default tenant's lock, so
+		// /metrics never races an ingest, and read the sketch a restore
+		// installed.
+		obs.RegisterInternals(s.reg, def.Algorithm(), func() map[string]float64 {
 			if s.def.Acquire() != nil {
-				return // the pinned default tenant cannot actually fail
+				return nil // the pinned default tenant cannot actually fail
 			}
 			defer s.def.Release()
-			f()
-		}))
-		s.def.SetServing(instrumented)
+			return s.def.Sketch().Stats()
+		})
 		obs.RegisterRuntimeMetrics(s.reg)
 		obs.RegisterTracer(s.reg, s.tr)
 		s.streamRows = s.reg.Counter("swsketch_stream_rows_total",
@@ -521,15 +523,39 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // restore is the one step by which a snapshot replaces a tenant's
-// state and sets its update count, uploaded or replayed from the WAL.
-// On the default tenant it re-arms the auditor in its warming state,
-// since the shadow cannot know the restored window's rows. The caller
-// holds the tenant.
-func (s *Server) restore(t *registry.Tenant, blob []byte, updates uint64) error {
-	if err := t.Restore(blob, updates); err != nil {
-		return err
+// state, uploaded or replayed from the WAL, in apply's order: decode
+// into a sketch built from the tenant's config, journal an upload, then
+// install the sketch with its update count (0 for an upload, the logged
+// count on replay), so a rejected snapshot or a failed journal changes
+// nothing. On the default tenant it re-attaches the tracer and re-arms
+// the auditor, whose shadow cannot know the restored window's rows.
+// The caller holds the tenant.
+func (s *Server) restore(t *registry.Tenant, blob []byte, updates uint64, live bool) *apiError {
+	sk, err := t.Decode(blob)
+	if err != nil {
+		return errf(http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
 	}
+	if live && s.wal != nil {
+		// The logged snapshot supersedes the tenant's earlier records —
+		// replay restores the blob instead of re-running them — and its
+		// append lets the WAL truncate behind it. The create record
+		// logged just before it keeps the tenant's config on the log,
+		// so replay can rebuild the tenant whatever was truncated.
+		lastT, seen := sk.Clock()
+		cfgJSON, err := json.Marshal(t.Config())
+		if err == nil {
+			_, err = s.wal.AppendCreate(t.ID(), cfgJSON)
+		}
+		if err == nil {
+			_, err = s.wal.AppendSnapshot(t.ID(), updates, lastT, seen, blob)
+		}
+		if err != nil {
+			return errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
+		}
+	}
+	t.Install(sk, updates)
 	if t == s.def {
+		sk.SetTracer(s.tr)
 		s.audit.Reset()
 	}
 	return nil
@@ -542,7 +568,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	data, err := t.Raw().MarshalBinary()
+	data, err := t.Sketch().MarshalBinary()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, CodeInternal, "snapshot: %v", err)
 		return
@@ -552,8 +578,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotPost replaces a tenant's sketch state from an uploaded
-// snapshot. On success the tenant's update count resets to zero and
-// its clock is the restored sketch's.
+// snapshot through the restore step. On success the tenant's update
+// count resets to zero and its clock is the restored sketch's.
 func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenantOf(w, r)
 	if !ok {
@@ -577,28 +603,9 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.Release()
-	if err := s.restore(t, data, 0); err != nil {
-		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
+	if apiErr := s.restore(t, data, 0, true); apiErr != nil {
+		apiErr.write(w)
 		return
-	}
-	if s.wal != nil {
-		// The logged snapshot supersedes the tenant's earlier records —
-		// replay restores the blob instead of re-running them — and its
-		// append lets the WAL truncate behind it. The create record
-		// logged just before it keeps the tenant's config on the log,
-		// so replay can rebuild the tenant whatever was truncated.
-		lastT, seen := t.Raw().Clock()
-		cfgJSON, err := json.Marshal(t.Config())
-		if err == nil {
-			_, err = s.wal.AppendCreate(t.ID(), cfgJSON)
-		}
-		if err == nil {
-			_, err = s.wal.AppendSnapshot(t.ID(), 0, lastT, seen, data)
-		}
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
-			return
-		}
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "restored")
@@ -655,7 +662,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			if !acquire(w, s.def) {
 				return
 			}
-			s.audit.Evaluate(s.auditQuery)
+			s.audit.Evaluate(s.def.Sketch().Query)
 			s.def.Release()
 		}
 		st := s.audit.Status()

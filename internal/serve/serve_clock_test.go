@@ -1,9 +1,11 @@
 package serve
 
 // One clock and one batch check per tenant: the sketch's. A batch the
-// sketch rejects answers 400 and never reaches the WAL, an upload
-// brings the snapshot's clock along and keeps the tenant's create
-// record on the log, and a replay that still fails reads degraded.
+// sketch rejects answers 400 and never reaches the WAL, a read at a
+// time the clock refuses changes nothing, an upload brings the
+// snapshot's clock along and keeps the tenant's create record on the
+// log (or changes nothing when it cannot), and a replay that still
+// fails reads degraded.
 
 import (
 	"bytes"
@@ -134,6 +136,64 @@ func TestUploadKeepsTheRestoredClock(t *testing.T) {
 	}
 	if got := getBytes(t, ts2.URL+"/v2/tenants/tw/snapshot"); !bytes.Equal(got, want) {
 		t.Fatalf("the tenant replayed into other bytes: %d vs %d", len(got), len(want))
+	}
+}
+
+// TestUploadFailedJournalChangesNothing: the restore step journals an
+// upload before it installs the snapshot, so an upload the WAL cannot
+// log answers 500 and leaves the tenant as it was.
+func TestUploadFailedJournalChangesNothing(t *testing.T) {
+	s, ts, _ := walBoot(t, t.TempDir(), lmCfg(3))
+	url := ts.URL + "/v2/tenants/default"
+	postRows(t, url, span(0, 40)...)
+	snap := getBytes(t, url+"/snapshot")
+	postRows(t, url, span(40, 60)...)
+	want := getBytes(t, url+"/snapshot")
+	if err := s.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/snapshot", "application/octet-stream", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := wantEnvelope(t, resp, http.StatusInternalServerError, CodeInternal); !strings.Contains(e.Message, "wal append") {
+		t.Fatalf("message %q", e.Message)
+	}
+	if got := getBytes(t, url+"/snapshot"); !bytes.Equal(got, want) {
+		t.Fatalf("a failed upload changed the tenant: %d bytes, had %d", len(got), len(want))
+	}
+}
+
+// TestNonFiniteQueryTimeRejected: a NaN or infinite t answers 400 on
+// every read route, before the query runs: a query at +Inf would
+// expire every block of the tenant's window.
+func TestNonFiniteQueryTimeRejected(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	lm := ts.URL + "/v2/tenants/lm"
+	doReq(t, "PUT", lm, `{"framework":"lm-fd","size":100,"d":3,"ell":8,"b":4}`).Body.Close()
+	postRows(t, lm, span(0, 50)...)
+	pair := ts.URL + "/v2/tenants/pair"
+	doReq(t, "PUT", pair, ammTenantCfg).Body.Close()
+	doReq(t, "POST", pair+"/rows", ammIngestBody(40)).Body.Close()
+	var before statsResponse
+	decode(t, doReq(t, "GET", lm+"/stats", ""), &before)
+	for _, v := range []string{"NaN", "Inf", "-Inf", "infinity"} {
+		for _, req := range []struct{ method, url string }{
+			{"GET", lm + "/approximation?t=" + v},
+			{"GET", lm + "/pca?t=" + v},
+			{"GET", pair + "/amm?t=" + v},
+			{"POST", pair + "/amm?t=" + v},
+		} {
+			e := wantEnvelope(t, doReq(t, req.method, req.url, ""), http.StatusBadRequest, CodeInvalidArgument)
+			if !strings.Contains(e.Message, "non-finite") {
+				t.Fatalf("%s %s: message %q", req.method, req.url, e.Message)
+			}
+		}
+	}
+	var after statsResponse
+	decode(t, doReq(t, "GET", lm+"/stats", ""), &after)
+	if before.RowsStored == 0 || after.RowsStored != before.RowsStored {
+		t.Fatalf("rows_stored %d before the reads, %d after", before.RowsStored, after.RowsStored)
 	}
 }
 

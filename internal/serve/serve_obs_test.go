@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"swsketch/internal/obs"
@@ -267,6 +268,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	b.WriteString("]}")
 	postJSON(t, ts.URL+"/v2/tenants/default/rows", b.String()).Body.Close()
 	http.Get(ts.URL + "/v2/tenants/default/approximation?t=29")
+	// A named tenant is timed by the same steps, under its framework.
+	doReq(t, "PUT", ts.URL+"/v2/tenants/fleet", lmTenantCfg).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/fleet/rows", `{"updates":[{"row":[1,2,3],"t":1},{"row":[0,1,0],"t":2}]}`).Body.Close()
+	http.Get(ts.URL + "/v2/tenants/fleet/pca")
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -283,11 +288,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		`swsketch_ingest_batches_total{algo="SWR"} 1`,
 		`swsketch_update_seconds_count{algo="SWR"} 1`,
 		`swsketch_query_seconds_count{algo="SWR"} 1`,
-		`swsketch_rows_stored{algo="SWR"}`,
+		`swsketch_ingest_rows_total{algo="LM-FD"} 2`,
+		`swsketch_update_seconds_count{algo="LM-FD"} 1`,
+		`swsketch_query_seconds_count{algo="LM-FD"} 1`,
+		`swsketch_registry_tenant_rows{tenant="default"}`,
 		`swsketch_internal{algo="SWR",stat="candidates"}`,
 		`swsketch_internal{algo="SWR",stat="queues"} 4`,
-		`swsketch_http_requests_total{code="200",route="/v2/tenants/{id}/rows"} 1`,
-		`swsketch_http_request_seconds_count{route="/v2/tenants/{id}/rows"} 1`,
+		`swsketch_http_requests_total{code="200",route="/v2/tenants/{id}/rows"} 2`,
+		`swsketch_http_request_seconds_count{route="/v2/tenants/{id}/rows"} 2`,
 		"# TYPE swsketch_update_seconds histogram",
 		`swsketch_update_seconds_bucket{algo="SWR",le="+Inf"} 1`,
 	} {
@@ -303,6 +311,62 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if e := decodeError(t, r2); e.Code != CodeMethodNotAllowed {
 		t.Fatalf("code = %q", e.Code)
+	}
+}
+
+// TestMetricsConcurrentTenants drives three LM-FD tenants (the default
+// among them) and an SWR tenant from one goroutine each while another
+// scrapes /metrics: each framework's instruments are registered once
+// on first use, and its counts add up over its tenants.
+func TestMetricsConcurrentTenants(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := newServer(t, lmCfg(3), WithMetrics(reg)).Handler()
+	serve := func(method, url, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec.Code
+	}
+	for id, cfg := range map[string]string{"a": lmTenantCfg, "b": lmTenantCfg, "c": `{"framework":"swr","size":50,"d":3,"ell":4}`} {
+		if code := serve("PUT", "/v2/tenants/"+id, cfg); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", id, code)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, id := range []string{"default", "a", "b", "c"} {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				body := fmt.Sprintf(`{"updates":[{"row":[1,%d,0],"t":%d}]}`, i, i)
+				if code := serve("POST", "/v2/tenants/"+id+"/rows", body); code != http.StatusOK {
+					t.Errorf("%s: ingest status %d", id, code)
+				}
+				if code := serve("GET", "/v2/tenants/"+id+"/approximation", ""); code != http.StatusOK {
+					t.Errorf("%s: read status %d", id, code)
+				}
+			}
+		}(id)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			serve("GET", "/metrics", "")
+		}
+	}()
+	wg.Wait()
+	out := reg.Expose()
+	for _, want := range []string{
+		`swsketch_ingest_rows_total{algo="LM-FD"} 60`,
+		`swsketch_ingest_batches_total{algo="LM-FD"} 60`,
+		`swsketch_query_seconds_count{algo="LM-FD"} 60`,
+		`swsketch_ingest_rows_total{algo="SWR"} 20`,
+		`swsketch_update_seconds_count{algo="SWR"} 20`,
+		`swsketch_query_seconds_count{algo="SWR"} 20`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 
@@ -353,8 +417,8 @@ func TestMetricsInstrumentationIsTransparent(t *testing.T) {
 }
 
 func TestInstrumentedSnapshotStillWorks(t *testing.T) {
-	// The obs wrapper must not hide the snapshot capability of the
-	// underlying sketch.
+	// Metrics must not hide the snapshot capability of the tenant's
+	// sketch.
 	reg := obs.NewRegistry()
 	ts := httptest.NewServer(newServer(t, lmCfg(3), WithMetrics(reg)).Handler())
 	defer ts.Close()

@@ -242,7 +242,7 @@ func TestDefaultTenantAlias(t *testing.T) {
 	if err := def.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	sk := def.Raw()
+	sk := def.Sketch()
 	want, rows := sk.Query(9), sk.RowsStored()
 	def.Release()
 	if ar.T != 9 || len(ar.Rows) != want.Rows() {

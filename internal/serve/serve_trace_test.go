@@ -193,6 +193,34 @@ func TestAuditResetOnSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestUploadKeepsTheTracer: the restore step installs a freshly
+// decoded sketch, so it must attach the tracer to it: after an upload
+// to the default tenant, further ingest still emits LM events.
+func TestUploadKeepsTheTracer(t *testing.T) {
+	tr := trace.New(4096)
+	tr.Enable()
+	ts := httptest.NewServer(newServer(t, lmCfg(3), WithTrace(tr)).Handler())
+	defer ts.Close()
+	ingestVaried(t, ts.URL, 0, 150)
+	snap := getBytes(t, ts.URL+"/v2/tenants/default/snapshot")
+	resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", resp.StatusCode)
+	}
+	before := tr.Counts()
+	ingestVaried(t, ts.URL, 150, 300)
+	after := tr.Counts()
+	for _, k := range []string{trace.KindLMClose, trace.KindLMMerge, trace.KindFDShrink} {
+		if after[k].Count <= before[k].Count {
+			t.Errorf("%s events: %d before the upload's further ingest, %d after", k, before[k].Count, after[k].Count)
+		}
+	}
+}
+
 func TestDebugTraceEndpoint(t *testing.T) {
 	tr := trace.New(4096)
 	tr.Enable()

@@ -112,8 +112,8 @@ func (a *registryApplier) Snapshot(tenant string, updates uint64, _ float64, _ b
 		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
 	}
 	defer t.Release()
-	if err := a.s.restore(t, blob, updates); err != nil {
-		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
+	if apiErr := a.s.restore(t, blob, updates, false); apiErr != nil {
+		return false, fmt.Errorf("snapshot %q: %s", tenant, apiErr.msg)
 	}
 	return true, nil
 }

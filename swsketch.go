@@ -496,9 +496,9 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Instrumented decorates any WindowSketch with ingest/query metrics
-// recorded into a registry; it is what WithMetrics applies inside the
-// server, exported for use outside HTTP serving (see cmd/swstream
-// -stats).
+// recorded into a registry, under the same metric names the server's
+// WithMetrics records every tenant's; it is for use outside HTTP
+// serving (see cmd/swstream -stats).
 type Instrumented = obs.Instrumented
 
 // NewInstrumented wraps sk, registering its instruments in reg under
