@@ -1,14 +1,20 @@
-// Package binenc provides the little-endian binary encoding helpers
-// behind the sketches' MarshalBinary/UnmarshalBinary implementations:
-// a Writer that appends primitives to a buffer and a Reader that
-// consumes them with explicit error state, so codec code reads as a
-// flat sequence of field writes/reads with one error check at the end.
+// Package binenc is the little-endian binary encoding behind every
+// snapshot codec, the WAL's records and the binary stream frames: a
+// Writer that appends primitives and a Reader that consumes them with
+// a sticky error, so a codec reads as a flat sequence of fields with
+// one check at the end. The Reader guards what every decoder of
+// network or disk bytes needs: Magic rejects a foreign format, Count
+// a claimed count the unread bytes cannot hold (before anything is
+// allocated for it), Block reads the ingest paths' n×d row block under
+// that guard, and End returns the first error or rejects trailing
+// bytes.
 package binenc
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer accumulates an encoded byte stream.
@@ -65,6 +71,26 @@ func (w *Writer) Blob(v []byte) {
 	w.buf = append(w.buf, v...)
 }
 
+// Block appends a row block: Int n, Int d, the n timestamps, then the
+// n·d values row-major, d being len(rows[0]) (0 for no rows). The
+// stream frames and the WAL's rows records carry this layout.
+func (w *Writer) Block(rows [][]float64, times []float64) {
+	d := 0
+	if len(rows) > 0 {
+		d = len(rows[0])
+	}
+	w.Int(len(rows))
+	w.Int(d)
+	for _, t := range times {
+		w.F64(t)
+	}
+	for _, row := range rows {
+		for _, v := range row {
+			w.F64(v)
+		}
+	}
+}
+
 // Reader consumes an encoded byte stream. The first decoding error
 // sticks; Err reports it and all subsequent reads return zero values.
 type Reader struct {
@@ -79,8 +105,17 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 // Err returns the first error encountered (nil if none).
 func (r *Reader) Err() error { return r.err }
 
-// Rest reports the number of unread bytes.
-func (r *Reader) Rest() int { return len(r.buf) - r.off }
+// End is a decoder's final check: it returns the first error, or an
+// error if unread bytes remain.
+func (r *Reader) End() error {
+	if r.err == nil && r.rest() != 0 {
+		r.fail("%d trailing bytes", r.rest())
+	}
+	return r.err
+}
+
+// rest reports the number of unread bytes.
+func (r *Reader) rest() int { return len(r.buf) - r.off }
 
 // Off reports the current read offset, so framed formats (the WAL)
 // can checksum the exact byte span a record decoded from.
@@ -151,6 +186,17 @@ func (r *Reader) Bool() bool {
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// Magic reads a U64 format magic and returns it when it is one of
+// want; otherwise the reader fails and Magic returns 0.
+func (r *Reader) Magic(want ...uint64) uint64 {
+	m := r.U64()
+	if r.err == nil && slices.Contains(want, m) {
+		return m
+	}
+	r.fail("magic %#x unrecognised", m)
+	return 0
+}
+
 // Count is the decoders' one shape guard for claimed element counts:
 // it fails the reader unless n elements of at least minSize encoded
 // bytes each (minSize ≥ 1) fit in the unread input, so a short hostile
@@ -162,11 +208,19 @@ func (r *Reader) Count(n, minSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n > r.Rest()/minSize {
-		r.fail("count %d of %d-byte elements exceeds remaining %d bytes", n, minSize, r.Rest())
+	if n < 0 || n > r.rest()/minSize {
+		r.err = countError{n, minSize, r.rest()}
 		return 0
 	}
 	return n
+}
+
+// countError is a failed Count. It is formatted only when read, so a
+// hostile count costs one allocation to reject.
+type countError struct{ n, size, rest int }
+
+func (e countError) Error() string {
+	return fmt.Sprintf("binenc: count %d of %d-byte elements exceeds remaining %d bytes", e.n, e.size, e.rest)
 }
 
 // F64s reads a length-prefixed float64 slice, its length guarded by
@@ -194,4 +248,41 @@ func (r *Reader) Blob() []byte {
 	copy(out, r.buf[r.off:r.off+n])
 	r.off += n
 	return out
+}
+
+// Block is a decoded row block: n timestamps and n rows of d values,
+// the rows viewing one row-major slice. Reading into the same Block
+// again reuses its storage.
+type Block struct {
+	Times []float64
+	Rows  [][]float64
+	vals  []float64
+}
+
+// BlockHeader reads a row block's shape, Int n then Int d, for the
+// caller to judge before Block reads the rest.
+func (r *Reader) BlockHeader() (n, d int) { return r.Int(), r.Int() }
+
+// Block reads the timestamps and values of an n×d row block into b.
+// Count guards the n rows of 8·(d+1) bytes each before b grows.
+func (r *Reader) Block(n, d int, b *Block) {
+	if r.Count(n, 8*(d+1)); r.err != nil {
+		return
+	}
+	if cap(b.Times) < n {
+		b.Times, b.Rows = make([]float64, n), make([][]float64, n)
+	}
+	if cap(b.vals) < n*d {
+		b.vals = make([]float64, n*d)
+	}
+	b.Times, b.Rows, b.vals = b.Times[:n], b.Rows[:n], b.vals[:n*d]
+	for i := range b.Times {
+		b.Times[i] = r.F64()
+	}
+	for i := range b.vals {
+		b.vals[i] = r.F64()
+	}
+	for i := range b.Rows {
+		b.Rows[i] = b.vals[i*d : (i+1)*d : (i+1)*d]
+	}
 }

@@ -34,8 +34,8 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if string(r.Blob()) != "hello" {
 		t.Fatal("blob round trip failed")
 	}
-	if r.Err() != nil || r.Rest() != 0 {
-		t.Fatalf("err=%v rest=%d", r.Err(), r.Rest())
+	if err := r.End(); err != nil {
+		t.Fatal(err)
 	}
 }
 

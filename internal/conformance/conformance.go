@@ -399,9 +399,9 @@ func batchBitEqual(t *testing.T, cases []Case) {
 // rejectedBatch: UpdateBatch is all-or-nothing on every registry
 // framework, and its sketch (a core.TenantSketch) says so first. A
 // batch whose last row breaks one rule (row width, finiteness, a
-// squared norm that overflows, a timestamp behind its predecessor, a
-// declared R), or whose rows all lie behind the sketch's clock, must
-// get an error from CheckBatch, then panic in
+// squared norm that overflows, a timestamp behind its predecessor or
+// not finite, a declared R), or whose rows all lie behind the sketch's
+// clock, must get an error from CheckBatch, then panic in
 // UpdateBatch, and leave the sketch equal to a twin that never saw it:
 // the same answers bit for bit, RowsStored, snapshot bytes and clock,
 // also after both take the batch's valid rows, which CheckBatch
@@ -410,7 +410,8 @@ func rejectedBatch(t *testing.T, cases []Case) {
 	const d, n = 4, 80
 	good := [][]float64{{1, 0, 2, 0}, {0, 1, 0, 1}}
 	bad := map[string][]float64{"width": {1, 2, 3, 4, 5}, "non-finite": {1, math.NaN(), 0, 0},
-		"overflow": {1e160, 0, 0, 0}, "timestamp": {1, 1, 1, 1}, "clock": {1, 1, 1, 1}, "norm": {1e6, 0, 0, 0}}
+		"overflow": {1e160, 0, 0, 0}, "timestamp": {1, 1, 1, 1}, "clock": {1, 1, 1, 1}, "norm": {1e6, 0, 0, 0},
+		"+Inf time": {1, 1, 1, 1}, "-Inf time": {1, 1, 1, 1}, "NaN time": {1, 1, 1, 1}}
 	for _, tc := range cases {
 		if len(tc.Frameworks) == 0 {
 			continue
@@ -436,6 +437,12 @@ func rejectedBatch(t *testing.T, cases []Case) {
 				times[2] = n - 10
 			case "clock":
 				times = []float64{n - 5, n - 4, n - 3}
+			case "+Inf time":
+				times[2] = math.Inf(1)
+			case "-Inf time":
+				times[2] = math.Inf(-1)
+			case "NaN time":
+				times[2] = math.NaN()
 			}
 			same := func(at, clock float64) {
 				a, b := sk.Query(at), twin.Query(at)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"swsketch/internal/mat"
 	"swsketch/internal/stream"
@@ -132,15 +131,14 @@ func newDIAMM(cfg DIConfig, dA, dB int, o stream.FDOpts) *AMM {
 }
 
 // AutoAMM returns an LM-lifted co-sketch sized for target relative AMM
-// error eps. Calibration mirrors AutoLMFD: COD's product error scales
-// as c/ℓ just like FD's covariance error (the σ-vs-σ² charge cancels
-// against the ‖A‖F‖B‖F normalisation), so ℓ ≈ 1/ε with b ≈ 1/(3ε)
-// blocks per level for the expiring-block term.
-func AutoAMM(spec window.Spec, dA, dB int, eps float64) *AMM {
-	mustTargetEps("AutoAMM", eps)
-	ell := clampInt(int(math.Ceil(1/eps)), 8, 512)
-	b := clampInt(int(math.Ceil(1/(3*eps))), 4, 64)
-	return NewLMAMM(spec, dA, dB, ell, b)
+// error eps, with FastFD ingest tuning o on every block co-sketch (the
+// zero FDOpts for NewLMAMM's). Calibration mirrors AutoLMFD: COD's
+// product error scales as c/ℓ just like FD's covariance error (the
+// σ-vs-σ² charge cancels against the ‖A‖F‖B‖F normalisation), so
+// ℓ ≈ 1/ε with b ≈ 1/(3ε) blocks per level for the expiring-block term.
+func AutoAMM(spec window.Spec, dA, dB int, eps float64, o stream.FDOpts) *AMM {
+	ell, b := autoLMSize("AutoAMM", eps)
+	return NewLMAMMOpts(spec, dA, dB, ell, b, o)
 }
 
 // SetTracer attaches a tracer to the inner framework (block closes,

@@ -71,9 +71,7 @@ func readCODBlob(r *binenc.Reader, ell, dA, dB int, o stream.FDOpts) (*stream.CO
 // snapshot's geometry. The tracer survives restore.
 func (a *AMM) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != ammMagic && r.Err() == nil {
-		return fmt.Errorf("core: AMM snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(ammMagic)
 	kind := r.Int()
 	dA := r.Int()
 	dB := r.Int()
@@ -94,11 +92,8 @@ func (a *AMM) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: AMM snapshot: %w", err)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("core: AMM snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: AMM snapshot has %d trailing bytes", r.Rest())
 	}
 	tr := a.tr
 	*a = *restored

@@ -68,8 +68,8 @@ func TestNewAMMValidation(t *testing.T) {
 		func() { NewLMAMM(spec, 3, 0, 8, 4) },
 		func() { NewLMAMM(spec, 3, 3, 1, 4) },
 		func() { NewDIAMM(DIConfig{N: 100, R: 4, L: 3, Ell: 16}, 0, 3) },
-		func() { AutoAMM(spec, 3, 3, 0) },
-		func() { AutoAMM(spec, 3, 3, 1.5) },
+		func() { AutoAMM(spec, 3, 3, 0, stream.FDOpts{}) },
+		func() { AutoAMM(spec, 3, 3, 1.5, stream.FDOpts{}) },
 	} {
 		func() {
 			defer func() {
@@ -269,7 +269,7 @@ func TestAMMStats(t *testing.T) {
 }
 
 func TestAutoAMM(t *testing.T) {
-	a := AutoAMM(window.Spec{Kind: window.Sequence, Size: 500}, 6, 4, 0.05)
+	a := AutoAMM(window.Spec{Kind: window.Sequence, Size: 500}, 6, 4, 0.05, stream.FDOpts{})
 	if a.Name() != "LM-AMM" {
 		t.Fatalf("AutoAMM built %q", a.Name())
 	}

@@ -30,10 +30,17 @@ func AutoLMFD(spec window.Spec, d int, eps float64) *LM {
 // auto-sized block sketches; sizing is unchanged (the error bound is
 // (b, α)-independent), so the zero FDOpts reproduces AutoLMFD exactly.
 func AutoLMFDOpts(spec window.Spec, d int, eps float64, o stream.FDOpts) *LM {
-	mustTargetEps("AutoLMFD", eps)
-	ell := clampInt(int(math.Ceil(1/eps)), 8, 512)
-	b := clampInt(int(math.Ceil(1/(3*eps))), 4, 64)
+	ell, b := autoLMSize("AutoLMFD", eps)
 	return NewLMFDOpts(spec, d, ell, b, o)
+}
+
+// autoLMSize is the LM sizing of AutoLMFD and AutoAMM for target error
+// eps: ℓ ≈ 1/ε and b ≈ 1/(3ε).
+func autoLMSize(algo string, eps float64) (ell, b int) {
+	mustTargetEps(algo, eps)
+	ell = clampInt(int(math.Ceil(1/eps)), 8, 512)
+	b = clampInt(int(math.Ceil(1/(3*eps))), 4, 64)
+	return ell, b
 }
 
 // AutoDIFD returns a DI-FD sketch sized for target error eps over a

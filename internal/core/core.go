@@ -85,17 +85,20 @@ type TenantSketch interface {
 
 // checkRow states the rules every sketch holds one row to, given its
 // squared norm w and timestamp t: w is finite, within r·slack when a
-// bound r > 0 is declared, and t does not precede the sketch's clock
-// (lastT, once seen). One sum catches NaN and ±Inf values and overflow
-// alike, any of which would otherwise poison Gram accumulations, FD
-// shrinks and priority draws silently. Every update path checks a row
-// before it changes anything.
+// bound r > 0 is declared, and t is finite and does not precede the
+// sketch's clock (lastT, once seen). One sum catches NaN and ±Inf
+// values and overflow alike, any of which would otherwise poison Gram
+// accumulations, FD shrinks and priority draws silently; a clock at
+// +Inf would refuse every later row, and one at NaN every read. Every
+// update path checks a row before it changes anything.
 func checkRow(algo string, w, t, lastT float64, seen bool, r, slack float64) error {
 	switch {
 	case math.IsNaN(w) || math.IsInf(w, 0):
 		return fmt.Errorf("core: %s row has squared norm %v", algo, w)
 	case r > 0 && w > r*slack:
 		return fmt.Errorf("core: %s row squared norm %v exceeds declared R=%v", algo, w, r)
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		return fmt.Errorf("core: %s timestamp %v is not finite", algo, t)
 	case seen && t < lastT:
 		return fmt.Errorf("core: %s timestamp %v precedes %v", algo, t, lastT)
 	}
@@ -160,9 +163,9 @@ func trackerStats(dst map[string]float64, nt interface{ Size() int }) {
 
 // SparseUpdater is implemented by window sketches with a sparse ingest
 // path; UpdateSparse(row, t) is equivalent to Update(row.Dense(d), t).
-// LM and DI exploit sparsity end-to-end; the samplers densify on
-// candidate admission (their answers are rows of A, stored dense) but
-// still skip the O(d) norm scan.
+// LM, DI and AMM exploit sparsity end-to-end, in O(nnz); the samplers
+// and DS-FD densify the row first (their candidates and frame sketches
+// hold rows dense) and then run the O(d) dense update, norm included.
 type SparseUpdater interface {
 	WindowSketch
 	UpdateSparse(row mat.SparseRow, t float64)

@@ -46,9 +46,7 @@ func (s *DI) MarshalBinary() ([]byte, error) {
 // tracer survives restore.
 func (s *DI) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != difdMagic && r.Err() == nil {
-		return fmt.Errorf("core: DI snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(difdMagic)
 	d := r.Int()
 	o := stream.FDOpts{Buffer: r.Int(), Alpha: r.F64()}
 	cfg := readDIConfig(r)
@@ -64,8 +62,8 @@ func (s *DI) UnmarshalBinary(data []byte) error {
 	}); err != nil {
 		return fmt.Errorf("core: DI snapshot: %w", err)
 	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: DI snapshot has %d trailing bytes", r.Rest())
+	if err := r.End(); err != nil {
+		return fmt.Errorf("core: DI snapshot: %w", err)
 	}
 	restored.SetTracer(s.tr)
 	*s = *restored

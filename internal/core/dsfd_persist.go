@@ -34,11 +34,8 @@ func writeDSDense(w *binenc.Writer, m *mat.Dense) {
 // readDSDense reads what writeDSDense wrote, for rows of dimension d.
 func readDSDense(r *binenc.Reader, d int) (*mat.Dense, error) {
 	rows := r.Count(r.Int(), 8*d)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
 	if rows == 0 {
-		return nil, nil
+		return nil, r.Err()
 	}
 	data := r.F64s()
 	if r.Err() != nil {
@@ -70,9 +67,6 @@ func readDSFrame(r *binenc.Reader, d int) (dsFrame, error) {
 		delta: r.F64(),
 	}
 	nSnaps := r.Count(r.Int(), dsSnapMinBytes)
-	if r.Err() != nil {
-		return fr, r.Err()
-	}
 	if !(fr.mass >= 0) || !(fr.delta >= 0) || math.IsInf(fr.mass, 0) || math.IsInf(fr.delta, 0) {
 		return fr, fmt.Errorf("frame has invalid mass %v or delta %v", fr.mass, fr.delta)
 	}
@@ -127,9 +121,7 @@ func (s *DSFD) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary restores a DS-FD snapshot into the receiver.
 func (s *DSFD) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != dsfdMagic && r.Err() == nil {
-		return fmt.Errorf("core: DSFD snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(dsfdMagic)
 	d := r.Int()
 	n := r.Int()
 	ell := r.Int()
@@ -191,11 +183,8 @@ func (s *DSFD) UnmarshalBinary(data []byte) error {
 	if err := fd.UnmarshalBinary(r.Blob()); err != nil {
 		return fmt.Errorf("core: DSFD snapshot: %w", err)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("core: DSFD snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: DSFD snapshot has %d trailing bytes", r.Rest())
 	}
 	if fd.Ell() != ell {
 		return fmt.Errorf("core: DSFD snapshot active sketch has ell=%d, want %d", fd.Ell(), ell)

@@ -107,9 +107,7 @@ func (s *SWR) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary restores an SWR snapshot into the receiver.
 func (s *SWR) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != swrMagic && r.Err() == nil {
-		return fmt.Errorf("core: SWR snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(swrMagic)
 	spec := readSpec(r)
 	d := r.Int()
 	ell := r.Count(r.Int(), 8) // every queue encodes at least its length
@@ -125,9 +123,6 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	restored.lastT, restored.seen = lastT, seen
 	for q := 0; q < ell; q++ {
 		n := r.Count(r.Int(), candidateMinBytes(d))
-		if r.Err() != nil {
-			return fmt.Errorf("core: SWR snapshot: %w", r.Err())
-		}
 		items := make([]candidate, 0, n)
 		for i := 0; i < n; i++ {
 			c, err := readCandidate(r, d)
@@ -138,15 +133,13 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 		}
 		restored.queues[q].items = items
 	}
+	nb := r.Blob()
+	if err := r.End(); err != nil {
+		return fmt.Errorf("core: SWR snapshot: %w", err)
+	}
 	norms := window.NewExactNorms(spec)
-	if err := norms.UnmarshalBinary(r.Blob()); err != nil {
+	if err := norms.UnmarshalBinary(nb); err != nil {
 		return fmt.Errorf("core: SWR snapshot: %w", err)
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: SWR snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: SWR snapshot has %d trailing bytes", r.Rest())
 	}
 	restored.norms = norms
 	restored.tr = s.tr // the tracer survives restore
@@ -189,9 +182,7 @@ func (s *SWOR) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary restores a SWOR snapshot into the receiver.
 func (s *SWOR) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != sworMagic && r.Err() == nil {
-		return fmt.Errorf("core: SWOR snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(sworMagic)
 	spec := readSpec(r)
 	d := r.Int()
 	ell := r.Int()
@@ -220,15 +211,13 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 		}
 		restored.queue = append(restored.queue, sworCandidate{candidate: c, rank: rank})
 	}
+	nb := r.Blob()
+	if err := r.End(); err != nil {
+		return fmt.Errorf("core: SWOR snapshot: %w", err)
+	}
 	norms := window.NewExactNorms(spec)
-	if err := norms.UnmarshalBinary(r.Blob()); err != nil {
+	if err := norms.UnmarshalBinary(nb); err != nil {
 		return fmt.Errorf("core: SWOR snapshot: %w", err)
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: SWOR snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: SWOR snapshot has %d trailing bytes", r.Rest())
 	}
 	restored.norms = norms
 	restored.tr = s.tr // the tracer survives restore
@@ -294,9 +283,6 @@ func (l *LM) readBody(r *binenc.Reader, readSketch func(*binenc.Reader) (stream.
 	nLevels := r.Count(r.Int(), 8) // every level encodes at least its block count
 	for i := 0; i < nLevels; i++ {
 		n := r.Count(r.Int(), lmBlockMinBytes)
-		if r.Err() != nil {
-			return r.Err()
-		}
 		lv := make([]lmBlock, 0, n)
 		for j := 0; j < n; j++ {
 			blk, err := readLMBlock(r, l.d, readSketch)
@@ -352,11 +338,7 @@ func readLMBlock(r *binenc.Reader, d int, readSketch func(*binenc.Reader) (strea
 		size:         r.F64(),
 		singletonCap: r.F64(),
 	}
-	sketched := r.Bool()
-	if r.Err() != nil {
-		return blk, r.Err()
-	}
-	if sketched {
+	if r.Bool() {
 		sk, err := readSketch(r)
 		blk.sk = sk
 		return blk, err
@@ -388,9 +370,6 @@ func writeSparseRow(w *binenc.Writer, row mat.SparseRow, t float64) {
 // increase and stay below d.
 func readSparseRow(r *binenc.Reader, d int) (mat.SparseRow, float64, error) {
 	nnz := r.Count(r.Int(), lmNonzeroBytes)
-	if r.Err() != nil {
-		return mat.SparseRow{}, 0, r.Err()
-	}
 	idx := make([]int, nnz)
 	prev := -1
 	for k := range idx {
@@ -446,10 +425,7 @@ func readFDBlob(r *binenc.Reader, ell, d int, o stream.FDOpts) (stream.Mergeable
 // UnmarshalBinary restores an LM-FD snapshot into the receiver.
 func (l *LM) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	magic := r.U64()
-	if magic != lmfdMagic && magic != lmfdMagicV2 && r.Err() == nil {
-		return fmt.Errorf("core: LM snapshot magic %#x unrecognised", magic)
-	}
+	magic := r.Magic(lmfdMagic, lmfdMagicV2)
 	spec := readSpec(r)
 	d := r.Int()
 	ell := r.F64()
@@ -470,8 +446,8 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	}); err != nil {
 		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("core: LM snapshot has %d trailing bytes", r.Rest())
+	if err := r.End(); err != nil {
+		return fmt.Errorf("core: LM snapshot: %w", err)
 	}
 	restored.SetTracer(l.tr) // the tracer survives restore
 	*l = *restored

@@ -260,7 +260,7 @@ func (s *SWOR) Dim() int { return s.d }
 
 var _ TenantSketch = (*SWOR)(nil)
 
-// UpdateSparse ingests a sparse row (densified on admission; see
+// UpdateSparse ingests a sparse row by densifying it (see
 // SWR.UpdateSparse).
 func (s *SWOR) UpdateSparse(row mat.SparseRow, t float64) {
 	checkSparseWidth("SWOR", row, s.d)

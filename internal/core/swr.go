@@ -272,9 +272,9 @@ var (
 	_ Introspector = (*SWR)(nil)
 )
 
-// UpdateSparse ingests a sparse row; the candidate copy is stored
-// dense (sampler answers are rows of A), but norm computation and
-// admission use the sparse form.
+// UpdateSparse ingests a sparse row by densifying it and running
+// Update, O(d) norm included: candidates are stored dense (sampler
+// answers are rows of A).
 func (s *SWR) UpdateSparse(row mat.SparseRow, t float64) {
 	checkSparseWidth("SWR", row, s.d)
 	s.Update(row.Dense(s.d), t)

@@ -512,19 +512,10 @@ func encodeNDJSON(rows [][]float64, times []float64) []byte {
 }
 
 // encodeFrame renders one block in the binary stream framing: a U32
-// length prefix, then Int n, Int d, n×F64 times, n·d×F64 values.
+// length prefix, then the binenc row block.
 func encodeFrame(rows [][]float64, times []float64) []byte {
 	w := binenc.NewWriter()
-	w.Int(len(rows))
-	w.Int(len(rows[0]))
-	for _, t := range times {
-		w.F64(t)
-	}
-	for _, row := range rows {
-		for _, v := range row {
-			w.F64(v)
-		}
-	}
+	w.Block(rows, times)
 	payload := w.Bytes()
 	out := make([]byte, 4, 4+len(payload))
 	binary.LittleEndian.PutUint32(out, uint32(len(payload)))

@@ -169,7 +169,7 @@ var frameworks = []framework{
 	}},
 	{key: FrameworkLMAMM, name: "LM-AMM", paired: true, auto: true, fd: true, build: func(c Config, spec window.Spec) core.TenantSketch {
 		if c.Ell == 0 {
-			return core.AutoAMM(spec, c.D-c.DB, c.DB, c.Eps)
+			return core.AutoAMM(spec, c.D-c.DB, c.DB, c.Eps, c.fdOpts())
 		}
 		return core.NewLMAMMOpts(spec, c.D-c.DB, c.DB, c.Ell, c.B, c.fdOpts())
 	}},

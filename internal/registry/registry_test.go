@@ -13,6 +13,7 @@ import (
 	"swsketch/internal/core"
 	"swsketch/internal/mat"
 	"swsketch/internal/obs"
+	"swsketch/internal/stream"
 	"swsketch/internal/trace"
 	"swsketch/internal/window"
 )
@@ -190,6 +191,27 @@ func TestConfigDSFDFDOptsPassThrough(t *testing.T) {
 	st = classic.Stats()
 	if st["fd_buffer"] != 1 || st["fd_alpha"] != 1 {
 		t.Fatalf("default config is not the classic cadence: buffer=%v alpha=%v", st["fd_buffer"], st["fd_alpha"])
+	}
+}
+
+// TestConfigAutoLMAMMFDOpts: an lm-amm config sized from eps builds
+// its block co-sketches with the config's fd_buffer, byte for byte the
+// sketch NewLMAMMOpts builds at the auto size (ℓ 10, b 4 for ε 0.1).
+func TestConfigAutoLMAMMFDOpts(t *testing.T) {
+	sk, err := Config{Framework: "lm-amm", Size: 64, D: 8, DB: 4, Eps: 0.1, FDBuffer: 2}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.NewLMAMMOpts(window.Seq(64), 4, 4, 10, 4, stream.FDOpts{Buffer: 2}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("auto-sized lm-amm snapshot (%d bytes) differs from NewLMAMMOpts with buffer 2 (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -74,10 +74,7 @@ type spillHeader struct {
 func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	var h spillHeader
 	r := binenc.NewReader(data)
-	magic := r.U64()
-	if r.Err() == nil && magic != spillMagic && magic != spillMagicV2 && magic != spillMagicV3 {
-		return h, nil, fmt.Errorf("registry: not a tenant spill file (magic %#x)", magic)
-	}
+	magic := r.Magic(spillMagic, spillMagicV2, spillMagicV3)
 	h.id = string(r.Blob())
 	if magic == spillMagicV3 {
 		if cfg := r.Blob(); r.Err() == nil {

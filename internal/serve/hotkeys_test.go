@@ -6,7 +6,6 @@ package serve
 // churn landing in the trace ring.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"swsketch/internal/binenc"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/hh"
 	"swsketch/internal/trace"
@@ -63,18 +61,7 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 	postJSON(t, ts.URL+"/v2/rows",
 		`{"tenants":[{"id":"default","updates":[{"row":[1,1,0],"t":4}]}]}`).Body.Close()
 	// Binary stream: one 2-row frame.
-	w := binenc.NewWriter()
-	w.Int(2)
-	w.Int(3)
-	w.F64(5)
-	w.F64(6)
-	for i := 0; i < 6; i++ {
-		w.F64(float64(i))
-	}
-	payload := w.Bytes()
-	frame := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
+	frame := encodeFrame([][]float64{{0, 1, 2}, {3, 4, 5}}, []float64{5, 6})
 	resp, err := http.Post(ts.URL+"/v2/tenants/default/stream", ContentTypeFrames,
 		strings.NewReader(string(frame)))
 	if err != nil {

@@ -403,6 +403,10 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		hist = s.reg.Histogram("swsketch_http_request_seconds",
 			"HTTP request latency by route.", obs.Labels{"route": route}, nil)
 	}
+	// The route's request counters by status code, each looked up in
+	// s.reg on the code's first answer only.
+	var mu sync.Mutex
+	codes := map[int]*obs.Counter{}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := s.reqPrefix + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
@@ -412,9 +416,15 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		dur := time.Since(start)
 		if hist != nil {
 			hist.Observe(dur.Seconds())
-			s.reg.Counter("swsketch_http_requests_total",
-				"HTTP requests by route and status code.",
-				obs.Labels{"route": route, "code": strconv.Itoa(sw.code)}).Inc()
+			mu.Lock()
+			c := codes[sw.code]
+			if c == nil {
+				c = s.reg.Counter("swsketch_http_requests_total", "HTTP requests by route and status code.",
+					obs.Labels{"route": route, "code": strconv.Itoa(sw.code)})
+				codes[sw.code] = c
+			}
+			mu.Unlock()
+			c.Inc()
 		}
 		if s.tr.Enabled() {
 			// V1 = status code, V2 = latency in seconds; the note carries

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -85,6 +86,36 @@ func TestRejectedBatchIsNotJournaled(t *testing.T) {
 	decode(t, doReq(t, "GET", ts2.URL+"/v2/tenants/di/stats", ""), &sr)
 	if sr.Updates != 0 {
 		t.Fatalf("replayed tenant has %d updates", sr.Updates)
+	}
+}
+
+// TestNonFiniteFrameTimesRejected: on a binary stream, a frame at
+// t=+Inf and a frame at t=NaN each get an invalid_argument ack and are
+// not journaled, and a later frame at t=5 is accepted, so the restart
+// replays that frame alone.
+func TestNonFiniteFrameTimesRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walBoot(t, dir, lmCfg(3))
+	body := encodeFrame([][]float64{{1, 0, 0}}, []float64{math.Inf(1)})
+	body = append(body, encodeFrame([][]float64{{0, 1, 0}}, []float64{math.NaN()})...)
+	body = append(body, encodeFrame([][]float64{{0, 0, 1}}, []float64{5})...)
+	resp, acks := streamPost(t, ts.URL+"/v2/tenants/default/stream", ContentTypeFrames, body)
+	if resp.StatusCode != http.StatusOK || len(acks) != 3 {
+		t.Fatalf("status %d, acks %+v; want 200 and three acks", resp.StatusCode, acks)
+	}
+	for _, ack := range acks[:2] {
+		if ack.Error == nil || ack.Error.Code != CodeInvalidArgument || ack.Accepted != 0 {
+			t.Fatalf("non-finite frame acked %+v, want invalid_argument", ack)
+		}
+	}
+	if ack := acks[2]; ack.Error != nil || ack.Accepted != 1 || ack.LastT != 5 {
+		t.Fatalf("frame at t=5 acked %+v", ack)
+	}
+	ts.Close()
+
+	_, _, st := walBoot(t, dir, lmCfg(3))
+	if st.Records != 1 || st.Applied != 1 || st.Rows != 1 || st.Failed != 0 {
+		t.Fatalf("replay %+v, want only the frame at t=5", st)
 	}
 }
 

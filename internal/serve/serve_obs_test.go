@@ -458,3 +458,30 @@ func TestWithPprofMountsProfiles(t *testing.T) {
 	}
 	r2.Body.Close()
 }
+
+// discardWriter is a ResponseWriter that keeps only its header map.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header       { return w.h }
+func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (discardWriter) WriteHeader(int)             {}
+
+// TestWrapCachesRequestCounters: with metrics on, a request to a route
+// that already answered its status code looks nothing up in the
+// registry. What the wrapper still allocates is its own: the request
+// ID's digits and string, its header value, and the status writer.
+func TestWrapCachesRequestCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newServer(t, lmCfg(3), WithMetrics(reg))
+	h := s.wrap("/probe", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusNotFound) })
+	w, req := discardWriter{h: http.Header{}}, httptest.NewRequest("GET", "/probe", nil)
+	h(w, req)
+	if allocs := testing.AllocsPerRun(200, func() { h(w, req) }); allocs > 4 {
+		t.Fatalf("a wrapped request allocates %v times, want at most 4", allocs)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if want := `swsketch_http_requests_total{code="404",route="/probe"} 202`; !strings.Contains(b.String(), want) {
+		t.Fatalf("metrics lack %q", want)
+	}
+}

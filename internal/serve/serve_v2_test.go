@@ -220,16 +220,7 @@ func TestStreamLinesDecodeStrictly(t *testing.T) {
 // encodeFrame builds one binary stream frame (length prefix included).
 func encodeFrame(rows [][]float64, times []float64) []byte {
 	w := binenc.NewWriter()
-	w.Int(len(rows))
-	w.Int(len(rows[0]))
-	for _, tv := range times {
-		w.F64(tv)
-	}
-	for _, row := range rows {
-		for _, v := range row {
-			w.F64(v)
-		}
-	}
+	w.Block(rows, times)
 	payload := w.Bytes()
 	out := make([]byte, 4, 4+len(payload))
 	binary.LittleEndian.PutUint32(out, uint32(len(payload)))

@@ -12,8 +12,8 @@ package serve
 //
 //	application/x-swsketch-frames
 //	  Length-prefixed binary frames: a little-endian uint32 payload
-//	  length, then a binenc payload of Int n, Int d, n×F64 times,
-//	  n·d×F64 row-major values. One frame is one block. ~8 bytes per
+//	  length, then a binenc row block (Int n, Int d, n×F64 times,
+//	  n·d×F64 row-major values). One frame is one block. ~8 bytes per
 //	  value vs ~20 for JSON, and no float formatting on either end.
 //
 // Acks are NDJSON itemResult lines in both modes, flushed after every
@@ -237,61 +237,31 @@ func (c *streamConn) runFrames(body io.Reader) {
 			c.fail(&apiError{code: CodeInvalidArgument, msg: err.Error()})
 			return
 		}
-		if !c.block(f.rows, f.times) {
+		if !c.block(f.block.Rows, f.block.Times) {
 			return
 		}
 	}
 }
 
 // frame is a binary frame's decode target, reused across a
-// connection's frames: the payload bytes, then the decoded n×d row
-// block (rows views its contiguous storage) and the rows' times.
+// connection's frames: the payload bytes, then the decoded row block.
 type frame struct {
 	payload []byte
-	block   []float64
-	rows    [][]float64
-	times   []float64
+	block   binenc.Block
 }
 
-// decodeFrame parses one binary frame payload into f's rows and times,
-// reusing f's storage. On error f's contents are unspecified.
+// decodeFrame parses one binary frame payload, a binenc row block of
+// n ≥ 1 rows of the tenant's dimension, into f's block, reusing its
+// storage. On error f's contents are unspecified.
 func decodeFrame(payload []byte, wantD int, f *frame) error {
 	r := binenc.NewReader(payload)
-	n, d := r.Int(), r.Int()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("frame header: %w", err)
-	}
-	if n < 1 || d != wantD {
+	n, d := r.BlockHeader()
+	if r.Err() == nil && (n < 1 || d != wantD) {
 		return fmt.Errorf("frame claims %d rows of dimension %d, want dimension %d", n, d, wantD)
 	}
-	// Bound the claimed block by the bytes actually present before
-	// allocating (d is server-known and small, so n*(d+1) cannot
-	// overflow once n passes the first gate).
-	if n > r.Rest()/8 || n*(d+1) > r.Rest()/8 {
-		return fmt.Errorf("frame claims %d×%d block, only %d bytes follow", n, d, r.Rest())
-	}
-	if cap(f.times) < n {
-		f.times = make([]float64, n)
-		f.rows = make([][]float64, n)
-	}
-	if cap(f.block) < n*d {
-		f.block = make([]float64, n*d)
-	}
-	f.times, f.rows, f.block = f.times[:n], f.rows[:n], f.block[:n*d]
-	for i := range f.times {
-		f.times[i] = r.F64()
-	}
-	for i := range f.block {
-		f.block[i] = r.F64()
-	}
-	for i := range f.rows {
-		f.rows[i] = f.block[i*d : (i+1)*d : (i+1)*d]
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("frame body: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("frame has %d trailing bytes", r.Rest())
+	r.Block(n, d, &f.block)
+	if err := r.End(); err != nil {
+		return fmt.Errorf("frame: %w", err)
 	}
 	return nil
 }

@@ -39,9 +39,7 @@ func (c *COD) MarshalBinary() ([]byte, error) {
 // against the remaining bytes before anything is allocated for it.
 func (c *COD) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	if magic := r.U64(); magic != codMagic && r.Err() == nil {
-		return fmt.Errorf("stream: COD snapshot magic %#x unrecognised", magic)
-	}
+	r.Magic(codMagic)
 	ell := r.Int()
 	dA := r.Int()
 	dB := r.Int()
@@ -54,45 +52,24 @@ func (c *COD) UnmarshalBinary(data []byte) error {
 	if err := CheckCOD(ell, dA, dB, FDOpts{Buffer: bfac, Alpha: alpha}); err != nil {
 		return fmt.Errorf("stream: COD snapshot: %w", err)
 	}
-	if used < 0 || used > bfac*ell {
+	if used > bfac*ell {
 		return fmt.Errorf("stream: COD snapshot has invalid shape ell=%d buffer=%d used=%d", ell, bfac, used)
 	}
-	// Each X row costs a length prefix plus dA float64s, each Y row the
-	// same with dB; the payload must hold exactly the declared pairs
-	// before anything is allocated for them.
-	pairBytes := (8 + 8*dA) + (8 + 8*dB)
-	if used > r.Rest()/pairBytes || r.Rest() != used*pairBytes {
-		return fmt.Errorf("stream: COD snapshot payload is %d bytes, want %d for %d row pairs", r.Rest(), used*pairBytes, used)
-	}
-	// The buffers hold just the restored row pairs, so the decode
-	// allocates in proportion to its input; the first update grows them.
+	// A row pair is an X row of dA float64s and a Y row of dB, each
+	// with a length prefix. The buffers hold just the restored pairs,
+	// so the decode allocates in proportion to its input; the first
+	// update grows them.
+	used = r.Count(used, (8+8*dA)+(8+8*dB))
 	restored := &COD{ell: ell, dA: dA, dB: dB, bfac: bfac, alpha: alpha, m: bfac * ell,
 		bufX: mat.NewDense(used, dA), bufY: mat.NewDense(used, dB)}
-	for i := 0; i < used; i++ {
-		row := r.F64s()
-		if r.Err() != nil {
-			break
-		}
-		if len(row) != dA {
-			return fmt.Errorf("stream: COD snapshot X row %d has length %d, want %d", i, len(row), dA)
-		}
-		copy(restored.bufX.Row(i), row)
+	if err := readRows(r, restored.bufX); err != nil {
+		return fmt.Errorf("stream: COD snapshot X: %w", err)
 	}
-	for i := 0; i < used; i++ {
-		row := r.F64s()
-		if r.Err() != nil {
-			break
-		}
-		if len(row) != dB {
-			return fmt.Errorf("stream: COD snapshot Y row %d has length %d, want %d", i, len(row), dB)
-		}
-		copy(restored.bufY.Row(i), row)
+	if err := readRows(r, restored.bufY); err != nil {
+		return fmt.Errorf("stream: COD snapshot Y: %w", err)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("stream: COD snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("stream: COD snapshot has %d trailing bytes", r.Rest())
 	}
 	restored.used = used
 	*c = *restored

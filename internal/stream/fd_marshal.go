@@ -48,10 +48,7 @@ func (f *FD) MarshalBinary() ([]byte, error) {
 // cadence (b=1, α=1) that produced them.
 func (f *FD) UnmarshalBinary(data []byte) error {
 	r := binenc.NewReader(data)
-	magic := r.U64()
-	if magic != fdMagic && magic != fdMagicV2 && r.Err() == nil {
-		return fmt.Errorf("stream: FD snapshot magic %#x unrecognised", magic)
-	}
+	magic := r.Magic(fdMagic, fdMagicV2)
 	ell := r.Int()
 	d := r.Int()
 	bfac, alpha := 1, 1.0
@@ -66,36 +63,33 @@ func (f *FD) UnmarshalBinary(data []byte) error {
 	if err := CheckFD(ell, d, FDOpts{Buffer: bfac, Alpha: alpha}); err != nil {
 		return fmt.Errorf("stream: FD snapshot: %w", err)
 	}
-	if used < 0 || used > bfac*ell {
+	if used > bfac*ell {
 		return fmt.Errorf("stream: FD snapshot has invalid shape ell=%d d=%d buffer=%d used=%d", ell, d, bfac, used)
 	}
-	// Each row costs a length prefix plus d float64s; the payload must
-	// hold exactly the declared rows before anything is allocated for
-	// them (the division keeps the size arithmetic overflow-free).
-	rowBytes := 8 + 8*d
-	if used > r.Rest()/rowBytes || r.Rest() != used*rowBytes {
-		return fmt.Errorf("stream: FD snapshot payload is %d bytes, want %d for %d rows", r.Rest(), used*rowBytes, used)
-	}
-	// The buffer holds just the restored rows, so the decode allocates
-	// in proportion to its input; the first update grows it.
+	// Each row is a length prefix and d float64s. The buffer holds just
+	// the restored rows, so the decode allocates in proportion to its
+	// input; the first update grows it.
+	used = r.Count(used, 8+8*d)
 	restored := &FD{ell: ell, d: d, bfac: bfac, alpha: alpha, m: bfac * ell, buf: mat.NewDense(used, d)}
-	for i := 0; i < used; i++ {
-		row := r.F64s()
-		if r.Err() != nil {
-			break
-		}
-		if len(row) != d {
-			return fmt.Errorf("stream: FD snapshot row %d has length %d, want %d", i, len(row), d)
-		}
-		copy(restored.buf.Row(i), row)
-	}
-	if err := r.Err(); err != nil {
+	if err := readRows(r, restored.buf); err != nil {
 		return fmt.Errorf("stream: FD snapshot: %w", err)
 	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("stream: FD snapshot has %d trailing bytes", r.Rest())
+	if err := r.End(); err != nil {
+		return fmt.Errorf("stream: FD snapshot: %w", err)
 	}
 	restored.used = used
 	*f = *restored
+	return nil
+}
+
+// readRows fills buf's rows, each encoded as F64s of buf.Cols() values.
+func readRows(r *binenc.Reader, buf *mat.Dense) error {
+	for i := 0; i < buf.Rows(); i++ {
+		row := r.F64s()
+		if r.Err() == nil && len(row) != buf.Cols() {
+			return fmt.Errorf("row %d has length %d, want %d", i, len(row), buf.Cols())
+		}
+		copy(buf.Row(i), row)
+	}
 	return nil
 }

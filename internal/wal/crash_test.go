@@ -222,10 +222,11 @@ func mustMarshal(t *testing.T, sk *core.LM) []byte {
 	return b
 }
 
-// TestReplayFaults pins the three failure shapes the ISSUE names:
-// a torn final record (benign), a duplicated sequence number
-// (idempotent skip), and a CRC flip (damage: stop the shard and
-// surface degraded health).
+// TestReplayFaults pins the failure shapes replay meets: a torn final
+// record (benign), a duplicated sequence number (idempotent skip), a
+// CRC flip (damage: stop the shard and surface degraded health), and
+// one rows header of each failure class at the tail — a block that
+// runs past the bytes is a torn tail, one over the row cap is damage.
 func TestReplayFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 
@@ -260,15 +261,7 @@ func TestReplayFaults(t *testing.T) {
 				data, _ := os.ReadFile(path)
 				// Re-append record 3's bytes verbatim: redelivery after
 				// a retried ack, the idempotence case.
-				dup := data[bounds[1]:bounds[2]]
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(dup); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
+				appendBytes(t, path, data[bounds[1]:bounds[2]])
 			},
 			records: 6, applied: 5, skipped: 1,
 		},
@@ -284,6 +277,20 @@ func TestReplayFaults(t *testing.T) {
 				}
 			},
 			records: 1, applied: 1, damaged: true,
+		},
+		{
+			name: "rows header past the bytes at the tail",
+			mutate: func(t *testing.T, path string, bounds []int64) {
+				appendBytes(t, path, rowsFrame(1<<20, 4, 1, 2))
+			},
+			records: 5, applied: 5, torn: true,
+		},
+		{
+			name: "over-cap rows header at the tail",
+			mutate: func(t *testing.T, path string, bounds []int64) {
+				appendBytes(t, path, rowsFrame(maxBlockRows+1, 4, 1, 2))
+			},
+			records: 5, applied: 5, damaged: true,
 		},
 	}
 
@@ -310,6 +317,19 @@ func TestReplayFaults(t *testing.T) {
 				t.Fatalf("stats %+v, want torn=%v damaged=%v", st, tc.torn, tc.damaged)
 			}
 		})
+	}
+}
+
+// appendBytes appends data to the file at path.
+func appendBytes(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
 	}
 }
 

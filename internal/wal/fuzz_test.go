@@ -7,27 +7,20 @@ package wal
 import (
 	"errors"
 	"testing"
-
-	"swsketch/internal/binenc"
 )
 
-// hostileRowsFrame builds a rows record whose header claims a block
+// hostileRowsFrame is a rows record whose header claims a block
 // vastly larger than the bytes that follow — the allocation-bomb
-// shape a flipped length byte produces.
-func hostileRowsFrame() []byte {
-	w := binenc.NewWriter()
-	w.U32(recMagic)
-	w.U64(1)
-	w.U32(KindRows)
-	w.Blob([]byte("t"))
-	w.U64(0)
-	w.Int(1 << 20) // claims a million rows...
-	w.Int(1 << 20) // ...of a million dims
-	w.F64(1)       // ...backed by 16 bytes
-	w.F64(2)
-	return w.Bytes()
-}
+// shape a flipped length byte produces: a million rows of a million
+// dims, backed by 16 bytes.
+func hostileRowsFrame() []byte { return rowsFrame(1<<20, 1<<20, 1, 2) }
 
+// FuzzWALRecord decodes arbitrary bytes as a run of records. Every
+// failure must be ErrTorn or ErrCorrupt, and a record that decodes
+// must re-encode to the bytes it spans. The committed corpus holds one
+// record of each kind, the hostile rows header, an over-cap header, a
+// torn record and noise; the seeds below repeat all of it but the
+// over-cap header.
 func FuzzWALRecord(f *testing.F) {
 	// Well-formed records of every kind.
 	for _, rec := range []*record{
@@ -40,8 +33,7 @@ func FuzzWALRecord(f *testing.F) {
 	} {
 		f.Add(rec.encodedBytes())
 	}
-	// The ISSUE-mandated hostile seed: a plausible frame with a length
-	// prefix far beyond the payload.
+	// A plausible frame with a length prefix far beyond the payload.
 	f.Add(hostileRowsFrame())
 	// A torn frame and pure noise.
 	f.Add(hostileRowsFrame()[:9])

@@ -11,8 +11,9 @@ package wal
 //
 // Payloads:
 //
-//	rows      U64 start (tenant updates before the block), Int n,
-//	          Int d, n timestamps, n·d row values (row-major)
+//	rows      U64 start (tenant updates before the block), then
+//	          binenc's row block: Int n, Int d, n timestamps, n·d
+//	          row values (row-major)
 //	create    Blob of the tenant's declarative config as JSON
 //	snapshot  U64 updates, F64 lastT, Bool seen, Blob sketch snapshot
 //	delete    empty
@@ -62,6 +63,14 @@ var ErrTorn = errors.New("wal: torn record")
 // implausible length, or a CRC mismatch.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// tornError is ErrTorn with the read failure behind it. Replay reads
+// only its class, so its message is formatted only when read.
+type tornError struct{ cause error }
+
+func (e tornError) Error() string        { return ErrTorn.Error() + ": " + e.cause.Error() }
+func (e tornError) Is(target error) bool { return target == ErrTorn }
+func (e tornError) Unwrap() error        { return e.cause }
+
 // record is one decoded WAL entry.
 type record struct {
 	seq    uint64
@@ -93,20 +102,7 @@ func (rec *record) encodedBytes() []byte {
 	switch rec.kind {
 	case KindRows:
 		w.U64(rec.start)
-		w.Int(len(rec.rows))
-		d := 0
-		if len(rec.rows) > 0 {
-			d = len(rec.rows[0])
-		}
-		w.Int(d)
-		for _, t := range rec.times {
-			w.F64(t)
-		}
-		for _, row := range rec.rows {
-			for _, v := range row {
-				w.F64(v)
-			}
-		}
+		w.Block(rec.rows, rec.times)
 	case KindCreate:
 		w.Blob(rec.cfg)
 	case KindSnapshot:
@@ -141,29 +137,15 @@ func decodeRecord(data []byte, off int) (record, int, error) {
 	switch rec.kind {
 	case KindRows:
 		rec.start = r.U64()
-		n := r.Int()
-		d := r.Int()
-		if r.Err() == nil {
-			if n < 0 || n > maxBlockRows || d < 0 || d > maxBlockDim {
-				return rec, off, fmt.Errorf("%w: implausible block %dx%d", ErrCorrupt, n, d)
-			}
-			if need := n * (d + 1); need > r.Rest()/8 {
-				// The lengths decoded but the payload is cut short.
-				return rec, off, fmt.Errorf("%w: block %dx%d exceeds remaining bytes", ErrTorn, n, d)
-			}
-			rec.times = make([]float64, n)
-			for i := range rec.times {
-				rec.times[i] = r.F64()
-			}
-			flat := make([]float64, n*d)
-			for i := range flat {
-				flat[i] = r.F64()
-			}
-			rec.rows = make([][]float64, n)
-			for i := range rec.rows {
-				rec.rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
-			}
+		n, d := r.BlockHeader()
+		if r.Err() == nil && (n > maxBlockRows || d > maxBlockDim) {
+			return rec, off, fmt.Errorf("%w: implausible block %dx%d", ErrCorrupt, n, d)
 		}
+		// A block that runs past the bytes fails the reader, which the
+		// CRC read below reports as torn.
+		var b binenc.Block
+		r.Block(n, d, &b)
+		rec.times, rec.rows = b.Times, b.Rows
 	case KindCreate:
 		rec.cfg = r.Blob()
 	case KindSnapshot:
@@ -185,7 +167,7 @@ func decodeRecord(data []byte, off int) (record, int, error) {
 		// a crash mid-append, so it reads as a torn tail. Replay only
 		// forgives a torn record at the very end of the last segment;
 		// anywhere else it counts as damage.
-		return rec, off, fmt.Errorf("%w: %v", ErrTorn, err)
+		return rec, off, tornError{err}
 	}
 	if want := crc32.ChecksumIEEE(data[off : off+crcOff]); sum != want {
 		return rec, off, fmt.Errorf("%w: crc %#x, want %#x (seq %d)", ErrCorrupt, sum, want, rec.seq)

@@ -441,11 +441,8 @@ func (x *ExactNorms) UnmarshalBinary(data []byte) error {
 		restored.items = append(restored.items, struct{ t, w float64 }{t, w})
 		restored.sum += w
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("window: norms snapshot: %w", err)
-	}
-	if r.Rest() != 0 {
-		return fmt.Errorf("window: norms snapshot has %d trailing bytes", r.Rest())
 	}
 	*x = restored
 	return nil

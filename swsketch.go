@@ -208,7 +208,9 @@ func NewDIAMMOpts(cfg DIConfig, dA, dB int, o FDOpts) *AMM {
 
 // AutoAMM sizes an LM-AMM sketch for a target correlation error
 // ‖AᵀB − XᵀY‖₂/(‖A‖_F·‖B‖_F) ≈ eps.
-func AutoAMM(spec Spec, dA, dB int, eps float64) *AMM { return core.AutoAMM(spec, dA, dB, eps) }
+func AutoAMM(spec Spec, dA, dB int, eps float64) *AMM {
+	return core.AutoAMM(spec, dA, dB, eps, FDOpts{})
+}
 
 // Best is the offline best-rank-k baseline (stores the window; not a
 // sketch — provided as the error lower envelope).
