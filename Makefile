@@ -62,25 +62,35 @@ conformance:
 
 # Short fuzzing pass over every fuzz target: the stateful structures,
 # the batch-ingest path, and the decoders of untrusted bytes. This is
-# the one list of targets; CI smoke-runs it as `make fuzz FUZZTIME=15s`.
+# the one list of targets (package:target); CI smoke-runs it as
+# `make fuzz FUZZTIME=15s`. Every target runs even after one fails; the
+# recipe then exits non-zero and names each target that failed.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz '^FuzzEstimate$$' -fuzztime $(FUZZTIME) ./internal/eh
-	$(GO) test -fuzz '^FuzzLMFD$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzUpdateBatch$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzSWOR$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzDSFDUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzLMUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzSWRUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzSWORUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzAMMUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzDIUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz '^FuzzFDUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/stream
-	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal
-	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/obs/hh
-	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -fuzz '^FuzzSpillDecode$$' -fuzztime $(FUZZTIME) ./internal/registry
-	$(GO) test -fuzz '^FuzzConfigBuild$$' -fuzztime $(FUZZTIME) ./internal/registry
+	@failed=""; \
+	for t in \
+		./internal/eh:FuzzEstimate \
+		./internal/core:FuzzLMFD \
+		./internal/core:FuzzUpdateBatch \
+		./internal/core:FuzzSWOR \
+		./internal/core:FuzzDSFDUnmarshal \
+		./internal/core:FuzzLMUnmarshal \
+		./internal/core:FuzzSWRUnmarshal \
+		./internal/core:FuzzSWORUnmarshal \
+		./internal/core:FuzzAMMUnmarshal \
+		./internal/core:FuzzDIUnmarshal \
+		./internal/stream:FuzzFDUnmarshal \
+		./internal/wal:FuzzWALRecord \
+		./internal/obs/hh:FuzzSnapshotDecode \
+		./internal/serve:FuzzDecodeFrame \
+		./internal/registry:FuzzSpillDecode \
+		./internal/registry:FuzzConfigBuild; \
+	do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "$(GO) test -fuzz '^$$name\$$' -fuzztime $(FUZZTIME) $$pkg"; \
+		$(GO) test -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

@@ -6,8 +6,8 @@
 // network or disk bytes needs: Magic rejects a foreign format, Count
 // a claimed count the unread bytes cannot hold (before anything is
 // allocated for it), Block reads the ingest paths' n×d row block under
-// that guard, and End returns the first error or rejects trailing
-// bytes.
+// that guard, Clock rejects a sketch clock that is not finite, and End
+// returns the first error or rejects trailing bytes.
 package binenc
 
 import (
@@ -185,6 +185,18 @@ func (r *Reader) Bool() bool {
 
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Clock reads a sketch's stream clock, an F64 last timestamp then a
+// Bool that says whether any row was seen, and fails on a timestamp
+// that is not finite: a sketch refuses a row at such a time, and a
+// clock decoded at one would refuse every later row.
+func (r *Reader) Clock() (t float64, seen bool) {
+	t, seen = r.F64(), r.Bool()
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		r.fail("clock %v is not finite", t)
+	}
+	return t, seen
+}
 
 // Magic reads a U64 format magic and returns it when it is one of
 // want; otherwise the reader fails and Magic returns 0.

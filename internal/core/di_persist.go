@@ -144,8 +144,7 @@ func (s *DI) readBody(r *binenc.Reader, readSketch func(r *binenc.Reader, level 
 	s.m = r.Int()
 	s.curSize = r.F64()
 	s.curStart = r.F64()
-	s.lastT = r.F64()
-	s.seen = r.Bool()
+	s.lastT, s.seen = r.Clock()
 	s.normMin = r.F64()
 	s.normMax = r.F64()
 	s.rawOverflow = r.Bool()

@@ -130,8 +130,7 @@ func (s *DSFD) UnmarshalBinary(data []byte) error {
 	fdBuffer := r.Int()
 	fdAlpha := r.F64()
 	rSeen := r.F64()
-	lastT := r.F64()
-	seen := r.Bool()
+	lastT, seen := r.Clock()
 	sinceSnap := r.F64()
 	dumps := r.U64()
 	snapsTaken := r.U64()
@@ -146,9 +145,8 @@ func (s *DSFD) UnmarshalBinary(data []byte) error {
 	if err := cfg.check(d); err != nil {
 		return fmt.Errorf("core: DSFD snapshot: %w", err)
 	}
-	if !(rSeen >= 0) || !(sinceSnap >= 0) || math.IsInf(rSeen, 0) || math.IsInf(sinceSnap, 0) ||
-		math.IsNaN(lastT) || math.IsInf(lastT, 0) {
-		return fmt.Errorf("core: DSFD snapshot has invalid state r_seen=%v since_snap=%v last_t=%v", rSeen, sinceSnap, lastT)
+	if !(rSeen >= 0) || !(sinceSnap >= 0) || math.IsInf(rSeen, 0) || math.IsInf(sinceSnap, 0) {
+		return fmt.Errorf("core: DSFD snapshot has invalid state r_seen=%v since_snap=%v", rSeen, sinceSnap)
 	}
 	nFrames := r.Count(r.Int(), dsFrameMinBytes)
 	if err := r.Err(); err != nil {

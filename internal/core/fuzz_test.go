@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"swsketch/internal/mat"
 	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
@@ -25,9 +26,14 @@ func rowsFromBytes(data []byte) [][]float64 {
 	return rows
 }
 
-// FuzzLMFD feeds arbitrary streams through LM-FD and cross-checks the
-// Query answer against the exact window: never panic, never NaN, and
-// never wildly exceed the window's energy.
+// FuzzLMFD feeds arbitrary streams through LM-FD and checks what LM
+// guarantees for any stream, whatever the rows' norms: the query never
+// panics or answers NaN, no non-empty live block ends at or before the
+// cutoff, and the answer holds at most the mass of the rows from the
+// oldest live block's start on. LM keeps a straddling block whole, so
+// the answer may hold more mass than the window, but FD shrinks and
+// merges never add mass. The committed corpus holds a stream whose
+// straddling block carries six times the window's mass.
 func FuzzLMFD(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 100, 200, 50, 0, 0, 0, 9, 9, 9})
 	f.Add([]byte{255, 255, 255, 128, 128, 128})
@@ -38,20 +44,37 @@ func FuzzLMFD(f *testing.F) {
 		}
 		spec := window.Seq(8)
 		lm := NewLMFD(spec, 3, 6, 3)
-		ex := window.NewExact(spec, 3)
+		now := float64(len(rows) - 1)
 		for i, r := range rows {
 			lm.Update(r, float64(i))
-			ex.Update(r, float64(i))
 		}
-		b := lm.Query(float64(len(rows) - 1))
-		mass := b.FrobeniusSq()
+		mass := lm.Query(now).FrobeniusSq()
 		if math.IsNaN(mass) || math.IsInf(mass, 0) {
 			t.Fatalf("non-finite sketch mass %v", mass)
 		}
-		// FD only shrinks mass; LM can retain one straddling block, so
-		// allow slack over the window mass but not runaway growth.
-		if mass > 4*ex.FroSq()+1e-9 {
-			t.Fatalf("sketch mass %v far exceeds window mass %v", mass, ex.FroSq())
+		cutoff, oldest := spec.Cutoff(now), math.Inf(1)
+		live := func(blk *lmBlock) {
+			if blk.end <= cutoff {
+				t.Fatalf("a live block [%v, %v] ends at or before the cutoff %v", blk.start, blk.end, cutoff)
+			}
+			oldest = math.Min(oldest, blk.start)
+		}
+		for i := range lm.levels {
+			for j := range lm.levels[i] {
+				live(&lm.levels[i][j])
+			}
+		}
+		if len(lm.active.raw) > 0 {
+			live(&lm.active)
+		}
+		fed := 0.0
+		for i, r := range rows {
+			if float64(i) >= oldest {
+				fed += mat.SqNorm(r)
+			}
+		}
+		if mass > fed*(1+1e-9) {
+			t.Fatalf("sketch mass %v exceeds the mass %v of the rows from the oldest live block's start %v on", mass, fed, oldest)
 		}
 	})
 }
@@ -171,12 +194,22 @@ func FuzzDSFDUnmarshal(f *testing.F) {
 		if !bytes.Equal(re, re2) {
 			t.Fatal("marshal is not stable across a decode cycle")
 		}
-		// An accepted sketch must remain usable.
+		// An accepted sketch must remain usable: it takes a row that fits
+		// its declared R (ones when R is adaptive) one step after its
+		// clock.
+		v := 1.0
+		if s2.cfg.R > 0 {
+			v = math.Sqrt(s2.cfg.R / float64(2*s2.d))
+		}
 		row := make([]float64, s2.d)
 		for i := range row {
-			row[i] = 1
+			row[i] = v
 		}
-		s2.Update(row, s2.lastT+1)
+		next := s2.lastT + 1
+		if err := s2.CheckBatch([][]float64{row}, []float64{next}); err != nil {
+			t.Fatalf("the sketch refuses a row that fits its declared R=%v: %v", s2.cfg.R, err)
+		}
+		s2.Update(row, next)
 	})
 }
 

@@ -111,8 +111,7 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	spec := readSpec(r)
 	d := r.Int()
 	ell := r.Count(r.Int(), 8) // every queue encodes at least its length
-	lastT := r.F64()
-	seen := r.Bool()
+	lastT, seen := r.Clock()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: SWR snapshot: %w", err)
 	}
@@ -188,8 +187,7 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 	ell := r.Int()
 	uniform := r.Bool()
 	all := r.Bool()
-	lastT := r.F64()
-	seen := r.Bool()
+	lastT, seen := r.Clock()
 	n := r.Count(r.Int(), candidateMinBytes(d)+8) // each candidate carries its rank
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: SWOR snapshot: %w", err)
@@ -278,8 +276,7 @@ func (l *LM) writeBody(w *binenc.Writer) error {
 // decoding block sketches with readSketch. Every count is guarded by
 // binenc.Reader.Count before anything is allocated for it.
 func (l *LM) readBody(r *binenc.Reader, readSketch func(*binenc.Reader) (stream.Mergeable, error)) error {
-	l.lastT = r.F64()
-	l.seen = r.Bool()
+	l.lastT, l.seen = r.Clock()
 	nLevels := r.Count(r.Int(), 8) // every level encodes at least its block count
 	for i := 0; i < nLevels; i++ {
 		n := r.Count(r.Int(), lmBlockMinBytes)

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swsketch/internal/window"
@@ -158,6 +161,60 @@ func TestSnapshotRejectsCrossTypeData(t *testing.T) {
 	var swor SWOR
 	if err := swor.UnmarshalBinary(data); err == nil {
 		t.Fatal("SWOR accepted an SWR snapshot")
+	}
+}
+
+// clockOffset returns the offset of the first F64 in data that reads t
+// and is followed by a true Bool: a snapshot's clock, when no field
+// before it holds t.
+func clockOffset(data []byte, t float64) int {
+	var clock [9]byte
+	binary.LittleEndian.PutUint64(clock[:], math.Float64bits(t))
+	clock[8] = 1
+	return bytes.Index(data, clock[:])
+}
+
+// TestSnapshotRejectsNonFiniteClock: every codec refuses a snapshot
+// whose clock is patched to +Inf, −Inf or NaN, through binenc's one
+// clock check. A sketch so restored would refuse every later row.
+func TestSnapshotRejectsNonFiniteClock(t *testing.T) {
+	const lastT = 77.25 // no field before the clock holds it
+	spec := window.Seq(40)
+	di := DIConfig{N: 40, R: 8, L: 3, Ell: 8}
+	for _, build := range []func() TenantSketch{
+		func() TenantSketch { return NewLMFD(spec, 3, 8, 4) },
+		func() TenantSketch { return NewSWR(spec, 4, 3, 1) },
+		func() TenantSketch { return NewSWOR(spec, 4, 3, 1) },
+		func() TenantSketch { return NewDIFD(di, 3) },
+		func() TenantSketch { return NewDSFD(DSFDConfig{N: 40, Ell: 4}, 3) },
+		func() TenantSketch { return NewLMAMM(spec, 2, 1, 8, 4) },
+		func() TenantSketch { return NewDIAMM(di, 2, 1) },
+	} {
+		sk := build()
+		for i := 0; i < 30; i++ {
+			row := make([]float64, 3)
+			row[i%3] = 1.5
+			sk.Update(row, float64(i))
+		}
+		sk.Update([]float64{0, 1.5, 0}, lastT)
+		data, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := build().UnmarshalBinary(data); err != nil {
+			t.Fatalf("%s: %v", sk.Name(), err)
+		}
+		at := clockOffset(data, lastT)
+		if at < 0 {
+			t.Fatalf("%s: no clock at %v in the snapshot", sk.Name(), lastT)
+		}
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			bad := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(bad[at:], math.Float64bits(v))
+			if err := build().UnmarshalBinary(bad); err == nil || !strings.Contains(err.Error(), "clock") {
+				t.Errorf("%s: a snapshot whose clock reads %v decoded with error %v", sk.Name(), v, err)
+			}
+		}
 	}
 }
 

@@ -9,14 +9,15 @@ import (
 	"path/filepath"
 
 	"swsketch/internal/binenc"
+	"swsketch/internal/core"
 	"swsketch/internal/trace"
 )
 
-// Spill files carry everything needed to resurrect a tenant in a
-// fresh process: the tenant ID, its declarative config, its update
-// count, and the sketch's own binary snapshot. The header's clock
-// fields are written from the sketch's clock and ignored on restore:
-// the snapshot carries the clock. The format is
+// A spill file is the tenant's checkpoint, which the WAL journals too:
+// everything needed to resurrect the tenant in a fresh process, namely
+// its ID, declarative config, update count and sketch snapshot. The
+// header's clock fields are written from the sketch's clock and
+// ignored on restore: the snapshot carries the clock. The format is
 // versioned with a magic number like the core snapshot formats. v1 and
 // v2 wrote the config field by field, without the FastFD knobs; v3,
 // the only one written, carries it as the WAL's create-record JSON.
@@ -109,17 +110,43 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	return h, blob, nil
 }
 
-// spill writes the tenant's state to disk and releases its in-memory
-// sketch. Caller holds t.mu. On a failure (a write, or a sketch that
-// refuses to marshal) the tenant stays resident and the failure is
-// counted.
-func (r *Registry) spill(t *Tenant) bool {
-	lastT, seen := t.sk.Clock()
-	blob, err := t.sk.MarshalBinary()
-	var data []byte
-	if err == nil {
-		data, err = encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: t.updates.Load(), lastT: lastT, seen: seen}, blob)
+// Checkpoint encodes the tenant's state as sk, a sketch built from the
+// tenant's config, with updates rows committed: the bytes of the
+// tenant's spill file, which the WAL's checkpoint record carries too.
+func (t *Tenant) Checkpoint(sk core.TenantSketch, updates uint64) ([]byte, error) {
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		return nil, err
 	}
+	lastT, seen := sk.Clock()
+	return encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: updates, lastT: lastT, seen: seen}, blob)
+}
+
+// OpenCheckpoint decodes tenant id's checkpoint and returns the tenant,
+// created from the checkpoint's config when missing, with the sketch
+// snapshot and update count to Decode and Install. A tenant built from
+// another config fails, as Decode fails another algorithm or width.
+func (r *Registry) OpenCheckpoint(id string, data []byte) (*Tenant, []byte, uint64, error) {
+	h, blob, err := decodeSpill(data)
+	t, ok := r.Get(id)
+	switch {
+	case err != nil:
+	case h.id != id:
+		err = fmt.Errorf("registry: the checkpoint of %q belongs to %q", id, h.id)
+	case !ok:
+		t, err = r.Create(id, h.cfg)
+	case t.cfg != h.cfg:
+		err = fmt.Errorf("registry: tenant %q was built from another config than its checkpoint", id)
+	}
+	return t, blob, h.updates, err
+}
+
+// spill writes the tenant's checkpoint to disk and releases its
+// in-memory sketch. Caller holds t.mu. On a failure (a write, or a
+// sketch that refuses to marshal) the tenant stays resident and the
+// failure is counted.
+func (r *Registry) spill(t *Tenant) bool {
+	data, err := t.Checkpoint(t.sk, t.updates.Load())
 	if err == nil {
 		err = writeFileAtomic(r.spillPath(t.id), data)
 	}
@@ -130,6 +157,7 @@ func (r *Registry) spill(t *Tenant) bool {
 		return false
 	}
 	rows := t.sk.RowsStored()
+	lastT, _ := t.sk.Clock()
 	t.lastRows.Store(int64(rows))
 	t.sk = nil
 	t.spilled.Store(true)

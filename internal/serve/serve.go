@@ -71,12 +71,14 @@
 //	                         state could not be restored from disk)
 //
 // Every framework snapshots except LM-HASH, whose download fails with
-// 500. An upload must hold the tenant's algorithm and row width, or it
-// gets 400 and the tenant keeps its state, as it does when the WAL
-// cannot journal the upload (500); a restored tenant reads the
-// snapshot's clock. Tenant IDs are restricted to [A-Za-z0-9._-], at
-// most 128 bytes; "default" names the tenant NewServer builds and
-// cannot be created or deleted.
+// 500. An upload must hold the tenant's algorithm and row width and a
+// finite clock, or it gets 400 and the tenant keeps its state, as it
+// does when the WAL cannot journal the upload (500); a restored tenant
+// reads the snapshot's clock. The WAL journals an upload as one
+// checkpoint record, the bytes of the tenant's spill file, from which
+// replay rebuilds the tenant alone. Tenant IDs are restricted to
+// [A-Za-z0-9._-], at most 128 bytes; "default" names the tenant
+// NewServer builds and cannot be created or deleted.
 package serve
 
 import (
@@ -533,31 +535,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // restore is the one step by which a snapshot replaces a tenant's
-// state, uploaded or replayed from the WAL, in apply's order: decode
-// into a sketch built from the tenant's config, journal an upload, then
-// install the sketch with its update count (0 for an upload, the logged
-// count on replay), so a rejected snapshot or a failed journal changes
-// nothing. On the default tenant it re-attaches the tracer and re-arms
-// the auditor, whose shadow cannot know the restored window's rows.
-// The caller holds the tenant.
+// state, uploaded or replayed from a WAL checkpoint, in apply's order:
+// decode into a sketch built from the tenant's config, journal an
+// upload as the tenant's checkpoint, then install the sketch with its
+// update count (0 for an upload), so a rejected snapshot or a failed
+// journal changes nothing. On the default tenant it re-attaches the
+// tracer and re-arms the auditor, whose shadow cannot know the
+// restored window's rows. The caller holds the tenant.
 func (s *Server) restore(t *registry.Tenant, blob []byte, updates uint64, live bool) *apiError {
 	sk, err := t.Decode(blob)
 	if err != nil {
 		return errf(http.StatusBadRequest, CodeInvalidArgument, "restore: %v", err)
 	}
 	if live && s.wal != nil {
-		// The logged snapshot supersedes the tenant's earlier records —
-		// replay restores the blob instead of re-running them — and its
-		// append lets the WAL truncate behind it. The create record
-		// logged just before it keeps the tenant's config on the log,
-		// so replay can rebuild the tenant whatever was truncated.
-		lastT, seen := sk.Clock()
-		cfgJSON, err := json.Marshal(t.Config())
+		// Replay rebuilds the tenant from its checkpoint alone, so the
+		// WAL truncates the tenant's earlier records behind it.
+		data, err := t.Checkpoint(sk, updates)
 		if err == nil {
-			_, err = s.wal.AppendCreate(t.ID(), cfgJSON)
-		}
-		if err == nil {
-			_, err = s.wal.AppendSnapshot(t.ID(), updates, lastT, seen, blob)
+			_, err = s.wal.AppendCheckpoint(t.ID(), data)
 		}
 		if err != nil {
 			return errf(http.StatusInternalServerError, CodeInternal, "wal append: %v", err)

@@ -3,9 +3,9 @@ package serve
 // One clock and one batch check per tenant: the sketch's. A batch the
 // sketch rejects answers 400 and never reaches the WAL, a read at a
 // time the clock refuses changes nothing, an upload brings the
-// snapshot's clock along and keeps the tenant's create record on the
-// log (or changes nothing when it cannot), and a replay that still
-// fails reads degraded.
+// snapshot's clock along and journals the tenant's config with it (or
+// changes nothing when it cannot), and a replay that still fails reads
+// degraded.
 
 import (
 	"bytes"
@@ -281,8 +281,9 @@ func TestReplayFailureTurnsHealthDegraded(t *testing.T) {
 
 // TestUploadKeepsTheCreateRecord: an upload moves the tenant's WAL
 // truncation mark, and with 512-byte segments the segment holding the
-// tenant's first create record is then unlinked. The upload logs the
-// create record again, so both restarts rebuild the tenant bit for bit.
+// tenant's create record is then unlinked. The upload's checkpoint
+// carries the tenant's config, so both restarts rebuild the tenant bit
+// for bit.
 func TestUploadKeepsTheCreateRecord(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := walBoot(t, dir, lmCfg(3))

@@ -192,7 +192,7 @@ func TestWALRecoveryRefillsAuditShadow(t *testing.T) {
 	}
 }
 
-// TestWALReplayedSnapshotRearmsAudit: a replayed snapshot record
+// TestWALReplayedSnapshotRearmsAudit: a replayed checkpoint record
 // re-arms the default tenant's auditor as the upload did, so it stays
 // warming until one window of rows has passed the restore.
 func TestWALReplayedSnapshotRearmsAudit(t *testing.T) {

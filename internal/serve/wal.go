@@ -19,9 +19,9 @@ import (
 )
 
 // WithWAL attaches a write-ahead log (opened, not yet replayed): rows,
-// tenant creations/deletions, and snapshot restores are logged before
-// they apply, and the registry's evictions release WAL records for
-// truncation. Call RecoverWAL after NewServer and before serving —
+// tenant creations/deletions, and uploads (as checkpoints) are logged
+// before they apply, and the registry's evictions release WAL records
+// for truncation. Call RecoverWAL after NewServer and before serving —
 // appends fail until the log has replayed.
 func WithWAL(l *wal.Log) Option {
 	return func(s *Server) {
@@ -100,20 +100,20 @@ func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, ti
 	return true, nil
 }
 
-// Snapshot re-applies a logged snapshot restore through the upload's
-// restore step with the logged update count. The record's clock fields
-// are not needed: the snapshot carries the sketch's clock.
-func (a *registryApplier) Snapshot(tenant string, updates uint64, _ float64, _ bool, blob []byte) (bool, error) {
-	t, ok := a.s.treg.Get(tenant)
-	if !ok {
-		return false, nil
+// Checkpoint rebuilds a tenant from a logged checkpoint alone, through
+// the upload's restore step. A tenant built from another config (a
+// default tenant restarted with other flags) fails the record.
+func (a *registryApplier) Checkpoint(tenant string, data []byte) (bool, error) {
+	t, blob, updates, err := a.s.treg.OpenCheckpoint(tenant, data)
+	if err == nil {
+		err = t.Acquire()
 	}
-	if err := t.Acquire(); err != nil {
-		return false, fmt.Errorf("snapshot %q: %w", tenant, err)
+	if err != nil {
+		return false, fmt.Errorf("checkpoint %q: %w", tenant, err)
 	}
 	defer t.Release()
 	if apiErr := a.s.restore(t, blob, updates, false); apiErr != nil {
-		return false, fmt.Errorf("snapshot %q: %s", tenant, apiErr.msg)
+		return false, fmt.Errorf("checkpoint %q: %s", tenant, apiErr.msg)
 	}
 	return true, nil
 }

@@ -8,11 +8,14 @@ package wal
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"swsketch/internal/binenc"
 	"swsketch/internal/core"
 	"swsketch/internal/window"
 )
@@ -26,11 +29,9 @@ type rowsApplier struct {
 	blocks  int
 }
 
-func (a *rowsApplier) Create(string, []byte) (bool, error) { return false, nil }
-func (a *rowsApplier) Delete(string) (bool, error)         { return false, nil }
-func (a *rowsApplier) Snapshot(string, uint64, float64, bool, []byte) (bool, error) {
-	return false, nil
-}
+func (a *rowsApplier) Create(string, []byte) (bool, error)     { return false, nil }
+func (a *rowsApplier) Delete(string) (bool, error)             { return false, nil }
+func (a *rowsApplier) Checkpoint(string, []byte) (bool, error) { return false, nil }
 
 func (a *rowsApplier) Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error) {
 	if start != a.applied {
@@ -317,6 +318,54 @@ func TestReplayFaults(t *testing.T) {
 				t.Fatalf("stats %+v, want torn=%v damaged=%v", st, tc.torn, tc.damaged)
 			}
 		})
+	}
+}
+
+// oldSnapshotFrame is a kind-4 snapshot record as older logs wrote it,
+// CRC included: U64 updates, F64 lastT, Bool seen, then the snapshot.
+func oldSnapshotFrame(seq uint64) []byte {
+	w := binenc.NewWriter()
+	w.U32(recMagic)
+	w.U64(seq)
+	w.U32(4)
+	w.Blob([]byte("t"))
+	w.U64(9)
+	w.F64(7.5)
+	w.Bool(true)
+	w.Blob([]byte("snapshot-bytes"))
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
+	return w.Bytes()
+}
+
+// TestOldSnapshotRecordReadsAsDamaged: a log holding a kind-4 snapshot
+// record from an older version replays the records before it and
+// reports the shard damaged. The applier gets nothing of the record or
+// of what follows it, so its payload is never read as a checkpoint.
+func TestOldSnapshotRecordReadsAsDamaged(t *testing.T) {
+	dir := t.TempDir()
+	writeCrashLog(t, dir, rand.New(rand.NewSource(17)), 5)
+	path := soleSegment(t, dir)
+	appendBytes(t, path, oldSnapshotFrame(6))
+	after := record{seq: 7, kind: KindRows, tenant: "t", start: 9, rows: [][]float64{make([]float64, crashD)}, times: []float64{9}}
+	appendBytes(t, path, after.encodedBytes())
+
+	l, err := Open(dir, WithShards(1), WithSyncInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ap := newRecApplier()
+	st, err := l.Replay(ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 5 || st.Applied != 5 || !st.Damaged || st.Torn || len(ap.events) != 5 {
+		t.Fatalf("stats %+v, events %v: want the 5 rows records before the old snapshot record, and damage", st, ap.events)
+	}
+	for _, ev := range ap.events {
+		if !strings.HasPrefix(ev, "rows t ") {
+			t.Fatalf("replay delivered %q", ev)
+		}
 	}
 }
 

@@ -18,17 +18,17 @@ func hostileRowsFrame() []byte { return rowsFrame(1<<20, 1<<20, 1, 2) }
 // FuzzWALRecord decodes arbitrary bytes as a run of records. Every
 // failure must be ErrTorn or ErrCorrupt, and a record that decodes
 // must re-encode to the bytes it spans. The committed corpus holds one
-// record of each kind, the hostile rows header, an over-cap header, a
-// torn record and noise; the seeds below repeat all of it but the
-// over-cap header.
+// record of each kind (its checkpoint carries a real tenant's), a
+// kind-4 snapshot record of older logs, the hostile rows header, an
+// over-cap header, a torn record and noise; the seeds below repeat all
+// of it but the old snapshot record and the over-cap header.
 func FuzzWALRecord(f *testing.F) {
 	// Well-formed records of every kind.
 	for _, rec := range []*record{
 		{seq: 1, kind: KindRows, tenant: "alpha", start: 3,
 			rows: [][]float64{{1, 2}, {3, 4}}, times: []float64{5, 6}},
-		{seq: 2, kind: KindCreate, tenant: "alpha", cfg: []byte(`{"d":2}`)},
-		{seq: 3, kind: KindSnapshot, tenant: "alpha", updates: 9, lastT: 7.5,
-			seen: true, blob: []byte("snapshot-bytes")},
+		{seq: 2, kind: KindCreate, tenant: "alpha", blob: []byte(`{"d":2}`)},
+		{seq: 3, kind: KindCheckpoint, tenant: "alpha", blob: []byte("checkpoint-bytes")},
 		{seq: 4, kind: KindDelete, tenant: "alpha"},
 	} {
 		f.Add(rec.encodedBytes())
@@ -57,7 +57,7 @@ func FuzzWALRecord(f *testing.F) {
 			}
 			// A record that decodes must re-encode to the same bytes.
 			if rec.kind == KindRows || rec.kind == KindCreate ||
-				rec.kind == KindSnapshot || rec.kind == KindDelete {
+				rec.kind == KindCheckpoint || rec.kind == KindDelete {
 				enc := rec.encodedBytes()
 				if len(enc) != next-off {
 					t.Fatalf("re-encode length %d, decoded span %d", len(enc), next-off)

@@ -4,19 +4,22 @@ package wal
 //
 //	U32  magic   "SWAL" (little-endian 0x4C415753)
 //	U64  seq     per-shard, strictly increasing
-//	U32  kind    rows | create | snapshot | delete
+//	U32  kind    rows | create | delete | checkpoint
 //	Blob tenant  the tenant ID
 //	     payload kind-specific (see below)
 //	U32  crc     IEEE CRC-32 of every preceding byte of the record
 //
 // Payloads:
 //
-//	rows      U64 start (tenant updates before the block), then
-//	          binenc's row block: Int n, Int d, n timestamps, n·d
-//	          row values (row-major)
-//	create    Blob of the tenant's declarative config as JSON
-//	snapshot  U64 updates, F64 lastT, Bool seen, Blob sketch snapshot
-//	delete    empty
+//	rows        U64 start (tenant updates before the block), then
+//	            binenc's row block: Int n, Int d, n timestamps, n·d
+//	            row values (row-major)
+//	create      Blob of the tenant's declarative config as JSON
+//	delete      empty
+//	checkpoint  Blob of the tenant's spill-file bytes (ID, config,
+//	            update count, sketch), opaque to the log
+//
+// Kind 4, older logs' snapshot record, decodes as corrupt: damage.
 //
 // Decoding distinguishes two failure classes: ErrTorn (the buffer ends
 // mid-record — the normal shape of a crash during an append) and
@@ -41,9 +44,9 @@ const (
 	KindCreate = uint32(2)
 	// KindDelete records an explicit tenant deletion.
 	KindDelete = uint32(3)
-	// KindSnapshot records a snapshot restore: the uploaded sketch
-	// state replaces the tenant's, making earlier records obsolete.
-	KindSnapshot = uint32(4)
+	// KindCheckpoint records a tenant's whole state, which replaces
+	// the tenant's and makes its earlier records obsolete.
+	KindCheckpoint = uint32(5)
 )
 
 const recMagic = uint32(0x4C415753) // "SWAL" little-endian
@@ -82,14 +85,8 @@ type record struct {
 	times []float64
 	rows  [][]float64
 
-	// create payload
-	cfg []byte
-
-	// snapshot payload
-	updates uint64
-	lastT   float64
-	seen    bool
-	blob    []byte
+	// create payload (config JSON) or checkpoint payload
+	blob []byte
 }
 
 // encodedBytes returns the record's frame, CRC included.
@@ -103,12 +100,7 @@ func (rec *record) encodedBytes() []byte {
 	case KindRows:
 		w.U64(rec.start)
 		w.Block(rec.rows, rec.times)
-	case KindCreate:
-		w.Blob(rec.cfg)
-	case KindSnapshot:
-		w.U64(rec.updates)
-		w.F64(rec.lastT)
-		w.Bool(rec.seen)
+	case KindCreate, KindCheckpoint:
 		w.Blob(rec.blob)
 	case KindDelete:
 	default:
@@ -146,12 +138,7 @@ func decodeRecord(data []byte, off int) (record, int, error) {
 		var b binenc.Block
 		r.Block(n, d, &b)
 		rec.times, rec.rows = b.Times, b.Rows
-	case KindCreate:
-		rec.cfg = r.Blob()
-	case KindSnapshot:
-		rec.updates = r.U64()
-		rec.lastT = r.F64()
-		rec.seen = r.Bool()
+	case KindCreate, KindCheckpoint:
 		rec.blob = r.Blob()
 	case KindDelete:
 	default:

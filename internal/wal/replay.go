@@ -2,7 +2,7 @@ package wal
 
 // Replay-to-restore. Replay walks every shard's segments in sequence
 // order and hands each record to an Applier. The applier decides
-// whether the record's effect is still needed (a spill snapshot may
+// whether the record's effect is still needed (a spill file may
 // already cover it) — that decision also rebuilds the truncation
 // low-water marks, so a restarted log garbage-collects exactly like
 // the one that crashed.
@@ -17,7 +17,7 @@ import (
 
 // Applier consumes replayed records. Each method reports whether the
 // record's effect was applied (true) or intentionally skipped (false,
-// nil) — e.g. a row block a spill snapshot already covers, or a
+// nil) — e.g. a row block a spill file already covers, or a
 // creation of a tenant that already exists. An error counts the
 // record as failed but does not stop replay.
 type Applier interface {
@@ -27,10 +27,9 @@ type Applier interface {
 	// Rows handles a row-block record. start is the tenant's committed
 	// update count before the block.
 	Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error)
-	// Snapshot handles a snapshot-restore record: blob replaces the
-	// tenant's sketch state and the clock fields reinstate its ingest
-	// clock.
-	Snapshot(tenant string, updates uint64, lastT float64, seen bool, blob []byte) (bool, error)
+	// Checkpoint handles a checkpoint record: data, which the log does
+	// not read, holds the tenant's whole state and replaces it.
+	Checkpoint(tenant string, data []byte) (bool, error)
 	// Delete handles a tenant-deletion record.
 	Delete(tenant string) (bool, error)
 }
@@ -44,7 +43,7 @@ type Stats struct {
 	// Applied counts records whose effect was applied.
 	Applied int `json:"applied"`
 	// Skipped counts records intentionally skipped — duplicate
-	// sequence numbers and effects already covered by spill snapshots.
+	// sequence numbers and effects already covered by spill files.
 	Skipped int `json:"skipped"`
 	// Failed counts records the applier errored on.
 	Failed int `json:"failed"`
@@ -84,7 +83,9 @@ func (l *Log) Replay(ap Applier) (Stats, error) {
 }
 
 // replay restores one shard: segments in first-seq order, records in
-// byte order. Replay owns the whole log; no shard lock is needed.
+// byte order. Replay owns the segment list; it takes the shard lock
+// only for the marks, which Released changes when an applier spills a
+// tenant.
 func (sh *logShard) replay(ap Applier, st *Stats) error {
 	for segIdx, seg := range sh.closed {
 		data, err := os.ReadFile(seg.path)
@@ -132,16 +133,12 @@ func (sh *logShard) replay(ap Applier, st *Stats) error {
 				if rec.kind == KindRows {
 					st.Rows += len(rec.rows)
 				}
+				sh.mu.Lock() // an applier's spill calls Released
 				sh.track(&rec)
+				sh.mu.Unlock()
 			default:
 				st.Skipped++
 				skipped++
-				if rec.kind == KindCreate {
-					// The tenant exists (a spill file, or an earlier create):
-					// a later snapshot's mark still stops here, as it did on
-					// the log that wrote it.
-					sh.created[rec.tenant] = rec.seq
-				}
 			}
 		}
 		sh.closed[segIdx] = segmentInfo{path: seg.path, first: seg.first, last: sh.seq}
@@ -166,9 +163,9 @@ func (sh *logShard) dispatch(ap Applier, rec record) (bool, error) {
 	case KindRows:
 		return ap.Rows(rec.tenant, rec.start, rec.rows, rec.times)
 	case KindCreate:
-		return ap.Create(rec.tenant, rec.cfg)
-	case KindSnapshot:
-		return ap.Snapshot(rec.tenant, rec.updates, rec.lastT, rec.seen, rec.blob)
+		return ap.Create(rec.tenant, rec.blob)
+	case KindCheckpoint:
+		return ap.Checkpoint(rec.tenant, rec.blob)
 	case KindDelete:
 		return ap.Delete(rec.tenant)
 	}
@@ -177,25 +174,18 @@ func (sh *logShard) dispatch(ap Applier, rec record) (bool, error) {
 
 // track keeps the truncation low-water marks for one record, on
 // append and for every applied record on replay, so a restarted log
-// garbage-collects exactly like the one that wrote it. A snapshot
-// supersedes the tenant's earlier records except its latest create
-// record. Caller owns the shard.
+// garbage-collects exactly like the one that wrote it. A checkpoint
+// holds the tenant's whole state, so it supersedes every earlier
+// record of the tenant. Caller holds sh.mu.
 func (sh *logShard) track(rec *record) {
 	switch rec.kind {
-	case KindCreate:
-		sh.created[rec.tenant] = rec.seq
-		fallthrough
-	case KindRows:
+	case KindCreate, KindRows:
 		if _, ok := sh.needed[rec.tenant]; !ok {
 			sh.needed[rec.tenant] = rec.seq
 		}
-	case KindSnapshot:
+	case KindCheckpoint:
 		sh.needed[rec.tenant] = rec.seq
-		if seq, ok := sh.created[rec.tenant]; ok {
-			sh.needed[rec.tenant] = seq
-		}
 	case KindDelete:
 		delete(sh.needed, rec.tenant)
-		delete(sh.created, rec.tenant)
 	}
 }

@@ -1,6 +1,6 @@
 // Package wal is the ingest plane's durability layer: a per-shard
 // write-ahead log of binenc-framed records (ingested row blocks,
-// tenant creations/deletions, snapshot restores) that lets a crashed
+// tenant creations/deletions, tenant checkpoints) that lets a crashed
 // node rebuild every tenant sketch bit-exactly by replay.
 //
 // Design:
@@ -17,22 +17,22 @@
 //     power loss, and the fsync cost is amortised over every append in
 //     the window. A non-positive interval syncs on every append.
 //   - Segments and truncation. The active segment rotates at
-//     WithSegmentBytes. Each shard tracks, per tenant, the first
-//     sequence number whose effect is not yet durable elsewhere; when
-//     a tenant spills, is deleted, or logs a snapshot, Released (or
-//     the snapshot append itself) advances that low-water mark and
-//     closed segments wholly below it are unlinked. A snapshot's mark
-//     stops at the tenant's latest create record, which replay needs
-//     to rebuild the tenant before it can restore into it.
+//     WithSegmentBytes. Each shard keeps one mark per tenant: the
+//     first sequence number whose effect is not yet durable elsewhere.
+//     A checkpoint record moves the mark to itself, since it holds the
+//     tenant's whole state (ID, config, update count and sketch); a
+//     spill, drop or deletion clears it (Released, or the delete
+//     append). Closed segments wholly below every mark are unlinked.
 //   - Replay. Replay walks every shard's segments in order, skipping
 //     duplicate sequence numbers (idempotent re-delivery) and records
-//     whose effect a spill snapshot already covers, and surfaces a
+//     whose effect a spill file already covers, and surfaces a
 //     torn final record as a clean stop vs anything else as damage —
 //     the serve layer degrades health on the latter.
 //
-// The log stores raw ingested blocks, not sketch state: replay feeds
-// the same rows through the same deterministic UpdateBatch path, which
-// is what makes recovery bit-exact for the deterministic frameworks.
+// Between checkpoints, whose bytes the registry writes and reads, the
+// log stores raw ingested blocks: replay feeds the same rows through
+// the same deterministic UpdateBatch path, which is what makes
+// recovery bit-exact for the deterministic frameworks.
 package wal
 
 import (
@@ -145,8 +145,6 @@ type logShard struct {
 	// needed maps tenant -> first seq whose effect is not durable
 	// outside the WAL. min over the map bounds what truncation keeps.
 	needed map[string]uint64
-	// created maps tenant -> seq of its latest create record.
-	created map[string]uint64
 }
 
 // segmentInfo describes one on-disk segment file.
@@ -178,7 +176,7 @@ func Open(dir string, opts ...Option) (*Log, error) {
 	}
 	l.shards = make([]*logShard, l.nshards)
 	for i := range l.shards {
-		l.shards[i] = &logShard{log: l, idx: i, needed: make(map[string]uint64), created: make(map[string]uint64)}
+		l.shards[i] = &logShard{log: l, idx: i, needed: make(map[string]uint64)}
 	}
 	if err := l.scanSegments(); err != nil {
 		return nil, err
@@ -379,7 +377,7 @@ func (l *Log) append(rec *record) (uint64, error) {
 	sh.size += int64(len(data))
 	sh.dirty = true
 	sh.track(rec)
-	if rec.kind == KindSnapshot || rec.kind == KindDelete {
+	if rec.kind == KindCheckpoint || rec.kind == KindDelete {
 		sh.gcLocked()
 	}
 	if l.syncEvery <= 0 {
@@ -462,7 +460,7 @@ func (l *Log) AppendRows(tenant string, start uint64, rows [][]float64, times []
 // AppendCreate logs a tenant creation with its declarative config as
 // JSON.
 func (l *Log) AppendCreate(tenant string, cfgJSON []byte) (uint64, error) {
-	return l.append(&record{kind: KindCreate, tenant: tenant, cfg: cfgJSON})
+	return l.append(&record{kind: KindCreate, tenant: tenant, blob: cfgJSON})
 }
 
 // AppendDelete logs an explicit tenant deletion and releases the
@@ -471,32 +469,28 @@ func (l *Log) AppendDelete(tenant string) (uint64, error) {
 	return l.append(&record{kind: KindDelete, tenant: tenant})
 }
 
-// AppendSnapshot logs a snapshot restore: blob replaces the tenant's
-// sketch state and the clock fields reset replay's view of the
-// tenant. Records before it become truncatable.
-func (l *Log) AppendSnapshot(tenant string, updates uint64, lastT float64, seen bool, blob []byte) (uint64, error) {
-	return l.append(&record{kind: KindSnapshot, tenant: tenant,
-		updates: updates, lastT: lastT, seen: seen, blob: blob})
+// AppendCheckpoint logs a tenant's checkpoint, whose bytes replace the
+// tenant's whole state on replay. The tenant's earlier records become
+// truncatable.
+func (l *Log) AppendCheckpoint(tenant string, data []byte) (uint64, error) {
+	return l.append(&record{kind: KindCheckpoint, tenant: tenant, blob: data})
 }
 
 // Released tells the log a tenant's state became durable outside the
 // WAL (spilled to disk) or ceased to matter (dropped/deleted without
 // an API call): its records up to now are no longer needed for
 // recovery and closed segments holding only released records are
-// unlinked. Before replay has finished it is a no-op: replay's own
-// bookkeeping (a Delete record clears the tenant's mark) covers the
-// same ground, and segment GC must not mutate the segment list while
-// replay walks it — appliers routinely trigger eviction hooks that
-// land here.
+// unlinked. During replay, where an applier's Create can spill
+// another tenant, it clears the tenant's mark but leaves the unlinking
+// to the log's first GC after replay: replay walks the segment list
+// that GC changes.
 func (l *Log) Released(tenant string) {
-	if !l.replayed.Load() {
-		return
-	}
 	sh := l.shardFor(tenant)
 	sh.mu.Lock()
 	delete(sh.needed, tenant)
-	delete(sh.created, tenant)
-	sh.gcLocked()
+	if l.replayed.Load() {
+		sh.gcLocked()
+	}
 	sh.mu.Unlock()
 }
 

@@ -39,12 +39,11 @@ func (a *recApplier) Rows(tenant string, start uint64, rows [][]float64, times [
 	return true, nil
 }
 
-func (a *recApplier) Snapshot(tenant string, updates uint64, lastT float64, seen bool, blob []byte) (bool, error) {
+func (a *recApplier) Checkpoint(tenant string, data []byte) (bool, error) {
 	if a.skipAll {
 		return false, nil
 	}
-	a.events = append(a.events, fmt.Sprintf("snapshot %s updates=%d lastT=%g seen=%v blob=%d",
-		tenant, updates, lastT, seen, len(blob)))
+	a.events = append(a.events, fmt.Sprintf("checkpoint %s %s", tenant, data))
 	return true, nil
 }
 
@@ -95,8 +94,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if _, err := l.AppendRows("alpha", 0, rows, times); err != nil {
 		t.Fatalf("rows: %v", err)
 	}
-	if _, err := l.AppendSnapshot("alpha", 4, 13, true, []byte("blobdata")); err != nil {
-		t.Fatalf("snapshot: %v", err)
+	if _, err := l.AppendCheckpoint("alpha", []byte("blobdata")); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 	if _, err := l.AppendDelete("alpha"); err != nil {
 		t.Fatalf("delete: %v", err)
@@ -115,7 +114,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	want := []string{
 		`create alpha {"d":3}`,
 		"rows alpha start=0 n=4",
-		"snapshot alpha updates=4 lastT=13 seen=true blob=8",
+		"checkpoint alpha blobdata",
 		"delete alpha",
 	}
 	if len(ap.events) != len(want) {
@@ -241,7 +240,9 @@ func TestSnapshotSupersedesAndTruncates(t *testing.T) {
 		}
 	}
 	before := len(segFiles(t, dir))
-	if _, err := l.AppendSnapshot("t", 24, 4, true, []byte("state")); err != nil {
+	// A 22-byte checkpoint's record overflows the 256-byte segment that
+	// holds the last rows block, so that segment closes and truncates.
+	if _, err := l.AppendCheckpoint("t", []byte("checkpoint-of-22-bytes")); err != nil {
 		t.Fatal(err)
 	}
 	after := len(segFiles(t, dir))
