@@ -35,9 +35,10 @@
 //	         DI-AMM on a correlated paired stream across the ℓ grid,
 //	         correlation error vs the exact-AᵀB oracle; fails if any
 //	         grid point breaches its slacked 4/ℓ bound
-//	obs      overhead of the observability stack (metrics decorator
-//	         and disabled tracer), bare vs wrapped, per-row and
-//	         batched ingest, plus the /v2 binary-stream serving path
+//	obs      overhead of the observability stack: UpdateBatch timed
+//	         as the server times it, and a disabled tracer, against
+//	         bare per-row and batched ingest, plus the /v2
+//	         binary-stream serving path
 //	hh       hot-key observability accuracy: the sliding count-min
 //	         top-K sidecar vs exact per-tenant counts from a Zipf
 //	         load run, plus its ingest-path cost; fails on a recall or

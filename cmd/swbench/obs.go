@@ -20,18 +20,17 @@ import (
 	"swsketch/internal/window"
 )
 
-// runObs measures the overhead of the observability stack: each
-// algorithm ingests the same synthetic stream bare, wrapped in the
-// obs.Instrumented decorator, and with a disabled tracer attached —
-// over both the per-row Update path (worst case — one timing pair per
-// row) and the UpdateBatch path (the serve and swstream default) —
-// and then the /v2 binary stream end to end (where "instrumented"
-// is the full metrics + hot-key sidecar stack).
-// Each row is one algorithm and ingest path ("row", "batch" or
-// "stream"): its cost bare, wrapped in the metrics decorator, and with
-// a disabled tracer attached. The reported overheads justify — or
-// veto — leaving -metrics and -trace on in production; the acceptance
-// bar is that a disabled tracer costs < 5%.
+// runObs measures the overhead of the observability stack. Each
+// algorithm ingests the same synthetic stream over the per-row Update
+// path and the UpdateBatch path (the serve and swstream default):
+// bare, with a disabled tracer attached, and — on the batch path —
+// with each UpdateBatch timed through obs.SketchMetrics, as the
+// server's apply step times every tenant's. Nothing times the per-row
+// path, so its rows carry no instrumented column. The "stream" row is
+// the /v2 binary stream end to end, where "instrumented" is the full
+// metrics + hot-key sidecar stack. The reported overheads justify —
+// or veto — leaving -metrics and -trace on in production; the
+// acceptance bar is that a disabled tracer costs < 5%.
 func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	n := sc.seqN
 	if n > 50000 {
@@ -89,12 +88,13 @@ func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 			instRatios := make([]float64, obsTrials)
 			trRatios := make([]float64, obsTrials)
 			for trial := range bares {
-				b := ingestNs(a.mk(), rows, times, ingestPath, batchSize)
-				w := ingestNs(obs.NewInstrumented(a.mk(), obs.NewRegistry()), rows, times, ingestPath, batchSize)
-				tr := ingestNs(mkTraced(a.mk), rows, times, ingestPath, batchSize)
+				b := ingestNs(a.mk(), nil, rows, times, ingestPath, batchSize)
+				if ingestPath == "batch" {
+					m := obs.NewSketchMetrics(obs.NewRegistry(), a.name)
+					instRatios[trial] = ingestNs(a.mk(), m, rows, times, ingestPath, batchSize) / b
+				}
+				trRatios[trial] = ingestNs(mkTraced(a.mk), nil, rows, times, ingestPath, batchSize) / b
 				bares[trial] = b
-				instRatios[trial] = w / b
-				trRatios[trial] = tr / b
 			}
 			sort.Float64s(bares)
 			sort.Float64s(instRatios)
@@ -120,18 +120,24 @@ func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 
 // addObsRow records one algorithm and path: the bare cost per row and
 // the median paired ratios of the instrumented and traced-off runs to
-// it.
+// it. An instRatio of 0 means the path is not instrumented, and the
+// row carries no instrumented column.
 func addObsRow(out io.Writer, art *bench.Artifact, algo, path string, bare, instRatio, trRatio float64) {
 	m := map[string]float64{
 		"bare_ns_per_row":              bare,
-		"instrumented_ns_per_row":      bare * instRatio,
-		"instrumented_overhead_pct":    100 * (instRatio - 1),
 		"traced_disabled_ns_per_row":   bare * trRatio,
 		"traced_disabled_overhead_pct": 100 * (trRatio - 1),
 	}
+	inst, instPct := "-", "-"
+	if instRatio > 0 {
+		m["instrumented_ns_per_row"] = bare * instRatio
+		m["instrumented_overhead_pct"] = 100 * (instRatio - 1)
+		inst = fmt.Sprintf("%.1f", m["instrumented_ns_per_row"])
+		instPct = fmt.Sprintf("%.2f%%", m["instrumented_overhead_pct"])
+	}
 	art.Add(map[string]string{"algo": algo, "path": path}, m)
-	fmt.Fprintf(out, "%-8s %-6s %12.1f %12.1f %9.2f%% %12.1f %9.2f%%\n",
-		algo, path, bare, m["instrumented_ns_per_row"], m["instrumented_overhead_pct"],
+	fmt.Fprintf(out, "%-8s %-6s %12.1f %12s %10s %12.1f %9.2f%%\n",
+		algo, path, bare, inst, instPct,
 		m["traced_disabled_ns_per_row"], m["traced_disabled_overhead_pct"])
 }
 
@@ -244,8 +250,10 @@ func rowNormBound(rows [][]float64) float64 {
 	return max * 1.001
 }
 
-// ingestNs streams rows through sk and returns mean ns per row.
-func ingestNs(sk core.WindowSketch, rows [][]float64, times []float64, path string, batchSize int) float64 {
+// ingestNs streams rows through sk and returns mean ns per row. On
+// the batch path a non-nil m times each UpdateBatch, as the server's
+// apply step does.
+func ingestNs(sk core.WindowSketch, m *obs.SketchMetrics, rows [][]float64, times []float64, path string, batchSize int) float64 {
 	runtime.GC() // keep collector pauses out of the timed region
 	start := time.Now()
 	if path == "row" {
@@ -258,7 +266,9 @@ func ingestNs(sk core.WindowSketch, rows [][]float64, times []float64, path stri
 			if j > len(rows) {
 				j = len(rows)
 			}
+			t0 := m.Start()
 			sk.UpdateBatch(rows[i:j], times[i:j])
+			m.ObserveBatch(t0, j-i)
 		}
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(len(rows))

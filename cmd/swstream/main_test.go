@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -224,5 +225,45 @@ func TestRunAMMFlagErrors(t *testing.T) {
 		if err := run(strings.NewReader(csvStream(5)), &out, opt); err == nil {
 			t.Fatalf("%s: expected error", name)
 		}
+	}
+}
+
+// TestRunStatsReport pins the -stats report: every input row is
+// counted, each bulk ingest call and each summary query is one timed
+// call (the audit's queries are not), and the sketch's internals
+// follow, sorted by name.
+func TestRunStatsReport(t *testing.T) {
+	opt := baseOpts()
+	opt.stats = true
+	opt.audit = true
+	opt.auditStride = 16
+	var out bytes.Buffer
+	if err := run(strings.NewReader(variedCSV(55)), &out, opt); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	// 55 rows in batches of 7, flushed before each summary every 10
+	// rows: the calls end at rows 7, 10, 17, 20, …, 47, 50 and 55.
+	for _, want := range []string{
+		"\n# instrumentation (LM-FD)\n",
+		"\n#   rows ingested      55 (in 11 batched calls)\n",
+		"\n#   update calls       11, total ",
+		"\n#   query calls        5, total ",
+		"\n#   rows stored        ",
+		"\n#   internal blocks_per_level   4\n",
+		"\n#   internal levels ",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("report missing %q:\n%s", want, s)
+		}
+	}
+	var keys []string
+	for _, line := range strings.Split(s, "\n") {
+		if rest, ok := strings.CutPrefix(line, "#   internal "); ok {
+			keys = append(keys, strings.Fields(rest)[0])
+		}
+	}
+	if !sort.StringsAreSorted(keys) || len(keys) < 5 {
+		t.Fatalf("internals lines %v: want the sketch's stats, sorted", keys)
 	}
 }

@@ -144,8 +144,8 @@ func checkSparseWidth(algo string, row mat.SparseRow, d int) {
 // stable lower_snake_case identifiers; values are gauges sampled at
 // call time. Stats must return a fresh map (callers may mutate it) and
 // must not modify sketch state beyond what a read does. All of the
-// paper's sketches (SWR, SWOR, LM, DI) implement it, as do the
-// Concurrent wrapper and obs.Instrumented by delegation.
+// paper's sketches (SWR, SWOR, LM, DI) implement it, as does the
+// Concurrent wrapper by delegation.
 type Introspector interface {
 	Stats() map[string]float64
 }

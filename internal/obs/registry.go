@@ -1,8 +1,8 @@
 // Package obs is the stdlib-only observability layer: a low-overhead
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
 // histograms) with Prometheus text exposition, plus the instrument
-// set of a sketch algorithm (SketchMetrics), which the server's steps
-// and the Instrumented decorator record into.
+// set of a sketch algorithm (SketchMetrics), which the server's steps,
+// swstream -stats and swbench obs record into.
 //
 // The registry is deliberately tiny compared to a real Prometheus
 // client: metric families are identified by name, each family carries

@@ -71,7 +71,7 @@ type spillHeader struct {
 }
 
 // decodeSpill parses a spill file, returning the header and the
-// sketch snapshot blob.
+// sketch snapshot blob. Bytes past the blob make the file corrupt.
 func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	var h spillHeader
 	r := binenc.NewReader(data)
@@ -104,7 +104,7 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	h.lastT = r.F64()
 	h.seen = r.Bool()
 	blob := r.Blob()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return h, nil, fmt.Errorf("registry: corrupt spill file: %w", err)
 	}
 	return h, blob, nil

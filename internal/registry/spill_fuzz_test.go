@@ -82,12 +82,13 @@ func spillFuzzSeeds(tb testing.TB) [][]byte {
 // FuzzSpillDecode hardens the spill-file decoder, which reads every
 // file of the spill directory at startup and again on each restore.
 // Decoding must never panic and must allocate at most 64·len + 64 KiB.
-// An accepted file must re-encode, in the v3 layout, to one that
-// decodes to the same header and sketch blob (unless it is a legacy
-// header holding what JSON cannot: invalid UTF-8, NaN or ±Inf). The committed corpus
+// An accepted file must be refused with a byte appended, and must
+// re-encode, in the v3 layout, to one that decodes to the same header
+// and sketch blob (unless it is a legacy header holding what JSON
+// cannot: invalid UTF-8, NaN or ±Inf). The committed corpus
 // (testdata/fuzz/FuzzSpillDecode) holds spillFuzzSeeds' valid v1, v2
-// and v3 files and the hostile blob lengths; the seeds below add each
-// valid file truncated.
+// and v3 files, the hostile blob lengths and a v3 file with a trailing
+// byte; the seeds below add each valid file truncated.
 func FuzzSpillDecode(f *testing.F) {
 	for _, seed := range spillFuzzSeeds(f) {
 		f.Add(seed)
@@ -105,6 +106,9 @@ func FuzzSpillDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if _, _, err := decodeSpill(append(data[:len(data):len(data)], 0)); err == nil {
+			t.Fatal("a trailing byte was accepted")
 		}
 		if !utf8.ValidString(h.cfg.Framework) || !utf8.ValidString(h.cfg.Window) {
 			return // a legacy header JSON cannot carry verbatim

@@ -144,6 +144,45 @@ func TestRestoreCorruptSpill(t *testing.T) {
 	}
 }
 
+// TestSpillWithTrailingByteIsCorrupt: a checkpoint with one byte past
+// its sketch fails the spill restore, like any corrupt file, and the
+// startup scan skips it. The file is FuzzSpillDecode's trailing-byte
+// corpus entry.
+func TestSpillWithTrailingByteIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r := mustNew(t, WithSpillDir(dir), WithEvictTTL(time.Minute), WithClock(clk.Now))
+	tn, err := r.Create("tail", lmCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestRows(t, tn, 4, 30, 0)
+	clk.Advance(time.Hour)
+	if n := r.Sweep(); n != 1 {
+		t.Fatalf("Sweep = %d", n)
+	}
+	path := r.spillPath("tail")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Acquire(); err == nil {
+		tn.Release()
+		t.Fatal("Acquire restored a spill file with a trailing byte")
+	} else if !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Fatalf("acquire error: %v", err)
+	}
+	if tn.Resident() {
+		t.Fatal("tenant marked resident after failed restore")
+	}
+	if _, ok := mustNew(t, WithSpillDir(dir)).Get("tail"); ok {
+		t.Fatal("the startup scan registered a spill file with a trailing byte")
+	}
+}
+
 // TestSpillPathSanitises checks hostile IDs map to flat filenames.
 func TestSpillPathSanitises(t *testing.T) {
 	r := mustNew(t, WithSpillDir(t.TempDir()))

@@ -61,7 +61,8 @@ func (t *Tenant) Pinned() bool { return t.pinned }
 func (t *Tenant) Resident() bool { return !t.spilled.Load() }
 
 // Updates returns, lock-free, the number of rows committed since the
-// tenant was created or last restored: the WAL's replay offset.
+// tenant was created: the WAL's replay offset. A spill and an upload
+// keep it, so it only grows.
 func (t *Tenant) Updates() uint64 { return t.updates.Load() }
 
 // Rows returns, lock-free, the sketch's row count as of the last

@@ -121,9 +121,10 @@ func TestNonFiniteFrameTimesRejected(t *testing.T) {
 
 // TestUploadKeepsTheRestoredClock: after a time-window lm-fd tenant's
 // snapshot is downloaded and uploaded again, stats and default-t reads
-// follow the restored sketch's clock (t=300), a row behind it answers
-// 400 without being journaled, and the restart replays with nothing
-// failed into the same bytes.
+// follow the restored sketch's clock (t=300), the tenant keeps its 300
+// committed updates, a row behind the clock answers 400 without being
+// journaled, and the restart replays with nothing failed into the same
+// bytes.
 func TestUploadKeepsTheRestoredClock(t *testing.T) {
 	dir := t.TempDir()
 	_, ts, _ := walServer(t, dir)
@@ -146,8 +147,8 @@ func TestUploadKeepsTheRestoredClock(t *testing.T) {
 
 	var sr statsResponse
 	decode(t, doReq(t, "GET", url+"/stats", ""), &sr)
-	if sr.Updates != 0 || sr.LastT != 300 {
-		t.Fatalf("stats after the upload: updates %d, last_t %v; want 0 and 300", sr.Updates, sr.LastT)
+	if sr.Updates != 300 || sr.LastT != 300 {
+		t.Fatalf("stats after the upload: updates %d, last_t %v; want 300 and 300", sr.Updates, sr.LastT)
 	}
 	var ar approximationResponse
 	decode(t, doReq(t, "GET", url+"/approximation", ""), &ar)

@@ -129,8 +129,8 @@ func TestConflictEnvelopeAfterRestore(t *testing.T) {
 // lastT bug: a server that had ingested up to t=500 and then restores
 // a snapshot taken at t=100 must not keep answering default-t queries
 // at the dead pre-restore clock. The restored sketch's clock governs:
-// stats read last_t 100 with the update count reset, and a default-t
-// query answers at t=100.
+// stats read last_t 100 with the tenant's 3 committed updates kept, and
+// a default-t query answers at t=100.
 func TestSnapshotRestoreResetsClock(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
@@ -162,8 +162,8 @@ func TestSnapshotRestoreResetsClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode(t, stats, &sr)
-	if sr.LastT != 100 || sr.Updates != 0 {
-		t.Fatalf("post-restore clock: last_t=%v updates=%d, want 100 and 0", sr.LastT, sr.Updates)
+	if sr.LastT != 100 || sr.Updates != 3 {
+		t.Fatalf("post-restore clock: last_t=%v updates=%d, want 100 and 3", sr.LastT, sr.Updates)
 	}
 
 	// A default-t query must not be answered at the stale t=500 clock,

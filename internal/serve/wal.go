@@ -39,8 +39,9 @@ func (s *Server) WAL() *wal.Log { return s.wal }
 // enables appends. It must run after NewServer (so replayed rows for
 // the default tenant land in its fresh sketch) and before the server
 // takes traffic. Neither corruption nor failed records fail recovery:
-// they are reported in the returned stats and on the health endpoints
-// as degraded. Without WithWAL it is a no-op.
+// they are reported in the returned stats and on /v2/health, which
+// reads degraded and names the first failed records. Without WithWAL
+// it is a no-op.
 func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if s.wal == nil {
 		return wal.Stats{}, nil
@@ -49,8 +50,7 @@ func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	s.walDamaged.Store(st.Damaged)
-	s.walFailed.Store(int64(st.Failed))
+	s.walReplay.Store(&st)
 	return st, nil
 }
 
@@ -78,22 +78,20 @@ func (a *registryApplier) Create(tenant string, cfgJSON []byte) (bool, error) {
 }
 
 // Rows re-applies a logged row block through the live ingest's apply
-// step when the tenant's committed update count matches the block's
-// start: a spilled snapshot that already covers the block leaves
-// Updates() past it (skip), and a gap means an intervening record was
-// lost to truncation by design.
+// step when the tenant's committed update count, which only grows,
+// matches the block's start: a spill file that already covers the
+// block leaves Updates() past it (skip), and a gap means an
+// intervening record was lost to truncation by design. The count is
+// read lock-free, so a skipped block leaves a spilled tenant on disk.
 func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error) {
 	t, ok := a.s.treg.Get(tenant)
-	if !ok {
-		return false, nil // deleted later in the log, or released
+	if !ok || t.Updates() != start {
+		return false, nil // deleted later in the log, released, or covered
 	}
 	if err := t.Acquire(); err != nil {
 		return false, fmt.Errorf("rows %q: %w", tenant, err)
 	}
 	defer t.Release()
-	if t.Updates() != start {
-		return false, nil
-	}
 	if _, apiErr := a.s.apply(t, rows, times, false); apiErr != nil {
 		return false, fmt.Errorf("rows %q: %s", tenant, apiErr.msg)
 	}

@@ -497,16 +497,17 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// Instrumented decorates any WindowSketch with ingest/query metrics
-// recorded into a registry, under the same metric names the server's
-// WithMetrics records every tenant's; it is for use outside HTTP
-// serving (see cmd/swstream -stats).
-type Instrumented = obs.Instrumented
+// SketchMetrics is one algorithm's ingest and query instruments in a
+// registry, under the metric names the server's WithMetrics records
+// every tenant's: read Start before an UpdateBatch or Query, then
+// record the call with ObserveBatch or ObserveQuery. A nil set
+// records nothing and reads no clock.
+type SketchMetrics = obs.SketchMetrics
 
-// NewInstrumented wraps sk, registering its instruments in reg under
-// the algo=<name> label.
-func NewInstrumented(sk WindowSketch, reg *MetricsRegistry) *Instrumented {
-	return obs.NewInstrumented(sk, reg)
+// NewSketchMetrics returns algo's instrument set in reg, registering
+// it on first use.
+func NewSketchMetrics(reg *MetricsRegistry, algo string) *SketchMetrics {
+	return obs.NewSketchMetrics(reg, algo)
 }
 
 // Introspector is implemented by sketches that expose internal
