@@ -83,6 +83,7 @@ fuzz:
 		./internal/wal:FuzzWALRecord \
 		./internal/obs/hh:FuzzSnapshotDecode \
 		./internal/serve:FuzzDecodeFrame \
+		./internal/serve:FuzzIngestJSON \
 		./internal/registry:FuzzSpillDecode \
 		./internal/registry:FuzzConfigBuild; \
 	do \

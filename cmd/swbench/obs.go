@@ -74,33 +74,34 @@ func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 		return sk
 	}
 
-	fmt.Fprintf(out, "obs overhead (n=%d rows, d=%d, window=%d, batch=%d, median of %d paired trials)\n",
+	fmt.Fprintf(out, "obs overhead (n=%d rows, d=%d, window=%d, batch=%d, %d trials in rotating order; overheads median [p25, p75])\n",
 		n, d, win, batchSize, obsTrials)
-	fmt.Fprintf(out, "%-8s %-6s %12s %12s %10s %12s %10s\n",
+	fmt.Fprintf(out, "%-8s %-6s %12s %12s %24s %12s %24s\n",
 		"algo", "path", "bare ns/row", "inst ns/row", "overhead", "traced-off", "overhead")
 	for _, a := range algos {
 		for _, ingestPath := range []string{"row", "batch"} {
-			// Bare, instrumented, and traced-off runs alternate back to
-			// back, so each trial's ratios are paired measurements sharing
-			// frequency and cache state; the median ratio discards outlier
-			// trials that a min-of-each estimator cannot.
-			bares := make([]float64, obsTrials)
-			instRatios := make([]float64, obsTrials)
-			trRatios := make([]float64, obsTrials)
-			for trial := range bares {
-				b := ingestNs(a.mk(), nil, rows, times, ingestPath, batchSize)
-				if ingestPath == "batch" {
-					m := obs.NewSketchMetrics(obs.NewRegistry(), a.name)
-					instRatios[trial] = ingestNs(a.mk(), m, rows, times, ingestPath, batchSize) / b
+			run := func(sk core.WindowSketch, m *obs.SketchMetrics) func() (float64, error) {
+				return func() (float64, error) {
+					return ingestNs(sk, m, rows, times, ingestPath, batchSize), nil
 				}
-				trRatios[trial] = ingestNs(mkTraced(a.mk), nil, rows, times, ingestPath, batchSize) / b
-				bares[trial] = b
 			}
-			sort.Float64s(bares)
-			sort.Float64s(instRatios)
-			sort.Float64s(trRatios)
-			addObsRow(out, art, a.name, ingestPath, bares[obsTrials/2],
-				instRatios[obsTrials/2], trRatios[obsTrials/2])
+			// Each trial builds fresh sketches and runs the variants back
+			// to back, bare first in the list.
+			res, err := rotated(func() []func() (float64, error) {
+				vs := []func() (float64, error){run(a.mk(), nil), run(mkTraced(a.mk), nil)}
+				if ingestPath == "batch" {
+					vs = append(vs, run(a.mk(), obs.NewSketchMetrics(obs.NewRegistry(), a.name)))
+				}
+				return vs
+			})
+			if err != nil {
+				return err
+			}
+			var inst overhead
+			if ingestPath == "batch" {
+				inst = ratios(res[2], res[0])
+			}
+			addObsRow(out, art, a.name, ingestPath, quantiles(res[0])[1], inst, ratios(res[1], res[0]))
 		}
 	}
 
@@ -110,44 +111,93 @@ func runObs(out io.Writer, sc scaleCfg, art *bench.Artifact) error {
 	// number the row/batch microbenchmarks above approximate from
 	// below — it includes HTTP framing, the registry touch hook, and
 	// the ingest funnel's sidecar calls.
-	bare, instRatio, trRatio, err := obsStream(sc)
+	bare, inst, traced, err := obsStream(sc)
 	if err != nil {
 		return err
 	}
-	addObsRow(out, art, "LM-FD", "stream", bare, instRatio, trRatio)
+	addObsRow(out, art, "LM-FD", "stream", bare, inst, traced)
 	return nil
 }
 
-// addObsRow records one algorithm and path: the bare cost per row and
-// the median paired ratios of the instrumented and traced-off runs to
-// it. An instRatio of 0 means the path is not instrumented, and the
-// row carries no instrumented column.
-func addObsRow(out io.Writer, art *bench.Artifact, algo, path string, bare, instRatio, trRatio float64) {
-	m := map[string]float64{
-		"bare_ns_per_row":              bare,
-		"traced_disabled_ns_per_row":   bare * trRatio,
-		"traced_disabled_overhead_pct": 100 * (trRatio - 1),
+// overhead is a paired ratio's p25, median and p75 across trials; the
+// zero value marks a path that is not instrumented.
+type overhead [3]float64
+
+// ratios returns the quantiles of the per-trial ratios of runs to bare.
+func ratios(runs, bare []float64) overhead {
+	r := make([]float64, len(runs))
+	for i := range r {
+		r[i] = runs[i] / bare[i]
 	}
-	inst, instPct := "-", "-"
-	if instRatio > 0 {
-		m["instrumented_ns_per_row"] = bare * instRatio
-		m["instrumented_overhead_pct"] = 100 * (instRatio - 1)
-		inst = fmt.Sprintf("%.1f", m["instrumented_ns_per_row"])
-		instPct = fmt.Sprintf("%.2f%%", m["instrumented_overhead_pct"])
+	return quantiles(r)
+}
+
+// quantiles returns the p25, median and p75 of xs.
+func quantiles(xs []float64) overhead {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s) - 1
+	return overhead{s[n/4], s[n/2], s[3*n/4]}
+}
+
+// rotated runs obsTrials trials. Each trial takes a fresh set of
+// variants from mk, bare first, and runs each once, starting trial k at
+// variant k mod len(variants), so that no variant always runs first or
+// right after the same one. It returns each variant's ns per row per
+// trial.
+func rotated(mk func() []func() (float64, error)) ([][]float64, error) {
+	var res [][]float64
+	for trial := 0; trial < obsTrials; trial++ {
+		vs := mk()
+		if res == nil {
+			res = make([][]float64, len(vs))
+			for v := range res {
+				res[v] = make([]float64, obsTrials)
+			}
+		}
+		for k := range vs {
+			v := (trial + k) % len(vs)
+			ns, err := vs[v]()
+			if err != nil {
+				return nil, err
+			}
+			res[v][trial] = ns
+		}
 	}
+	return res, nil
+}
+
+// addObsRow records one algorithm and path: the median bare cost per
+// row and the quantiles of the paired instrumented and traced-off
+// ratios to it. An inst of zero means the path is not instrumented,
+// and the row carries no instrumented columns.
+func addObsRow(out io.Writer, art *bench.Artifact, algo, path string, bare float64, inst, traced overhead) {
+	m := map[string]float64{"bare_ns_per_row": bare}
+	col := func(name string, o overhead) string {
+		m[name+"_ns_per_row"] = bare * o[1]
+		m[name+"_overhead_pct"] = 100 * (o[1] - 1)
+		m[name+"_overhead_p25_pct"] = 100 * (o[0] - 1)
+		m[name+"_overhead_p75_pct"] = 100 * (o[2] - 1)
+		return fmt.Sprintf("%12.1f %24s", m[name+"_ns_per_row"], fmt.Sprintf("%.2f%% [%.2f, %.2f]",
+			m[name+"_overhead_pct"], m[name+"_overhead_p25_pct"], m[name+"_overhead_p75_pct"]))
+	}
+	instCols := fmt.Sprintf("%12s %24s", "-", "-")
+	if inst[1] > 0 {
+		instCols = col("instrumented", inst)
+	}
+	tracedCols := col("traced_disabled", traced)
 	art.Add(map[string]string{"algo": algo, "path": path}, m)
-	fmt.Fprintf(out, "%-8s %-6s %12.1f %12s %10s %12.1f %9.2f%%\n",
-		algo, path, bare, inst, instPct,
-		m["traced_disabled_ns_per_row"], m["traced_disabled_overhead_pct"])
+	fmt.Fprintf(out, "%-8s %-6s %12.1f %s %s\n", algo, path, bare, instCols, tracedCols)
 }
 
 // obsStream measures the /v2 binary-stream ingest path three ways:
 // bare, instrumented (WithMetrics + the hot-key sidecar — the full
 // production observability stack), and with a disabled tracer. Each
 // trial drives the same Zipf fleet through all three servers back to
-// back; it returns the median bare ns per row and the median paired
-// ratios, as in the microbenchmarks above.
-func obsStream(sc scaleCfg) (bareNs, instRatio, trRatio float64, err error) {
+// back, in rotating order; it returns the median bare ns per row and
+// the quantiles of the instrumented and traced-off paired ratios, as in
+// the microbenchmarks above.
+func obsStream(sc scaleCfg) (float64, overhead, overhead, error) {
 	const d = 16
 	rows := sc.seqN
 	if rows < 20000 {
@@ -175,18 +225,18 @@ func obsStream(sc scaleCfg) (bareNs, instRatio, trRatio float64, err error) {
 	}
 	bare, err := mk()
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, overhead{}, overhead{}, err
 	}
 	defer bare.srv.Close()
 	inst, err := mk(serve.WithMetrics(obs.NewRegistry()),
 		serve.WithHotKeys(hh.New(hh.Config{Window: 10 * time.Minute})))
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, overhead{}, overhead{}, err
 	}
 	defer inst.srv.Close()
 	trSrv, err := mk(serve.WithTrace(trace.New(1024))) // attached, never enabled
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, overhead{}, overhead{}, err
 	}
 	defer trSrv.srv.Close()
 
@@ -205,35 +255,23 @@ func obsStream(sc scaleCfg) (bareNs, instRatio, trRatio float64, err error) {
 		return 1e9 / res.RowsPerSec, nil // ns per row
 	}
 
-	bares := make([]float64, obsTrials)
-	instRatios := make([]float64, obsTrials)
-	trRatios := make([]float64, obsTrials)
-	for trial := range bares {
-		b, err := rate(bare)
-		if err != nil {
-			return 0, 0, 0, err
+	res, err := rotated(func() []func() (float64, error) {
+		return []func() (float64, error){
+			func() (float64, error) { return rate(bare) },
+			func() (float64, error) { return rate(trSrv) },
+			func() (float64, error) { return rate(inst) },
 		}
-		w, err := rate(inst)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		tr, err := rate(trSrv)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		bares[trial] = b
-		instRatios[trial] = w / b
-		trRatios[trial] = tr / b
+	})
+	if err != nil {
+		return 0, overhead{}, overhead{}, err
 	}
-	sort.Float64s(bares)
-	sort.Float64s(instRatios)
-	sort.Float64s(trRatios)
-	return bares[obsTrials/2], instRatios[obsTrials/2], trRatios[obsTrials/2], nil
+	return quantiles(res[0])[1], ratios(res[2], res[0]), ratios(res[1], res[0]), nil
 }
 
-// obsTrials is the per-configuration repeat count; odd, so the median
-// is a single trial's paired ratio.
-const obsTrials = 5
+// obsTrials is the per-configuration repeat count: enough trials for
+// the p25–p75 range of an overhead to resolve a few percent on a noisy
+// host, and odd, so the median is a single trial's paired ratio.
+const obsTrials = 21
 
 // rowNormBound returns the max squared row norm (the DI declared R).
 func rowNormBound(rows [][]float64) float64 {

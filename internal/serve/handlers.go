@@ -5,6 +5,7 @@ package serve
 // {id} through the registry, the default tenant's like any other.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,30 +38,47 @@ func (e *apiError) write(w http.ResponseWriter) {
 	httpError(w, e.status, e.code, "%s", e.msg)
 }
 
-// decodeJSON strictly decodes a request body into v (decodeStrict),
-// and a body over the WithMaxBody cap answers 413. On false the error
-// envelope has been written.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// readBody reads a request body whole into buf, through the
+// WithMaxBody cap, so an oversized body answers 413 whatever it holds.
+// On false the error envelope has been written.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	body := r.Body
 	if s.maxBody > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
-	if err := decodeStrict(body, v); err != nil {
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
 				"body exceeds %d bytes", tooLarge.Limit)
 		} else {
-			httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+			httpError(w, http.StatusBadRequest, CodeInvalidJSON, "read body: %v", err)
 		}
 		return false
 	}
 	return true
 }
 
+// decodeJSON reads a request body that carries no rows (readBody) and
+// decodes it strictly into v (decodeStrict). On false the error
+// envelope has been written.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	var buf bytes.Buffer
+	if !s.readBody(w, r, &buf) {
+		return false
+	}
+	if err := decodeStrict(&buf, v); err != nil {
+		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+		return false
+	}
+	return true
+}
+
 // decodeStrict decodes exactly one JSON value from r into v: unknown
-// fields and data after the value are errors. Every JSON request body
-// and every NDJSON stream line is decoded by it.
+// fields and data after the value are errors. The bodies that carry no
+// rows, a tenant config and the AMM query, are decoded by it; the row
+// decoder (rowjson.go) reads the rest.
 func decodeStrict(r io.Reader, v interface{}) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -71,18 +89,6 @@ func decodeStrict(r io.Reader, v interface{}) error {
 		return errors.New("data after the JSON value")
 	}
 	return nil
-}
-
-type ingestRequest struct {
-	Updates []ingestUpdate `json:"updates"`
-}
-
-type ingestUpdate struct {
-	Row []float64 `json:"row,omitempty"`
-	// Sparse form: parallel indices/values; mutually exclusive with Row.
-	Idx []int     `json:"idx,omitempty"`
-	Val []float64 `json:"val,omitempty"`
-	T   float64   `json:"t"`
 }
 
 type ingestResponse struct {
@@ -97,23 +103,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req ingestRequest
-	if !s.decodeJSON(w, r, &req) {
+	d := getDecoder()
+	defer putDecoder(d)
+	if !s.readBody(w, r, &d.body) {
 		return
 	}
-	resp, apiErr := s.ingestTenant(t, req.Updates)
+	if err := d.rowsBody(d.body.Bytes()); err != nil {
+		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+		return
+	}
+	resp, apiErr := s.ingestTenant(t, d, d.ups)
 	if apiErr != nil {
 		apiErr.write(w)
 		return
 	}
 	writeJSON(w, resp)
-}
-
-type bulkRequest struct {
-	Tenants []struct {
-		ID      string         `json:"id"`
-		Updates []ingestUpdate `json:"updates"`
-	} `json:"tenants"`
 }
 
 // itemResult is the per-item outcome envelope shared by the bulk
@@ -140,24 +144,29 @@ type bulkResponse struct {
 // the others, and the response is always 200 with one result per
 // requested tenant, in request order.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
-	var req bulkRequest
-	if !s.decodeJSON(w, r, &req) {
+	d := getDecoder()
+	defer putDecoder(d)
+	if !s.readBody(w, r, &d.body) {
 		return
 	}
-	if len(req.Tenants) == 0 {
+	if err := d.bulkBody(d.body.Bytes()); err != nil {
+		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+		return
+	}
+	if len(d.tenants) == 0 {
 		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "no tenants")
 		return
 	}
-	results := make([]itemResult, 0, len(req.Tenants))
-	for i, item := range req.Tenants {
-		res := itemResult{Index: i, ID: item.ID}
-		t, ok := s.treg.Get(item.ID)
+	results := make([]itemResult, 0, len(d.tenants))
+	for i, item := range d.tenants {
+		res := itemResult{Index: i, ID: item.id}
+		t, ok := s.treg.Get(item.id)
 		if !ok {
 			// Attribute the miss to the requested key: a bulk client
 			// hammering a deleted tenant shows up on the events plane.
-			s.hot.ObserveEvent(item.ID)
-			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.ID)}
-		} else if resp, apiErr := s.ingestTenant(t, item.Updates); apiErr != nil {
+			s.hot.ObserveEvent(item.id)
+			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.id)}
+		} else if resp, apiErr := s.ingestTenant(t, d, d.ups[item.ups.off:item.ups.off+item.ups.n]); apiErr != nil {
 			res.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
 		} else {
 			res.Accepted = resp.Accepted
@@ -168,46 +177,15 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, bulkResponse{Results: results})
 }
 
-// ingestTenant applies one JSON batch, all-or-nothing, to a tenant.
-func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
-	rows, times, apiErr := denseBlock(updates, t.D())
+// ingestTenant applies one JSON batch, updates parsed by d,
+// all-or-nothing to a tenant.
+func (s *Server) ingestTenant(t *registry.Tenant, d *rowDecoder, ups []jsonUpdate) (ingestResponse, *apiError) {
+	rows, times, apiErr := d.block(ups, t.D())
 	if apiErr != nil {
 		s.hot.ObserveEvent(t.ID())
 		return ingestResponse{}, apiErr
 	}
 	return s.acquireIngest(t, rows, times)
-}
-
-// denseBlock turns JSON updates into the rows/times block a binary
-// frame decodes into: a sparse update is scattered into a zero row of
-// width d. The apply step checks the rest.
-func denseBlock(updates []ingestUpdate, d int) ([][]float64, []float64, *apiError) {
-	rows := make([][]float64, len(updates))
-	times := make([]float64, len(updates))
-	for i, u := range updates {
-		rows[i], times[i] = u.Row, u.T
-		if len(u.Idx) == 0 && len(u.Val) == 0 {
-			continue
-		}
-		if len(u.Row) > 0 {
-			return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: row and idx/val are mutually exclusive", i)
-		}
-		if len(u.Idx) != len(u.Val) {
-			return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: %d indices but %d values", i, len(u.Idx), len(u.Val))
-		}
-		rows[i] = make([]float64, d)
-		prev := -1
-		for k, ix := range u.Idx {
-			if ix <= prev || ix >= d {
-				return nil, nil, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: sparse index %d invalid for dimension %d", i, ix, d)
-			}
-			rows[i][ix], prev = u.Val[k], ix
-		}
-	}
-	return rows, times, nil
 }
 
 // acquireIngest applies one live block with the tenant acquired for

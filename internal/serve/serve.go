@@ -175,9 +175,10 @@ func WithPprof() Option {
 }
 
 // WithMaxBody caps request body sizes (ingest and snapshot restore) at
-// n bytes; larger bodies get a 413 body_too_large envelope. Zero (the
-// default) keeps ingest unlimited and the snapshot restore at its
-// built-in 1 GiB guard.
+// n bytes; larger bodies get a 413 body_too_large envelope. A JSON body
+// is read whole before it is decoded, so an oversized one answers 413
+// whatever it holds. Zero (the default) keeps ingest unlimited and the
+// snapshot restore at its built-in 1 GiB guard.
 func WithMaxBody(n int64) Option {
 	return func(s *Server) {
 		if n < 1 {

@@ -6,9 +6,11 @@ package serve
 // per-batch HTTP overhead. Two wire encodings share the handler:
 //
 //	application/x-ndjson (default)
-//	  One ingestUpdate JSON object per line ({"row":[...],"t":1}).
-//	  A blank line flushes the pending batch as one block; batches
-//	  also flush at streamBatchRows rows. Sparse updates work.
+//	  One update per line, the object the rows route takes inside
+//	  "updates" ({"row":[...],"t":1}), read by the row decoder
+//	  (rowjson.go). A blank line flushes the pending batch as one
+//	  block; batches also flush at streamBatchRows rows. Sparse updates
+//	  work. A line longer than streamMaxLine is malformed.
 //
 //	application/x-swsketch-frames
 //	  Length-prefixed binary frames: a little-endian uint32 payload
@@ -32,7 +34,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -156,21 +157,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // runNDJSON consumes newline-delimited JSON updates, flushing batches
-// at blank lines, the size cap, and EOF.
+// at blank lines, the size cap, and EOF. The pending batch is parsed
+// into one row decoder, reused for every batch of the connection.
 func (c *streamConn) runNDJSON(body io.Reader) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), streamMaxLine)
-	batch := make([]ingestUpdate, 0, streamBatchRows)
+	d := getDecoder()
+	defer putDecoder(d)
 	flush := func() bool {
-		if len(batch) == 0 {
+		if len(d.ups) == 0 {
 			return true
 		}
-		rows, times, apiErr := denseBlock(batch, c.t.D())
-		batch = batch[:0]
+		rows, times, apiErr := d.block(d.ups, c.t.D())
+		var ok bool
 		if apiErr != nil {
-			return c.fail(apiErr)
+			ok = c.fail(apiErr)
+		} else {
+			ok = c.block(rows, times)
 		}
-		return c.block(rows, times)
+		d.reset()
+		return ok
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -180,21 +186,23 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 			}
 			continue
 		}
-		var u ingestUpdate
-		if err := decodeStrict(bytes.NewReader(line), &u); err != nil {
+		if err := d.line(line); err != nil {
 			// A malformed line poisons the pending batch (its boundary is
 			// now unknowable), so fail the batch as one block and stop.
-			batch = batch[:0]
 			c.fail(&apiError{code: CodeInvalidJSON, msg: fmt.Sprintf("bad line: %v", err)})
 			return
 		}
-		batch = append(batch, u)
-		if len(batch) >= streamBatchRows && !flush() {
+		if len(d.ups) >= streamBatchRows && !flush() {
 			return
 		}
 	}
 	if err := sc.Err(); err != nil {
-		// The peer vanished mid-line; nothing to ack to.
+		if errors.Is(err, bufio.ErrTooLong) {
+			// An over-long line is malformed like any other.
+			c.fail(&apiError{code: CodeInvalidJSON,
+				msg: fmt.Sprintf("bad line: longer than %d bytes", streamMaxLine)})
+		}
+		// Otherwise the read failed: the peer is gone, nothing to ack to.
 		return
 	}
 	flush()
