@@ -207,6 +207,9 @@ func main() {
 		}
 		log.Printf("swserve: wal replayed %d records from %d segments: %d applied, %d skipped, %d failed, %d rows%s",
 			st.Records, st.Segments, st.Applied, st.Skipped, st.Failed, st.Rows, note)
+		for _, d := range st.Damage {
+			log.Printf("swserve: wal replay of a shard stopped at byte %d of %s: %s", d.Offset, d.Segment, d.Err)
+		}
 		for _, f := range st.Failures {
 			log.Printf("swserve: wal record %d of tenant %q failed: %s", f.Seq, f.Tenant, f.Err)
 		}

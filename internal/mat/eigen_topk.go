@@ -818,15 +818,3 @@ func GramTTiledInto(g, a *Dense) {
 		gd[i*n+i] = s
 	}
 }
-
-// EigenSymTopK computes every eigenvalue (descending) of symmetric a
-// but only the top k eigenvectors, returned as rows of a k×n matrix.
-// It is the convenience form of SymEigTopK for one-shot callers; hot
-// paths should hold a SymEigTopK to reuse its workspace.
-func EigenSymTopK(a *Dense, k int) (vals []float64, vecsT *Dense) {
-	var s SymEigTopK
-	v := s.Values(a)
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out, s.VectorsT(k)
-}

@@ -258,18 +258,3 @@ func TestGramTTiledInto(t *testing.T) {
 		}
 	}
 }
-
-func TestEigenSymTopKConvenience(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randSpectrum(rng, []float64{9, 4, 1, 0.5, 0.1})
-	vals, vt := EigenSymTopK(a, 2)
-	ref, _ := EigenSymJacobi(a)
-	for i := range ref {
-		if math.Abs(vals[i]-ref[i]) > 1e-9*9 {
-			t.Fatalf("eigenvalue %d = %v, want %v", i, vals[i], ref[i])
-		}
-	}
-	if vt.Rows() != 2 || vt.Cols() != 5 {
-		t.Fatalf("vecsT shape %d×%d", vt.Rows(), vt.Cols())
-	}
-}

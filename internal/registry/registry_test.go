@@ -419,6 +419,42 @@ func TestSweepDropsWithoutSpillDir(t *testing.T) {
 	}
 }
 
+// TestDropHookCanRefuseTheDrop: the drop hook runs before an eviction
+// drops a tenant; while it fails the tenant stays resident, as a
+// tenant whose spill fails does, and once it succeeds the tenant goes.
+func TestDropHookCanRefuseTheDrop(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r := mustNew(t, WithEvictTTL(time.Minute), WithClock(clk.Now))
+	var refuse error = errors.New("log closed")
+	var taken []string
+	r.SetDropHook(func(id string) error {
+		if refuse == nil {
+			taken = append(taken, id)
+		}
+		return refuse
+	})
+	tn, err := r.Create("dropme", lmCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestRows(t, tn, 4, 10, 0)
+	clk.Advance(time.Hour)
+	if n := r.Sweep(); n != 0 || !tn.Resident() {
+		t.Fatalf("a refused drop: Sweep evicted %d, resident %v", n, tn.Resident())
+	}
+	if got, ok := r.Get("dropme"); !ok || got.Updates() != 10 {
+		t.Fatalf("after a refused drop the tenant is found %v", ok)
+	}
+	refuse = nil
+	clk.Advance(time.Hour)
+	if n := r.Sweep(); n != 1 || len(taken) != 1 || taken[0] != "dropme" {
+		t.Fatalf("Sweep evicted %d, the hook took %v", n, taken)
+	}
+	if _, ok := r.Get("dropme"); ok {
+		t.Fatal("dropped tenant still registered")
+	}
+}
+
 func TestSweepSkipsPinnedAndBusy(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	r := mustNew(t, WithEvictTTL(time.Minute), WithClock(clk.Now))

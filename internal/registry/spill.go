@@ -20,7 +20,7 @@ import (
 // ignored on restore: the snapshot carries the clock. The format is
 // versioned with a magic number like the core snapshot formats. v1 and
 // v2 wrote the config field by field, without the FastFD knobs; v3,
-// the only one written, carries it as the WAL's create-record JSON.
+// the only one written, carries it as JSON.
 const (
 	spillMagic   = uint64(0x544E4E54_00000001) // "TNNT" v1
 	spillMagicV2 = uint64(0x544E4E54_00000002) // "TNNT" v2: v1 + DB
@@ -113,7 +113,11 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 // Checkpoint encodes the tenant's state as sk, a sketch built from the
 // tenant's config, with updates rows committed: the bytes of the
 // tenant's spill file, which the WAL's checkpoint record carries too.
+// A nil sk encodes the tenant's creation: no sketch bytes.
 func (t *Tenant) Checkpoint(sk core.TenantSketch, updates uint64) ([]byte, error) {
+	if sk == nil {
+		return encodeSpill(spillHeader{id: t.id, cfg: t.cfg, updates: updates}, nil)
+	}
 	blob, err := sk.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -124,8 +128,11 @@ func (t *Tenant) Checkpoint(sk core.TenantSketch, updates uint64) ([]byte, error
 
 // OpenCheckpoint decodes tenant id's checkpoint and returns the tenant,
 // created from the checkpoint's config when missing, with the sketch
-// snapshot and update count to Decode and Install. A tenant built from
-// another config fails, as Decode fails another algorithm or width.
+// snapshot and update count to Decode and Install: the one place
+// replay builds a tenant. A checkpoint below the tenant's update count,
+// read lock-free, no longer applies: the tenant comes back nil. One at
+// or past it fails on a tenant built from another config, as Decode
+// fails another algorithm or width.
 func (r *Registry) OpenCheckpoint(id string, data []byte) (*Tenant, []byte, uint64, error) {
 	h, blob, err := decodeSpill(data)
 	t, ok := r.Get(id)
@@ -135,6 +142,8 @@ func (r *Registry) OpenCheckpoint(id string, data []byte) (*Tenant, []byte, uint
 		err = fmt.Errorf("registry: the checkpoint of %q belongs to %q", id, h.id)
 	case !ok:
 		t, err = r.Create(id, h.cfg)
+	case h.updates < t.Updates():
+		t = nil
 	case t.cfg != h.cfg:
 		err = fmt.Errorf("registry: tenant %q was built from another config than its checkpoint", id)
 	}

@@ -87,8 +87,9 @@ func spillFuzzSeeds(tb testing.TB) [][]byte {
 // and sketch blob (unless it is a legacy header holding what JSON
 // cannot: invalid UTF-8, NaN or ±Inf). The committed corpus
 // (testdata/fuzz/FuzzSpillDecode) holds spillFuzzSeeds' valid v1, v2
-// and v3 files, the hostile blob lengths and a v3 file with a trailing
-// byte; the seeds below add each valid file truncated.
+// and v3 files, a creation checkpoint (a v3 file with no sketch
+// bytes), the hostile blob lengths and a v3 file with a trailing byte;
+// the seeds below add each valid file truncated.
 func FuzzSpillDecode(f *testing.F) {
 	for _, seed := range spillFuzzSeeds(f) {
 		f.Add(seed)

@@ -320,3 +320,73 @@ func TestLegacySpillFilesRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestCreationCheckpointHoldsNoSketch: a tenant's creation checkpoint
+// is its spill file with update count 0 and no sketch bytes, which
+// Decode reads as the config's fresh sketch. LM-HASH, which cannot
+// snapshot, gets one too.
+func TestCreationCheckpointHoldsNoSketch(t *testing.T) {
+	r := mustNew(t)
+	for _, cfg := range []Config{lmCfg(3), {Framework: "lm-hash", Size: 32, D: 3, Ell: 4, B: 2}} {
+		tn, err := r.Create(cfg.Framework, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := tn.Checkpoint(nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Framework, err)
+		}
+		h, blob, err := decodeSpill(data)
+		if err != nil || len(blob) != 0 || h != (spillHeader{id: tn.ID(), cfg: tn.Config()}) {
+			t.Fatalf("%s: creation checkpoint decodes to %+v and %d sketch bytes (%v)", cfg.Framework, h, len(blob), err)
+		}
+		sk, err := tn.Decode(blob)
+		if err != nil || sk.RowsStored() != 0 || sk.Name() != tn.Algorithm() {
+			t.Fatalf("%s: the empty sketch decodes to %v (%v)", cfg.Framework, sk, err)
+		}
+	}
+}
+
+// TestOpenCheckpointComparesCountsFirst: a checkpoint below the
+// tenant's update count no longer applies and opens no tenant, whatever
+// config it holds; one at or past the count opens the tenant, or fails
+// when it holds another config.
+func TestOpenCheckpointComparesCountsFirst(t *testing.T) {
+	r := mustNew(t)
+	tn, err := r.Create("a", lmCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := r.Create("b", lmCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestRows(t, tn, 3, 5, 0)
+	for _, c := range []struct {
+		cfg     *Tenant // whose config the checkpoint holds
+		updates uint64
+		want    string
+	}{
+		{tn, 4, "skip"},
+		{other, 4, "skip"},
+		{tn, 5, "open"},
+		{other, 5, "fail"},
+		{tn, 6, "open"},
+	} {
+		data, err := encodeSpill(spillHeader{id: "a", cfg: c.cfg.Config(), updates: c.updates}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, updates, err := r.OpenCheckpoint("a", data)
+		outcome := "fail"
+		switch {
+		case err == nil && got == nil:
+			outcome = "skip"
+		case err == nil && got == tn && updates == c.updates:
+			outcome = "open"
+		}
+		if outcome != c.want {
+			t.Fatalf("a checkpoint of %s's config at %d: %s (%v), want %s", c.cfg.ID(), c.updates, outcome, err, c.want)
+		}
+	}
+}

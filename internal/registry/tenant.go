@@ -139,13 +139,14 @@ func (t *Tenant) Pending() int { return int(t.pending.Load()) }
 
 // Decode decodes a binary snapshot, clock included, into a sketch built
 // from the tenant's config, which must come out with the tenant's
-// algorithm and row width (a snapshot's header sets its geometry). It
-// changes nothing; Install puts the sketch in place. Every restore
-// (upload, WAL replay, spill) uses the pair.
+// algorithm and row width (a snapshot's header sets its geometry). An
+// empty snapshot, a creation checkpoint's, decodes as the config's
+// fresh sketch. It changes nothing; Install puts the sketch in place.
+// Every restore (upload, WAL replay, spill) uses the pair.
 func (t *Tenant) Decode(blob []byte) (core.TenantSketch, error) {
 	sk, err := t.cfg.Build()
-	if err != nil {
-		return nil, err
+	if err != nil || len(blob) == 0 {
+		return sk, err
 	}
 	if err := sk.UnmarshalBinary(blob); err != nil {
 		return nil, err

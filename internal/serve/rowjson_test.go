@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The reference the row decoder is held to: encoding/json's strict
@@ -387,5 +389,26 @@ func TestStreamOverlongLine(t *testing.T) {
 	def, _ := srv.Registry().Get(DefaultTenant)
 	if n := def.Updates(); n != 0 {
 		t.Fatalf("updates %d, want 0: the pending batch must not apply", n)
+	}
+}
+
+// TestStreamReadFailureEndsWithoutAck: a body read that fails ends an
+// NDJSON stream with no ack, to a peer that is gone, and the pending
+// batch unapplied, whether the read fails inside a line or at a line
+// boundary.
+func TestStreamReadFailureEndsWithoutAck(t *testing.T) {
+	srv := newServer(t, lmCfg(3))
+	valid := `{"row":[1,0,0],"t":1}` + "\n" + `{"row":[0,1,0],"t":2}` + "\n"
+	for _, tail := range []string{`{"row":[0,0`, ""} {
+		body := io.MultiReader(strings.NewReader(valid+tail), iotest.ErrReader(errors.New("peer gone")))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v2/tenants/default/stream", body))
+		if acks := bytes.TrimSpace(rec.Body.Bytes()); len(acks) != 0 {
+			t.Fatalf("read failing after %q: acks %s, want none", tail, acks)
+		}
+		def, _ := srv.Registry().Get(DefaultTenant)
+		if n := def.Updates(); n != 0 {
+			t.Fatalf("read failing after %q: updates %d, want 0", tail, n)
+		}
 	}
 }

@@ -33,8 +33,8 @@
 //	GET    /v2/health                      server health: the default tenant's
 //	                                       audit verdict (WithAudit; ?fresh=1
 //	                                       forces an evaluation), WAL state
-//	                                       (replay's failed records named)
-//	                                       and hot-key state
+//	                                       (replay's failed records and
+//	                                       damage named) and hot-key state
 //	*      /v1/...                         410 gone: the retired first grammar
 //
 //	GET  /healthz           200 ok
@@ -79,11 +79,14 @@
 // reads the snapshot's clock and keeps its update count, the rows
 // committed since it was created, which is the WAL's replay offset.
 // The WAL journals an upload as one checkpoint record, the bytes of the
-// tenant's spill file, from which replay rebuilds the tenant alone.
-// A change the WAL cannot journal (a row block, an upload, a create or
-// a delete) answers 500 and changes nothing. Tenant IDs are restricted
-// to [A-Za-z0-9._-], at most 128 bytes; "default" names the tenant
-// NewServer builds and cannot be created or deleted.
+// tenant's spill file, from which replay rebuilds the tenant alone; a
+// tenant's creation is its first checkpoint, with no sketch bytes, and
+// an empty upload answers 400. A change the WAL cannot journal (a row
+// block, an upload, a creation or a delete) answers 500 and changes
+// nothing; an eviction that drops a tenant (no spill directory) is
+// journaled as its deletion first, or the tenant stays. Tenant IDs are
+// restricted to [A-Za-z0-9._-], at most 128 bytes; "default" names the
+// tenant NewServer builds and cannot be created or deleted.
 package serve
 
 import (
@@ -305,6 +308,15 @@ func NewServer(cfg registry.Config, opts ...Option) (*Server, error) {
 				s.hot.ObserveWAL(tenant, bytes)
 			})
 		}
+	}
+	if s.wal != nil {
+		// Journal a drop as the tenant's deletion before it leaves, or
+		// replay rebuilds the tenant from its records. A drop the log
+		// cannot take (as during replay) keeps the tenant resident.
+		s.treg.SetDropHook(func(id string) error {
+			_, err := s.wal.AppendDelete(id)
+			return err
+		})
 	}
 	if s.wal != nil || s.hot != nil {
 		s.treg.SetEvictHook(func(id string, spilled bool) {
@@ -611,6 +623,12 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 			"body exceeds %d bytes", limit)
 		return
 	}
+	if len(data) == 0 {
+		// Decode reads no bytes as a fresh sketch: a creation's, not an
+		// upload's.
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "restore: empty snapshot")
+		return
+	}
 	if !acquire(w, t) {
 		return
 	}
@@ -653,6 +671,10 @@ type walHealth struct {
 	// Failures names the first failed records: each one's tenant,
 	// sequence number and error (wal.Stats.Failures).
 	Failures []wal.Failure `json:"failures,omitempty"`
+	// Damage names where each damaged shard's replay stopped: the
+	// segment file, the byte offset and the decoder's error
+	// (wal.Stats.Damage).
+	Damage []wal.Damage `json:"damage,omitempty"`
 }
 
 // handleHealth reports the default tenant's accuracy health. Without
@@ -665,7 +687,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.wal != nil {
 		resp.WAL = &walHealth{Replayed: s.wal.Replayed()}
 		if st := s.walReplay.Load(); st != nil {
-			resp.WAL.Damaged, resp.WAL.Failed, resp.WAL.Failures = st.Damaged, st.Failed, st.Failures
+			resp.WAL.Damaged, resp.WAL.Failed, resp.WAL.Failures, resp.WAL.Damage = st.Damaged, st.Failed, st.Failures, st.Damage
 		}
 	}
 	if s.hot != nil {

@@ -36,8 +36,7 @@ func upload(t *testing.T, url string, snap []byte) {
 // checkpoint record and skips every other record.
 type checkpointLog map[string][]byte
 
-func (c checkpointLog) Create(string, []byte) (bool, error) { return false, nil }
-func (c checkpointLog) Delete(string) (bool, error)         { return false, nil }
+func (c checkpointLog) Delete(string) (bool, error) { return false, nil }
 func (c checkpointLog) Rows(string, uint64, [][]float64, []float64) (bool, error) {
 	return false, nil
 }
@@ -93,7 +92,7 @@ func TestCheckpointIsTheSpillFile(t *testing.T) {
 }
 
 // TestCheckpointCrashDrill: after an upload's checkpoint has truncated
-// the segment holding the tenant's create record, a crash at any later
+// the segment holding the tenant's creation, a crash at any later
 // record boundary, or inside the record after it, replays the tenant
 // bit for bit from the checkpoint plus the rows logged since.
 func TestCheckpointCrashDrill(t *testing.T) {
@@ -104,7 +103,7 @@ func TestCheckpointCrashDrill(t *testing.T) {
 	postRows(t, url, span(0, 40)...)
 	upload(t, url, getBytes(t, url+"/snapshot"))
 	if _, err := os.Stat(filepath.Join(dir, "s00-0000000000000001.wal")); !os.IsNotExist(err) {
-		t.Fatalf("the segment holding the create record survived the checkpoint: %v", err)
+		t.Fatalf("the segment holding the creation survived the checkpoint: %v", err)
 	}
 
 	// A crash point: the log's segments, the last one's length, and the
@@ -410,5 +409,149 @@ func TestReplayLeavesSpilledTenantsOnDisk(t *testing.T) {
 		if !tn.Resident() || tn.Updates() != 10 {
 			t.Fatalf("%s after its first use: resident %v, %d updates", id, tn.Resident(), tn.Updates())
 		}
+	}
+}
+
+// TestCreationIsTheFirstCheckpoint: under a WAL, PUT journals one
+// record, the tenant's creation checkpoint: its ID, its config and
+// update count 0, with no sketch bytes.
+func TestCreationIsTheFirstCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, _ := walBoot(t, dir, lmCfg(3))
+	doReq(t, "PUT", ts.URL+"/v2/tenants/a", lmTenantCfg).Body.Close()
+	tn, _ := s.Registry().Get("a")
+	want, err := tn.Checkpoint(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(dir, wal.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	logged := checkpointLog{}
+	st, err := l.Replay(logged)
+	if err != nil || st.Records != 1 || !bytes.Equal(logged["a"], want) {
+		t.Fatalf("replay %+v (%v) of %d checkpoint bytes, want one record of the %d-byte creation checkpoint",
+			st, err, len(logged["a"]), len(want))
+	}
+}
+
+// TestEveryFrameworkReplaysFromItsCreation: replay builds a tenant of
+// every framework from its creation checkpoint, LM-HASH included, which
+// cannot snapshot. After a restart each tenant has its config, its
+// update count, its answer and, where it has them, its snapshot bytes;
+// a second restart with no traffic between reads the same.
+func TestEveryFrameworkReplaysFromItsCreation(t *testing.T) {
+	cfgs := map[string]string{
+		registry.FrameworkSWR:     `{"framework":"swr","size":64,"d":3,"ell":4}`,
+		registry.FrameworkSWOR:    `{"framework":"swor","size":64,"d":3,"ell":4}`,
+		registry.FrameworkSWORAll: `{"framework":"swor-all","size":64,"d":3,"ell":4}`,
+		registry.FrameworkLMFD:    lmTenantCfg,
+		registry.FrameworkLMHash:  `{"framework":"lm-hash","size":64,"d":3,"ell":4,"b":2}`,
+		registry.FrameworkDIFD:    `{"framework":"di-fd","size":48,"d":3,"ell":8,"levels":3,"r":100}`,
+		registry.FrameworkDSFD:    `{"framework":"ds-fd","size":64,"d":3,"ell":4,"r":100}`,
+		registry.FrameworkLMAMM:   `{"framework":"lm-amm","size":64,"d":3,"d_b":1,"ell":4,"b":2}`,
+		registry.FrameworkDIAMM:   `{"framework":"di-amm","size":48,"d":3,"d_b":1,"ell":8,"levels":3,"r":100}`,
+	}
+	// state reads what a restart keeps of each tenant: its summary,
+	// config and update count included, its answer and its snapshot.
+	state := func(base string) map[string]string {
+		out := map[string]string{}
+		for _, fw := range registry.Frameworks() {
+			out[fw] = string(getBytes(t, base+fw)) + string(getBytes(t, base+fw+"/approximation"))
+			if fw != registry.FrameworkLMHash {
+				out[fw] += string(getBytes(t, base+fw+"/snapshot"))
+			}
+		}
+		return out
+	}
+	dir := t.TempDir()
+	_, ts, _ := walBoot(t, dir, lmCfg(3))
+	for _, fw := range registry.Frameworks() {
+		cfg, ok := cfgs[fw]
+		if !ok {
+			t.Fatalf("no config for framework %s", fw)
+		}
+		url := ts.URL + "/v2/tenants/" + fw
+		if resp := doReq(t, "PUT", url, cfg); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT %s: status %d", fw, resp.StatusCode)
+		}
+		postRows(t, url, span(0, 12)...)
+	}
+	want := state(ts.URL + "/v2/tenants/")
+	ts.Close()
+	for restart := 1; restart <= 2; restart++ {
+		_, ts, st := walBoot(t, dir, lmCfg(3))
+		if st.Failed != 0 || st.Damaged {
+			t.Fatalf("restart %d: replay %+v", restart, st)
+		}
+		got := state(ts.URL + "/v2/tenants/")
+		for _, fw := range registry.Frameworks() {
+			if got[fw] != want[fw] {
+				t.Fatalf("restart %d: %s replayed into\n%.300s\nwant\n%.300s", restart, fw, got[fw], want[fw])
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestReplaySkipsACheckpointTheTenantMovedPast: a checkpoint applies
+// only at or past the tenant's update count. Tenant a takes 10 rows,
+// its own snapshot back and 10 more rows, and spills at 20; the default
+// tenant's one row keeps every segment. A crash cuts the log after a's
+// 18th row, so the spill file holds two rows the log lost. Replay
+// skips the upload's checkpoint, at 10, with every other record of a,
+// and a comes back from its spill file with 20 updates and the same
+// bytes. Were the checkpoint applied, a would roll back to 18 rows.
+func TestReplaySkipsACheckpointTheTenantMovedPast(t *testing.T) {
+	walDir, spillDir := t.TempDir(), t.TempDir()
+	now := time.Unix(1000, 0)
+	s, base, _ := spillBoot(t, walDir, spillDir, &now)
+	postRows(t, base+"default", 0)
+	doReq(t, "PUT", base+"a", lmTenantCfg).Body.Close()
+	postRows(t, base+"a", span(0, 10)...)
+	upload(t, base+"a", getBytes(t, base+"a/snapshot"))
+	postRows(t, base+"a", span(10, 18)...)
+	segs, err := filepath.Glob(filepath.Join(walDir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	last, err := os.Stat(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	postRows(t, base+"a", 18, 19)
+	want := getBytes(t, base+"a/snapshot")
+	sweepAll(t, s, &now, 1)
+	s.WAL().Close()
+
+	// The crash: the log ends after a's 18th row.
+	after, err := filepath.Glob(filepath.Join(walDir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range after[len(segs):] {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(segs[len(segs)-1], last.Size()); err != nil {
+		t.Fatal(err)
+	}
+
+	s, base, st := spillBoot(t, walDir, spillDir, &now)
+	if st.Applied != 1 || st.Skipped != 20 || st.Failed != 0 || st.Damaged {
+		t.Fatalf("replay %+v, want the default row applied and a's 20 records skipped", st)
+	}
+	tn, _ := s.Registry().Get("a")
+	if tn.Resident() {
+		t.Fatal("replay restored a from its spill file")
+	}
+	if got := getBytes(t, base+"a/snapshot"); tn.Updates() != 20 || !bytes.Equal(got, want) {
+		t.Fatalf("a came back with %d updates and %d snapshot bytes, want 20 and the live %d", tn.Updates(), len(got), len(want))
 	}
 }

@@ -80,7 +80,7 @@ func TestRejectedBatchIsNotJournaled(t *testing.T) {
 
 	_, ts2, st := walBoot(t, dir, lmCfg(3))
 	if st.Records != 1 || st.Applied != 1 || st.Failed != 0 {
-		t.Fatalf("replay %+v, want only the create record, applied", st)
+		t.Fatalf("replay %+v, want only the creation checkpoint, applied", st)
 	}
 	var sr statsResponse
 	decode(t, doReq(t, "GET", ts2.URL+"/v2/tenants/di/stats", ""), &sr)
@@ -282,7 +282,7 @@ func TestReplayFailureTurnsHealthDegraded(t *testing.T) {
 
 // TestUploadKeepsTheCreateRecord: an upload moves the tenant's WAL
 // truncation mark, and with 512-byte segments the segment holding the
-// tenant's create record is then unlinked. The upload's checkpoint
+// tenant's creation checkpoint is then unlinked. The upload's checkpoint
 // carries the tenant's config, so both restarts rebuild the tenant bit
 // for bit.
 func TestUploadKeepsTheCreateRecord(t *testing.T) {

@@ -284,13 +284,15 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 func TestSnapshotRestoreRejectsGarbage(t *testing.T) {
 	ts, done := newTestServer(t)
 	defer done()
-	resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewBufferString("junk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage restore status %d", resp.StatusCode)
+	for _, body := range []string{"junk", ""} {
+		resp, err := http.Post(ts.URL+"/v2/tenants/default/snapshot", "application/octet-stream", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("restore of %q: status %d", body, resp.StatusCode)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"swsketch/internal/binenc"
 	"swsketch/internal/core"
 	"swsketch/internal/obs/audit"
 	"swsketch/internal/registry"
@@ -297,9 +299,9 @@ func TestDeleteFailedJournalChangesNothing(t *testing.T) {
 
 // TestWALRecoveryAfterSpillRestore: a tenant spilled and restored
 // before a restart recovers bit-exactly. The spill released its WAL
-// records and segment rotation unlinked the segment holding its create
-// record, so recovery rests on the spill file, kept as the tenant's
-// checkpoint, plus the rows logged since the restore.
+// records and segment rotation unlinked the segment holding its
+// creation checkpoint, so recovery rests on the spill file, kept as the
+// tenant's checkpoint, plus the rows logged since the restore.
 func TestWALRecoveryAfterSpillRestore(t *testing.T) {
 	walDir, spillDir := t.TempDir(), t.TempDir()
 	now := time.Unix(1000, 0)
@@ -405,5 +407,156 @@ func TestWALHealthFieldAbsentWithoutWAL(t *testing.T) {
 	data := getBytes(t, ts.URL+"/v2/health")
 	if bytes.Contains(data, []byte(`"wal"`)) {
 		t.Fatalf("health without a WAL leaks the wal field: %s", data)
+	}
+}
+
+// dropRegistry returns a registry with no spill directory, which drops
+// a tenant that idles a minute by the clock *now.
+func dropRegistry(t *testing.T, now *time.Time) *registry.Registry {
+	t.Helper()
+	treg, err := registry.New(registry.WithEvictTTL(time.Minute), registry.WithClock(func() time.Time { return *now }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return treg
+}
+
+// TestDroppedTenantStaysDropped: an eviction that drops a tenant (no
+// spill directory) is journaled as its deletion, so a restart does not
+// bring the tenant back from its records.
+func TestDroppedTenantStaysDropped(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	s, ts, _ := walServer(t, dir, WithRegistry(dropRegistry(t, &now)))
+	url := ts.URL + "/v2/tenants/a"
+	doReq(t, "PUT", url, lmTenantCfg).Body.Close()
+	postRows(t, url, span(0, 10)...)
+	sweepAll(t, s, &now, 1)
+	wantEnvelope(t, doReq(t, "GET", url, ""), http.StatusNotFound, CodeNotFound)
+	s.WAL().Close()
+
+	_, ts, _ = walServer(t, dir, WithRegistry(dropRegistry(t, &now)))
+	wantEnvelope(t, doReq(t, "GET", ts.URL+"/v2/tenants/a", ""), http.StatusNotFound, CodeNotFound)
+}
+
+// TestDropKeepsTheNextIncarnation: a tenant dropped and created again
+// under another config replays as the new tenant. Without the drop's
+// delete record, replay would rebuild the dropped tenant and skip the
+// new one's records, whose update counts lie behind it.
+func TestDropKeepsTheNextIncarnation(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	s, ts, _ := walBoot(t, dir, lmCfg(3), WithRegistry(dropRegistry(t, &now)))
+	url := ts.URL + "/v2/tenants/a"
+	postRows(t, ts.URL+"/v2/tenants/default", 0)
+	doReq(t, "PUT", url, lmTenantCfg).Body.Close()
+	postRows(t, url, span(0, 10)...)
+	sweepAll(t, s, &now, 1)
+	doReq(t, "PUT", url, `{"framework":"lm-fd","size":32,"d":3,"ell":4,"b":2}`).Body.Close()
+	postRows(t, url, span(0, 4)...)
+	want := getBytes(t, url+"/snapshot")
+	s.WAL().Close()
+
+	s, ts, st := walBoot(t, dir, lmCfg(3), WithRegistry(dropRegistry(t, &now)))
+	if st.Failed != 0 || st.Damaged {
+		t.Fatalf("replay %+v", st)
+	}
+	tn, ok := s.Registry().Get("a")
+	if !ok || tn.Config().Size != 32 || tn.Updates() != 4 {
+		t.Fatalf("a after the restart: found %v, config %+v, %d updates; want size 32 and 4 updates", ok, tn.Config(), tn.Updates())
+	}
+	if got := getBytes(t, ts.URL+"/v2/tenants/a/snapshot"); !bytes.Equal(got, want) {
+		t.Fatalf("a replayed into %d snapshot bytes, the live tenant had %d", len(got), len(want))
+	}
+}
+
+// TestDropTheLogCannotTakeKeepsTheTenant: a drop the WAL cannot
+// journal keeps the tenant resident, whole. So does a drop during
+// replay, before the log takes appends: a restart under a tenant cap
+// replays every tenant.
+func TestDropTheLogCannotTakeKeepsTheTenant(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	s, ts, _ := walServer(t, dir, WithRegistry(dropRegistry(t, &now)))
+	base := ts.URL + "/v2/tenants/"
+	ids := []string{"a", "b", "c"}
+	want := map[string][]byte{}
+	for _, id := range ids {
+		doReq(t, "PUT", base+id, lmTenantCfg).Body.Close()
+		postRows(t, base+id, span(0, 10)...)
+		want[id] = getBytes(t, base+id+"/snapshot")
+	}
+	s.WAL().Close()
+	sweepAll(t, s, &now, 0)
+	if got := getBytes(t, base+"a/snapshot"); !bytes.Equal(got, want["a"]) {
+		t.Fatalf("a refused drop changed the tenant: %d bytes, had %d", len(got), len(want["a"]))
+	}
+
+	// The default tenant and one other fit under the cap.
+	treg, err := registry.New(registry.WithMaxTenants(2), registry.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts, st := walServer(t, dir, WithRegistry(treg))
+	if st.Failed != 0 || st.Damaged {
+		t.Fatalf("replay %+v", st)
+	}
+	for _, id := range ids {
+		if _, ok := s.Registry().Get(id); !ok {
+			t.Fatalf("replay dropped %s", id)
+		}
+		if got := getBytes(t, ts.URL+"/v2/tenants/"+id+"/snapshot"); !bytes.Equal(got, want[id]) {
+			t.Fatalf("%s replayed into other bytes: %d vs %d", id, len(got), len(want[id]))
+		}
+	}
+}
+
+// TestWALDamageIsNamed: a log holding a record of an unknown kind (an
+// older log's kind-2 create record) replays damaged, and /v2/health
+// names the segment, the record's offset and the kind.
+func TestWALDamageIsNamed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walBoot(t, dir, lmCfg(3))
+	postRows(t, ts.URL+"/v2/tenants/default", 0, 1)
+	ts.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	w := binenc.NewWriter()
+	w.U32(0x4C415753) // "SWAL"
+	w.U64(3)
+	w.U32(2)
+	w.Blob([]byte("a"))
+	w.Blob([]byte(lmTenantCfg))
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Write(w.Bytes())
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2, st := walBoot(t, dir, lmCfg(3))
+	if st.Applied != 2 || !st.Damaged {
+		t.Fatalf("replay %+v, want the 2 rows applied and damage", st)
+	}
+	resp, err := http.Get(ts2.URL + "/v2/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr healthResponse
+	decode(t, resp, &hr)
+	want := wal.Damage{Segment: filepath.Base(segs[0]), Offset: int(off), Err: "wal: corrupt record: unknown record kind 2"}
+	if resp.StatusCode != http.StatusServiceUnavailable || hr.WAL == nil || len(hr.WAL.Damage) != 1 || hr.WAL.Damage[0] != want {
+		t.Fatalf("health status %d, wal %+v; want the damage %+v", resp.StatusCode, hr.WAL, want)
 	}
 }

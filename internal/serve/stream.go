@@ -34,6 +34,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -158,10 +159,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // runNDJSON consumes newline-delimited JSON updates, flushing batches
 // at blank lines, the size cap, and EOF. The pending batch is parsed
-// into one row decoder, reused for every batch of the connection.
+// into one row decoder, reused for every batch of the connection. A
+// failed body read ends the stream with no ack and the pending batch
+// unapplied, whether it fails at a line boundary or inside a line.
 func (c *streamConn) runNDJSON(body io.Reader) {
-	sc := bufio.NewScanner(body)
+	rd := &readErr{r: body}
+	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 64<<10), streamMaxLine)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && rd.err != nil && bytes.IndexByte(data, '\n') < 0 {
+			return 0, nil, rd.err // a line the failed read cut short
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	d := getDecoder()
 	defer putDecoder(d)
 	flush := func() bool {
@@ -206,6 +216,21 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 		return
 	}
 	flush()
+}
+
+// readErr records its reader's failure other than io.EOF; a
+// bufio.Scanner reads no further after one.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (r *readErr) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if err != nil && err != io.EOF {
+		r.err = err
+	}
+	return n, err
 }
 
 // runFrames consumes length-prefixed binenc row blocks. One frame's

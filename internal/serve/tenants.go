@@ -72,7 +72,9 @@ func tenantInfo(t *registry.Tenant) tenantInfoResponse {
 // handleTenantPut creates a tenant from a declarative config. The body
 // is a registry.Config JSON object; unknown fields are rejected. A
 // duplicate ID answers 409 conflict, a config the registry cannot
-// build answers 400 invalid_argument.
+// build answers 400 invalid_argument. Under a WAL the tenant is
+// registered, then journaled as its first checkpoint: its ID, its
+// normalized config and update count 0, with no sketch.
 func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validTenantID(id) {
@@ -102,17 +104,15 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.wal != nil {
-		// Log the normalized config (t.Config), not the request body, so
-		// replay rebuilds exactly what was built. An append failure rolls
-		// the creation back: an unlogged tenant would silently vanish on
-		// restart.
-		cfgJSON, merr := json.Marshal(t.Config())
-		if merr == nil {
-			_, merr = s.wal.AppendCreate(id, cfgJSON)
+		// An append failure rolls the creation back, journaling nothing:
+		// an unlogged tenant would silently vanish on restart.
+		data, err := t.Checkpoint(nil, 0)
+		if err == nil {
+			_, err = s.wal.AppendCheckpoint(id, data)
 		}
-		if merr != nil {
+		if err != nil {
 			s.treg.Delete(id)
-			httpError(w, http.StatusInternalServerError, CodeInternal, "wal append: %v", merr)
+			httpError(w, http.StatusInternalServerError, CodeInternal, "wal append: %v", err)
 			return
 		}
 	}

@@ -6,23 +6,22 @@ package serve
 // RecoverWAL replays the log on startup through the apply and restore
 // steps live requests take, so a crashed node rebuilds its tenant
 // sketches bit-exactly (modulo the group-commit window) and the
-// default tenant's audit shadow with them. Spills and deletions
-// release a tenant's records for truncation via the registry's evict
-// hook.
+// default tenant's audit shadow with them. A tenant's creation is its
+// first checkpoint, and an eviction that drops a tenant is journaled
+// as its deletion first. Spills and deletions release a tenant's
+// records for truncation via the registry's evict hook.
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"swsketch/internal/registry"
 	"swsketch/internal/wal"
 )
 
 // WithWAL attaches a write-ahead log (opened, not yet replayed): rows,
-// tenant creations/deletions, and uploads (as checkpoints) are logged
-// before they apply, and the registry's evictions release WAL records
-// for truncation. Call RecoverWAL after NewServer and before serving —
-// appends fail until the log has replayed.
+// tenant creations and uploads (as checkpoints) and deletions, drops
+// included, are logged before they apply, and the registry's evictions
+// release WAL records for truncation. Call RecoverWAL after NewServer
+// and before serving — appends fail until the log has replayed.
 func WithWAL(l *wal.Log) Option {
 	return func(s *Server) {
 		if l == nil {
@@ -60,23 +59,6 @@ type registryApplier struct {
 	s *Server
 }
 
-// Create rebuilds a logged tenant. A tenant that already exists — the
-// spill-directory scan registered it, or a later duplicate record —
-// is an intentional skip.
-func (a *registryApplier) Create(tenant string, cfgJSON []byte) (bool, error) {
-	var cfg registry.Config
-	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
-		return false, fmt.Errorf("create %q: %w", tenant, err)
-	}
-	if _, err := a.s.treg.Create(tenant, cfg); err != nil {
-		if err == registry.ErrExists {
-			return false, nil
-		}
-		return false, fmt.Errorf("create %q: %w", tenant, err)
-	}
-	return true, nil
-}
-
 // Rows re-applies a logged row block through the live ingest's apply
 // step when the tenant's committed update count, which only grows,
 // matches the block's start: a spill file that already covers the
@@ -99,10 +81,16 @@ func (a *registryApplier) Rows(tenant string, start uint64, rows [][]float64, ti
 }
 
 // Checkpoint rebuilds a tenant from a logged checkpoint alone, through
-// the upload's restore step. A tenant built from another config (a
-// default tenant restarted with other flags) fails the record.
+// the upload's restore step; a creation checkpoint builds the tenant.
+// One below the tenant's update count is skipped, as a row block is,
+// so a spilled tenant stays on disk. A tenant built from another
+// config (a default tenant restarted with other flags) fails the
+// record.
 func (a *registryApplier) Checkpoint(tenant string, data []byte) (bool, error) {
 	t, blob, updates, err := a.s.treg.OpenCheckpoint(tenant, data)
+	if err == nil && t == nil {
+		return false, nil // the tenant has moved past the checkpoint
+	}
 	if err == nil {
 		err = t.Acquire()
 	}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,106 +22,6 @@ func PriorityKey(rng *rand.Rand, w float64) float64 {
 		u = rng.Float64()
 	}
 	return math.Log(u) / w
-}
-
-// sampleItem is a retained row with its priority key.
-type sampleItem struct {
-	row []float64
-	w   float64 // squared norm
-	key float64
-}
-
-// sampleHeap is a min-heap on key, so the root is the eviction victim.
-type sampleHeap []sampleItem
-
-func (h sampleHeap) Len() int            { return len(h) }
-func (h sampleHeap) Less(i, j int) bool  { return h[i].key < h[j].key }
-func (h sampleHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *sampleHeap) Push(x interface{}) { *h = append(*h, x.(sampleItem)) }
-func (h *sampleHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// PrioritySampler maintains an ℓ-row norm-proportional sample without
-// replacement over an unbounded stream (the streaming baseline of
-// Section 3), via a size-ℓ min-heap of the top-ℓ priorities. The
-// returned approximation rescales the sampled rows by
-// ‖A‖_F / ‖A_S‖_F so that BᵀB estimates AᵀA.
-type PrioritySampler struct {
-	ell   int
-	d     int
-	rng   *rand.Rand
-	heap  sampleHeap
-	froSq float64 // exact ‖A‖²_F of the whole stream
-}
-
-// NewPrioritySampler returns a sampler keeping ℓ rows of dimension d.
-func NewPrioritySampler(ell, d int, seed int64) *PrioritySampler {
-	if ell < 1 || d < 1 {
-		panic(fmt.Sprintf("stream: sampler needs ell ≥ 1 and d ≥ 1, got %d, %d", ell, d))
-	}
-	return &PrioritySampler{ell: ell, d: d, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Update observes one row. Zero rows are skipped (they carry no mass).
-func (s *PrioritySampler) Update(row []float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("stream: sampler row length %d, want %d", len(row), s.d))
-	}
-	w := mat.SqNorm(row)
-	if w == 0 {
-		return
-	}
-	s.froSq += w
-	key := PriorityKey(s.rng, w)
-	if len(s.heap) < s.ell {
-		r := make([]float64, s.d)
-		copy(r, row)
-		heap.Push(&s.heap, sampleItem{row: r, w: w, key: key})
-		return
-	}
-	if key > s.heap[0].key {
-		r := make([]float64, s.d)
-		copy(r, row)
-		s.heap[0] = sampleItem{row: r, w: w, key: key}
-		heap.Fix(&s.heap, 0)
-	}
-}
-
-// UpdateBatch observes rows in order, validating lengths once up
-// front; priorities are drawn in the same order as repeated Update
-// calls, so the retained sample is identical.
-func (s *PrioritySampler) UpdateBatch(rows [][]float64) {
-	for i, r := range rows {
-		if len(r) != s.d {
-			panic(fmt.Sprintf("stream: sampler batch row %d length %d, want %d", i, len(r), s.d))
-		}
-	}
-	for _, r := range rows {
-		s.Update(r)
-	}
-}
-
-// Matrix returns the rescaled sample as the approximation B.
-func (s *PrioritySampler) Matrix() *mat.Dense {
-	return rescaleWOR(sampleRows(s.heap), s.froSq)
-}
-
-// RowsStored reports the number of retained rows.
-func (s *PrioritySampler) RowsStored() int { return len(s.heap) }
-
-var _ Sketch = (*PrioritySampler)(nil)
-
-func sampleRows(items []sampleItem) [][]float64 {
-	rows := make([][]float64, len(items))
-	for i, it := range items {
-		rows[i] = it.row
-	}
-	return rows
 }
 
 // rescaleWOR scales a without-replacement sample so its Gram matrix

@@ -51,73 +51,6 @@ func TestPriorityKeyOrderingStatistics(t *testing.T) {
 	}
 }
 
-func TestNewPrioritySamplerValidation(t *testing.T) {
-	for _, c := range [][2]int{{0, 5}, {4, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for ell=%d d=%d", c[0], c[1])
-				}
-			}()
-			NewPrioritySampler(c[0], c[1], 1)
-		}()
-	}
-}
-
-func TestPrioritySamplerKeepsEllRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := NewPrioritySampler(10, 4, 4)
-	for i := 0; i < 500; i++ {
-		s.Update(randRow(rng, 4))
-	}
-	if s.RowsStored() != 10 {
-		t.Fatalf("RowsStored = %d, want 10", s.RowsStored())
-	}
-	if b := s.Matrix(); b.Rows() != 10 || b.Cols() != 4 {
-		t.Fatalf("Matrix dims = %d×%d", b.Rows(), b.Cols())
-	}
-}
-
-func TestPrioritySamplerSkipsZeroRows(t *testing.T) {
-	s := NewPrioritySampler(5, 3, 5)
-	s.Update([]float64{0, 0, 0})
-	if s.RowsStored() != 0 {
-		t.Fatal("zero row should be skipped")
-	}
-}
-
-func TestPrioritySamplerUnderfull(t *testing.T) {
-	s := NewPrioritySampler(10, 3, 6)
-	s.Update([]float64{1, 0, 0})
-	s.Update([]float64{0, 2, 0})
-	b := s.Matrix()
-	if b.Rows() != 2 {
-		t.Fatalf("Matrix rows = %d, want 2", b.Rows())
-	}
-	// With all rows sampled, the WOR rescale is exact: BᵀB = AᵀA.
-	a := mat.FromRows([][]float64{{1, 0, 0}, {0, 2, 0}})
-	if e := covaErr(a, b); e > 1e-10 {
-		t.Fatalf("exact sample error = %v", e)
-	}
-}
-
-func TestPrioritySamplerErrorReasonable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := 6
-	// Average error over seeds: sampling is noisy but with ℓ=200 of
-	// 1000 random rows the covariance error should be modest.
-	var sum float64
-	const seeds = 5
-	for sd := int64(0); sd < seeds; sd++ {
-		s := NewPrioritySampler(200, d, 70+sd)
-		a := feed(t, s, rng, 1000, d)
-		sum += covaErr(a, s.Matrix())
-	}
-	if avg := sum / seeds; avg > 0.25 {
-		t.Fatalf("avg sampler error = %v, too large", avg)
-	}
-}
-
 func TestSampleOfflineWREdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	if b := SampleOfflineWR(mat.NewDense(0, 3), 5, rng); b.Rows() != 0 {

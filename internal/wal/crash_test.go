@@ -8,6 +8,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -29,7 +31,6 @@ type rowsApplier struct {
 	blocks  int
 }
 
-func (a *rowsApplier) Create(string, []byte) (bool, error)     { return false, nil }
 func (a *rowsApplier) Delete(string) (bool, error)             { return false, nil }
 func (a *rowsApplier) Checkpoint(string, []byte) (bool, error) { return false, nil }
 
@@ -337,6 +338,19 @@ func oldSnapshotFrame(seq uint64) []byte {
 	return w.Bytes()
 }
 
+// oldCreateFrame is a kind-2 create record as older logs wrote it, CRC
+// included: the tenant's config JSON.
+func oldCreateFrame(seq uint64) []byte {
+	w := binenc.NewWriter()
+	w.U32(recMagic)
+	w.U64(seq)
+	w.U32(2)
+	w.Blob([]byte("alpha"))
+	w.Blob([]byte(`{"d":2}`))
+	w.U32(crc32.ChecksumIEEE(w.Bytes()))
+	return w.Bytes()
+}
+
 // TestOldSnapshotRecordReadsAsDamaged: a log holding a kind-4 snapshot
 // record from an older version replays the records before it and
 // reports the shard damaged. The applier gets nothing of the record or
@@ -366,6 +380,84 @@ func TestOldSnapshotRecordReadsAsDamaged(t *testing.T) {
 		if !strings.HasPrefix(ev, "rows t ") {
 			t.Fatalf("replay delivered %q", ev)
 		}
+	}
+}
+
+// TestOldCreateRecordNamesTheDamage: a kind-2 create record of an
+// older log decodes as corrupt, so replay applies the records before
+// it, stops the shard there and names the segment, the record's byte
+// offset and the unknown kind in Stats.
+func TestOldCreateRecordNamesTheDamage(t *testing.T) {
+	if _, _, err := decodeRecord(oldCreateFrame(1), 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a kind-2 record decodes with %v, want ErrCorrupt", err)
+	}
+	dir := t.TempDir()
+	_, _, bounds := writeCrashLog(t, dir, rand.New(rand.NewSource(19)), 3)
+	path := soleSegment(t, dir)
+	appendBytes(t, path, oldCreateFrame(4))
+
+	l := openTest(t, dir)
+	defer l.Close()
+	st, err := l.Replay(newRecApplier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Damage{Segment: filepath.Base(path), Offset: int(bounds[len(bounds)-1]),
+		Err: "wal: corrupt record: unknown record kind 2"}
+	if st.Applied != 3 || !st.Damaged || len(st.Damage) != 1 || st.Damage[0] != want {
+		t.Fatalf("replay %+v, want the 3 rows records applied and the damage %+v", st, want)
+	}
+}
+
+// TestDamageStopsOnlyItsShard: damage in one shard stops that shard's
+// replay alone; a later shard still replays every one of its
+// segments.
+func TestDamageStopsOnlyItsShard(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, WithShards(2), WithSegmentBytes(256))
+	if _, err := l.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	var first, second string // tenants of shards 0 and 1
+	for i := 0; first == "" || second == ""; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if l.shardFor(id).idx == 0 {
+			first = id
+		} else {
+			second = id
+		}
+	}
+	rows, times := block(4, 4, 1)
+	for i := 0; i < 6; i++ {
+		for _, id := range []string{first, second} {
+			if _, err := l.AppendRows(id, uint64(i*4), rows, times); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segFiles(t, dir) // sorted: shard 0's first
+	data, err := os.ReadFile(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, segs[0]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openTest(t, dir, WithShards(2), WithSegmentBytes(256))
+	defer l2.Close()
+	ap := newRecApplier()
+	st, err := l2.Replay(ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Damaged || len(st.Damage) != 1 || st.Damage[0].Segment != segs[0] || ap.rows[second] != 24 {
+		t.Fatalf("replay %+v applied %d of %s's 24 rows, want them all and the damage named in %s",
+			st, ap.rows[second], second, segs[0])
 	}
 }
 

@@ -18,21 +18,24 @@ func hostileRowsFrame() []byte { return rowsFrame(1<<20, 1<<20, 1, 2) }
 // FuzzWALRecord decodes arbitrary bytes as a run of records. Every
 // failure must be ErrTorn or ErrCorrupt, and a record that decodes
 // must re-encode to the bytes it spans. The committed corpus holds one
-// record of each kind (its checkpoint carries a real tenant's), a
-// kind-4 snapshot record of older logs, the hostile rows header, an
-// over-cap header, a torn record and noise; the seeds below repeat all
-// of it but the old snapshot record and the over-cap header.
+// record of each kind (checkpoint carries a real tenant's checkpoint,
+// creation-checkpoint a real tenant's creation), older logs' kind-2
+// create record (create) and kind-4 snapshot record (snapshot), which
+// read as corrupt, the hostile rows header, an over-cap header, a torn
+// record and noise; the seeds below repeat all of it but the real
+// tenants' bytes, the old snapshot record and the over-cap header.
 func FuzzWALRecord(f *testing.F) {
-	// Well-formed records of every kind.
+	// Well-formed records of every kind, and an older log's create
+	// record.
 	for _, rec := range []*record{
 		{seq: 1, kind: KindRows, tenant: "alpha", start: 3,
 			rows: [][]float64{{1, 2}, {3, 4}}, times: []float64{5, 6}},
-		{seq: 2, kind: KindCreate, tenant: "alpha", blob: []byte(`{"d":2}`)},
 		{seq: 3, kind: KindCheckpoint, tenant: "alpha", blob: []byte("checkpoint-bytes")},
 		{seq: 4, kind: KindDelete, tenant: "alpha"},
 	} {
 		f.Add(rec.encodedBytes())
 	}
+	f.Add(oldCreateFrame(2))
 	// A plausible frame with a length prefix far beyond the payload.
 	f.Add(hostileRowsFrame())
 	// A torn frame and pure noise.
@@ -56,12 +59,8 @@ func FuzzWALRecord(f *testing.F) {
 				t.Fatalf("decoded %d rows with %d times", len(rec.rows), len(rec.times))
 			}
 			// A record that decodes must re-encode to the same bytes.
-			if rec.kind == KindRows || rec.kind == KindCreate ||
-				rec.kind == KindCheckpoint || rec.kind == KindDelete {
-				enc := rec.encodedBytes()
-				if len(enc) != next-off {
-					t.Fatalf("re-encode length %d, decoded span %d", len(enc), next-off)
-				}
+			if enc := rec.encodedBytes(); len(enc) != next-off {
+				t.Fatalf("re-encode length %d, decoded span %d", len(enc), next-off)
 			}
 			off = next
 		}

@@ -4,7 +4,7 @@ package wal
 //
 //	U32  magic   "SWAL" (little-endian 0x4C415753)
 //	U64  seq     per-shard, strictly increasing
-//	U32  kind    rows | create | delete | checkpoint
+//	U32  kind    rows | delete | checkpoint
 //	Blob tenant  the tenant ID
 //	     payload kind-specific (see below)
 //	U32  crc     IEEE CRC-32 of every preceding byte of the record
@@ -14,12 +14,13 @@ package wal
 //	rows        U64 start (tenant updates before the block), then
 //	            binenc's row block: Int n, Int d, n timestamps, n·d
 //	            row values (row-major)
-//	create      Blob of the tenant's declarative config as JSON
 //	delete      empty
 //	checkpoint  Blob of the tenant's spill-file bytes (ID, config,
-//	            update count, sketch), opaque to the log
+//	            update count, sketch), opaque to the log; a tenant's
+//	            first checkpoint, its creation, holds no sketch
 //
-// Kind 4, older logs' snapshot record, decodes as corrupt: damage.
+// Kinds 2 and 4, older logs' create and snapshot records, decode as
+// corrupt: damage.
 //
 // Decoding distinguishes two failure classes: ErrTorn (the buffer ends
 // mid-record — the normal shape of a crash during an append) and
@@ -40,12 +41,12 @@ import (
 const (
 	// KindRows is a block of ingested rows for one tenant.
 	KindRows = uint32(1)
-	// KindCreate records a tenant creation with its config JSON.
-	KindCreate = uint32(2)
-	// KindDelete records an explicit tenant deletion.
+	// KindDelete records a tenant's deletion, by the API or by an
+	// eviction that drops it.
 	KindDelete = uint32(3)
 	// KindCheckpoint records a tenant's whole state, which replaces
-	// the tenant's and makes its earlier records obsolete.
+	// the tenant's and makes its earlier records obsolete. A tenant's
+	// creation is its first checkpoint.
 	KindCheckpoint = uint32(5)
 )
 
@@ -85,7 +86,7 @@ type record struct {
 	times []float64
 	rows  [][]float64
 
-	// create payload (config JSON) or checkpoint payload
+	// checkpoint payload
 	blob []byte
 }
 
@@ -100,7 +101,7 @@ func (rec *record) encodedBytes() []byte {
 	case KindRows:
 		w.U64(rec.start)
 		w.Block(rec.rows, rec.times)
-	case KindCreate, KindCheckpoint:
+	case KindCheckpoint:
 		w.Blob(rec.blob)
 	case KindDelete:
 	default:
@@ -138,7 +139,7 @@ func decodeRecord(data []byte, off int) (record, int, error) {
 		var b binenc.Block
 		r.Block(n, d, &b)
 		rec.times, rec.rows = b.Times, b.Rows
-	case KindCreate, KindCheckpoint:
+	case KindCheckpoint:
 		rec.blob = r.Blob()
 	case KindDelete:
 	default:

@@ -11,25 +11,23 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"swsketch/internal/trace"
 )
 
 // Applier consumes replayed records. Each method reports whether the
 // record's effect was applied (true) or intentionally skipped (false,
-// nil) — e.g. a row block a spill file already covers, or a
-// creation of a tenant that already exists. An error counts the
-// record as failed, and Stats keeps the first few errors, but does not
-// stop replay.
+// nil) — e.g. a row block or a checkpoint the tenant has moved past.
+// An error counts the record as failed, and Stats keeps the first few
+// errors, but does not stop replay.
 type Applier interface {
-	// Create handles a tenant-creation record; cfgJSON is the
-	// declarative config the tenant was created from.
-	Create(tenant string, cfgJSON []byte) (bool, error)
 	// Rows handles a row-block record. start is the tenant's committed
 	// update count before the block.
 	Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error)
 	// Checkpoint handles a checkpoint record: data, which the log does
-	// not read, holds the tenant's whole state and replaces it.
+	// not read, holds the tenant's whole state and replaces it. A
+	// tenant's first checkpoint, its creation, builds it.
 	Checkpoint(tenant string, data []byte) (bool, error)
 	// Delete handles a tenant-deletion record.
 	Delete(tenant string) (bool, error)
@@ -55,9 +53,21 @@ type Stats struct {
 	// Torn reports a benign torn final record (crash mid-append).
 	Torn bool `json:"torn,omitempty"`
 	// Damaged reports corruption that stopped a shard's replay early:
-	// a CRC mismatch, bad magic, or a tear anywhere but the final
-	// record. Serving layers should surface degraded health.
+	// a CRC mismatch, bad magic, an unknown record kind, or a tear
+	// anywhere but the final record. Serving layers should surface
+	// degraded health.
 	Damaged bool `json:"damaged,omitempty"`
+	// Damage names where and why each damaged shard stopped.
+	Damage []Damage `json:"damage,omitempty"`
+}
+
+// Damage is where a shard's replay stopped: the segment file's name,
+// the byte offset of the record that did not decode, and the
+// decoder's error.
+type Damage struct {
+	Segment string `json:"segment"`
+	Offset  int    `json:"offset"`
+	Err     string `json:"error"`
 }
 
 // Failure is one replayed record the applier errored on: its tenant,
@@ -101,6 +111,7 @@ func (l *Log) Replay(ap Applier) (Stats, error) {
 // only for the marks, which Released changes when an applier spills a
 // tenant.
 func (sh *logShard) replay(ap Applier, st *Stats) error {
+	damaged := false
 	for segIdx, seg := range sh.closed {
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
@@ -122,7 +133,9 @@ func (sh *logShard) replay(ap Applier, st *Stats) error {
 						return fmt.Errorf("wal: truncate torn tail of %s: %w", seg.path, terr)
 					}
 				} else {
+					damaged = true
 					st.Damaged = true
+					st.Damage = append(st.Damage, Damage{Segment: filepath.Base(seg.path), Offset: off, Err: err.Error()})
 				}
 				break
 			}
@@ -163,7 +176,7 @@ func (sh *logShard) replay(ap Applier, st *Stats) error {
 			tr.EmitNote("wal", trace.KindWALReplay, 0,
 				float64(applied), float64(skipped), seg.path)
 		}
-		if st.Damaged {
+		if damaged {
 			// Ordering beyond the damage is unknowable; stop this shard.
 			break
 		}
@@ -179,8 +192,6 @@ func (sh *logShard) dispatch(ap Applier, rec record) (bool, error) {
 	switch rec.kind {
 	case KindRows:
 		return ap.Rows(rec.tenant, rec.start, rec.rows, rec.times)
-	case KindCreate:
-		return ap.Create(rec.tenant, rec.blob)
 	case KindCheckpoint:
 		return ap.Checkpoint(rec.tenant, rec.blob)
 	case KindDelete:
@@ -196,7 +207,7 @@ func (sh *logShard) dispatch(ap Applier, rec record) (bool, error) {
 // record of the tenant. Caller holds sh.mu.
 func (sh *logShard) track(rec *record) {
 	switch rec.kind {
-	case KindCreate, KindRows:
+	case KindRows:
 		if _, ok := sh.needed[rec.tenant]; !ok {
 			sh.needed[rec.tenant] = rec.seq
 		}

@@ -1,7 +1,8 @@
 // Package wal is the ingest plane's durability layer: a per-shard
-// write-ahead log of binenc-framed records (ingested row blocks,
-// tenant creations/deletions, tenant checkpoints) that lets a crashed
-// node rebuild every tenant sketch bit-exactly by replay.
+// write-ahead log of binenc-framed records of three kinds (ingested
+// row blocks, tenant checkpoints and tenant deletions) that lets a
+// crashed node rebuild every tenant sketch bit-exactly by replay. A
+// tenant's creation is its first checkpoint.
 //
 // Design:
 //
@@ -21,13 +22,14 @@
 //     first sequence number whose effect is not yet durable elsewhere.
 //     A checkpoint record moves the mark to itself, since it holds the
 //     tenant's whole state (ID, config, update count and sketch); a
-//     spill, drop or deletion clears it (Released, or the delete
-//     append). Closed segments wholly below every mark are unlinked.
+//     spill or deletion clears it (Released, or the delete append;
+//     the serve layer journals a drop as a deletion). Closed segments
+//     wholly below every mark are unlinked.
 //   - Replay. Replay walks every shard's segments in order, skipping
 //     duplicate sequence numbers (idempotent re-delivery) and records
-//     whose effect a spill file already covers, and surfaces a
-//     torn final record as a clean stop vs anything else as damage —
-//     the serve layer degrades health on the latter.
+//     the tenant has moved past (a spill file may cover them), and
+//     surfaces a torn final record as a clean stop vs anything else as
+//     damage, named in Stats — the serve layer degrades health on it.
 //
 // Between checkpoints, whose bytes the registry writes and reads, the
 // log stores raw ingested blocks: replay feeds the same rows through
@@ -457,33 +459,27 @@ func (l *Log) AppendRows(tenant string, start uint64, rows [][]float64, times []
 	return l.append(&record{kind: KindRows, tenant: tenant, start: start, rows: rows, times: times})
 }
 
-// AppendCreate logs a tenant creation with its declarative config as
-// JSON.
-func (l *Log) AppendCreate(tenant string, cfgJSON []byte) (uint64, error) {
-	return l.append(&record{kind: KindCreate, tenant: tenant, blob: cfgJSON})
-}
-
-// AppendDelete logs an explicit tenant deletion and releases the
-// tenant's earlier records for truncation.
+// AppendDelete logs a tenant's deletion, by the API or by an eviction
+// that drops it, and releases the tenant's earlier records for
+// truncation.
 func (l *Log) AppendDelete(tenant string) (uint64, error) {
 	return l.append(&record{kind: KindDelete, tenant: tenant})
 }
 
 // AppendCheckpoint logs a tenant's checkpoint, whose bytes replace the
-// tenant's whole state on replay. The tenant's earlier records become
-// truncatable.
+// tenant's whole state on replay; a tenant's creation is its first.
+// The tenant's earlier records become truncatable.
 func (l *Log) AppendCheckpoint(tenant string, data []byte) (uint64, error) {
 	return l.append(&record{kind: KindCheckpoint, tenant: tenant, blob: data})
 }
 
 // Released tells the log a tenant's state became durable outside the
-// WAL (spilled to disk) or ceased to matter (dropped/deleted without
-// an API call): its records up to now are no longer needed for
-// recovery and closed segments holding only released records are
-// unlinked. During replay, where an applier's Create can spill
-// another tenant, it clears the tenant's mark but leaves the unlinking
-// to the log's first GC after replay: replay walks the segment list
-// that GC changes.
+// WAL (spilled to disk) or ceased to matter (deleted): its records up
+// to now are no longer needed for recovery and closed segments holding
+// only released records are unlinked. During replay, where an
+// applier's Checkpoint can spill another tenant as it creates one, it
+// clears the tenant's mark but leaves the unlinking to the log's first
+// GC after replay: replay walks the segment list that GC changes.
 func (l *Log) Released(tenant string) {
 	sh := l.shardFor(tenant)
 	sh.mu.Lock()

@@ -22,14 +22,6 @@ func newRecApplier() *recApplier {
 	return &recApplier{rows: make(map[string]int)}
 }
 
-func (a *recApplier) Create(tenant string, cfg []byte) (bool, error) {
-	if a.skipAll {
-		return false, nil
-	}
-	a.events = append(a.events, fmt.Sprintf("create %s %s", tenant, cfg))
-	return true, nil
-}
-
 func (a *recApplier) Rows(tenant string, start uint64, rows [][]float64, times []float64) (bool, error) {
 	if a.skipAll {
 		return false, nil
@@ -87,8 +79,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay fresh: %v", err)
 	}
 
-	if _, err := l.AppendCreate("alpha", []byte(`{"d":3}`)); err != nil {
-		t.Fatalf("create: %v", err)
+	if _, err := l.AppendCheckpoint("alpha", []byte("creation")); err != nil {
+		t.Fatalf("creation: %v", err)
 	}
 	rows, times := block(4, 3, 10)
 	if _, err := l.AppendRows("alpha", 0, rows, times); err != nil {
@@ -112,7 +104,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	defer l2.Close()
 	want := []string{
-		`create alpha {"d":3}`,
+		"checkpoint alpha creation",
 		"rows alpha start=0 n=4",
 		"checkpoint alpha blobdata",
 		"delete alpha",
@@ -129,7 +121,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// The log stays appendable after replay, continuing the sequence.
-	if seq, err := l2.AppendCreate("beta", []byte(`{}`)); err != nil || seq != 5 {
+	if seq, err := l2.AppendCheckpoint("beta", []byte(`{}`)); err != nil || seq != 5 {
 		t.Fatalf("append after replay: seq=%d err=%v", seq, err)
 	}
 }
@@ -137,7 +129,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestAppendBeforeReplayFails(t *testing.T) {
 	l := openTest(t, t.TempDir())
 	defer l.Close()
-	if _, err := l.AppendCreate("x", nil); err == nil {
+	if _, err := l.AppendCheckpoint("x", nil); err == nil {
 		t.Fatal("append before Replay should fail")
 	}
 	if _, err := l.Replay(nil); err != nil {
@@ -221,7 +213,7 @@ func TestRotationAndTruncation(t *testing.T) {
 		}
 	}
 	// But the sequence counter still advances past the unlinked records.
-	seq, err := l2.AppendCreate("hot", nil)
+	seq, err := l2.AppendCheckpoint("hot", nil)
 	if err != nil || seq != 9 {
 		t.Fatalf("seq after truncated reopen: %d err=%v", seq, err)
 	}
@@ -284,7 +276,7 @@ func TestShardingSpreadsTenants(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("tenant-%d", i)
 		seen[l.shardFor(id).idx] = true
-		if _, err := l.AppendCreate(id, nil); err != nil {
+		if _, err := l.AppendCheckpoint(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +298,7 @@ func TestShardingSpreadsTenants(t *testing.T) {
 	}
 	defer l2.Close()
 	if st.Applied != 64 {
-		t.Fatalf("replayed %d of 64 creates", st.Applied)
+		t.Fatalf("replayed %d of 64 checkpoints", st.Applied)
 	}
 
 	// Opening with fewer shards than the directory holds must refuse —
@@ -376,7 +368,7 @@ func TestForeignFilesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.AppendCreate("t", nil); err != nil {
+	if _, err := l.AppendCheckpoint("t", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -397,7 +389,7 @@ func TestReplayKeepsTheFirstFailures(t *testing.T) {
 	if _, err := l.Replay(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendCreate("alpha", []byte(`{"d":3}`)); err != nil {
+	if _, err := l.AppendCheckpoint("alpha", []byte("creation")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -413,7 +405,7 @@ func TestReplayKeepsTheFirstFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Applied != 1 || st.Failed != 10 || len(st.Failures) != maxFailures {
-		t.Fatalf("replay %+v, want the create applied and 10 failed, %d of them kept", st, maxFailures)
+		t.Fatalf("replay %+v, want the checkpoint applied and 10 failed, %d of them kept", st, maxFailures)
 	}
 	for i, f := range st.Failures {
 		want := Failure{Tenant: "alpha", Seq: uint64(i + 2), Err: fmt.Sprintf("rows alpha at %d refused", i)}
